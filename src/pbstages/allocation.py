@@ -211,7 +211,6 @@ def allocation_rule(name: str, policy: PriorityTieBreak | None = None, caps: Cap
             return approval_maximising(instance, ballots, policy, caps)
 
         rule.score_based = True
-        rule.rule_name = name
         return rule
     raise ValidationError(f"unknown allocation rule {name!r}")
 
@@ -219,7 +218,6 @@ def allocation_rule(name: str, policy: PriorityTieBreak | None = None, caps: Cap
 # Ballot profiles influence both rules only through the score vector; the
 # searches key their memoisation on this flag.
 greedy_approval.score_based = True
-greedy_approval.rule_name = "greedy-approval"
 approval_maximising.score_based = True
 
 ALLOCATION_RULES = ("greedy-approval", "approval-maximising")

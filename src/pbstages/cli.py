@@ -17,35 +17,24 @@ import time
 from pathlib import Path
 
 from pbstages.core import Caps, NoPartitionError, ResourceLimitError, ValidationError
-from pbstages.allocation import ALLOCATION_RULES, allocation_rule
-from pbstages.fixtures import (
-    SHORTLIST_RULES,
-    fixture_names,
-    load_fixture,
-    run_check,
-    shortlist_rule_for,
-)
-from pbstages.preferences import ideal_set
+from pbstages.allocation import ALLOCATION_RULES
+from pbstages.fixtures import fixture_names, load_fixture, run_bundled_suite
+from pbstages.operations import SHORTLIST_RULES, run
 from pbstages.scenario import (
     ScenarioDocument,
     document_to_dict,
     parse_scenario,
     parse_scenario_dict,
 )
-from pbstages.shortlisting import k_median_outcome
-from pbstages.strategy import MODES, VARIANTS, StageGame, check_fssp
-from pbstages.suites import allocation_cases, shortlisting_cases
-from pbstages.verification import (
-    aggregate,
-    check_allocation_axiom,
-    check_non_wasteful,
-    check_representation_efficiency,
-    check_second_stage_sp,
-    ids_list,
-)
+from pbstages.strategy import MODES, VARIANTS
 
 REPORT_FORMAT = "pb-report"
 REPORT_VERSION = 1
+# Commands whose reports replay through :func:`pbstages.operations.run`.
+COMMANDS = ("shortlist", "allocate", "end-to-end", "check-axiom", "check-ssp", "check-fssp")
+CAP_NAMES = tuple(cap.name for cap in dataclasses.fields(Caps))
+# Parsed flags that are not operation options, besides the --cap-* flags.
+NOT_OPTIONS = ("command", "scenario", "fixture", "output", "no_timing", "metric")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,12 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report to this file instead of stdout")
         p.add_argument("--no-timing", action="store_true", help="omit timing from the report")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled searches")
-        p.add_argument("--cap-subset-search", type=int, default=Caps.subset_search)
-        p.add_argument("--cap-partitions", type=int, default=Caps.partitions)
-        p.add_argument("--cap-domination", type=int, default=Caps.domination)
-        p.add_argument("--cap-ballots", type=int, default=Caps.ballots)
-        p.add_argument("--cap-profiles", type=int, default=Caps.profiles)
-        p.add_argument("--cap-maximisers", type=int, default=Caps.maximisers)
+        for cap in dataclasses.fields(Caps):
+            p.add_argument(f"--cap-{cap.name.replace('_', '-')}", type=int, default=cap.default)
 
     def metric_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -104,7 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     metric_flag(p)
     common(p)
 
-    p = sub.add_parser("check-axiom", help="check a rule axiom on the scenario or a random suite")
+    p = sub.add_parser(
+        "check-axiom",
+        help="check a rule axiom: a shortlisting axiom on the scenario's proposals "
+        "(plus --suite random cases), an allocation axiom on a seeded random suite only",
+    )
     p.add_argument(
         "--axiom",
         required=True,
@@ -118,7 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rule", required=True, help="shortlisting or allocation rule name")
     p.add_argument("--k", type=int)
-    p.add_argument("--suite", type=int, default=0, help="additionally check N random cases")
+    p.add_argument(
+        "--suite",
+        type=int,
+        default=0,
+        help="number of random cases: added to the scenario for shortlisting axioms; "
+        "the whole check for allocation axioms, which never read the scenario's "
+        "ballots (0 means 200)",
+    )
     metric_flag(p)
     common(p)
 
@@ -155,14 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _caps(args: argparse.Namespace) -> Caps:
-    return Caps(
-        subset_search=args.cap_subset_search,
-        partitions=args.cap_partitions,
-        domination=args.cap_domination,
-        ballots=args.cap_ballots,
-        profiles=args.cap_profiles,
-        maximisers=args.cap_maximisers,
-    )
+    return Caps(**{name: getattr(args, f"cap_{name}") for name in CAP_NAMES})
 
 
 def _load_document(args: argparse.Namespace) -> tuple[ScenarioDocument, dict]:
@@ -185,138 +174,15 @@ def _apply_metric_override(doc: ScenarioDocument, kind: str) -> ScenarioDocument
     return doc
 
 
-def _truthful_ballots(doc: ScenarioDocument, instance):
-    return tuple(
-        ideal_set(instance, [p for p in agent.ranking if p in instance])
-        for agent in doc.agents
-    )
-
-
-def execute(command: str, doc: ScenarioDocument, options: dict, caps: Caps) -> dict:
-    """Run one command on a document; pure given (command, options, caps)."""
-    if command == "shortlist":
-        rule = shortlist_rule_for(doc, options["rule"], options.get("k"), caps)
-        if doc.proposals is None:
-            raise ValidationError("scenario has no proposal profile")
-        shortlist = rule(doc.instance, doc.proposals)
-        outcome = {"shortlist": ids_list(shortlist)}
-        if options["rule"] == "k-median":
-            detail = k_median_outcome(
-                doc.instance, doc.proposals, options["k"], doc.metric(), caps
-            )
-            outcome["radius"] = detail.ell
-            outcome["partitions"] = [
-                [sorted(c) for c in part.clusters] for part in detail.partitions
-            ]
-        return outcome
-
-    if command == "allocate":
-        policy = doc.tiebreak if options.get("tiebreak") == "document" else None
-        rule = allocation_rule(options["rule"], policy, caps)
-        ballots = doc.ballots or _truthful_ballots(doc, doc.instance)
-        return {
-            "ballots": [ids_list(b) for b in ballots],
-            "allocation": ids_list(rule(doc.instance, ballots)),
-        }
-
-    if command == "end-to-end":
-        srule = shortlist_rule_for(doc, options["rule"], options.get("k"), caps)
-        if doc.proposals is None:
-            raise ValidationError("scenario has no proposal profile")
-        shortlist = srule(doc.instance, doc.proposals)
-        base = doc.instance.restrict(shortlist)
-        ballots = _truthful_ballots(doc, base)
-        arule = allocation_rule(options["allocation_rule"], None, caps)
-        return {
-            "shortlist": ids_list(shortlist),
-            "ballots": [ids_list(b) for b in ballots],
-            "allocation": ids_list(arule(base, ballots)),
-        }
-
-    if command == "check-axiom":
-        return _check_axiom(doc, options, caps)
-
-    if command == "check-ssp":
-        policy = doc.tiebreak if options.get("tiebreak") == "document" else None
-        rule = allocation_rule(options["rule"], policy, caps)
-        verdict = check_second_stage_sp(
-            rule,
-            doc.instance,
-            doc.rankings,
-            options["model"],
-            approximate=options["approximate"],
-            search=options["search"],
-            caps=caps,
-            ballots=doc.ballots,
-            samples=options.get("samples", 2000),
-            seed=options.get("seed", 0),
-        )
-        return {"verdict": verdict.to_jsonable()}
-
-    if command == "check-fssp":
-        game = StageGame(
-            instance=doc.instance,
-            shortlist_rule=shortlist_rule_for(doc, options["rule"], options.get("k"), caps),
-            allocation_rule=allocation_rule(options["allocation_rule"], None, caps),
-            rankings=doc.rankings,
-            awareness=doc.awareness,
-            model=options["model"],
-            proposals=doc.proposals,
-        )
-        verdict = check_fssp(game, options["variant"], options["mode"], caps)
-        return {"verdict": verdict.to_jsonable()}
-
-    raise ValidationError(f"unknown command {command!r}")
-
-
-def _check_axiom(doc: ScenarioDocument, options: dict, caps: Caps) -> dict:
-    axiom = options["axiom"]
-    name = options["rule"]
-    seed = options.get("seed", 0)
-    suite = options.get("suite", 0)
-    if axiom in ("non-wasteful", "representation-efficiency"):
-        rule = shortlist_rule_for(doc, name, options.get("k"), caps)
-        check = (
-            check_non_wasteful
-            if axiom == "non-wasteful"
-            else lambda r, i, p: check_representation_efficiency(r, i, p, caps)
-        )
-        verdicts = []
-        if doc.proposals is not None:
-            verdicts.append(check(rule, doc.instance, doc.proposals))
-        if suite:
-            if name == "k-median":
-                raise ValidationError(
-                    "random suites are not supported for k-median (the scenario's "
-                    "metric does not cover generated instances); omit --suite"
-                )
-            for instance, proposals in shortlisting_cases(seed, suite, max_projects=5):
-                verdicts.append(check(rule, instance, proposals))
-        verdict = aggregate(verdicts, {"axiom": axiom, "rule": name, "suite": suite, "seed": seed})
-        return {"verdict": verdict.to_jsonable()}
-    rule = allocation_rule(name, None, caps)
-    cases = list(allocation_cases(seed, suite or 200, axiom))
-    verdict = check_allocation_axiom(rule, axiom, cases)
-    verdict.params = {"axiom": axiom, "rule": name, "suite": suite or 200, "seed": seed}
-    return {"verdict": verdict.to_jsonable()}
-
-
 def _run_paper_suite(caps: Caps) -> dict:
-    fixtures = {}
-    informational = []
-    failures = []
-    for name in fixture_names():
-        doc = load_fixture(name)
-        results = [run_check(doc, check, caps) for check in doc.checks]
-        fixtures[name] = [r.to_jsonable() for r in results]
-        for r in results:
-            if r.status == "informational":
-                informational.append(f"{name}/{r.check_id}")
-            elif r.status == "fail":
-                failures.append(f"{name}/{r.check_id}")
+    suite = run_bundled_suite(caps)
+    tagged = [
+        (f"{name}/{r.check_id}", r.status) for name, results in suite.items() for r in results
+    ]
+    failures = [tag for tag, status in tagged if status == "fail"]
     return {
-        "fixtures": fixtures,
-        "informational": informational,
+        "fixtures": {name: [r.to_jsonable() for r in results] for name, results in suite.items()},
+        "informational": [tag for tag, status in tagged if status == "informational"],
         "failures": failures,
         "ok": not failures,
     }
@@ -335,16 +201,28 @@ def _replay(args: argparse.Namespace) -> dict:
         stored = json.loads(Path(args.report).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read report {args.report}: {exc}") from exc
+    if not isinstance(stored, dict):
+        raise ValidationError("a report must be a JSON object")
     for key in ("command", "options", "caps", "document", "results"):
         if key not in stored:
             raise ValidationError(f"report is missing the {key!r} field")
-    caps = Caps(**stored["caps"])
-    command = stored["command"]
+    command, raw_caps = stored["command"], stored["caps"]
+    if command not in (*COMMANDS, "paper-suite"):
+        raise ValidationError(f"cannot replay a report of command {command!r}")
+    if not isinstance(stored["options"], dict):
+        raise ValidationError("report options must be a JSON object")
+    if not (
+        isinstance(raw_caps, dict)
+        and set(raw_caps) <= set(CAP_NAMES)
+        and all(type(value) is int for value in raw_caps.values())
+    ):
+        raise ValidationError(f"report caps must map some of {', '.join(CAP_NAMES)} to integers")
+    caps = Caps(**raw_caps)
     if command == "paper-suite":
         fresh = _run_paper_suite(caps)
     else:
         doc = parse_scenario_dict(stored["document"], where="report.document")
-        fresh = execute(command, doc, stored["options"], caps)
+        fresh = run(command, doc, stored["options"], caps)
     matches = fresh == stored["results"]
     return {
         "replayed_command": command,
@@ -359,53 +237,25 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         if args.command == "replay":
-            results = _replay(args)
-            report = {
-                "format": REPORT_FORMAT,
-                "version": REPORT_VERSION,
-                "command": "replay",
-                "source": {"report": args.report},
-                "results": results,
-                "status": "completed",
-            }
-        elif args.command == "paper-suite":
-            caps = _caps(args)
-            results = _run_paper_suite(caps)
-            report = {
-                "format": REPORT_FORMAT,
-                "version": REPORT_VERSION,
-                "command": "paper-suite",
-                "options": {"seed": args.seed},
-                "caps": caps.__dict__,
-                "document": None,
-                "results": results,
-                "status": "completed",
-            }
+            report = {"source": {"report": args.report}, "results": _replay(args)}
         else:
             caps = _caps(args)
-            doc, source = _load_document(args)
-            options = {
-                key: value
-                for key, value in vars(args).items()
-                if key
-                not in {
-                    "command", "scenario", "fixture", "output", "no_timing", "metric",
-                    "cap_subset_search", "cap_partitions", "cap_domination",
-                    "cap_ballots", "cap_profiles", "cap_maximisers",
+            if args.command == "paper-suite":
+                report = {"options": {"seed": args.seed}, "document": None}
+                report["results"] = _run_paper_suite(caps)
+            else:
+                doc, source = _load_document(args)
+                options = {
+                    key: value
+                    for key, value in vars(args).items()
+                    if key not in NOT_OPTIONS and not key.startswith("cap_")
                 }
-            }
-            results = execute(args.command, doc, options, caps)
-            report = {
-                "format": REPORT_FORMAT,
-                "version": REPORT_VERSION,
-                "command": args.command,
-                "source": source,
-                "options": options,
-                "caps": caps.__dict__,
-                "document": document_to_dict(doc),
-                "results": results,
-                "status": "completed",
-            }
+                report = {"source": source, "options": options, "document": document_to_dict(doc)}
+                report["results"] = run(args.command, doc, options, caps)
+            report["caps"] = caps.__dict__
+        report.update(
+            format=REPORT_FORMAT, version=REPORT_VERSION, command=args.command, status="completed"
+        )
         if not args.no_timing:
             report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
         _emit(report, args.output)

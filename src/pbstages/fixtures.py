@@ -15,25 +15,13 @@ scenario (whose recorded cluster list names a project nobody proposed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from pbstages.core import Caps, Instance, ValidationError
-from pbstages.allocation import PriorityTieBreak, allocation_rule
+from pbstages.core import Caps, Instance, Project, ValidationError
+from pbstages.allocation import PriorityTieBreak
+from pbstages.operations import run
 from pbstages.preferences import ideal_set
 from pbstages.scenario import AgentSpec, ScenarioDocument
-from pbstages.shortlisting import (
-    equal_representation,
-    k_median,
-    k_median_outcome,
-    nomination,
-    representation_score,
-)
-from pbstages.strategy import StageGame, check_fssp, check_manipulation
-from pbstages.verification import (
-    check_second_stage_sp,
-    find_representative_domination,
-    ids_list,
-)
 
 
 def _fs(*pids: int) -> frozenset[int]:
@@ -45,32 +33,10 @@ def _ranking(prefix, m):
 
 
 def _projects(costs: dict[int, int], coords: dict[int, tuple] | None = None):
-    from pbstages.core import Project
-
     return [
         Project(pid, cost, None if coords is None else coords.get(pid))
         for pid, cost in sorted(costs.items())
     ]
-
-
-def shortlist_rule_for(doc: ScenarioDocument, name: str, k: int | None, caps: Caps):
-    if name == "nomination":
-        return nomination
-    if name == "equal-representation":
-        if k is None:
-            raise ValidationError("equal-representation needs k")
-        return lambda instance, proposals: equal_representation(instance, proposals, k, caps)
-    if name == "k-median":
-        if k is None:
-            raise ValidationError("k-median needs k")
-        metric = doc.metric()
-        if metric is None:
-            raise ValidationError("k-median needs a metric (coordinates or a table)")
-        return lambda instance, proposals: k_median(instance, proposals, k, metric, caps)
-    raise ValidationError(f"unknown shortlisting rule {name!r}")
-
-
-SHORTLIST_RULES = ("nomination", "equal-representation", "k-median")
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +110,7 @@ def example1() -> ScenarioDocument:
         },
     )
     config = {"shortlist_rule": "nomination", "allocation_rule": "greedy-approval", "model": "overlap"}
-    return ScenarioDocument(
-        instance=doc.instance, agents=doc.agents, proposals=doc.proposals,
-        config=config, checks=checks,
-    )
+    return replace(doc, config=config, checks=checks)
 
 
 def nomination_anticipative() -> ScenarioDocument:
@@ -171,10 +134,7 @@ def nomination_anticipative() -> ScenarioDocument:
     )
     config = {"shortlist_rule": "nomination", "allocation_rule": "greedy-approval",
               "model": "overlap", "mode": "anticipative"}
-    return ScenarioDocument(
-        instance=doc.instance, agents=doc.agents, proposals=doc.proposals,
-        config=config, checks=checks,
-    )
+    return replace(doc, config=config, checks=checks)
 
 
 def theorem_rfssp() -> ScenarioDocument:
@@ -274,28 +234,20 @@ def equal_representation_tie() -> ScenarioDocument:
             "proposals": [[1, 3], [1, 2], [2]],
             "expect": {"shortlist": [1, 3]},
         },
-        {
-            "id": "unrestricted-pessimistic",
-            "kind": "fssp",
-            "variant": "unrestricted",
-            "mode": "pessimistic",
-            "shortlist_rule": "equal-representation",
-            "k": 1,
-            "allocation_rule": "greedy-approval",
-            "model": "overlap",
-            "expect": {"status": "holds-on-suite"},
-        },
-        {
-            "id": "unrestricted-optimistic",
-            "kind": "fssp",
-            "variant": "unrestricted",
-            "mode": "optimistic",
-            "shortlist_rule": "equal-representation",
-            "k": 1,
-            "allocation_rule": "greedy-approval",
-            "model": "overlap",
-            "expect": {"status": "holds-on-suite"},
-        },
+        *(
+            {
+                "id": f"unrestricted-{mode}",
+                "kind": "fssp",
+                "variant": "unrestricted",
+                "mode": mode,
+                "shortlist_rule": "equal-representation",
+                "k": 1,
+                "allocation_rule": "greedy-approval",
+                "model": "overlap",
+                "expect": {"status": "holds-on-suite"},
+            }
+            for mode in ("pessimistic", "optimistic")
+        ),
     )
     config = {"shortlist_rule": "equal-representation", "k": 1,
               "allocation_rule": "greedy-approval", "model": "overlap"}
@@ -579,143 +531,73 @@ class CheckResult:
         }
 
 
-def _doc_proposals(doc: ScenarioDocument, check: dict):
-    if "proposals" in check:
-        return tuple(doc.instance.check_subset(p, "proposals") for p in check["proposals"])
-    if doc.proposals is None:
-        raise ValidationError("scenario has no proposal profile")
-    return doc.proposals
+# Check kind -> the operation it runs.
+CHECK_OPERATIONS = {
+    "shortlist": "shortlist",
+    "clusters": "shortlist",
+    "allocation": "allocate",
+    "end-to-end": "end-to-end",
+    "score": "score",
+    "manipulation": "manipulation",
+    "fssp": "check-fssp",
+    "ssp": "check-ssp",
+    "domination": "domination",
+}
+
+# Witness fields that verdict checks copy into ``computed``.
+WITNESS_FIELDS = {
+    "manipulation": ("baseline_outcome", "deviation_outcome"),
+    "fssp": ("agent", "deviation"),
+    "ssp": ("agent", "truthful_outcome", "manipulated_outcome"),
+}
 
 
-def _truthful_ballots(doc: ScenarioDocument, instance: Instance):
-    return tuple(
-        ideal_set(instance, [p for p in agent.ranking if p in instance])
-        for agent in doc.agents
-    )
+def _check_options(doc: ScenarioDocument, check: dict) -> dict:
+    """Map a check's recorded fields onto the options of its operation."""
+    kind = check["kind"]
+    options = {
+        key: value
+        for key, value in check.items()
+        if key not in ("id", "kind", "expect", "required", "note")
+    }
+    if "shortlist_rule" in options:
+        options["rule"] = options.pop("shortlist_rule")
+    if kind == "clusters":
+        options["rule"] = "k-median"
+    elif kind == "allocation":
+        options.setdefault("ballots", "truthful")
+    elif kind in ("manipulation", "fssp"):
+        options.setdefault("model", doc.config.get("model", "overlap"))
+    return options
 
 
-def _allocation_rule_for(doc: ScenarioDocument, check: dict, caps: Caps):
-    policy = doc.tiebreak if check.get("tiebreak") == "document" else None
-    return allocation_rule(check["rule"], policy, caps)
-
-
-def _build_game(doc: ScenarioDocument, check: dict, caps: Caps) -> StageGame:
-    return StageGame(
-        instance=doc.instance,
-        shortlist_rule=shortlist_rule_for(doc, check["shortlist_rule"], check.get("k"), caps),
-        allocation_rule=allocation_rule(check["allocation_rule"], None, caps),
-        rankings=doc.rankings,
-        awareness=doc.awareness,
-        model=check.get("model", doc.config.get("model", "overlap")),
-        proposals=doc.proposals,
-    )
+def _computed(kind: str, result: dict) -> dict:
+    """The fields of an operation's result that a check of ``kind`` compares."""
+    if kind == "clusters":
+        return {**result, "partitions": sorted(result["partitions"])}
+    if kind not in WITNESS_FIELDS:
+        # Only clusters checks compare the clustering detail; none compares ballots.
+        return {k: v for k, v in result.items() if k not in ("radius", "partitions", "ballots")}
+    if kind == "manipulation":
+        computed, witness = {"verdict": result["verdict"]}, result["witness"]
+    else:
+        computed, witness = {"status": result["verdict"]["status"]}, result["verdict"]["witness"]
+    if witness:
+        computed.update((key, witness[key]) for key in WITNESS_FIELDS[kind])
+        if kind == "ssp":
+            computed["manipulator_ballot"] = witness["profile"][witness["agent"] - 1]
+    computed["witness"] = witness
+    return computed
 
 
 def run_check(doc: ScenarioDocument, check: dict, caps: Caps = Caps()) -> CheckResult:
     """Execute one recorded expectation against the document."""
     kind = check["kind"]
-    expect = check.get("expect", {})
-    computed: dict = {}
-
-    if kind == "shortlist":
-        rule = shortlist_rule_for(doc, check["rule"], check.get("k"), caps)
-        computed["shortlist"] = ids_list(rule(doc.instance, _doc_proposals(doc, check)))
-    elif kind == "clusters":
-        metric = doc.metric()
-        if metric is None:
-            raise ValidationError("clusters check needs a metric")
-        outcome = k_median_outcome(
-            doc.instance, _doc_proposals(doc, check), check["k"], metric, caps
-        )
-        computed["partitions"] = sorted(
-            sorted(sorted(c) for c in part.clusters) for part in outcome.partitions
-        )
-        computed["shortlist"] = ids_list(outcome.shortlist)
-        computed["radius"] = outcome.ell
-    elif kind == "allocation":
-        base = (
-            doc.instance
-            if check.get("shortlist") in (None, "all")
-            else doc.instance.restrict(check["shortlist"])
-        )
-        ballots = (
-            _truthful_ballots(doc, base)
-            if check.get("ballots", "truthful") == "truthful"
-            else tuple(base.check_subset(b, "ballots") for b in check["ballots"])
-        )
-        rule = _allocation_rule_for(doc, check, caps)
-        computed["allocation"] = ids_list(rule(base, ballots))
-    elif kind == "end-to-end":
-        srule = shortlist_rule_for(doc, check["shortlist_rule"], check.get("k"), caps)
-        shortlist = srule(doc.instance, _doc_proposals(doc, check))
-        base = doc.instance.restrict(shortlist)
-        arule = allocation_rule(check["allocation_rule"], None, caps)
-        computed["shortlist"] = ids_list(shortlist)
-        computed["allocation"] = ids_list(arule(base, _truthful_ballots(doc, base)))
-    elif kind == "score":
-        if doc.proposals is None:
-            raise ValidationError("score check needs a proposal profile")
-        score = representation_score(_fs(*check["subset"]), doc.proposals)
-        computed["score"] = str(score)
-    elif kind == "manipulation":
-        game = _build_game(doc, check, caps)
-        result = check_manipulation(
-            game,
-            doc.agent_index(check["agent"]),
-            _fs(*check["deviation"]),
-            check["mode"],
-            caps,
-        )
-        computed["verdict"] = result.verdict
-        if result.witness:
-            computed["baseline_outcome"] = result.witness["baseline_outcome"]
-            computed["deviation_outcome"] = result.witness["deviation_outcome"]
-        computed["witness"] = result.witness
-    elif kind == "fssp":
-        game = _build_game(doc, check, caps)
-        verdict = check_fssp(game, check["variant"], check["mode"], caps)
-        computed["status"] = verdict.status
-        if verdict.witness:
-            computed["agent"] = verdict.witness["agent"]
-            computed["deviation"] = verdict.witness["deviation"]
-        computed["witness"] = verdict.witness
-    elif kind == "ssp":
-        rule = _allocation_rule_for(doc, check, caps)
-        agent_ids = check.get("agents")
-        verdict = check_second_stage_sp(
-            rule,
-            doc.instance,
-            doc.rankings,
-            check.get("model", "overlap"),
-            approximate=bool(check.get("approximate", False)),
-            search=check.get("search", "auto"),
-            caps=caps,
-            ballots=doc.ballots,
-            agents=None if agent_ids is None else [doc.agent_index(a) for a in agent_ids],
-            deviations=None
-            if check.get("deviations") is None
-            else [_fs(*d) for d in check["deviations"]],
-        )
-        computed["status"] = verdict.status
-        if verdict.witness:
-            w = verdict.witness
-            computed["agent"] = w["agent"]
-            computed["manipulator_ballot"] = w["profile"][w["agent"] - 1]
-            computed["truthful_outcome"] = w["truthful_outcome"]
-            computed["manipulated_outcome"] = w["manipulated_outcome"]
-        computed["witness"] = verdict.witness
-    elif kind == "domination":
-        rule = shortlist_rule_for(doc, check["shortlist_rule"], check.get("k"), caps)
-        proposals = _doc_proposals(doc, check)
-        shortlist = rule(doc.instance, proposals)
-        dominating = find_representative_domination(doc.instance, proposals, shortlist, caps)
-        computed["found"] = dominating is not None
-        if dominating is not None:
-            computed["dominating"] = ids_list(dominating)
-        computed["shortlist"] = ids_list(shortlist)
-    else:
+    if kind not in CHECK_OPERATIONS:
         raise ValidationError(f"unknown check kind {kind!r}")
-
+    result = run(CHECK_OPERATIONS[kind], doc, _check_options(doc, check), caps)
+    computed = _computed(kind, result)
+    expect = check.get("expect", {})
     matches = all(computed.get(key) == value for key, value in expect.items())
     required = check.get("required", True)
     if matches:

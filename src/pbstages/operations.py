@@ -1,0 +1,247 @@
+"""Operations on a scenario: the one dispatcher behind the CLI and the checks.
+
+``run(kind, doc, options, caps)`` maps an operation name and its options
+to a JSON-ready result.  The CLI commands and the bundled fixture checks
+both go through it, so a check computes exactly what the command it
+mirrors reports.  Results depend only on (kind, document, options, caps).
+"""
+
+from __future__ import annotations
+
+from pbstages.core import Caps, ValidationError
+from pbstages.allocation import allocation_rule
+from pbstages.preferences import ideal_set
+from pbstages.scenario import ScenarioDocument
+from pbstages.shortlisting import (
+    equal_representation,
+    k_median,
+    k_median_outcome,
+    nomination,
+    representation_score,
+)
+from pbstages.strategy import StageGame, check_fssp, check_manipulation
+from pbstages.suites import allocation_cases, shortlisting_cases
+from pbstages.verification import (
+    aggregate,
+    check_allocation_axiom,
+    check_non_wasteful,
+    check_representation_efficiency,
+    check_second_stage_sp,
+    find_representative_domination,
+    ids_list,
+)
+
+SHORTLIST_RULES = ("nomination", "equal-representation", "k-median")
+
+
+class Options(dict):
+    """Operation options; reading a missing required option is a validation error."""
+
+    def __missing__(self, key: str):
+        raise ValidationError(f"missing option {key!r}")
+
+
+def _k_median_metric(doc: ScenarioDocument, k: int | None):
+    if k is None:
+        raise ValidationError("k-median needs k")
+    metric = doc.metric()
+    if metric is None:
+        raise ValidationError("k-median needs a metric (coordinates or a table)")
+    return metric
+
+
+def shortlist_rule_for(doc: ScenarioDocument, name: str, k: int | None, caps: Caps):
+    if name == "nomination":
+        return nomination
+    if name == "equal-representation":
+        if k is None:
+            raise ValidationError("equal-representation needs k")
+        return lambda instance, proposals: equal_representation(instance, proposals, k, caps)
+    if name == "k-median":
+        metric = _k_median_metric(doc, k)
+        return lambda instance, proposals: k_median(instance, proposals, k, metric, caps)
+    raise ValidationError(f"unknown shortlisting rule {name!r}")
+
+
+def truthful_ballots(doc: ScenarioDocument, instance):
+    """Each agent's ideal set on ``instance``: the truthful ballot profile."""
+    return tuple(
+        ideal_set(instance, [p for p in agent.ranking if p in instance])
+        for agent in doc.agents
+    )
+
+
+def stage_game(doc: ScenarioDocument, options: Options, caps: Caps) -> StageGame:
+    return StageGame(
+        instance=doc.instance,
+        shortlist_rule=shortlist_rule_for(doc, options["rule"], options.get("k"), caps),
+        allocation_rule=allocation_rule(options["allocation_rule"], None, caps),
+        rankings=doc.rankings,
+        awareness=doc.awareness,
+        model=options["model"],
+        proposals=doc.proposals,
+    )
+
+
+def _proposals(doc: ScenarioDocument, options: Options):
+    if "proposals" in options:
+        return tuple(doc.instance.check_subset(p, "proposals") for p in options["proposals"])
+    if doc.proposals is None:
+        raise ValidationError("scenario has no proposal profile")
+    return doc.proposals
+
+
+def _policy(doc: ScenarioDocument, options: Options):
+    return doc.tiebreak if options.get("tiebreak") == "document" else None
+
+
+def _shortlist(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
+    name, k = options["rule"], options.get("k")
+    if name != "k-median":
+        rule = shortlist_rule_for(doc, name, k, caps)
+        return {"shortlist": ids_list(rule(doc.instance, _proposals(doc, options)))}
+    metric = _k_median_metric(doc, k)
+    outcome = k_median_outcome(doc.instance, _proposals(doc, options), k, metric, caps)
+    return {
+        "shortlist": ids_list(outcome.shortlist),
+        "radius": outcome.ell,
+        "partitions": [[sorted(c) for c in part.clusters] for part in outcome.partitions],
+    }
+
+
+def _allocate(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
+    """Allocate on the whole instance or on ``shortlist``.  ``ballots`` is
+    absent (the scenario's ballots, else truthful ones), ``"truthful"``, or
+    an explicit profile."""
+    rule = allocation_rule(options["rule"], _policy(doc, options), caps)
+    shortlist = options.get("shortlist")
+    base = doc.instance if shortlist in (None, "all") else doc.instance.restrict(shortlist)
+    ballots = options.get("ballots")
+    if ballots is None:
+        ballots = doc.ballots or truthful_ballots(doc, base)
+    elif ballots == "truthful":
+        ballots = truthful_ballots(doc, base)
+    else:
+        ballots = tuple(base.check_subset(b, "ballots") for b in ballots)
+    return {
+        "ballots": [ids_list(b) for b in ballots],
+        "allocation": ids_list(rule(base, ballots)),
+    }
+
+
+def _end_to_end(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
+    """Shortlist, then allocate on the shortlist from truthful ballots."""
+    shortlist = _shortlist(doc, options, caps)["shortlist"]
+    vote = Options(rule=options["allocation_rule"], shortlist=shortlist, ballots="truthful")
+    return {"shortlist": shortlist, **_allocate(doc, vote, caps)}
+
+
+def _check_axiom(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
+    """Shortlisting axioms are checked on the scenario's proposals plus
+    ``suite`` random cases; allocation axioms only on a seeded random
+    suite of ``suite`` cases (200 when 0)."""
+    axiom = options["axiom"]
+    name = options["rule"]
+    seed = options.get("seed", 0)
+    suite = options.get("suite", 0)
+    if axiom in ("non-wasteful", "representation-efficiency"):
+        rule = shortlist_rule_for(doc, name, options.get("k"), caps)
+        check = (
+            check_non_wasteful
+            if axiom == "non-wasteful"
+            else lambda r, i, p: check_representation_efficiency(r, i, p, caps)
+        )
+        verdicts = []
+        if doc.proposals is not None:
+            verdicts.append(check(rule, doc.instance, doc.proposals))
+        if suite:
+            if name == "k-median":
+                raise ValidationError(
+                    "random suites are not supported for k-median (the scenario's "
+                    "metric does not cover generated instances); omit --suite"
+                )
+            for instance, proposals in shortlisting_cases(seed, suite, max_projects=5):
+                verdicts.append(check(rule, instance, proposals))
+        verdict = aggregate(verdicts, {"axiom": axiom, "rule": name, "suite": suite, "seed": seed})
+        return {"verdict": verdict.to_jsonable()}
+    rule = allocation_rule(name, None, caps)
+    cases = list(allocation_cases(seed, suite or 200, axiom))
+    verdict = check_allocation_axiom(rule, axiom, cases)
+    verdict.params = {"axiom": axiom, "rule": name, "suite": suite or 200, "seed": seed}
+    return {"verdict": verdict.to_jsonable()}
+
+
+def _check_ssp(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
+    rule = allocation_rule(options["rule"], _policy(doc, options), caps)
+    agents, deviations = options.get("agents"), options.get("deviations")
+    verdict = check_second_stage_sp(
+        rule,
+        doc.instance,
+        doc.rankings,
+        options.get("model", "overlap"),
+        approximate=bool(options.get("approximate", False)),
+        search=options.get("search", "auto"),
+        caps=caps,
+        ballots=doc.ballots,
+        agents=None if agents is None else [doc.agent_index(a) for a in agents],
+        deviations=None if deviations is None else [frozenset(d) for d in deviations],
+        samples=options.get("samples", 2000),
+        seed=options.get("seed", 0),
+    )
+    return {"verdict": verdict.to_jsonable()}
+
+
+def _check_fssp(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
+    game = stage_game(doc, options, caps)
+    verdict = check_fssp(game, options["variant"], options["mode"], caps)
+    return {"verdict": verdict.to_jsonable()}
+
+
+def _manipulation(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
+    result = check_manipulation(
+        stage_game(doc, options, caps),
+        doc.agent_index(options["agent"]),
+        frozenset(options["deviation"]),
+        options["mode"],
+        caps,
+    )
+    return {"verdict": result.verdict, "witness": result.witness}
+
+
+def _score(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
+    if doc.proposals is None:
+        raise ValidationError("score check needs a proposal profile")
+    return {"score": str(representation_score(frozenset(options["subset"]), doc.proposals))}
+
+
+def _domination(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
+    shortlist = _shortlist(doc, options, caps)["shortlist"]
+    dominating = find_representative_domination(
+        doc.instance, _proposals(doc, options), shortlist, caps
+    )
+    result = {"found": dominating is not None, "shortlist": shortlist}
+    if dominating is not None:
+        result["dominating"] = ids_list(dominating)
+    return result
+
+
+OPERATIONS = {
+    "shortlist": _shortlist,
+    "allocate": _allocate,
+    "end-to-end": _end_to_end,
+    "check-axiom": _check_axiom,
+    "check-ssp": _check_ssp,
+    "check-fssp": _check_fssp,
+    "manipulation": _manipulation,
+    "score": _score,
+    "domination": _domination,
+}
+
+
+def run(kind: str, doc: ScenarioDocument, options: dict, caps: Caps = Caps()) -> dict:
+    """Run one operation on a document; pure given (kind, options, caps)."""
+    try:
+        operation = OPERATIONS[kind]
+    except KeyError:
+        raise ValidationError(f"unknown operation {kind!r}") from None
+    return operation(doc, Options(options), caps)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from pbstages.core import Instance, ValidationError, greedy_select, tiebreak_family
+from pbstages.core import Instance, ValidationError, greedy_select
 
 MODELS = ("overlap", "cost")
 
@@ -103,12 +103,3 @@ def best_allocations(
     chosen = [a for a in family if allocation_value(model, ideal, a, instance) == best]
     return sorted(chosen, key=lambda a: tuple(sorted(a)))
 
-
-def best_allocation(
-    model: str,
-    ideal: frozenset[int],
-    family: Iterable[frozenset[int]],
-    instance: Instance,
-) -> frozenset[int]:
-    """Canonical single best allocation: tie-break the argmax set."""
-    return tiebreak_family(best_allocations(model, ideal, family, instance))

@@ -357,18 +357,6 @@ def radius_candidates(pids: Iterable[int], metric: Metric) -> list[float]:
     return sorted({0.0, *metric.pairwise(pids)})
 
 
-def minimal_ell(
-    instance: Instance,
-    pids: Iterable[int],
-    k: int,
-    metric: Metric,
-    caps: Caps = Caps(),
-) -> float:
-    """Smallest radius admitting a valid clustering of ``pids``."""
-    ell, _ = _minimal_partitions(instance, pids, k, metric, caps)
-    return ell
-
-
 def _minimal_partitions(
     instance: Instance,
     pids: Iterable[int],

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from random import Random
 
 from pbstages.core import (
@@ -107,10 +107,7 @@ class StageGame:
 
     def truthful_proposal(self, agent: int, variant: str) -> frozenset[int]:
         """The proposal an honest agent submits, per deviation variant."""
-        pool = self.awareness[agent]
-        if check_variant(variant) == "unrestricted":
-            pool = pool | proposal_union(self.base_proposals())
-        return ideal_set(self.instance, self.rankings[agent], pool)
+        return ideal_set(self.instance, self.rankings[agent], self.deviation_pool(agent, variant))
 
     def deviation_pool(self, agent: int, variant: str) -> frozenset[int]:
         if check_variant(variant) == "restricted":
@@ -216,7 +213,6 @@ class ManipulationResult:
     verdict: str
     witness: dict | None
     exact: bool
-    details: dict = field(default_factory=dict)
 
     @property
     def successful(self) -> bool:
@@ -287,12 +283,6 @@ def check_manipulation(
     def value(outcome: frozenset[int]) -> int:
         return allocation_value(game.model, ideal, outcome, game.instance)
 
-    details = {
-        "baseline_shortlist": ids_list(base_shortlist),
-        "deviation_shortlist": ids_list(dev_shortlist),
-        "comparison_ideal": ids_list(ideal),
-    }
-
     def witness(base_prof, dev_prof, base_out, dev_out):
         return _manipulation_witness(
             game, agent, deviation, mode, base_shortlist, dev_shortlist,
@@ -312,13 +302,13 @@ def check_manipulation(
         )
         result = witness(base_profile, dev_profile, base_out, dev_out)
         if value(dev_out) > value(base_out):
-            return ManipulationResult(SUCCESSFUL, result, True, details)
-        return ManipulationResult(UNSUCCESSFUL, result, True, details)
+            return ManipulationResult(SUCCESSFUL, result, True)
+        return ManipulationResult(UNSUCCESSFUL, result, True)
 
     # Identical shortlists draw both sides' outcomes from one set, so no
     # strict pair can coexist with universal weak improvement.
     if mode == "pessimistic" and base_shortlist == dev_shortlist:
-        return ManipulationResult(UNSUCCESSFUL, None, True, details)
+        return ManipulationResult(UNSUCCESSFUL, None, True)
 
     base_ideal = game.top_on(agent, base_shortlist)
     dev_ideal = game.top_on(agent, dev_shortlist)
@@ -332,7 +322,7 @@ def check_manipulation(
             )
         return _sampled_manipulation(
             game, agent, deviation, mode, caps, sample, seed,
-            base_instance, dev_instance, base_ideal, dev_ideal, ideal, witness, details,
+            base_instance, dev_instance, base_ideal, dev_ideal, ideal, witness,
         )
 
     base_outs = _fstar_outcomes(
@@ -345,8 +335,6 @@ def check_manipulation(
     base_max = max(base_outs, key=value)
     dev_min = min(dev_outs, key=value)
     dev_max = max(dev_outs, key=value)
-    details["baseline_value_range"] = [value(base_min), value(base_max)]
-    details["deviation_value_range"] = [value(dev_min), value(dev_max)]
 
     if mode == "optimistic":
         if value(dev_max) > value(base_min):
@@ -354,9 +342,8 @@ def check_manipulation(
                 SUCCESSFUL,
                 witness(base_outs[base_min], dev_outs[dev_max], base_min, dev_max),
                 True,
-                details,
             )
-        return ManipulationResult(UNSUCCESSFUL, None, True, details)
+        return ManipulationResult(UNSUCCESSFUL, None, True)
 
     # Pessimistic: every deviation-side outcome at least as good as every
     # baseline-side outcome, with at least one strictly better pair.
@@ -365,24 +352,21 @@ def check_manipulation(
             UNSUCCESSFUL,
             witness(base_outs[base_max], dev_outs[dev_min], base_max, dev_min),
             True,
-            details,
         )
     if value(dev_max) > value(base_min):
         return ManipulationResult(
             SUCCESSFUL,
             witness(base_outs[base_min], dev_outs[dev_max], base_min, dev_max),
             True,
-            details,
         )
-    return ManipulationResult(UNSUCCESSFUL, None, True, details)
+    return ManipulationResult(UNSUCCESSFUL, None, True)
 
 
 def _sampled_manipulation(
     game, agent, deviation, mode, caps, sample, seed,
-    base_instance, dev_instance, base_ideal, dev_ideal, ideal, witness, details,
+    base_instance, dev_instance, base_ideal, dev_ideal, ideal, witness,
 ):
     rng = Random(seed)
-    details["sampled"] = sample
     base_cache = OutcomeCache(game.allocation_rule, base_instance)
     dev_cache = OutcomeCache(game.allocation_rule, dev_instance)
 
@@ -408,17 +392,17 @@ def _sampled_manipulation(
         dev_prof, dev_out = draw(dev_instance, dev_ideal, dev_cache)
         if mode == "pessimistic" and value(dev_out) < value(base_out):
             return ManipulationResult(
-                UNSUCCESSFUL, witness(base_prof, dev_prof, base_out, dev_out), False, details
+                UNSUCCESSFUL, witness(base_prof, dev_prof, base_out, dev_out), False
             )
         if mode == "optimistic" and value(dev_out) > value(base_out):
             return ManipulationResult(
-                SUCCESSFUL, witness(base_prof, dev_prof, base_out, dev_out), False, details
+                SUCCESSFUL, witness(base_prof, dev_prof, base_out, dev_out), False
             )
         if value(dev_out) > value(base_out):
             strict_seen = witness(base_prof, dev_prof, base_out, dev_out)
     if mode == "optimistic":
-        return ManipulationResult(UNKNOWN, None, False, details)
-    return ManipulationResult(UNKNOWN, strict_seen, False, details)
+        return ManipulationResult(UNKNOWN, None, False)
+    return ManipulationResult(UNKNOWN, strict_seen, False)
 
 
 def check_fssp(

@@ -569,7 +569,7 @@ def check_rules_coincide_on_unit_class(
 
 @dataclass(frozen=True)
 class UnitSplitMap:
-    """Bidirectional mapping between projects and their unit-cost pieces.
+    """Mapping from projects to their unit-cost pieces.
 
     Piece ids are assigned in ascending order of the parent index, with
     consecutive ids inside each parent, so the canonical tie-breaking
@@ -577,7 +577,6 @@ class UnitSplitMap:
     """
 
     forward: dict[int, tuple[int, ...]]
-    backward: dict[int, int]
 
     def split_set(self, pids: Iterable[int]) -> frozenset[int]:
         pieces: set[int] = set()
@@ -616,8 +615,7 @@ def unit_split(
         next_id += project.cost
         forward[project.index] = unit_ids
         pieces.extend(Project(uid, 1, project.coords) for uid in unit_ids)
-    backward = {uid: parent for parent, units in forward.items() for uid in units}
-    split_map = UnitSplitMap(forward, backward)
+    split_map = UnitSplitMap(forward)
     unit_instance = Instance(pieces, instance.budget)
     unit_ballots = tuple(split_map.split_set(b) for b in ballots)
     return unit_instance, unit_ballots, split_map

@@ -1,14 +1,33 @@
+import hashlib
 import json
 
+from pbstages import shortlisting
 from pbstages.cli import main
 from pbstages.fixtures import load_fixture
 from pbstages.scenario import write_scenario
+
+
+# sha256 of the `paper-suite --no-timing` report, recorded on Python 3.11.7.
+PAPER_SUITE_SHA256 = "6e5f2c080020cbccbfb74d5c84b9eb95f02595b055e47edda27b7aacbbfea251"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
+
+
+def stored_report(tmp_path, edit):
+    """Write a `shortlist` report, let ``edit`` change its JSON, return the path."""
+    path = tmp_path / "report.json"
+    assert main([
+        "shortlist", "--fixture", "example1", "--rule", "nomination",
+        "--no-timing", "--output", str(path),
+    ]) == 0
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
 
 
 class TestCommands:
@@ -32,6 +51,24 @@ class TestCommands:
         assert code == 0
         assert report["results"]["shortlist"] == [4, 6, 7]
         assert report["results"]["partitions"] == [[[1, 2, 3, 4], [6], [7]]]
+
+    def test_kmedian_shortlist_searches_once(self, capsys, monkeypatch):
+        calls = []
+        search = shortlisting._minimal_partitions
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(shortlisting, "_minimal_partitions", counted)
+        code, report = run_cli(
+            capsys,
+            "shortlist", "--fixture", "kmedian-relocation",
+            "--rule", "k-median", "--k", "1", "--no-timing",
+        )
+        assert code == 0
+        assert report["results"]["shortlist"] == [4, 6, 7]
+        assert len(calls) == 1
 
     def test_allocate_with_document_tiebreak(self, capsys):
         code, report = run_cli(
@@ -121,6 +158,11 @@ class TestReplayAndStability:
         assert main(argv + ["--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_paper_suite_report_bytes_pinned(self, tmp_path):
+        path = tmp_path / "suite.json"
+        assert main(["paper-suite", "--no-timing", "--output", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PAPER_SUITE_SHA256
+
     def test_replay_reproduces_report(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
         code = main([
@@ -172,3 +214,24 @@ class TestExitCodes:
             "--variant", "restricted", "--mode", "pessimistic", "--no-timing",
         ])
         assert code == 0
+
+    def test_replay_unknown_cap_is_2(self, tmp_path, capsys):
+        path = stored_report(tmp_path, lambda data: data["caps"].update(bogus=1))
+        assert main(["replay", str(path)]) == 2
+        assert "validation error" in capsys.readouterr().err
+
+    def test_replay_missing_option_is_2(self, tmp_path, capsys):
+        path = stored_report(tmp_path, lambda data: data["options"].pop("rule"))
+        assert main(["replay", str(path)]) == 2
+        assert "validation error" in capsys.readouterr().err
+
+    def test_replay_refuses_check_only_operation(self, tmp_path, capsys):
+        # `score` is an operation of the fixture checks, not a command, so a
+        # report naming it is refused even though the operation would run.
+        def as_score(data):
+            data["command"] = "score"
+            data["options"] = {"subset": [1]}
+
+        path = stored_report(tmp_path, as_score)
+        assert main(["replay", str(path)]) == 2
+        assert "validation error" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from pbstages.shortlisting import (
     geometric_median,
     k_median,
     k_median_outcome,
-    minimal_ell,
     nomination,
     representation_score,
     table_metric,
@@ -161,17 +160,17 @@ class TestMinimalRadius:
     def test_single_project(self):
         instance = unit_instance(1, 1)
         metric = table_metric([1], [])
-        assert minimal_ell(instance, fs(1), 1, metric) == 0.0
+        assert k_median_outcome(instance, [fs(1)], 1, metric).ell == 0.0
 
     def test_colocated_projects(self):
         instance = unit_instance(3, 1)
         metric = table_metric([1, 2, 3], [(1, 2, 0.0), (1, 3, 0.0), (2, 3, 0.0)])
-        assert minimal_ell(instance, fs(1, 2, 3), 1, metric) == 0.0
+        assert k_median_outcome(instance, [fs(1, 2, 3)], 1, metric).ell == 0.0
 
     def test_triangle_scenario(self, triangle_coords):
         instance = make_instance([1] * 7, 3, [triangle_coords[i] for i in range(1, 8)])
         metric = euclidean_metric(instance)
-        got = minimal_ell(instance, fs(1, 2, 3, 4, 6, 7), 1, metric)
+        got = k_median_outcome(instance, [fs(1, 2, 3, 4, 6, 7)], 1, metric).ell
         assert got == pytest.approx(2 / math.sqrt(3.0))
 
     def test_cap_enforced(self):
@@ -181,7 +180,7 @@ class TestMinimalRadius:
             [(a, b, 1.0) for a in range(1, 5) for b in range(a + 1, 5)],
         )
         with pytest.raises(ResourceLimitError):
-            minimal_ell(instance, instance.ids, 1, metric, Caps(partitions=3))
+            k_median_outcome(instance, [instance.ids], 1, metric, Caps(partitions=3))
 
 
 class TestPartitionEnumerators:

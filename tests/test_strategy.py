@@ -152,7 +152,7 @@ class TestCheckManipulation:
         game = crossed_awareness_game()
         result = check_manipulation(game, 0, fs(1), "optimistic")
         assert result.successful
-        assert result.details["baseline_shortlist"] == result.details["deviation_shortlist"]
+        assert result.witness["baseline_shortlist"] == result.witness["deviation_shortlist"]
 
     def test_sampled_mode_never_proves_pessimistic(self):
         game = ten_project_game()
