@@ -9,7 +9,9 @@ priority list over allocations is supplied.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import functools
+import inspect
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from pbstages.core import (
@@ -17,10 +19,7 @@ from pbstages.core import (
     Instance,
     ResourceLimitError,
     ValidationError,
-    greedy_select,
-    subsets_ascending,
     tiebreak_family,
-    tiebreak_order,
 )
 
 INFEASIBLE = "infeasible"
@@ -64,21 +63,32 @@ def classify_allocation(instance: Instance, allocation: Iterable[int]) -> str:
     return EXHAUSTIVE
 
 
-def score_order(instance: Instance, scores: dict[int, int]) -> tuple[int, ...]:
-    """Strict project order: descending approval score, ties by index."""
-    classes: dict[int, list[int]] = {}
-    for pid in instance.ids:
-        classes.setdefault(-scores[pid], []).append(pid)
-    return tiebreak_order([classes[key] for key in sorted(classes)], instance.ids)
+def _kernel_args(instance: Instance, scores: dict[int, int]) -> tuple:
+    ids = instance.ids
+    costs = tuple(p.cost for p in instance.projects)
+    return ids, costs, instance.budget, tuple(scores[pid] for pid in ids)
 
 
-def greedy_approval_from_scores(instance: Instance, scores: dict[int, int]) -> frozenset[int]:
-    return greedy_select(instance, instance.ids, score_order(instance, scores))
+def greedy_approval_kernel(
+    ids: Sequence[int], costs: Sequence[int], budget: int, scores: Sequence[int]
+) -> frozenset[int]:
+    """Greedy approval on a score vector indexed by slot.
+
+    ``ids`` lists the projects in ascending order; ``costs`` and ``scores``
+    are indexed the same way.  The sort is stable, so equal scores keep
+    slot order: the lower id wins, which is the canonical tie-break.
+    """
+    chosen = []
+    for j in sorted(range(len(ids)), key=scores.__getitem__, reverse=True):
+        if costs[j] <= budget:
+            chosen.append(ids[j])
+            budget -= costs[j]
+    return frozenset(chosen)
 
 
 def greedy_approval(instance: Instance, ballots: Sequence[Iterable[int]]) -> frozenset[int]:
     """Fund projects greedily in order of approval score."""
-    return greedy_approval_from_scores(instance, approval_scores(instance, ballots))
+    return greedy_approval_kernel(*_kernel_args(instance, approval_scores(instance, ballots)))
 
 
 @dataclass(frozen=True)
@@ -105,28 +115,32 @@ class PriorityTieBreak:
 
 
 def _suffix_knapsack(
-    ids: Sequence[int], costs: dict[int, int], scores: dict[int, int], budget: int
+    costs: Sequence[int], scores: Sequence[int], budget: int
 ) -> list[list[int]]:
-    """table[j][b] = best total score using ids[j:] within budget b."""
-    m = len(ids)
-    table = [[0] * (budget + 1) for _ in range(m + 1)]
-    for j in range(m - 1, -1, -1):
-        pid = ids[j]
-        cost, gain = costs[pid], scores[pid]
-        row, nxt = table[j], table[j + 1]
-        for b in range(budget + 1):
-            best = nxt[b]
-            if cost <= b:
-                with_it = gain + nxt[b - cost]
-                if with_it > best:
-                    best = with_it
-            row[b] = best
+    """table[j][b] = best total score using slots j.. within budget b."""
+    table = [[0] * (budget + 1)]
+    for cost, gain in zip(reversed(costs), reversed(scores)):
+        nxt = table[-1]
+        if gain == 0:
+            # The best score never falls as the budget grows, so taking a
+            # worthless project never beats leaving it.
+            table.append(nxt)
+            continue
+        row = nxt[:cost]
+        row += [
+            keep if keep >= take + gain else take + gain
+            for keep, take in zip(nxt[cost:], nxt)
+        ]
+        table.append(row)
+    table.reverse()
     return table
 
 
 def maximising_allocations(
-    instance: Instance,
-    scores: dict[int, int],
+    ids: Sequence[int],
+    costs: Sequence[int],
+    budget: int,
+    scores: Sequence[int],
     caps: Caps = Caps(),
 ) -> list[frozenset[int]]:
     """Every feasible allocation with maximal total approval score.
@@ -134,52 +148,57 @@ def maximising_allocations(
     Exponential in the shortlist size, hence capped; only needed for
     explicit priority tie-breaking.
     """
-    if len(instance) > caps.maximisers:
+    if len(ids) > caps.maximisers:
         raise ResourceLimitError(
-            f"maximiser enumeration over {len(instance)} projects exceeds "
+            f"maximiser enumeration over {len(ids)} projects exceeds "
             f"the cap of {caps.maximisers}"
         )
     best = -1
     chosen: list[frozenset[int]] = []
-    for subset in subsets_ascending(instance.ids):
-        if instance.total_cost(subset) > instance.budget:
+    for mask in range(1 << len(ids)):
+        slots = [j for j in range(len(ids)) if mask >> j & 1]
+        if sum(costs[j] for j in slots) > budget:
             continue
-        score = sum(scores[pid] for pid in subset)
+        score = sum(scores[j] for j in slots)
         if score > best:
             best = score
-            chosen = [subset]
-        elif score == best:
-            chosen.append(subset)
+            chosen = []
+        if score == best:
+            chosen.append(frozenset(ids[j] for j in slots))
     return chosen
 
 
-def approval_maximising_from_scores(
-    instance: Instance,
-    scores: dict[int, int],
+def approval_maximising_kernel(
+    ids: Sequence[int],
+    costs: Sequence[int],
+    budget: int,
+    scores: Sequence[int],
     policy: PriorityTieBreak | None = None,
     caps: Caps = Caps(),
 ) -> frozenset[int]:
+    """Approval maximisation on a slot-indexed score vector.
+
+    A ``policy`` picks among all maximisers, listed explicitly.  Without
+    one, canonical tie-breaking prefers the maximiser whose characteristic
+    vector is lexicographically largest, so it can be built directly by
+    forcing projects in, in ascending slot order, whenever an optimal
+    completion still exists.  A suffix knapsack answers those queries
+    exactly without ever listing the (possibly huge) maximiser family.
+    """
     if policy is not None:
-        return policy.select(maximising_allocations(instance, scores, caps))
-    # Canonical tie-breaking prefers the maximiser whose characteristic
-    # vector is lexicographically largest, so it can be built directly by
-    # forcing projects in, in ascending index order, whenever an optimal
-    # completion still exists.  A suffix knapsack answers those queries
-    # exactly without ever listing the (possibly huge) maximiser family.
-    ids = list(instance.ids)
-    costs = {pid: instance.cost(pid) for pid in ids}
-    table = _suffix_knapsack(ids, costs, scores, instance.budget)
-    optimum = table[0][instance.budget]
+        return policy.select(maximising_allocations(ids, costs, budget, scores, caps))
+    table = _suffix_knapsack(costs, scores, budget)
+    optimum = table[0][budget]
     chosen: list[int] = []
     spent = 0
     value = 0
     for j, pid in enumerate(ids):
-        if spent + costs[pid] <= instance.budget:
-            with_it = value + scores[pid] + table[j + 1][instance.budget - spent - costs[pid]]
-            if with_it == optimum:
-                chosen.append(pid)
-                spent += costs[pid]
-                value += scores[pid]
+        cost, gain = costs[j], scores[j]
+        rest = budget - spent - cost
+        if rest >= 0 and value + gain + table[j + 1][rest] == optimum:
+            chosen.append(pid)
+            spent += cost
+            value += gain
     return frozenset(chosen)
 
 
@@ -190,9 +209,31 @@ def approval_maximising(
     caps: Caps = Caps(),
 ) -> frozenset[int]:
     """Fund a feasible allocation with maximal total approval score."""
-    return approval_maximising_from_scores(
-        instance, approval_scores(instance, ballots), policy, caps
-    )
+    scores = approval_scores(instance, ballots)
+    return approval_maximising_kernel(*_kernel_args(instance, scores), policy, caps)
+
+
+# The rules that read a ballot profile only through its approval score
+# vector, each with the kernel that computes its outcome from that vector.
+# The searches memoise on the vector and call the kernel on it directly.
+SCORE_KERNELS = (
+    (greedy_approval, greedy_approval_kernel),
+    (approval_maximising, approval_maximising_kernel),
+)
+
+
+def score_kernel(rule) -> Callable[..., frozenset[int]] | None:
+    """The score-vector kernel a rule reduces to, or ``None`` for any other rule.
+
+    Sees through ``functools.wraps`` wrappers.  A ``functools.partial`` of
+    a declared rule that binds keyword options only (a tie-break policy
+    and its caps) reduces to the kernel with the same options bound.
+    """
+    rule = inspect.unwrap(rule)
+    if isinstance(rule, functools.partial):
+        kernel = None if rule.args else score_kernel(rule.func)
+        return None if kernel is None else functools.partial(kernel, **rule.keywords)
+    return next((kernel for known, kernel in SCORE_KERNELS if known is rule), None)
 
 
 def allocation_rule(name: str, policy: PriorityTieBreak | None = None, caps: Caps = Caps()):
@@ -200,24 +241,18 @@ def allocation_rule(name: str, policy: PriorityTieBreak | None = None, caps: Cap
 
     Returns a callable ``rule(instance, ballots) -> frozenset`` suitable
     for the checkers in :mod:`pbstages.verification` and
-    :mod:`pbstages.strategy`.
+    :mod:`pbstages.strategy`, which find its kernel through
+    :func:`score_kernel`.
     """
     if name == "greedy-approval":
         if policy is not None:
             raise ValidationError("greedy-approval does not take a tie-break policy")
         return greedy_approval
     if name == "approval-maximising":
-        def rule(instance, ballots, policy=policy, caps=caps):
-            return approval_maximising(instance, ballots, policy, caps)
-
-        rule.score_based = True
-        return rule
+        if policy is None:
+            return approval_maximising
+        return functools.partial(approval_maximising, policy=policy, caps=caps)
     raise ValidationError(f"unknown allocation rule {name!r}")
 
-
-# Ballot profiles influence both rules only through the score vector; the
-# searches key their memoisation on this flag.
-greedy_approval.score_based = True
-approval_maximising.score_based = True
 
 ALLOCATION_RULES = ("greedy-approval", "approval-maximising")

@@ -196,6 +196,31 @@ def _emit(report: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_option_types(command: str, options: dict) -> None:
+    """Refuse a stored option the command's parser could not have produced."""
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    for action in commands.choices[command]._actions:
+        if action.dest not in options:
+            continue
+        value = options[action.dest]
+        if action.nargs == 0:
+            ok = type(value) is bool
+        elif value is None:
+            ok = action.default is None
+        else:
+            ok = type(value) is (action.type or str) and (
+                action.choices is None or value in action.choices
+            )
+        if not ok:
+            raise ValidationError(
+                f"report option {action.dest!r} = {value!r} is not a value of --"
+                f"{action.dest.replace('_', '-')}"
+            )
+
+
 def _replay(args: argparse.Namespace) -> dict:
     try:
         stored = json.loads(Path(args.report).read_text())
@@ -217,6 +242,7 @@ def _replay(args: argparse.Namespace) -> dict:
         and all(type(value) is int for value in raw_caps.values())
     ):
         raise ValidationError(f"report caps must map some of {', '.join(CAP_NAMES)} to integers")
+    _check_option_types(command, stored["options"])
     caps = Caps(**raw_caps)
     if command == "paper-suite":
         fresh = _run_paper_suite(caps)

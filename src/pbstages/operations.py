@@ -145,6 +145,11 @@ def _check_axiom(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
     seed = options.get("seed", 0)
     suite = options.get("suite", 0)
     if axiom in ("non-wasteful", "representation-efficiency"):
+        if doc.proposals is None and not suite:
+            raise ValidationError(
+                "the scenario has no proposal profile and the suite is empty: "
+                "there is nothing to check (give --suite)"
+            )
         rule = shortlist_rule_for(doc, name, options.get("k"), caps)
         check = (
             check_non_wasteful

@@ -9,6 +9,7 @@ Every counterexample witness carries enough data to be replayed.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from random import Random
@@ -21,7 +22,7 @@ from pbstages.core import (
     ValidationError,
     subsets_ascending,
 )
-from pbstages.allocation import EXHAUSTIVE, classify_allocation
+from pbstages.allocation import EXHAUSTIVE, classify_allocation, score_kernel
 from pbstages.preferences import allocation_value, check_model, ideal_set
 from pbstages.shortlisting import check_proposals, proposal_union
 
@@ -244,38 +245,73 @@ def check_allocation_axiom(rule: AllocationRule, axiom: str, cases: Iterable) ->
 
 
 class OutcomeCache:
-    """Memoises an allocation rule per ballot profile.
+    """Memoises an allocation rule on one instance.
 
-    Rules flagged ``score_based`` depend on ballots only through the
-    approval score vector, which collapses the key space dramatically
-    during profile enumeration.
+    A rule with a declared score-vector kernel
+    (:func:`pbstages.allocation.score_kernel`) is memoised per approval
+    score vector, indexed by slot in ascending id order, and a miss runs
+    the kernel on that vector.  Any other rule is called on the ballot
+    profile and memoised per profile.
+
+    Searches that vary one agent's ballot split a profile into the key of
+    the other agents' ballots (:meth:`others`) and that ballot
+    (:meth:`with_ballot`).
     """
 
     def __init__(self, rule: AllocationRule, instance: Instance):
         self.rule = rule
         self.instance = instance
+        self.kernel = score_kernel(rule)
         self._ids = instance.ids
-        self._score_based = bool(getattr(rule, "score_based", False))
+        self._costs = tuple(p.cost for p in instance.projects)
+        self._slot = {pid: j for j, pid in enumerate(self._ids)}
         self._store: dict[tuple, frozenset[int]] = {}
+        self._vectors: dict[frozenset[int], tuple[int, ...]] = {}
 
-    def _key(self, ballots: tuple[frozenset[int], ...]) -> tuple:
-        if not self._score_based:
-            return ballots
+    def _scores(self, ballots: Iterable[Iterable[int]]) -> list[int]:
+        """Approval score per slot."""
         scores = [0] * len(self._ids)
-        lookup = {pid: i for i, pid in enumerate(self._ids)}
-        for ballot in ballots:
-            for pid in ballot:
-                scores[lookup[pid]] += 1
-        return tuple(scores)
+        slot = self._slot
+        try:
+            for ballot in ballots:
+                for pid in ballot:
+                    scores[slot[pid]] += 1
+        except KeyError as exc:
+            raise ValidationError(f"ballot contains unknown project id {exc.args[0]}") from None
+        return scores
 
     def __call__(self, ballots: tuple[frozenset[int], ...]) -> frozenset[int]:
-        key = self._key(ballots)
-        try:
-            return self._store[key]
-        except KeyError:
-            outcome = self.rule(self.instance, ballots)
+        if self.kernel is None:
+            return self._lookup(tuple(ballots))
+        return self._lookup(tuple(self._scores(ballots)))
+
+    def others(self, profile: tuple[frozenset[int], ...], agent: int) -> tuple:
+        """Lookup key of every ballot in ``profile`` but the agent's."""
+        if self.kernel is None:
+            return profile
+        scores = self._scores(profile)
+        for pid in profile[agent]:
+            scores[self._slot[pid]] -= 1
+        return tuple(scores)
+
+    def with_ballot(self, others: tuple, agent: int, ballot: frozenset[int]) -> frozenset[int]:
+        """Outcome once ``ballot`` joins the others' key as the agent's."""
+        if self.kernel is None:
+            return self._lookup(others[:agent] + (ballot,) + others[agent + 1 :])
+        vector = self._vectors.get(ballot)
+        if vector is None:
+            vector = self._vectors[ballot] = tuple(self._scores((ballot,)))
+        return self._lookup(tuple(map(operator.add, others, vector)))
+
+    def _lookup(self, key: tuple) -> frozenset[int]:
+        outcome = self._store.get(key)
+        if outcome is None:
+            if self.kernel is None:
+                outcome = self.rule(self.instance, key)
+            else:
+                outcome = self.kernel(self._ids, self._costs, self.instance.budget, key)
             self._store[key] = outcome
-            return outcome
+        return outcome
 
 
 def repaired_value(
@@ -289,6 +325,25 @@ def repaired_value(
         if value > best:
             best = value
     return best
+
+
+def model_weights(model: str, instance: Instance) -> dict[int, int]:
+    """What each project adds to an allocation's value under ``model``.
+
+    ``allocation_value`` sums these over the allocation's ideal projects:
+    1 each for ``"overlap"``, the cost for ``"cost"``.
+    """
+    check_model(model)
+    return {p.index: 1 if model == "overlap" else p.cost for p in instance.projects}
+
+
+def repair_gain(weights: dict[int, int], ideal: frozenset[int], outcome: frozenset[int]) -> int:
+    """``repaired_value`` minus ``allocation_value``, in closed form.
+
+    The best single project to add is the worthiest ideal project the
+    outcome lacks; adding any other project adds nothing.
+    """
+    return max((weights[pid] for pid in ideal - outcome), default=0)
 
 
 def _sp_witness(
@@ -356,16 +411,17 @@ def check_second_stage_sp(
         raise ValidationError("strategyproofness needs at least one agent")
     ids = instance.ids
     tops = [ideal_set(instance, _restrict_ranking(ranking, instance)) for ranking in rankings]
-    agent_pool = list(range(n)) if agents is None else [a for a in agents]
+    agent_pool = list(range(n)) if agents is None else _check_agents(agents, n)
     full_space = (2 ** len(ids)) ** n
     if search == "auto":
         search = "full" if full_space <= caps.profiles else "fixed-others"
+    if search not in ("full", "fixed-others", "sample"):
+        raise ValidationError(f"unknown search mode {search!r}")
     if search == "full" and full_space > caps.profiles:
         raise ResourceLimitError(
             f"full profile enumeration needs {full_space} profiles, "
             f"exceeding the cap of {caps.profiles}"
         )
-    outcome = OutcomeCache(rule, instance)
     params = {
         "search": search,
         "model": model,
@@ -373,37 +429,15 @@ def check_second_stage_sp(
         "agents": [a + 1 for a in agent_pool],
     }
 
-    def violates(agent: int, profile: tuple[frozenset[int], ...]) -> dict | None:
-        truthful_profile = profile[:agent] + (tops[agent],) + profile[agent + 1 :]
-        truthful = outcome(truthful_profile)
-        manipulated = outcome(profile)
-        ideal = tops[agent]
-        bar = (
-            repaired_value(model, ideal, truthful, instance)
-            if approximate
-            else allocation_value(model, ideal, truthful, instance)
-        )
-        if allocation_value(model, ideal, manipulated, instance) > bar:
-            return _sp_witness(
-                instance, agent, profile, ideal, truthful, manipulated, model, approximate
-            )
-        return None
-
-    checked = 0
+    # Each case is (agent, profile, ballots to try in the agent's place).
     if search == "full":
-        all_ballots = subsets_ascending(ids)
-        for profile in itertools.product(all_ballots, repeat=n):
-            for agent in agent_pool:
-                checked += 1
-                witness = violates(agent, profile)
-                if witness:
-                    return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
-        return PropertyVerdict(HOLDS, None, True, checked, params)
-
-    if search == "fixed-others":
-        base = list(tops) if ballots is None else [
-            instance.check_subset(b) for b in ballots
-        ]
+        cases = (
+            (agent, profile, (profile[agent],))
+            for profile in itertools.product(subsets_ascending(ids), repeat=n)
+            for agent in agent_pool
+        )
+    elif search == "fixed-others":
+        base = tops if ballots is None else [instance.check_subset(b) for b in ballots]
         if len(base) != n:
             raise ValidationError("fixed ballots must cover every agent")
         pool = (
@@ -411,35 +445,67 @@ def check_second_stage_sp(
             if deviations is None
             else [instance.check_subset(d, "deviation") for d in deviations]
         )
-        for agent in agent_pool:
-            for deviation in pool:
-                checked += 1
-                profile = tuple(
-                    deviation if i == agent else base[i] for i in range(n)
-                )
-                witness = violates(agent, profile)
-                if witness:
-                    return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
-        # Exact for the searched slice only: other agents' ballots stayed fixed.
-        return PropertyVerdict(HOLDS, None, False, checked, params)
-
-    if search == "sample":
-        rng = Random(seed)
+        cases = ((agent, tuple(base), pool) for agent in agent_pool)
+    else:
         params["samples"] = samples
         params["seed"] = seed
-        items = sorted(ids)
-        for _ in range(samples):
-            profile = tuple(
-                frozenset(pid for pid in items if rng.random() < 0.5) for _ in range(n)
-            )
-            for agent in agent_pool:
-                checked += 1
-                witness = violates(agent, profile)
-                if witness:
-                    return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
-        return PropertyVerdict(HOLDS, None, False, checked, params)
+        cases = _sampled_cases(Random(seed), sorted(ids), n, samples, agent_pool)
 
-    raise ValidationError(f"unknown search mode {search!r}")
+    weight = model_weights(model, instance)
+
+    def value(ideal: frozenset[int], allocation: frozenset[int]) -> int:
+        return sum(map(weight.__getitem__, allocation & ideal))
+
+    outcome = OutcomeCache(rule, instance)
+    bars: dict[tuple[int, frozenset[int]], int] = {}
+    checked = 0
+    for agent, profile, tried in cases:
+        ideal = tops[agent]
+        others = outcome.others(profile, agent)
+        truthful = outcome.with_ballot(others, agent, ideal)
+        bar = bars.get((agent, truthful))
+        if bar is None:
+            bar = value(ideal, truthful)
+            if approximate:
+                bar += repair_gain(weight, ideal, truthful)
+            bars[agent, truthful] = bar
+        worth = {}
+        for ballot in tried:
+            checked += 1
+            manipulated = outcome.with_ballot(others, agent, ballot)
+            gain = worth.get(manipulated)
+            if gain is None:
+                gain = worth[manipulated] = value(ideal, manipulated)
+            if gain > bar:
+                witness = _sp_witness(
+                    instance, agent, profile[:agent] + (ballot,) + profile[agent + 1 :],
+                    ideal, truthful, manipulated, model, approximate,
+                )
+                return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
+    # Only full enumeration is a proof: fixed-others searched one slice of
+    # the space, and sampling can only refute.
+    return PropertyVerdict(HOLDS, None, search == "full", checked, params)
+
+
+def _check_agents(agents: Iterable[int], n: int) -> list[int]:
+    pool = list(agents)
+    for agent in pool:
+        if isinstance(agent, bool) or not isinstance(agent, int) or not 0 <= agent < n:
+            raise ValidationError(f"agent index {agent!r} is not an integer in 0..{n - 1}")
+    if not pool:
+        raise ValidationError("the agent list is empty")
+    if len(set(pool)) != len(pool):
+        raise ValidationError(f"the agent list {pool} repeats an agent")
+    return pool
+
+
+def _sampled_cases(rng: Random, items: list[int], n: int, samples: int, agent_pool: list[int]):
+    for _ in range(samples):
+        profile = tuple(
+            frozenset(pid for pid in items if rng.random() < 0.5) for _ in range(n)
+        )
+        for agent in agent_pool:
+            yield agent, profile, (profile[agent],)
 
 
 def _restrict_ranking(ranking: Sequence[int], instance: Instance) -> tuple[int, ...]:

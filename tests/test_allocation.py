@@ -1,6 +1,8 @@
+import functools
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbstages.core import Caps, ResourceLimitError, ValidationError
 from pbstages.allocation import (
@@ -8,10 +10,14 @@ from pbstages.allocation import (
     FEASIBLE,
     INFEASIBLE,
     PriorityTieBreak,
+    allocation_rule,
     approval_maximising,
+    approval_maximising_kernel,
     approval_scores,
     classify_allocation,
     greedy_approval,
+    greedy_approval_kernel,
+    score_kernel,
 )
 from pbstages.oracles import (
     approval_maximising_oracle,
@@ -145,3 +151,70 @@ class TestPriorityTieBreak:
         policy = PriorityTieBreak((fs(1),))
         with pytest.raises(ResourceLimitError):
             approval_maximising(instance, (fs(1),), policy, Caps(maximisers=4))
+
+
+@st.composite
+def scored_instances(draw):
+    """An instance with m <= 10 projects of cost <= 6, and a score vector
+    with entries 0..n, realised by one ballot per score unit."""
+    m = draw(st.integers(1, 10))
+    costs = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    budget = draw(st.integers(max(costs), sum(costs)))
+    n = draw(st.integers(1, 4))
+    scores = tuple(draw(st.lists(st.integers(0, n), min_size=m, max_size=m)))
+    instance = make_instance(costs, budget)
+    ballots = tuple(
+        frozenset(pid for pid, s in zip(instance.ids, scores) if s > level)
+        for level in range(n)
+    )
+    return instance, scores, ballots
+
+
+def kernel_args(instance, scores):
+    return instance.ids, tuple(p.cost for p in instance.projects), instance.budget, scores
+
+
+class TestScoreKernels:
+    @settings(deadline=None, max_examples=150)
+    @given(scored_instances())
+    def test_greedy_kernel_matches_oracle(self, case):
+        instance, scores, ballots = case
+        got = greedy_approval_kernel(*kernel_args(instance, scores))
+        assert got == greedy_approval_oracle(instance, ballots)
+
+    @settings(deadline=None, max_examples=150)
+    @given(scored_instances())
+    def test_maximising_kernel_matches_oracle(self, case):
+        instance, scores, ballots = case
+        got = approval_maximising_kernel(*kernel_args(instance, scores))
+        assert got == approval_maximising_oracle(instance, ballots)
+
+    def test_declared_kernels_survive_wrapping(self):
+        for rule, kernel in (
+            (greedy_approval, greedy_approval_kernel),
+            (approval_maximising, approval_maximising_kernel),
+        ):
+            @functools.wraps(rule)
+            def wrapped(*args, rule=rule):
+                return rule(*args)
+
+            assert score_kernel(rule) is kernel
+            assert score_kernel(wrapped) is kernel
+
+    def test_policy_rule_kernel_keeps_its_policy(self):
+        instance = unit_instance(7, 4)
+        rule = allocation_rule(
+            "approval-maximising", PriorityTieBreak((fs(1, 2, 3, 5), fs(4, 5, 6, 7)))
+        )
+        kernel = score_kernel(rule)
+        for ballots in ((fs(1, 2, 3, 4), fs(4, 5, 6, 7)), (fs(1, 2, 3), fs(4, 5, 6, 7))):
+            scores = approval_scores(instance, ballots)
+            got = kernel(*kernel_args(instance, tuple(scores[p] for p in instance.ids)))
+            assert got == rule(instance, ballots)
+
+    def test_other_rules_declare_no_kernel(self):
+        assert score_kernel(approval_maximising_oracle) is None
+        assert score_kernel(greedy_approval_oracle) is None
+        assert score_kernel(lambda instance, ballots: frozenset()) is None
+        # A positional binding changes the call, so the kernel no longer fits.
+        assert score_kernel(functools.partial(greedy_approval, unit_instance(2, 1))) is None

@@ -235,3 +235,21 @@ class TestExitCodes:
         path = stored_report(tmp_path, as_score)
         assert main(["replay", str(path)]) == 2
         assert "validation error" in capsys.readouterr().err
+
+    def test_check_axiom_on_empty_space_is_2(self, capsys):
+        # The fixture has no proposal profile and no suite was asked for, so
+        # a "holds" would be a proof over nothing.
+        code = main([
+            "check-axiom", "--fixture", "unit-priority-tiebreak",
+            "--axiom", "non-wasteful", "--rule", "nomination", "--no-timing",
+        ])
+        assert code == 2
+        assert "validation error" in capsys.readouterr().err
+
+    def test_replay_option_of_wrong_type_is_2(self, tmp_path, capsys):
+        def as_string_k(data):
+            data["options"].update(rule="equal-representation", k="1")
+
+        path = stored_report(tmp_path, as_string_k)
+        assert main(["replay", str(path)]) == 2
+        assert "validation error" in capsys.readouterr().err

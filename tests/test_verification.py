@@ -1,9 +1,14 @@
+import hashlib
+import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pbstages.core import Caps, ResourceLimitError
+from pbstages.core import Caps, ResourceLimitError, ValidationError
 from pbstages.allocation import allocation_rule, greedy_approval
+from pbstages.fixtures import load_fixture
+from pbstages.oracles import approval_maximising_oracle, greedy_approval_oracle
 from pbstages.preferences import allocation_value, ideal_set
 from pbstages.shortlisting import equal_representation, nomination
 from pbstages.suites import (
@@ -13,6 +18,7 @@ from pbstages.suites import (
     random_proposals,
     random_ranking,
     shortlisting_cases,
+    sp_cases,
 )
 from pbstages.verification import (
     aggregate,
@@ -23,6 +29,9 @@ from pbstages.verification import (
     check_rules_coincide_on_unit_class,
     check_sp_over_unit_class,
     find_representative_domination,
+    model_weights,
+    repair_gain,
+    repaired_value,
     unit_split,
 )
 
@@ -193,6 +202,102 @@ class TestSecondStageSp:
             overlap = check_second_stage_sp(greedy_approval, instance, rankings, "overlap")
             cost = check_second_stage_sp(greedy_approval, instance, rankings, "cost")
             assert overlap.holds == cost.holds
+
+
+    @pytest.mark.parametrize("agents", [[-1], [9], [0, 0], [], [True], [1.0]])
+    def test_malformed_agents_rejected(self, agents):
+        doc = load_fixture("greedy-overlap-gap")
+        with pytest.raises(ValidationError):
+            check_second_stage_sp(
+                greedy_approval, doc.instance, doc.rankings, "overlap", agents=agents
+            )
+
+    def test_agents_in_range_accepted(self):
+        doc = load_fixture("greedy-overlap-gap")
+        verdict = check_second_stage_sp(
+            greedy_approval, doc.instance, doc.rankings, "overlap", agents=[2, 0]
+        )
+        assert verdict.params["agents"] == [3, 1]
+
+    # sha256 of the fixed-others verdicts below, recorded before the search
+    # ran on score vectors; any change to `checked` or a witness moves it.
+    FIXED_OTHERS_SHA256 = "566de2039671b26692f60edfb6c59c8c1a57a01d8d5a11003f50bb664a0f1138"
+
+    def test_fixed_others_verdicts_pinned(self):
+        verdicts = []
+        for instance, rankings, ballots in sp_cases(2026, 40, max_projects=6, max_cost=6):
+            for rule in ("greedy-approval", "approval-maximising"):
+                for model in ("cost", "overlap"):
+                    for approximate in (False, True):
+                        verdicts.append(check_second_stage_sp(
+                            allocation_rule(rule), instance, rankings, model,
+                            approximate=approximate, search="fixed-others", ballots=ballots,
+                        ).to_jsonable())
+        blob = json.dumps(verdicts, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.FIXED_OTHERS_SHA256
+
+
+ORACLES = {"greedy-approval": greedy_approval_oracle,
+           "approval-maximising": approval_maximising_oracle}
+
+
+@st.composite
+def sp_scenarios(draw, max_projects, max_agents):
+    """(instance, rankings, ballots) with costs <= 4 and one ranking per agent."""
+    m = draw(st.integers(1, max_projects))
+    costs = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    instance = make_instance(costs, draw(st.integers(max(costs), sum(costs))))
+    n = draw(st.integers(1, max_agents))
+    rankings = tuple(draw(st.permutations(list(instance.ids))) for _ in range(n))
+    ballots = tuple(
+        frozenset(draw(st.sets(st.sampled_from(instance.ids)))) for _ in range(n)
+    )
+    return instance, rankings, ballots
+
+
+class TestSecondStageSpAgainstOracles:
+    """The score-vector search against the same search on a profile-keyed oracle."""
+
+    def agree(self, scenario, rule, model, approximate, **search):
+        instance, rankings, _ = scenario
+        fast = check_second_stage_sp(
+            allocation_rule(rule), instance, rankings, model, approximate=approximate, **search
+        )
+        slow = check_second_stage_sp(
+            ORACLES[rule], instance, rankings, model, approximate=approximate, **search
+        )
+        assert fast.to_jsonable() == slow.to_jsonable()
+
+    @settings(deadline=None, max_examples=60)
+    @given(sp_scenarios(3, 2), st.sampled_from(sorted(ORACLES)),
+           st.sampled_from(["overlap", "cost"]), st.booleans())
+    def test_full(self, scenario, rule, model, approximate):
+        self.agree(scenario, rule, model, approximate, search="full")
+
+    @settings(deadline=None, max_examples=60)
+    @given(sp_scenarios(5, 4), st.sampled_from(sorted(ORACLES)),
+           st.sampled_from(["overlap", "cost"]), st.booleans())
+    def test_fixed_others(self, scenario, rule, model, approximate):
+        self.agree(scenario, rule, model, approximate,
+                   search="fixed-others", ballots=scenario[2])
+
+    @settings(deadline=None, max_examples=60)
+    @given(sp_scenarios(5, 4), st.sampled_from(sorted(ORACLES)),
+           st.sampled_from(["overlap", "cost"]), st.booleans(), st.integers(0, 99))
+    def test_sample(self, scenario, rule, model, approximate, seed):
+        self.agree(scenario, rule, model, approximate, search="sample", samples=20, seed=seed)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_closed_form_bar_is_repaired_value(self, data):
+        instance, _, _ = data.draw(sp_scenarios(6, 1))
+        subsets = st.sets(st.sampled_from(instance.ids)).map(frozenset)
+        ideal, outcome = data.draw(subsets), data.draw(subsets)
+        for model in ("overlap", "cost"):
+            closed = allocation_value(model, ideal, outcome, instance) + repair_gain(
+                model_weights(model, instance), ideal, outcome
+            )
+            assert closed == repaired_value(model, ideal, outcome, instance)
 
 
 class TestUnitClassChecks:
