@@ -42,8 +42,11 @@ class Caps:
     ballots : int
         Maximum shortlist size for best-response ballot enumeration.
     profiles : int
-        Maximum number of approval profiles enumerated by a single
-        strategyproofness search (counted per side of a comparison).
+        Maximum number of full ballot profiles, (2^m)^n for m projects and
+        n agents, that a single strategyproofness search may enumerate.
+        The manipulator's own ballots count, since a best response tries
+        each of them; a first-stage manipulation check adds up the
+        profiles of both shortlists.
     maximisers : int
         Maximum shortlist size when all score maximisers must be listed
         explicitly (only needed for priority tie-breaking).

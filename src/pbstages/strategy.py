@@ -12,7 +12,7 @@ outcomes are compared by her ideal set on the union of both shortlists.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass, replace
 from random import Random
 
@@ -142,12 +142,10 @@ def best_response(
         )
     if cache is None:
         cache = OutcomeCache(rule, instance)
+    others = cache.others(tuple(ballots), agent)
     achieved: dict[frozenset[int], list[frozenset[int]]] = {}
     for ballot in subsets_ascending(instance.ids):
-        profile = tuple(
-            ballot if i == agent else ballots[i] for i in range(len(ballots))
-        )
-        achieved.setdefault(cache(profile), []).append(ballot)
+        achieved.setdefault(cache.with_ballot(others, agent, ballot), []).append(ballot)
     target = tiebreak_family(best_allocations(model, ideal, achieved, instance))
     return tiebreak_family(achieved[target]), target
 
@@ -160,7 +158,6 @@ def f_star(
     ranking: Sequence[int],
     model: str,
     caps: Caps = Caps(),
-    cache: OutcomeCache | None = None,
 ) -> frozenset[int]:
     """The rule's outcome after the agent swaps in her best response.
 
@@ -169,7 +166,7 @@ def f_star(
     is always replaced.
     """
     ideal = ideal_set(instance, [pid for pid in ranking if pid in instance])
-    _, outcome = best_response(rule, instance, ballots, agent, ideal, model, caps, cache)
+    _, outcome = best_response(rule, instance, ballots, agent, ideal, model, caps)
     return outcome
 
 
@@ -185,25 +182,49 @@ def _fstar_outcomes(
     """Every best-response outcome over all ballot profiles of the others.
 
     The manipulator's own ballot never matters (it is replaced by her best
-    response), so profiles are quantified through the other agents only.
-    Returns each distinct outcome with the first full profile realising it,
-    the manipulator's slot holding her ideal set for readability.
+    response), so profiles are quantified through the other agents only;
+    her best response then tries every ballot in her slot.  Returns each
+    distinct outcome with the first full profile realising it, the
+    manipulator's slot holding her ideal set for readability.
     """
-    others = agents - 1
-    space = (2 ** len(instance)) ** others
+    space = (2 ** len(instance)) ** agents
     if space > caps.profiles:
         raise ResourceLimitError(
-            f"profile enumeration needs {space} profiles per side, "
-            f"exceeding the cap of {caps.profiles}"
+            f"profile enumeration needs {space} profiles, exceeding the cap of {caps.profiles}"
         )
     cache = OutcomeCache(rule, instance)
     out: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
     all_ballots = subsets_ascending(instance.ids)
-    for rest in itertools.product(all_ballots, repeat=others):
+    for rest in itertools.product(all_ballots, repeat=agents - 1):
         ballots = rest[:agent] + (ideal,) + rest[agent:]
         _, outcome = best_response(rule, instance, ballots, agent, ideal, model, caps, cache)
         out.setdefault(outcome, ballots)
     return out
+
+
+def _judge_outcomes(
+    mode: str,
+    base_outcomes: Collection[frozenset[int]],
+    dev_outcomes: Collection[frozenset[int]],
+    value: Callable[[frozenset[int]], int],
+) -> tuple[str, tuple[frozenset[int], frozenset[int]] | None]:
+    """Pessimistic or optimistic verdict from the outcomes each shortlist can yield.
+
+    Optimistic success needs one deviation-side outcome better than one
+    baseline-side outcome.  Pessimistic success also needs every
+    deviation-side outcome at least as good as every baseline-side one.
+    Returns the (baseline, deviation) outcome pair that decides the
+    verdict, or ``None`` when no pair does.
+    """
+    base_min = min(base_outcomes, key=value)
+    base_max = max(base_outcomes, key=value)
+    dev_min = min(dev_outcomes, key=value)
+    dev_max = max(dev_outcomes, key=value)
+    if mode == "pessimistic" and value(dev_min) < value(base_max):
+        return UNSUCCESSFUL, (base_max, dev_min)
+    if value(dev_max) > value(base_min):
+        return SUCCESSFUL, (base_min, dev_max)
+    return UNSUCCESSFUL, None
 
 
 @dataclass
@@ -312,8 +333,7 @@ def check_manipulation(
 
     base_ideal = game.top_on(agent, base_shortlist)
     dev_ideal = game.top_on(agent, dev_shortlist)
-    others = game.agents - 1
-    space = (2 ** len(base_instance)) ** others + (2 ** len(dev_instance)) ** others
+    space = (2 ** len(base_instance)) ** game.agents + (2 ** len(dev_instance)) ** game.agents
     if space > caps.profiles:
         if sample is None:
             raise ResourceLimitError(
@@ -322,7 +342,7 @@ def check_manipulation(
             )
         return _sampled_manipulation(
             game, agent, deviation, mode, caps, sample, seed,
-            base_instance, dev_instance, base_ideal, dev_ideal, ideal, witness,
+            base_instance, dev_instance, base_ideal, dev_ideal, value, witness,
         )
 
     base_outs = _fstar_outcomes(
@@ -331,47 +351,22 @@ def check_manipulation(
     dev_outs = _fstar_outcomes(
         game.allocation_rule, dev_instance, game.agents, agent, dev_ideal, game.model, caps
     )
-    base_min = min(base_outs, key=value)
-    base_max = max(base_outs, key=value)
-    dev_min = min(dev_outs, key=value)
-    dev_max = max(dev_outs, key=value)
-
-    if mode == "optimistic":
-        if value(dev_max) > value(base_min):
-            return ManipulationResult(
-                SUCCESSFUL,
-                witness(base_outs[base_min], dev_outs[dev_max], base_min, dev_max),
-                True,
-            )
-        return ManipulationResult(UNSUCCESSFUL, None, True)
-
-    # Pessimistic: every deviation-side outcome at least as good as every
-    # baseline-side outcome, with at least one strictly better pair.
-    if value(dev_min) < value(base_max):
-        return ManipulationResult(
-            UNSUCCESSFUL,
-            witness(base_outs[base_max], dev_outs[dev_min], base_max, dev_min),
-            True,
-        )
-    if value(dev_max) > value(base_min):
-        return ManipulationResult(
-            SUCCESSFUL,
-            witness(base_outs[base_min], dev_outs[dev_max], base_min, dev_max),
-            True,
-        )
-    return ManipulationResult(UNSUCCESSFUL, None, True)
+    verdict, pair = _judge_outcomes(mode, base_outs, dev_outs, value)
+    if pair is None:
+        return ManipulationResult(verdict, None, True)
+    base_out, dev_out = pair
+    return ManipulationResult(
+        verdict, witness(base_outs[base_out], dev_outs[dev_out], base_out, dev_out), True
+    )
 
 
 def _sampled_manipulation(
     game, agent, deviation, mode, caps, sample, seed,
-    base_instance, dev_instance, base_ideal, dev_ideal, ideal, witness,
+    base_instance, dev_instance, base_ideal, dev_ideal, value, witness,
 ):
     rng = Random(seed)
     base_cache = OutcomeCache(game.allocation_rule, base_instance)
     dev_cache = OutcomeCache(game.allocation_rule, dev_instance)
-
-    def value(outcome):
-        return allocation_value(game.model, ideal, outcome, game.instance)
 
     def draw(instance, own_ideal, cache):
         ballots = tuple(
@@ -568,9 +563,6 @@ def check_nomination_fssp_class(
         "max_budget": max_budget,
     }
 
-    def value(ideal, outcome, instance):
-        return allocation_value(model, ideal, outcome, instance)
-
     for m in range(1, max_projects + 1):
         for cost_vector in itertools.product(costs, repeat=m):
             for budget in range(max(cost_vector), max_budget + 1):
@@ -611,16 +603,11 @@ def check_nomination_fssp_class(
                                     base = outcomes_for(base_short, base_ideal, n)
                                     dev_ideal = ideal_set(instance, ranking, dev_short)
                                     dev = outcomes_for(dev_short, dev_ideal, n)
-                                    base_values = [value(ideal, o, instance) for o in base]
-                                    dev_values = [value(ideal, o, instance) for o in dev]
-                                    if mode == "pessimistic":
-                                        success = (
-                                            min(dev_values) >= max(base_values)
-                                            and max(dev_values) > min(base_values)
-                                        )
-                                    else:
-                                        success = max(dev_values) > min(base_values)
-                                    if success:
+                                    verdict, _ = _judge_outcomes(
+                                        mode, base, dev,
+                                        lambda o: allocation_value(model, ideal, o, instance),
+                                    )
+                                    if verdict == SUCCESSFUL:
                                         witness = {
                                             "kind": "first-stage-manipulation",
                                             "rule": "nomination",

@@ -280,11 +280,6 @@ class OutcomeCache:
             raise ValidationError(f"ballot contains unknown project id {exc.args[0]}") from None
         return scores
 
-    def __call__(self, ballots: tuple[frozenset[int], ...]) -> frozenset[int]:
-        if self.kernel is None:
-            return self._lookup(tuple(ballots))
-        return self._lookup(tuple(self._scores(ballots)))
-
     def others(self, profile: tuple[frozenset[int], ...], agent: int) -> tuple:
         """Lookup key of every ballot in ``profile`` but the agent's."""
         if self.kernel is None:
@@ -429,10 +424,10 @@ def check_second_stage_sp(
         "agents": [a + 1 for a in agent_pool],
     }
 
-    # Each case is (agent, profile, ballots to try in the agent's place).
+    # Each case is (agent, ideal, profile, ballots to try in the agent's place).
     if search == "full":
         cases = (
-            (agent, profile, (profile[agent],))
+            (agent, tops[agent], profile, (profile[agent],))
             for profile in itertools.product(subsets_ascending(ids), repeat=n)
             for agent in agent_pool
         )
@@ -445,30 +440,49 @@ def check_second_stage_sp(
             if deviations is None
             else [instance.check_subset(d, "deviation") for d in deviations]
         )
-        cases = ((agent, tuple(base), pool) for agent in agent_pool)
+        cases = ((agent, tops[agent], tuple(base), pool) for agent in agent_pool)
     else:
         params["samples"] = samples
         params["seed"] = seed
-        cases = _sampled_cases(Random(seed), sorted(ids), n, samples, agent_pool)
+        cases = _sampled_cases(Random(seed), sorted(ids), tops, samples, agent_pool)
 
+    witness, checked = _first_manipulation(OutcomeCache(rule, instance), model, approximate, cases)
+    if witness is not None:
+        return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
+    # Only full enumeration is a proof: fixed-others searched one slice of
+    # the space, and sampling can only refute.
+    return PropertyVerdict(HOLDS, None, search == "full", checked, params)
+
+
+def _first_manipulation(
+    outcome: OutcomeCache,
+    model: str,
+    approximate: bool,
+    cases: Iterable[tuple[int, frozenset[int], tuple[frozenset[int], ...], Iterable]],
+) -> tuple[dict | None, int]:
+    """Witness of the first tried ballot that beats voting truthfully, and the count tried.
+
+    In each ``(agent, ideal, profile, ballots to try)`` case the agent tries
+    each ballot in her slot of ``profile``.  The bar to beat depends only
+    on the ideal set and the truthful outcome, so it is computed once per pair.
+    """
+    instance = outcome.instance
     weight = model_weights(model, instance)
 
     def value(ideal: frozenset[int], allocation: frozenset[int]) -> int:
         return sum(map(weight.__getitem__, allocation & ideal))
 
-    outcome = OutcomeCache(rule, instance)
-    bars: dict[tuple[int, frozenset[int]], int] = {}
+    bars: dict[tuple[frozenset[int], frozenset[int]], int] = {}
     checked = 0
-    for agent, profile, tried in cases:
-        ideal = tops[agent]
+    for agent, ideal, profile, tried in cases:
         others = outcome.others(profile, agent)
         truthful = outcome.with_ballot(others, agent, ideal)
-        bar = bars.get((agent, truthful))
+        bar = bars.get((ideal, truthful))
         if bar is None:
             bar = value(ideal, truthful)
             if approximate:
                 bar += repair_gain(weight, ideal, truthful)
-            bars[agent, truthful] = bar
+            bars[ideal, truthful] = bar
         worth = {}
         for ballot in tried:
             checked += 1
@@ -481,10 +495,8 @@ def check_second_stage_sp(
                     instance, agent, profile[:agent] + (ballot,) + profile[agent + 1 :],
                     ideal, truthful, manipulated, model, approximate,
                 )
-                return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
-    # Only full enumeration is a proof: fixed-others searched one slice of
-    # the space, and sampling can only refute.
-    return PropertyVerdict(HOLDS, None, search == "full", checked, params)
+                return witness, checked
+    return None, checked
 
 
 def _check_agents(agents: Iterable[int], n: int) -> list[int]:
@@ -499,13 +511,13 @@ def _check_agents(agents: Iterable[int], n: int) -> list[int]:
     return pool
 
 
-def _sampled_cases(rng: Random, items: list[int], n: int, samples: int, agent_pool: list[int]):
+def _sampled_cases(rng: Random, items: list[int], tops: list, samples: int, agent_pool: list[int]):
     for _ in range(samples):
         profile = tuple(
-            frozenset(pid for pid in items if rng.random() < 0.5) for _ in range(n)
+            frozenset(pid for pid in items if rng.random() < 0.5) for _ in tops
         )
         for agent in agent_pool:
-            yield agent, profile, (profile[agent],)
+            yield agent, tops[agent], profile, (profile[agent],)
 
 
 def _restrict_ranking(ranking: Sequence[int], instance: Instance) -> tuple[int, ...]:
@@ -532,6 +544,12 @@ def check_sp_over_unit_class(
     quantifying ideal sets covers every preference order.
     """
     check_model(model)
+    space = (2**max_projects) ** max_agents
+    if space > caps.profiles:
+        raise ResourceLimitError(
+            f"unit-class check enumerates {space} profiles of {max_agents} agents "
+            f"on {max_projects} projects, exceeding the cap of {caps.profiles}"
+        )
     checked = 0
     params = {
         "class": "unit-cost",
@@ -541,45 +559,29 @@ def check_sp_over_unit_class(
         "model": model,
         "approximate": approximate,
     }
+    for instance, slots in _unit_class(max_projects, unit_costs):
+        all_ballots = subsets_ascending(instance.ids)
+        cases = (
+            (0, ideal, (ideal, *others), all_ballots)
+            for n in range(1, max_agents + 1)
+            for ideal in map(frozenset, itertools.combinations(instance.ids, slots))
+            for others in itertools.product(all_ballots, repeat=n - 1)
+        )
+        witness, tried = _first_manipulation(
+            OutcomeCache(rule, instance), model, approximate, cases
+        )
+        checked += tried
+        if witness is not None:
+            return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
+    return PropertyVerdict(HOLDS, None, True, checked, params)
+
+
+def _unit_class(max_projects: int, unit_costs: tuple[int, ...]):
+    """Each equal-cost instance of the class, with the number of projects its budget buys."""
     for m in range(1, max_projects + 1):
         for cost in unit_costs:
             for slots in range(1, m + 1):
-                budget = cost * slots
-                instance = Instance(
-                    [Project(i + 1, cost) for i in range(m)], budget
-                )
-                ids = instance.ids
-                all_ballots = subsets_ascending(ids)
-                size = min(slots, m)
-                for n in range(1, max_agents + 1):
-                    outcome = OutcomeCache(rule, instance)
-                    for ideal_members in itertools.combinations(ids, size):
-                        ideal = frozenset(ideal_members)
-                        for others in itertools.product(all_ballots, repeat=n - 1):
-                            truthful = outcome((ideal, *others))
-                            bar = (
-                                repaired_value(model, ideal, truthful, instance)
-                                if approximate
-                                else allocation_value(model, ideal, truthful, instance)
-                            )
-                            for ballot in all_ballots:
-                                checked += 1
-                                manipulated = outcome((ballot, *others))
-                                if allocation_value(model, ideal, manipulated, instance) > bar:
-                                    witness = _sp_witness(
-                                        instance,
-                                        0,
-                                        (ballot, *others),
-                                        ideal,
-                                        truthful,
-                                        manipulated,
-                                        model,
-                                        approximate,
-                                    )
-                                    return PropertyVerdict(
-                                        COUNTEREXAMPLE, witness, True, checked, params
-                                    )
-    return PropertyVerdict(HOLDS, None, True, checked, params)
+                yield Instance([Project(i + 1, cost) for i in range(m)], cost * slots), slots
 
 
 def check_rules_coincide_on_unit_class(
@@ -602,30 +604,30 @@ def check_rules_coincide_on_unit_class(
         "max_agents": max_agents,
         "unit_costs": list(unit_costs),
     }
-    for m in range(1, max_projects + 1):
-        for cost in unit_costs:
-            for slots in range(1, m + 1):
-                instance = Instance([Project(i + 1, cost) for i in range(m)], cost * slots)
-                ids = instance.ids
-                for n in range(1, max_agents + 1):
-                    for scores in itertools.product(range(n + 1), repeat=m):
-                        # One agent per score unit keeps the profile well formed.
-                        ballots = tuple(
-                            frozenset(pid for pid, s in zip(ids, scores) if s > level)
-                            for level in range(n)
-                        )
-                        checked += 1
-                        a = first(instance, ballots)
-                        b = second(instance, ballots)
-                        if a != b:
-                            witness = {
-                                "kind": "rules-differ",
-                                "instance": {"costs": [cost] * m, "budget": instance.budget},
-                                "ballots": [ids_list(x) for x in ballots],
-                                "first_outcome": ids_list(a),
-                                "second_outcome": ids_list(b),
-                            }
-                            return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
+    for instance, _ in _unit_class(max_projects, unit_costs):
+        ids = instance.ids
+        for n in range(1, max_agents + 1):
+            for scores in itertools.product(range(n + 1), repeat=len(ids)):
+                # One agent per score unit keeps the profile well formed.
+                ballots = tuple(
+                    frozenset(pid for pid, s in zip(ids, scores) if s > level)
+                    for level in range(n)
+                )
+                checked += 1
+                a = first(instance, ballots)
+                b = second(instance, ballots)
+                if a != b:
+                    witness = {
+                        "kind": "rules-differ",
+                        "instance": {
+                            "costs": [p.cost for p in instance.projects],
+                            "budget": instance.budget,
+                        },
+                        "ballots": [ids_list(x) for x in ballots],
+                        "first_outcome": ids_list(a),
+                        "second_outcome": ids_list(b),
+                    }
+                    return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     return PropertyVerdict(HOLDS, None, True, checked, params)
 
 

@@ -207,6 +207,17 @@ class TestExitCodes:
         assert code == 3
         assert "resource limit" in capsys.readouterr().err
 
+    def test_first_stage_profile_cap_is_3(self, capsys):
+        # 8 shortlisted projects and 3 agents: each side tries (2^8)^3
+        # profiles, over the default cap of 2^20, so the check stops at once.
+        code = main([
+            "check-fssp", "--fixture", "maximiser-approx-gap",
+            "--rule", "nomination", "--allocation-rule", "greedy-approval",
+            "--variant", "restricted", "--mode", "pessimistic",
+        ])
+        assert code == 3
+        assert "resource limit" in capsys.readouterr().err
+
     def test_counterexample_still_exits_0(self, capsys):
         code = main([
             "check-fssp", "--fixture", "theorem-rfssp",

@@ -1,8 +1,22 @@
-import pytest
+import hashlib
+import json
+from random import Random
 
-from pbstages.core import Caps, Instance, Project, ResourceLimitError, ValidationError
-from pbstages.allocation import allocation_rule, greedy_approval
-from pbstages.preferences import ideal_set
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pbstages.core import (
+    Caps,
+    Instance,
+    Project,
+    ResourceLimitError,
+    ValidationError,
+    subsets_ascending,
+    tiebreak_family,
+)
+from pbstages.allocation import PriorityTieBreak, allocation_rule, greedy_approval
+from pbstages.oracles import approval_maximising_oracle
+from pbstages.preferences import allocation_value, ideal_set
 from pbstages.shortlisting import equal_representation, euclidean_metric, k_median, nomination
 from pbstages.strategy import (
     StageGame,
@@ -14,6 +28,7 @@ from pbstages.strategy import (
     fssp_cells,
     verify_fssp_implications,
 )
+from pbstages.suites import random_instance, random_ranking, random_subset
 from pbstages.verification import COUNTEREXAMPLE, HOLDS, PropertyVerdict
 
 from conftest import fs, make_instance, ranking_from, unit_instance
@@ -77,6 +92,48 @@ class TestBestResponse:
             best_response(
                 greedy_approval, instance, (fs(),), 0, fs(1), "overlap", Caps(ballots=3)
             )
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_matches_plain_scan(self, data):
+        instance, ballots, agent, ideal, model = data.draw(best_response_cases())
+        subsets = st.sets(st.sampled_from(instance.ids)).map(frozenset)
+        policy = PriorityTieBreak(tuple(data.draw(st.lists(subsets, max_size=3, unique=True))))
+        rule = data.draw(st.sampled_from([
+            greedy_approval,
+            allocation_rule("approval-maximising"),
+            allocation_rule("approval-maximising", policy),
+            approval_maximising_oracle,
+        ]))
+        assert best_response(rule, instance, ballots, agent, ideal, model) == plain_best_response(
+            rule, instance, ballots, agent, ideal, model
+        )
+
+
+@st.composite
+def best_response_cases(draw):
+    """(instance, ballots, agent, ideal, model) with up to 4 projects and 3 agents."""
+    m = draw(st.integers(1, 4))
+    costs = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    instance = make_instance(costs, draw(st.integers(max(costs), sum(costs))))
+    subsets = st.sets(st.sampled_from(instance.ids)).map(frozenset)
+    ballots = tuple(draw(st.lists(subsets, min_size=1, max_size=3)))
+    agent = draw(st.integers(0, len(ballots) - 1))
+    ideal = ideal_set(instance, draw(st.permutations(list(instance.ids))))
+    return instance, ballots, agent, ideal, draw(st.sampled_from(["overlap", "cost"]))
+
+
+def plain_best_response(rule, instance, ballots, agent, ideal, model):
+    """The rule called on every full profile, with no memo: the best outcome
+    for the agent, canonically tie-broken, and the canonical ballot reaching it."""
+    reached = {}
+    for ballot in subsets_ascending(instance.ids):
+        profile = tuple(ballot if i == agent else b for i, b in enumerate(ballots))
+        reached[ballot] = rule(instance, profile)
+    worth = {o: allocation_value(model, ideal, o, instance) for o in reached.values()}
+    top = max(worth.values())
+    target = tiebreak_family(o for o, w in worth.items() if w == top)
+    return tiebreak_family(b for b, o in reached.items() if o == target), target
 
 
 class TestFStar:
@@ -209,6 +266,40 @@ class TestCheckFssp:
             verdict = check_fssp(game, "unrestricted", mode)
             assert verdict.holds and verdict.exact, mode
 
+    # sha256 of the verdicts below, recorded before both stages shared one
+    # search loop; any change to `checked` or a witness moves it.
+    SEEDED_GAMES_SHA256 = "d1f525f2d54df097cbc07d5343127ba392738dfea05b6a73af48776990e71924"
+
+    def test_seeded_game_verdicts_pinned(self):
+        def er2(instance, proposals):
+            return equal_representation(instance, proposals, 2)
+
+        combos = [(rule, a, m) for rule in (nomination, er2)
+                  for a in ("greedy-approval", "approval-maximising")
+                  for m in ("overlap", "cost")]
+        rng = Random(2027)
+        verdicts = []
+        for i in range(12):
+            m = 4 if i % 6 == 0 else 3
+            instance = random_instance(rng, min_projects=m, max_projects=m, max_cost=4)
+            rankings = tuple(random_ranking(rng, instance) for _ in range(3))
+            awareness = tuple(random_subset(rng, instance.ids, allow_empty=False)
+                              for _ in range(3))
+            shortlist_rule, allocation_name, model = combos[i % len(combos)]
+            game = StageGame(instance, shortlist_rule, allocation_rule(allocation_name),
+                             rankings, awareness, model)
+            for variant in ("restricted", "unrestricted"):
+                for mode in ("pessimistic", "optimistic", "anticipative"):
+                    verdicts.append(check_fssp(game, variant, mode).to_jsonable())
+            for mode in ("pessimistic", "optimistic"):
+                verdicts.append(check_fssp(
+                    game, "restricted", mode, Caps(profiles=1), sample=8, seed=i
+                ).to_jsonable())
+        assert sum(v["status"] == COUNTEREXAMPLE for v in verdicts) == 30
+        assert sum(not v["exact"] for v in verdicts) == 24
+        blob = json.dumps(verdicts, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.SEEDED_GAMES_SHA256
+
     def test_witness_replays(self):
         game = ten_project_game()
         verdict = check_fssp(game, "restricted", "anticipative")
@@ -295,3 +386,21 @@ class TestNominationClassCheck:
     def test_anticipative_mode_rejected(self):
         with pytest.raises(ValidationError):
             check_nomination_fssp_class(greedy_approval, "overlap", "anticipative")
+
+    # sha256 of the verdicts below, recorded before both stages shared one
+    # search loop; any change to `checked` or a witness moves it.
+    CLASS_SHA256 = "f39c97f5e1f07f189e14e834bb8f6383a6263ecdb067e8e7d26418c475e8562c"
+
+    def test_class_verdicts_pinned(self):
+        verdicts = []
+        for name in ("greedy-approval", "approval-maximising"):
+            for model in ("overlap", "cost"):
+                for mode, agents in (("pessimistic", 2), ("optimistic", 3)):
+                    verdicts.append(check_nomination_fssp_class(
+                        allocation_rule(name), model, mode, max_agents=agents
+                    ).to_jsonable())
+        assert [(v["status"], v["checked"]) for v in verdicts[:2]] == [
+            (HOLDS, 12327), (COUNTEREXAMPLE, 60)
+        ]
+        blob = json.dumps(verdicts, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.CLASS_SHA256

@@ -21,6 +21,8 @@ from pbstages.suites import (
     sp_cases,
 )
 from pbstages.verification import (
+    COUNTEREXAMPLE,
+    HOLDS,
     aggregate,
     check_allocation_axiom,
     check_non_wasteful,
@@ -40,6 +42,15 @@ from conftest import fs, make_instance, unit_instance
 
 def constant_empty(instance, proposals):
     return frozenset()
+
+
+def contrarian(instance, ballots):
+    """Greedy approval that counts the first ballot against its own projects.
+
+    Neither anonymous nor strategyproof: the first agent gains by hiding
+    her ideal projects.
+    """
+    return greedy_approval(instance, (frozenset(instance.ids) - ballots[0], *ballots[1:]))
 
 
 class TestNonWasteful:
@@ -316,6 +327,31 @@ class TestUnitClassChecks:
             max_agents=2,
         )
         assert verdict.holds and verdict.exact
+
+    def test_cap_enforced(self):
+        # 4 projects and 3 agents need (2^4)^3 = 4,096 profiles.
+        rule = allocation_rule("greedy-approval")
+        with pytest.raises(ResourceLimitError):
+            check_sp_over_unit_class(rule, "overlap", caps=Caps(profiles=4095))
+        assert check_sp_over_unit_class(
+            rule, "overlap", max_projects=2, max_agents=2, caps=Caps(profiles=16)
+        ).holds
+
+    # sha256 of the verdicts below, recorded before both stages shared one
+    # search loop; any change to `checked` or a witness moves it.
+    UNIT_CLASS_SHA256 = "a06d4a7e4e6bf9e10a8df840497aece878329d1b2ff41b2f6a582221ab08a4e1"
+
+    def test_unit_class_verdicts_pinned(self):
+        verdicts = []
+        for rule in (greedy_approval, allocation_rule("approval-maximising"), contrarian):
+            for model in ("overlap", "cost"):
+                for approximate in (False, True):
+                    verdicts.append(check_sp_over_unit_class(
+                        rule, model, max_projects=3, max_agents=3, approximate=approximate,
+                    ).to_jsonable())
+        assert [v["status"] for v in verdicts[8:]] == [COUNTEREXAMPLE, HOLDS] * 2
+        blob = json.dumps(verdicts, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.UNIT_CLASS_SHA256
 
 
 class TestUnitSplit:
