@@ -46,7 +46,9 @@ class Caps:
         n agents, that a single strategyproofness search may enumerate.
         The manipulator's own ballots count, since a best response tries
         each of them; a first-stage manipulation check adds up the
-        profiles of both shortlists.
+        profiles of both shortlists, and a first-stage strategyproofness
+        search adds up those of every distinct (shortlist, agent) side it
+        computes over the whole run.
     maximisers : int
         Maximum shortlist size when all score maximisers must be listed
         explicitly (only needed for priority tie-breaking).

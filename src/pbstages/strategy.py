@@ -11,6 +11,7 @@ outcomes are compared by her ideal set on the union of both shortlists.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass, replace
@@ -25,6 +26,7 @@ from pbstages.core import (
     subsets_ascending,
     tiebreak_family,
 )
+from pbstages.allocation import score_kernel
 from pbstages.preferences import (
     allocation_value,
     best_allocations,
@@ -41,6 +43,7 @@ from pbstages.verification import (
     PropertyVerdict,
     ShortlistRule,
     ids_list,
+    model_weights,
 )
 
 MODES = ("pessimistic", "optimistic", "anticipative")
@@ -184,14 +187,22 @@ def _fstar_outcomes(
     The manipulator's own ballot never matters (it is replaced by her best
     response), so profiles are quantified through the other agents only;
     her best response then tries every ballot in her slot.  Returns each
-    distinct outcome with the first full profile realising it, the
-    manipulator's slot holding her ideal set for readability.
+    distinct outcome with the first full profile realising it, in the
+    order the others' profiles first realise them, the manipulator's slot
+    holding her ideal set for readability.
+
+    A rule with a score kernel is solved on the score-vector grid
+    (:func:`_grid_outcomes`); any other rule, the oracles included, by
+    enumerating the others' profiles in order.
     """
     space = (2 ** len(instance)) ** agents
     if space > caps.profiles:
         raise ResourceLimitError(
             f"profile enumeration needs {space} profiles, exceeding the cap of {caps.profiles}"
         )
+    kernel = score_kernel(rule)
+    if kernel is not None:
+        return _grid_outcomes(kernel, instance, agents, agent, ideal, model)
     cache = OutcomeCache(rule, instance)
     out: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
     all_ballots = subsets_ascending(instance.ids)
@@ -199,6 +210,76 @@ def _fstar_outcomes(
         ballots = rest[:agent] + (ideal,) + rest[agent:]
         _, outcome = best_response(rule, instance, ballots, agent, ideal, model, caps, cache)
         out.setdefault(outcome, ballots)
+    return out
+
+
+def _grid_outcomes(
+    kernel: Callable[..., frozenset[int]],
+    instance: Instance,
+    agents: int,
+    agent: int,
+    ideal: frozenset[int],
+    model: str,
+) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
+    """:func:`_fstar_outcomes` for a score-kernel rule, on the score-vector grid.
+
+    The others reach the rule only through their summed score vector s in
+    {0..n-1}^m, and a ballot B of the manipulator moves it to s + 1_B, so
+    her best response at s maximises one key over the box s + {0,1}^m: the
+    outcome's value under her ideal set, then its characteristic vector
+    in ascending id order (the canonical tie-break, a total order by
+    itself).  The key is evaluated once per point of {0..n}^m, and one
+    pairwise-max pass per axis turns it into the box maximum.
+
+    The others' first profile summing to s in product order is greedy:
+    their i-th ballot holds the projects with s_j > n - 2 - i.  Outcomes
+    are returned in the order of the first such profile reaching them,
+    which is the order of the enumeration in :func:`_fstar_outcomes`.
+    """
+    ids = instance.ids
+    m = len(ids)
+    costs = tuple(p.cost for p in instance.projects)
+    weight = model_weights(model, instance)
+    side = agents + 1
+    # Point t of {0..n}^m sits at index sum(t_j * side^(m-1-j)), the order
+    # of itertools.product.
+    keys: list[int] = []
+    outcome_of: dict[int, frozenset[int]] = {}
+    key_of: dict[frozenset[int], int] = {}
+    for scores in itertools.product(range(side), repeat=m):
+        outcome = kernel(ids, costs, instance.budget, scores)
+        key = key_of.get(outcome)
+        if key is None:
+            value = sum(weight[pid] for pid in outcome & ideal)
+            mask = sum(1 << (m - 1 - j) for j, pid in enumerate(ids) if pid in outcome)
+            key = key_of[outcome] = value << m | mask
+            outcome_of[key] = outcome
+        keys.append(key)
+    for j in range(m):
+        stride = side ** (m - 1 - j)
+        for start in range(0, len(keys), stride * side):
+            for low in range(start, start + agents * stride, stride):
+                high = low + stride
+                keys[low:high] = map(max, keys[low:high], keys[high : high + stride])
+    first: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for point in itertools.product(range(agents), repeat=m):
+        index = 0
+        for s in point:
+            index = index * side + s
+        masks = tuple(
+            sum(1 << j for j, s in enumerate(point) if s > agents - 2 - i)
+            for i in range(agents - 1)
+        )
+        key = keys[index]
+        if key not in first or masks < first[key][0]:
+            first[key] = masks, point
+    out: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
+    for key, (_, point) in sorted(first.items(), key=lambda item: item[1][0]):
+        rest = tuple(
+            frozenset(pid for pid, s in zip(ids, point) if s > agents - 2 - i)
+            for i in range(agents - 1)
+        )
+        out[outcome_of[key]] = rest[:agent] + (ideal,) + rest[agent:]
     return out
 
 
@@ -272,6 +353,69 @@ def _manipulation_witness(
     }
 
 
+class _Sides:
+    """Each side of a game's manipulation checks, computed once per search.
+
+    The shortlist depends only on the proposal profile, and what a
+    shortlist yields the manipulator only on the shortlist and her index:
+    the anticipated outcome when everyone votes their ideal sets, or every
+    best-response outcome over the others' profiles.  A search holds one
+    ``_Sides`` for its game, so deviations that reach a shortlist already
+    seen reuse its side.  Each exhaustive side is charged its (2^m)^n
+    profiles once, and the search fails when the charges pass
+    ``caps.profiles``.
+    """
+
+    def __init__(self, game: StageGame, caps: Caps):
+        self.game = game
+        self.caps = caps
+        self.profiles = 0
+        self._shortlists: dict[tuple[frozenset[int], ...], frozenset[int]] = {}
+        self._anticipated: dict[tuple[frozenset[int], int], tuple] = {}
+        self._outcomes: dict[tuple[frozenset[int], int], dict] = {}
+
+    def shortlist(self, proposals: tuple[frozenset[int], ...]) -> frozenset[int]:
+        shortlist = self._shortlists.get(proposals)
+        if shortlist is None:
+            shortlist = frozenset(self.game.shortlist_rule(self.game.instance, proposals))
+            self._shortlists[proposals] = shortlist
+        return shortlist
+
+    def anticipated(
+        self, shortlist: frozenset[int], agent: int
+    ) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
+        """Everyone's ideal set on the shortlist, and the outcome once the agent best-responds."""
+        key = (shortlist, agent)
+        if key not in self._anticipated:
+            game = self.game
+            profile = tuple(game.top_on(i, shortlist) for i in range(game.agents))
+            outcome = f_star(
+                game.allocation_rule, game.instance.restrict(shortlist), profile, agent,
+                game.rankings[agent], game.model, self.caps,
+            )
+            self._anticipated[key] = profile, outcome
+        return self._anticipated[key]
+
+    def outcomes(
+        self, shortlist: frozenset[int], agent: int
+    ) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
+        """:func:`_fstar_outcomes` of the agent on the shortlist, her ideal set on it as ideal."""
+        key = (shortlist, agent)
+        if key not in self._outcomes:
+            game = self.game
+            self.profiles += (2 ** len(shortlist)) ** game.agents
+            if self.profiles > self.caps.profiles:
+                raise ResourceLimitError(
+                    f"first-stage search needs {self.profiles} profiles over its "
+                    f"distinct shortlists so far, exceeding the cap of {self.caps.profiles}"
+                )
+            self._outcomes[key] = _fstar_outcomes(
+                game.allocation_rule, game.instance.restrict(shortlist), game.agents,
+                agent, game.top_on(agent, shortlist), game.model, self.caps,
+            )
+        return self._outcomes[key]
+
+
 def check_manipulation(
     game: StageGame,
     agent: int,
@@ -293,12 +437,24 @@ def check_manipulation(
     """
     check_mode(mode)
     deviation = game.instance.check_subset(deviation, "deviation")
+    return _check_deviation(_Sides(game, caps), game, agent, deviation, mode, sample, seed)
+
+
+def _check_deviation(
+    sides: _Sides,
+    game: StageGame,
+    agent: int,
+    deviation: frozenset[int],
+    mode: str,
+    sample: int | None,
+    seed: int,
+) -> ManipulationResult:
+    """:func:`check_manipulation` with each side looked up in ``sides``."""
+    caps = sides.caps
     proposals = game.base_proposals()
-    base_shortlist = game.shortlist_rule(game.instance, proposals)
+    base_shortlist = sides.shortlist(proposals)
     deviated = tuple(deviation if i == agent else p for i, p in enumerate(proposals))
-    dev_shortlist = game.shortlist_rule(game.instance, deviated)
-    base_instance = game.instance.restrict(base_shortlist)
-    dev_instance = game.instance.restrict(dev_shortlist)
+    dev_shortlist = sides.shortlist(deviated)
     ideal = game.top_on(agent, base_shortlist | dev_shortlist)
 
     def value(outcome: frozenset[int]) -> int:
@@ -311,16 +467,8 @@ def check_manipulation(
         )
 
     if mode == "anticipative":
-        base_profile = tuple(game.top_on(i, base_shortlist) for i in range(game.agents))
-        dev_profile = tuple(game.top_on(i, dev_shortlist) for i in range(game.agents))
-        base_out = f_star(
-            game.allocation_rule, base_instance, base_profile, agent,
-            game.rankings[agent], game.model, caps,
-        )
-        dev_out = f_star(
-            game.allocation_rule, dev_instance, dev_profile, agent,
-            game.rankings[agent], game.model, caps,
-        )
+        base_profile, base_out = sides.anticipated(base_shortlist, agent)
+        dev_profile, dev_out = sides.anticipated(dev_shortlist, agent)
         result = witness(base_profile, dev_profile, base_out, dev_out)
         if value(dev_out) > value(base_out):
             return ManipulationResult(SUCCESSFUL, result, True)
@@ -331,9 +479,7 @@ def check_manipulation(
     if mode == "pessimistic" and base_shortlist == dev_shortlist:
         return ManipulationResult(UNSUCCESSFUL, None, True)
 
-    base_ideal = game.top_on(agent, base_shortlist)
-    dev_ideal = game.top_on(agent, dev_shortlist)
-    space = (2 ** len(base_instance)) ** game.agents + (2 ** len(dev_instance)) ** game.agents
+    space = (2 ** len(base_shortlist)) ** game.agents + (2 ** len(dev_shortlist)) ** game.agents
     if space > caps.profiles:
         if sample is None:
             raise ResourceLimitError(
@@ -342,15 +488,13 @@ def check_manipulation(
             )
         return _sampled_manipulation(
             game, agent, deviation, mode, caps, sample, seed,
-            base_instance, dev_instance, base_ideal, dev_ideal, value, witness,
+            game.instance.restrict(base_shortlist), game.instance.restrict(dev_shortlist),
+            game.top_on(agent, base_shortlist), game.top_on(agent, dev_shortlist),
+            value, witness,
         )
 
-    base_outs = _fstar_outcomes(
-        game.allocation_rule, base_instance, game.agents, agent, base_ideal, game.model, caps
-    )
-    dev_outs = _fstar_outcomes(
-        game.allocation_rule, dev_instance, game.agents, agent, dev_ideal, game.model, caps
-    )
+    base_outs = sides.outcomes(base_shortlist, agent)
+    dev_outs = sides.outcomes(dev_shortlist, agent)
     verdict, pair = _judge_outcomes(mode, base_outs, dev_outs, value)
     if pair is None:
         return ManipulationResult(verdict, None, True)
@@ -414,10 +558,14 @@ def check_fssp(
     unrestricted agents may also propose anything already proposed by
     others, and their honest baseline is the ideal set of that larger
     pool.  Reports the first successful deviation in canonical order.
+    Each side of the checks is computed once per call; besides each
+    check's own cap, the call fails with ``ResourceLimitError`` once the
+    profiles of its distinct exhaustive sides add up past ``caps.profiles``.
     """
     check_variant(variant)
     check_mode(mode)
     proposals = game.base_proposals()
+    sides = _Sides(game, caps)
     checked = 0
     exact = True
     params = {"variant": variant, "mode": mode, "model": game.model}
@@ -435,7 +583,7 @@ def check_fssp(
             if deviation == truthful:
                 continue
             checked += 1
-            result = check_manipulation(agent_game, agent, deviation, mode, caps, sample, seed)
+            result = _check_deviation(sides, agent_game, agent, deviation, mode, sample, seed)
             if result.successful:
                 witness = dict(result.witness)
                 witness["variant"] = variant
@@ -570,16 +718,42 @@ def check_nomination_fssp_class(
                     [Project(i + 1, c) for i, c in enumerate(cost_vector)], budget
                 )
                 ids = instance.ids
-                pool_cache: dict[tuple, dict] = {}
+                ideals: dict[tuple, frozenset[int]] = {}
+                values: dict[frozenset[int], Callable[[frozenset[int]], int]] = {}
+                outcomes: dict[tuple, dict] = {}
+                verdicts: dict[tuple, str] = {}
+                subsets: dict[frozenset[int], list[frozenset[int]]] = {}
 
-                def outcomes_for(shortlist, ideal, n):
+                def ideal_on(ranking, available):
+                    key = (ranking, available)
+                    if key not in ideals:
+                        ideals[key] = ideal_set(instance, ranking, available)
+                    return ideals[key]
+
+                def value_under(ideal):
+                    if ideal not in values:
+                        values[ideal] = functools.cache(
+                            lambda o: allocation_value(model, ideal, o, instance)
+                        )
+                    return values[ideal]
+
+                def outcomes_on(ranking, shortlist, n):
+                    ideal = ideal_on(ranking, shortlist)
                     key = (shortlist, ideal, n)
-                    if key not in pool_cache:
-                        pool_cache[key] = _fstar_outcomes(
+                    if key not in outcomes:
+                        outcomes[key] = _fstar_outcomes(
                             allocation_rule, instance.restrict(shortlist),
                             n, 0, ideal, model, caps,
                         )
-                    return pool_cache[key]
+                    return outcomes[key]
+
+                def judge(ranking, base_short, dev_short, n):
+                    base = outcomes_on(ranking, base_short, n)
+                    dev = outcomes_on(ranking, dev_short, n)
+                    value = value_under(ideal_on(ranking, base_short | dev_short))
+                    verdict, _ = _judge_outcomes(mode, base, dev, value)
+                    verdicts[ranking, base_short, dev_short, n] = verdict
+                    return verdict
 
                 for n in range(1, max_agents + 1):
                     other_unions = subsets_ascending(ids) if n > 1 else [frozenset()]
@@ -587,26 +761,18 @@ def check_nomination_fssp_class(
                         for union in other_unions:
                             for pool in subsets_ascending(frozenset(ids) - union):
                                 aware = pool | union
-                                truthful = ideal_set(instance, ranking, aware)
+                                truthful = ideal_on(ranking, aware)
                                 base_short = union | truthful
-                                base_ideal = ideal_set(
-                                    instance, ranking, base_short
-                                )
-                                for deviation in subsets_ascending(aware):
+                                if aware not in subsets:
+                                    subsets[aware] = subsets_ascending(aware)
+                                for deviation in subsets[aware]:
                                     if deviation == truthful:
                                         continue
                                     checked += 1
                                     dev_short = union | deviation
-                                    ideal = ideal_set(
-                                        instance, ranking, base_short | dev_short
-                                    )
-                                    base = outcomes_for(base_short, base_ideal, n)
-                                    dev_ideal = ideal_set(instance, ranking, dev_short)
-                                    dev = outcomes_for(dev_short, dev_ideal, n)
-                                    verdict, _ = _judge_outcomes(
-                                        mode, base, dev,
-                                        lambda o: allocation_value(model, ideal, o, instance),
-                                    )
+                                    verdict = verdicts.get((ranking, base_short, dev_short, n))
+                                    if verdict is None:
+                                        verdict = judge(ranking, base_short, dev_short, n)
                                     if verdict == SUCCESSFUL:
                                         witness = {
                                             "kind": "first-stage-manipulation",

@@ -14,8 +14,15 @@ from pbstages.core import (
     subsets_ascending,
     tiebreak_family,
 )
-from pbstages.allocation import PriorityTieBreak, allocation_rule, greedy_approval
-from pbstages.oracles import approval_maximising_oracle
+from pbstages import strategy
+from pbstages.allocation import (
+    PriorityTieBreak,
+    allocation_rule,
+    approval_scores,
+    greedy_approval,
+    score_kernel,
+)
+from pbstages.oracles import approval_maximising_oracle, greedy_approval_oracle
 from pbstages.preferences import allocation_value, ideal_set
 from pbstages.shortlisting import equal_representation, euclidean_metric, k_median, nomination
 from pbstages.strategy import (
@@ -166,6 +173,55 @@ class TestFStar:
         )
 
 
+class TestFStarOutcomes:
+    """The score-vector grid against the ordered enumeration of the others' profiles."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_grid_matches_ordered_path(self, data):
+        m = data.draw(st.integers(1, 4))
+        costs = data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+        instance = make_instance(costs, data.draw(st.integers(max(costs), sum(costs))))
+        agents = data.draw(st.integers(1, 3))
+        agent = data.draw(st.integers(0, agents - 1))
+        ideal = ideal_set(instance, data.draw(st.permutations(list(instance.ids))))
+        model = data.draw(st.sampled_from(["overlap", "cost"]))
+        subsets = st.sets(st.sampled_from(instance.ids)).map(frozenset)
+        policy = PriorityTieBreak(tuple(data.draw(st.lists(subsets, max_size=3, unique=True))))
+        fast, slow = data.draw(st.sampled_from([
+            (greedy_approval, greedy_approval_oracle),
+            (allocation_rule("approval-maximising"), approval_maximising_oracle),
+            (allocation_rule("approval-maximising", policy), priority_oracle(policy)),
+        ]))
+        assert score_kernel(fast) is not None and score_kernel(slow) is None
+        grid = strategy._fstar_outcomes(fast, instance, agents, agent, ideal, model, Caps())
+        ordered = strategy._fstar_outcomes(slow, instance, agents, agent, ideal, model, Caps())
+        assert list(grid.items()) == list(ordered.items())
+
+
+def priority_oracle(policy):
+    """Approval maximisation under ``policy`` by a flat scan, with no score kernel."""
+    def rule(instance, ballots):
+        scores = approval_scores(instance, ballots)
+        feasible = [s for s in subsets_ascending(instance.ids)
+                    if instance.total_cost(s) <= instance.budget]
+        best = max(sum(scores[pid] for pid in s) for s in feasible)
+        return policy.select(s for s in feasible if sum(scores[pid] for pid in s) == best)
+    return rule
+
+
+def four_project_game():
+    instance = unit_instance(4, 2)
+    return StageGame(
+        instance=instance,
+        shortlist_rule=nomination,
+        allocation_rule=greedy_approval,
+        rankings=((1, 2, 3, 4), (4, 3, 2, 1)),
+        awareness=(fs(1, 2, 3), fs(2, 3, 4)),
+        model="overlap",
+    )
+
+
 class TestCheckManipulation:
     def test_crossed_awareness_empty_deviation_pessimistic(self):
         game = crossed_awareness_game()
@@ -299,6 +355,33 @@ class TestCheckFssp:
         assert sum(not v["exact"] for v in verdicts) == 24
         blob = json.dumps(verdicts, sort_keys=True, separators=(",", ":")).encode()
         assert hashlib.sha256(blob).hexdigest() == self.SEEDED_GAMES_SHA256
+
+    def test_each_side_computed_once_per_run(self, monkeypatch):
+        calls = []
+        search = strategy._fstar_outcomes
+
+        def counted(rule, instance, agents, agent, ideal, model, caps):
+            calls.append((instance.ids, ideal, agent))
+            return search(rule, instance, agents, agent, ideal, model, caps)
+
+        monkeypatch.setattr(strategy, "_fstar_outcomes", counted)
+        game = four_project_game()
+        first = check_fssp(game, "unrestricted", "pessimistic")
+        assert first.holds and first.checked == 30
+        assert len(calls) == len(set(calls)) == 8
+        calls.clear()
+        second = check_fssp(game, "unrestricted", "pessimistic")
+        assert len(calls) == 8
+        assert second.to_jsonable() == first.to_jsonable()
+
+    def test_profile_cap_bounds_the_whole_run(self):
+        # Every check fits 2 * (2^4)^2 = 512 profiles, but the run's distinct
+        # shortlists add up to 800.
+        game = four_project_game()
+        with pytest.raises(ResourceLimitError):
+            check_fssp(game, "restricted", "pessimistic", Caps(profiles=512))
+        verdict = check_fssp(game, "restricted", "pessimistic", Caps(profiles=800))
+        assert verdict.to_jsonable() == check_fssp(game, "restricted", "pessimistic").to_jsonable()
 
     def test_witness_replays(self):
         game = ten_project_game()
