@@ -45,10 +45,9 @@ class Caps:
         Maximum number of full ballot profiles, (2^m)^n for m projects and
         n agents, that a single strategyproofness search may enumerate.
         The manipulator's own ballots count, since a best response tries
-        each of them; a first-stage manipulation check adds up the
-        profiles of both shortlists, and a first-stage strategyproofness
-        search adds up those of every distinct (shortlist, agent) side it
-        computes over the whole run.
+        each of them.  A first-stage search (one manipulation check or a
+        whole strategyproofness run) charges each distinct (shortlist,
+        agent) side it computes once, and adds up those charges.
     maximisers : int
         Maximum shortlist size when all score maximisers must be listed
         explicitly (only needed for priority tie-breaking).
@@ -161,7 +160,6 @@ def greedy_select(
     instance: Instance,
     subset: Iterable[int],
     order: Sequence[int],
-    budget: int | None = None,
 ) -> frozenset[int]:
     """Scan ``subset`` in the given order, taking each project that still fits.
 
@@ -171,24 +169,20 @@ def greedy_select(
     Parameters
     ----------
     instance : Instance
-        Supplies the costs and the default budget.
+        Supplies the costs and the budget.
     subset : iterable of int
         The project ids to select from.
     order : sequence of int
         A strict order covering exactly ``subset``.
-    budget : int, optional
-        Overrides the instance budget (used when scanning a sub-instance).
     """
     subset = instance.check_subset(subset, "selection set")
-    if budget is None:
-        budget = instance.budget
     if len(order) != len(set(order)) or set(order) != subset:
         raise ValidationError("order must cover exactly the candidate set, no repeats")
     selected = []
     spent = 0
     for pid in order:
         cost = instance.cost(pid)
-        if spent + cost <= budget:
+        if spent + cost <= instance.budget:
             selected.append(pid)
             spent += cost
     return frozenset(selected)

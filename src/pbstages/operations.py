@@ -144,6 +144,8 @@ def _check_axiom(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
     name = options["rule"]
     seed = options.get("seed", 0)
     suite = options.get("suite", 0)
+    if suite < 0:
+        raise ValidationError(f"suite size must be >= 0, got {suite}")
     if axiom in ("non-wasteful", "representation-efficiency"):
         if doc.proposals is None and not suite:
             raise ValidationError(

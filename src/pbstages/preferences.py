@@ -37,7 +37,6 @@ def ideal_set(
     instance: Instance,
     ranking: Sequence[int],
     available: Iterable[int] | None = None,
-    budget: int | None = None,
 ) -> frozenset[int]:
     """Greedy-best affordable subset of ``available`` w.r.t. ``ranking``.
 
@@ -52,7 +51,7 @@ def ideal_set(
     restricted = [pid for pid in ranking if pid in available]
     if set(restricted) != available:
         raise ValidationError("ranking does not cover the available project set")
-    return greedy_select(instance, available, restricted, budget)
+    return greedy_select(instance, available, restricted)
 
 
 def allocation_value(

@@ -15,7 +15,6 @@ import functools
 import itertools
 from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass, replace
-from random import Random
 
 from pbstages.core import (
     Caps,
@@ -51,7 +50,6 @@ VARIANTS = ("restricted", "unrestricted")
 
 SUCCESSFUL = "successful"
 UNSUCCESSFUL = "unsuccessful"
-UNKNOWN = "unknown"
 
 
 def check_mode(mode: str) -> str:
@@ -361,9 +359,9 @@ class _Sides:
     the anticipated outcome when everyone votes their ideal sets, or every
     best-response outcome over the others' profiles.  A search holds one
     ``_Sides`` for its game, so deviations that reach a shortlist already
-    seen reuse its side.  Each exhaustive side is charged its (2^m)^n
-    profiles once, and the search fails when the charges pass
-    ``caps.profiles``.
+    seen reuse its side.  This is where a first-stage search is charged
+    against ``caps.profiles``: each exhaustive side its (2^m)^n profiles,
+    once, and the search fails when the charges pass the cap.
     """
 
     def __init__(self, game: StageGame, caps: Caps):
@@ -422,22 +420,19 @@ def check_manipulation(
     deviation: Iterable[int],
     mode: str,
     caps: Caps = Caps(),
-    sample: int | None = None,
-    seed: int = 0,
 ) -> ManipulationResult:
     """Decide whether one proposal deviation is a successful manipulation.
 
     Builds the baseline shortlist from the game's proposals and the
     deviation shortlist with the agent's proposal swapped out, then
-    compares best-response outcomes per the mode.  Pessimistic and
-    optimistic verdicts are exact when the profile spaces fit the cap;
-    with ``sample`` set, oversized spaces are sampled instead (which can
-    refute a pessimistic claim or confirm an optimistic one, but proves
-    neither, leaving the verdict ``"unknown"``).
+    compares best-response outcomes per the mode.  Every verdict is exact:
+    pessimistic and optimistic checks charge each distinct shortlist its
+    (2^m)^n profiles once, and raise ``ResourceLimitError`` when the
+    charges pass ``caps.profiles``.
     """
     check_mode(mode)
     deviation = game.instance.check_subset(deviation, "deviation")
-    return _check_deviation(_Sides(game, caps), game, agent, deviation, mode, sample, seed)
+    return _check_deviation(_Sides(game, caps), game, agent, deviation, mode)
 
 
 def _check_deviation(
@@ -446,11 +441,8 @@ def _check_deviation(
     agent: int,
     deviation: frozenset[int],
     mode: str,
-    sample: int | None,
-    seed: int,
 ) -> ManipulationResult:
     """:func:`check_manipulation` with each side looked up in ``sides``."""
-    caps = sides.caps
     proposals = game.base_proposals()
     base_shortlist = sides.shortlist(proposals)
     deviated = tuple(deviation if i == agent else p for i, p in enumerate(proposals))
@@ -479,20 +471,6 @@ def _check_deviation(
     if mode == "pessimistic" and base_shortlist == dev_shortlist:
         return ManipulationResult(UNSUCCESSFUL, None, True)
 
-    space = (2 ** len(base_shortlist)) ** game.agents + (2 ** len(dev_shortlist)) ** game.agents
-    if space > caps.profiles:
-        if sample is None:
-            raise ResourceLimitError(
-                f"manipulation check needs {space} profiles; enable sampling "
-                f"or raise the cap of {caps.profiles}"
-            )
-        return _sampled_manipulation(
-            game, agent, deviation, mode, caps, sample, seed,
-            game.instance.restrict(base_shortlist), game.instance.restrict(dev_shortlist),
-            game.top_on(agent, base_shortlist), game.top_on(agent, dev_shortlist),
-            value, witness,
-        )
-
     base_outs = sides.outcomes(base_shortlist, agent)
     dev_outs = sides.outcomes(dev_shortlist, agent)
     verdict, pair = _judge_outcomes(mode, base_outs, dev_outs, value)
@@ -504,53 +482,11 @@ def _check_deviation(
     )
 
 
-def _sampled_manipulation(
-    game, agent, deviation, mode, caps, sample, seed,
-    base_instance, dev_instance, base_ideal, dev_ideal, value, witness,
-):
-    rng = Random(seed)
-    base_cache = OutcomeCache(game.allocation_rule, base_instance)
-    dev_cache = OutcomeCache(game.allocation_rule, dev_instance)
-
-    def draw(instance, own_ideal, cache):
-        ballots = tuple(
-            own_ideal
-            if i == agent
-            else frozenset(p for p in instance.ids if rng.random() < 0.5)
-            for i in range(game.agents)
-        )
-        _, outcome = best_response(
-            game.allocation_rule, instance, ballots, agent, own_ideal,
-            game.model, caps, cache,
-        )
-        return ballots, outcome
-
-    strict_seen = None
-    for _ in range(sample):
-        base_prof, base_out = draw(base_instance, base_ideal, base_cache)
-        dev_prof, dev_out = draw(dev_instance, dev_ideal, dev_cache)
-        if mode == "pessimistic" and value(dev_out) < value(base_out):
-            return ManipulationResult(
-                UNSUCCESSFUL, witness(base_prof, dev_prof, base_out, dev_out), False
-            )
-        if mode == "optimistic" and value(dev_out) > value(base_out):
-            return ManipulationResult(
-                SUCCESSFUL, witness(base_prof, dev_prof, base_out, dev_out), False
-            )
-        if value(dev_out) > value(base_out):
-            strict_seen = witness(base_prof, dev_prof, base_out, dev_out)
-    if mode == "optimistic":
-        return ManipulationResult(UNKNOWN, None, False)
-    return ManipulationResult(UNKNOWN, strict_seen, False)
-
-
 def check_fssp(
     game: StageGame,
     variant: str,
     mode: str,
     caps: Caps = Caps(),
-    sample: int | None = None,
-    seed: int = 0,
 ) -> PropertyVerdict:
     """Search every agent and admissible proposal deviation for a manipulation.
 
@@ -558,16 +494,15 @@ def check_fssp(
     unrestricted agents may also propose anything already proposed by
     others, and their honest baseline is the ideal set of that larger
     pool.  Reports the first successful deviation in canonical order.
-    Each side of the checks is computed once per call; besides each
-    check's own cap, the call fails with ``ResourceLimitError`` once the
-    profiles of its distinct exhaustive sides add up past ``caps.profiles``.
+    Each side of the checks is computed once per call, and the call fails
+    with ``ResourceLimitError`` once the profiles of its distinct
+    exhaustive sides add up past ``caps.profiles``.
     """
     check_variant(variant)
     check_mode(mode)
     proposals = game.base_proposals()
     sides = _Sides(game, caps)
     checked = 0
-    exact = True
     params = {"variant": variant, "mode": mode, "model": game.model}
     for agent in range(game.agents):
         truthful = game.truthful_proposal(agent, variant)
@@ -583,16 +518,13 @@ def check_fssp(
             if deviation == truthful:
                 continue
             checked += 1
-            result = _check_deviation(sides, agent_game, agent, deviation, mode, sample, seed)
+            result = _check_deviation(sides, agent_game, agent, deviation, mode)
             if result.successful:
                 witness = dict(result.witness)
                 witness["variant"] = variant
                 witness["truthful_proposal"] = ids_list(truthful)
-                return PropertyVerdict(
-                    COUNTEREXAMPLE, witness, result.exact, checked, params
-                )
-            exact = exact and result.exact
-    return PropertyVerdict(HOLDS, None, exact, checked, params)
+                return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
+    return PropertyVerdict(HOLDS, None, True, checked, params)
 
 
 def fssp_cells(

@@ -412,6 +412,8 @@ def check_second_stage_sp(
         search = "full" if full_space <= caps.profiles else "fixed-others"
     if search not in ("full", "fixed-others", "sample"):
         raise ValidationError(f"unknown search mode {search!r}")
+    if search == "sample" and samples < 1:
+        raise ValidationError(f"sampled search needs at least one sample, got {samples}")
     if search == "full" and full_space > caps.profiles:
         raise ResourceLimitError(
             f"full profile enumeration needs {full_space} profiles, "

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from pbstages import shortlisting
 from pbstages.cli import main
 from pbstages.fixtures import load_fixture
@@ -255,6 +257,21 @@ class TestExitCodes:
             "--axiom", "non-wasteful", "--rule", "nomination", "--no-timing",
         ])
         assert code == 2
+        assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["check-axiom", "--fixture", "example1", "--axiom", "unanimous",
+         "--rule", "greedy-approval", "--suite", "-3"],
+        ["check-axiom", "--fixture", "unit-priority-tiebreak", "--axiom", "non-wasteful",
+         "--rule", "nomination", "--suite", "-3"],
+        ["check-ssp", "--fixture", "greedy-overlap-gap", "--rule", "greedy-approval",
+         "--search", "sample", "--samples", "0"],
+        ["check-ssp", "--fixture", "greedy-overlap-gap", "--rule", "greedy-approval",
+         "--search", "sample", "--samples", "-5"],
+    ])
+    def test_search_over_no_cases_is_2(self, args, capsys):
+        # A "holds" from zero checked cases would be a proof over nothing.
+        assert main(args + ["--no-timing"]) == 2
         assert "validation error" in capsys.readouterr().err
 
     def test_replay_option_of_wrong_type_is_2(self, tmp_path, capsys):

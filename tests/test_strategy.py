@@ -267,14 +267,6 @@ class TestCheckManipulation:
         assert result.successful
         assert result.witness["baseline_shortlist"] == result.witness["deviation_shortlist"]
 
-    def test_sampled_mode_never_proves_pessimistic(self):
-        game = ten_project_game()
-        result = check_manipulation(
-            game, 0, fs(4, 5), "pessimistic", Caps(profiles=10), sample=40
-        )
-        assert result.verdict in ("unknown", "unsuccessful")
-        assert not result.exact
-
     def test_anticipative_ignores_profile_cap(self):
         # anticipative verdicts evaluate exactly two profiles, so they stay
         # exact however small the profile-pair cap is
@@ -288,6 +280,15 @@ class TestCheckManipulation:
         game = ten_project_game()
         with pytest.raises(ResourceLimitError):
             check_manipulation(game, 0, fs(4, 5), "pessimistic", Caps(profiles=10))
+
+    def test_equal_shortlists_charged_once(self):
+        # Both shortlists are {1, 2}: one side of (2^2)^2 = 16 profiles.
+        game = crossed_awareness_game()
+        result = check_manipulation(game, 0, fs(1), "optimistic", Caps(profiles=16))
+        assert result == check_manipulation(game, 0, fs(1), "optimistic")
+        assert result.successful and result.exact
+        with pytest.raises(ResourceLimitError):
+            check_manipulation(game, 0, fs(1), "optimistic", Caps(profiles=15))
 
 
 class TestCheckFssp:
@@ -322,9 +323,9 @@ class TestCheckFssp:
             verdict = check_fssp(game, "unrestricted", mode)
             assert verdict.holds and verdict.exact, mode
 
-    # sha256 of the verdicts below, recorded before both stages shared one
-    # search loop; any change to `checked` or a witness moves it.
-    SEEDED_GAMES_SHA256 = "d1f525f2d54df097cbc07d5343127ba392738dfea05b6a73af48776990e71924"
+    # sha256 of the 72 exact verdicts below; any change to `checked` or a
+    # witness moves it.
+    SEEDED_GAMES_SHA256 = "dca10b5954023a3dba3f585beb995e7488989bc528ebdee842b9e78bef8a5ebc"
 
     def test_seeded_game_verdicts_pinned(self):
         def er2(instance, proposals):
@@ -347,12 +348,8 @@ class TestCheckFssp:
             for variant in ("restricted", "unrestricted"):
                 for mode in ("pessimistic", "optimistic", "anticipative"):
                     verdicts.append(check_fssp(game, variant, mode).to_jsonable())
-            for mode in ("pessimistic", "optimistic"):
-                verdicts.append(check_fssp(
-                    game, "restricted", mode, Caps(profiles=1), sample=8, seed=i
-                ).to_jsonable())
-        assert sum(v["status"] == COUNTEREXAMPLE for v in verdicts) == 30
-        assert sum(not v["exact"] for v in verdicts) == 24
+        assert sum(v["status"] == COUNTEREXAMPLE for v in verdicts) == 21
+        assert sum(not v["exact"] for v in verdicts) == 0
         blob = json.dumps(verdicts, sort_keys=True, separators=(",", ":")).encode()
         assert hashlib.sha256(blob).hexdigest() == self.SEEDED_GAMES_SHA256
 
