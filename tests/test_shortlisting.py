@@ -3,12 +3,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbstages.core import Caps, ResourceLimitError, ValidationError
 from pbstages.oracles import equal_representation_oracle, k_median_oracle
 from pbstages.preferences import ideal_set
 from pbstages.shortlisting import (
     Metric,
+    _integer_score,
     equal_representation,
     euclidean_metric,
     geometric_median,
@@ -100,6 +102,61 @@ class TestEqualRepresentation:
             assert equal_representation(instance, proposals, k) == (
                 equal_representation_oracle(instance, proposals, k)
             )
+
+
+@st.composite
+def tie_heavy_profiles(draw):
+    """Unions of up to 12 projects, 1-12 agents and k in {1, 2, 3}, built for ties.
+
+    Agents copy one of a few shared proposals, costs are all 1 or chosen so
+    that some projects exactly fill ``k * budget``.
+    """
+    m = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["unit", "mixed", "fill"]))
+    if kind == "unit":
+        costs = [1] * m
+        budget = draw(st.integers(1, m))
+    elif kind == "mixed":
+        costs = draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
+        budget = draw(st.integers(max(costs), max(costs) + sum(costs)))
+    else:
+        budget = draw(st.integers(1, 5))
+        parts = []
+        while sum(parts) < k * budget and len(parts) < m:
+            parts.append(draw(st.integers(1, min(budget, k * budget - sum(parts)))))
+        fill = m - len(parts)
+        rest = draw(st.lists(st.integers(1, budget), min_size=fill, max_size=fill))
+        costs = draw(st.permutations(parts + rest))
+    instance = make_instance(costs, budget)
+    block = st.frozensets(st.integers(1, m), min_size=1)
+    shared = draw(st.lists(block, min_size=1, max_size=3))
+    proposals = tuple(
+        draw(st.one_of(st.sampled_from(shared), block))
+        for _ in range(draw(st.integers(1, 12)))
+    )
+    return instance, proposals, k
+
+
+class TestEqualRepresentationProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(tie_heavy_profiles())
+    def test_matches_oracle(self, case):
+        instance, proposals, k = case
+        assert equal_representation(instance, proposals, k) == (
+            equal_representation_oracle(instance, proposals, k)
+        )
+
+    @settings(deadline=None, max_examples=150)
+    @given(tie_heavy_profiles(), st.data())
+    def test_integer_score_is_scaled_fraction_score(self, case, data):
+        _, proposals, _ = case
+        union = sorted(set().union(*proposals))
+        subset = data.draw(st.frozensets(st.sampled_from(union)))
+        n, top = len(proposals), max(map(len, proposals))
+        assert _integer_score(subset, proposals) == (
+            representation_score(subset, proposals) * n**top
+        )
 
 
 class TestMetric:
