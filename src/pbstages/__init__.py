@@ -11,7 +11,6 @@ with a replayable command-line front end.
 from pbstages.core import (
     Caps,
     Instance,
-    NoPartitionError,
     Project,
     ResourceLimitError,
     ValidationError,
@@ -24,7 +23,6 @@ from pbstages.core import (
 __all__ = [
     "Caps",
     "Instance",
-    "NoPartitionError",
     "Project",
     "ResourceLimitError",
     "ValidationError",

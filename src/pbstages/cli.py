@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from pbstages.core import Caps, NoPartitionError, ResourceLimitError, ValidationError
+from pbstages.core import Caps, ResourceLimitError, ValidationError
 from pbstages.allocation import ALLOCATION_RULES
 from pbstages.fixtures import fixture_names, load_fixture, run_bundled_suite
 from pbstages.operations import SHORTLIST_RULES, run
@@ -289,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, NoPartitionError) as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 

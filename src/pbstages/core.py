@@ -23,10 +23,6 @@ class ResourceLimitError(RuntimeError):
     """
 
 
-class NoPartitionError(RuntimeError):
-    """No clustering satisfies the constraints at any radius."""
-
-
 @dataclass(frozen=True)
 class Caps:
     """Size limits for the exact (exponential) searches.
@@ -38,7 +34,8 @@ class Caps:
         On a 2-vCPU Xeon, a random union of 20 with 8 agents and k = 2
         takes 0.1 s, and the slowest of 140 random unions of 20 took 0.8 s.
     partitions : int
-        Maximum union size for clustering-rule partition enumeration.
+        Maximum union size for the clustering rule, whose search tries up
+        to 2^m median sets of the m proposed projects.
     domination : int
         Maximum union size for the representative-domination search.
     ballots : int

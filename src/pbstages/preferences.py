@@ -65,24 +65,6 @@ def allocation_value(
     return instance.total_cost(shared)
 
 
-def compare_allocations(
-    model: str,
-    ideal: frozenset[int],
-    first: Iterable[int],
-    second: Iterable[int],
-    instance: Instance,
-) -> int:
-    """Compare two allocations for an agent with the given ideal set.
-
-    Returns 1 if the first is strictly preferred, -1 if the second is, and
-    0 on indifference.  Both models induce a total preorder, so this is a
-    plain comparison of scalar values.
-    """
-    a = allocation_value(model, ideal, first, instance)
-    b = allocation_value(model, ideal, second, instance)
-    return (a > b) - (a < b)
-
-
 def best_allocations(
     model: str,
     ideal: frozenset[int],

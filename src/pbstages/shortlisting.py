@@ -6,8 +6,8 @@ optimisation-based rules may spend up to ``k`` times the budget.
 
 The equal-representation score is an exact rational; its search compares
 the same score scaled to integers, so ties are still decided exactly.
-Clustering rules enumerate set partitions exactly and fail loudly beyond
-their cap rather than approximating.
+The clustering rule searches median sets exactly, in ascending order of
+their radius, and fails loudly beyond its cap rather than approximating.
 """
 
 from __future__ import annotations
@@ -21,15 +21,14 @@ from fractions import Fraction
 from pbstages.core import (
     Caps,
     Instance,
-    NoPartitionError,
     ResourceLimitError,
     ValidationError,
     tiebreak_family,
     tiebreak_project,
 )
 
-# Slack used only when validating float metrics and pre-filtering cluster
-# candidates; rule decisions always compare stored distances directly.
+# Slack used only when validating the triangle inequality of float metrics;
+# rule decisions always compare stored distances directly.
 _METRIC_TOLERANCE = 1e-9
 
 
@@ -250,9 +249,6 @@ class Metric:
         except KeyError:
             raise ValidationError(f"metric does not cover the pair {key}") from None
 
-    def pairwise(self, pids: Iterable[int]) -> list[float]:
-        return [self.distance(a, b) for a, b in itertools.combinations(sorted(set(pids)), 2)]
-
 
 def euclidean_metric(instance: Instance) -> Metric:
     """Euclidean distance over the projects' coordinates."""
@@ -341,75 +337,6 @@ class VoronoiPartition:
         return True
 
 
-def _set_partitions(items: Sequence[int], compatible=None):
-    """All set partitions of ``items``, in a deterministic order.
-
-    ``compatible(block, item)`` may veto growing an existing block; new
-    singleton blocks are always allowed, so vetoes only prune, never
-    invent, partitions.
-    """
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partial in _set_partitions(rest, compatible):
-        for i, block in enumerate(partial):
-            if compatible is None or compatible(block, first):
-                yield partial[:i] + [[first, *block]] + partial[i + 1 :]
-        yield [[first], *partial]
-
-
-def _make_partition(blocks: Iterable[Iterable[int]], metric: Metric) -> VoronoiPartition:
-    clusters = tuple(sorted((frozenset(b) for b in blocks), key=lambda c: min(c)))
-    medians = tuple(geometric_median(c, metric) for c in clusters)
-    return VoronoiPartition(clusters, medians)
-
-
-def voronoi_partitions(
-    instance: Instance,
-    pids: Iterable[int],
-    k: int,
-    ell: float,
-    metric: Metric,
-    caps: Caps = Caps(),
-) -> list[VoronoiPartition]:
-    """All valid clusterings of ``pids`` for the given ``k`` and radius.
-
-    Enumerates raw set partitions, so a project equidistant from two
-    medians may appear in either cluster; both assignments are produced
-    when both validate.  Blocks whose diameter already exceeds twice the
-    radius are pruned during enumeration (the triangle inequality makes
-    them hopeless).
-    """
-    pids = sorted(instance.check_subset(pids, "clustered set"))
-    if len(pids) > caps.partitions:
-        raise ResourceLimitError(
-            f"partition enumeration over {len(pids)} projects exceeds "
-            f"the cap of {caps.partitions}"
-        )
-    diameter_limit = 2 * ell + _METRIC_TOLERANCE
-
-    def compatible(block: list[int], item: int) -> bool:
-        return all(metric.distance(item, other) <= diameter_limit for other in block)
-
-    found = []
-    for blocks in _set_partitions(pids, compatible):
-        partition = _make_partition(blocks, metric)
-        if partition.is_valid(instance, k, ell, metric):
-            found.append(partition)
-    return found
-
-
-def radius_candidates(pids: Iterable[int], metric: Metric) -> list[float]:
-    """The radii at which clustering feasibility can change.
-
-    Validity constraints compare the radius only against pairwise
-    distances, and shrinking the radius only removes partitions, so the
-    minimum feasible radius is always 0 or some pairwise distance.
-    """
-    return sorted({0.0, *metric.pairwise(pids)})
-
-
 def _minimal_partitions(
     instance: Instance,
     pids: Iterable[int],
@@ -417,18 +344,73 @@ def _minimal_partitions(
     metric: Metric,
     caps: Caps,
 ) -> tuple[float, list[VoronoiPartition]]:
+    """The least radius of a valid clustering, and every clustering valid at it.
+
+    A valid clustering is fixed by its median set M and, for each project
+    outside M, which of its nearest members of M it joins: each median sits
+    in its own cluster, since :func:`geometric_median` returns a member.
+    M's radius, the largest distance from a project to its nearest member
+    of M, does not depend on those choices.  So every affordable M gets its
+    radius from a subset recurrence over bitmasks, and the median sets are
+    tried in ascending order of radius, each over its tie assignments,
+    until a radius has a valid clustering: one in which every cluster's
+    geometric median is its own median.  Nearness and radii compare stored
+    distances exactly.  The clusterings come back in canonical order.
+    """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    pids = sorted(instance.check_subset(pids, "clustered set"))
-    if not pids:
-        return 0.0, [VoronoiPartition((), ())]
-    for ell in radius_candidates(pids, metric):
-        partitions = voronoi_partitions(instance, pids, k, ell, metric, caps)
-        if partitions:
-            return ell, partitions
-    raise NoPartitionError(
-        f"no valid clustering of {len(pids)} projects within {k} budgets at any radius"
-    )
+    pids = sorted(pids)
+    if len(pids) > caps.partitions:
+        raise ResourceLimitError(
+            f"median-set search over {len(pids)} projects exceeds "
+            f"the cap of {caps.partitions}"
+        )
+    m = len(pids)
+    dist = [[metric.distance(p, q) for q in pids] for p in pids]
+    limit = k * instance.budget
+    cost = [0] * (1 << m)
+    # near[mask][i]: the distance from project i to its nearest member of mask
+    near = {0: [math.inf] * m}
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        cost[mask] = cost[mask ^ low] + instance.cost(pids[i])
+        if cost[mask] <= limit:
+            near[mask] = list(map(min, near[mask ^ low], dist[i]))
+    del near[0]
+    medians_of: dict[tuple[int, ...], int] = {}
+    found: list[VoronoiPartition] = []
+    ell = 0.0
+    for radius, mask in sorted((max(row), mask) for mask, row in near.items()):
+        if found and radius > ell:
+            break
+        ell = radius
+        row = near[mask]
+        medians = [j for j in range(m) if mask >> j & 1]
+        choices = [
+            [i] if mask >> i & 1 else [j for j in medians if dist[i][j] == row[i]]
+            for i in range(m)
+        ]
+        for assignment in itertools.product(*choices):
+            clusters: dict[int, list[int]] = {j: [] for j in medians}
+            for i, j in enumerate(assignment):
+                clusters[j].append(pids[i])
+            for j, members in clusters.items():
+                key = tuple(members)
+                if key not in medians_of:
+                    medians_of[key] = geometric_median(key, metric)
+                if medians_of[key] != pids[j]:
+                    break
+            else:
+                ordered = sorted(clusters.items(), key=lambda item: item[1][0])
+                found.append(
+                    VoronoiPartition(
+                        tuple(frozenset(members) for _, members in ordered),
+                        tuple(pids[j] for j, _ in ordered),
+                    )
+                )
+    found.sort(key=lambda partition: [sorted(c) for c in partition.clusters])
+    return ell, found
 
 
 @dataclass(frozen=True)
@@ -451,7 +433,8 @@ def k_median_outcome(
 
     Every valid partition at the minimal radius contributes its median set;
     the shortlist is the canonical tie-break over that family of median
-    sets.
+    sets.  The partitions are sorted by their lists of sorted clusters, with
+    clusters ordered by their least member.
     """
     proposals = check_proposals(instance, proposals)
     union = proposal_union(proposals)

@@ -5,8 +5,9 @@ import pytest
 
 from pbstages import shortlisting
 from pbstages.cli import main
+from pbstages.core import Instance, Project
 from pbstages.fixtures import load_fixture
-from pbstages.scenario import write_scenario
+from pbstages.scenario import AgentSpec, ScenarioDocument, write_scenario
 
 
 # sha256 of the `paper-suite --no-timing` report, recorded on Python 3.11.7.
@@ -71,6 +72,37 @@ class TestCommands:
         assert code == 0
         assert report["results"]["shortlist"] == [4, 6, 7]
         assert len(calls) == 1
+
+    def test_kmedian_partitions_canonical_and_replayed(self, capsys, tmp_path):
+        # four equidistant unit-cost projects: at radius 1 every partition
+        # whose clusters each hold their least member as median is valid
+        ids = (1, 2, 3, 4)
+        scenario = tmp_path / "scenario.json"
+        write_scenario(ScenarioDocument(
+            instance=Instance([Project(i, 1) for i in ids], 1),
+            agents=(AgentSpec(1, ids), AgentSpec(2, ids[::-1])),
+            proposals=(frozenset({1, 2}), frozenset({3, 4})),
+            metric_spec={
+                "kind": "table",
+                "entries": [[a, b, 1.0] for a in ids for b in ids if a < b],
+            },
+        ), scenario)
+        report_path = tmp_path / "report.json"
+        assert main([
+            "shortlist", "--scenario", str(scenario), "--rule", "k-median", "--k", "2",
+            "--no-timing", "--output", str(report_path),
+        ]) == 0
+        results = json.loads(report_path.read_text())["results"]
+        assert results["radius"] == 1.0
+        assert results["shortlist"] == [1, 2]
+        assert results["partitions"] == [
+            [[1], [2, 3, 4]], [[1, 2], [3, 4]], [[1, 2, 3], [4]], [[1, 2, 3, 4]],
+            [[1, 2, 4], [3]], [[1, 3], [2, 4]], [[1, 3, 4], [2]], [[1, 4], [2, 3]],
+        ]
+        code, replay = run_cli(capsys, "replay", str(report_path), "--no-timing")
+        assert code == 0
+        assert replay["results"]["reproduces"] is True
+        assert replay["results"]["results"]["partitions"] == results["partitions"]
 
     def test_allocate_with_document_tiebreak(self, capsys):
         code, report = run_cli(

@@ -6,7 +6,6 @@ from pbstages.core import ValidationError, subsets_ascending
 from pbstages.preferences import (
     allocation_value,
     best_allocations,
-    compare_allocations,
     ideal_set,
 )
 
@@ -43,20 +42,25 @@ class TestIdealSet:
 
 
 class TestCompare:
+    # preferences are total preorders: an agent compares allocations by value
     def test_overlap_prefers_larger_intersection(self):
         instance = make_instance([4, 4, 4, 6, 6, 3, 3, 3], 12)
         ideal = fs(6, 7, 8)
-        assert compare_allocations("overlap", ideal, fs(5, 6, 7), fs(1, 2, 3, 6), instance) == 1
+        first = allocation_value("overlap", ideal, fs(5, 6, 7), instance)
+        second = allocation_value("overlap", ideal, fs(1, 2, 3, 6), instance)
+        assert (first, second) == (2, 1)
 
     def test_cost_prefers_dearer_intersection(self):
         instance = make_instance([4, 4, 4, 6, 6, 3, 3, 3], 12)
         ideal = fs(6, 7, 8)
-        assert compare_allocations("cost", ideal, fs(5, 6, 7), fs(1, 2, 3, 6), instance) == 1
+        first = allocation_value("cost", ideal, fs(5, 6, 7), instance)
+        second = allocation_value("cost", ideal, fs(1, 2, 3, 6), instance)
+        assert (first, second) == (6, 3)
 
     def test_identical_allocations_equal(self):
         instance = unit_instance(3, 2)
         for model in ("overlap", "cost"):
-            assert compare_allocations(model, fs(1), fs(1, 2), fs(1, 2), instance) == 0
+            assert allocation_value(model, fs(1), fs(1, 2), instance) == 1
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValidationError):
@@ -67,10 +71,10 @@ class TestCompare:
         instance = unit_instance(5, 3)
         pool = subsets_ascending(instance.ids)
         for ideal in pool:
-            for first, second in itertools.product(pool, repeat=2):
-                assert compare_allocations(
-                    "overlap", ideal, first, second, instance
-                ) == compare_allocations("cost", ideal, first, second, instance)
+            for allocation in pool:
+                assert allocation_value("overlap", ideal, allocation, instance) == (
+                    allocation_value("cost", ideal, allocation, instance)
+                )
 
 
 class TestBestAllocations:
@@ -99,5 +103,5 @@ class TestBestAllocations:
             for ideal in subsets_ascending(instance.ids):
                 best = best_allocations(model, ideal, family, instance)
                 assert best
-                for a, b in itertools.combinations(best, 2):
-                    assert compare_allocations(model, ideal, a, b, instance) == 0
+                values = {allocation_value(model, ideal, a, instance) for a in best}
+                assert len(values) == 1

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbstages.core import Caps, ResourceLimitError, ValidationError
-from pbstages.oracles import equal_representation_oracle, k_median_oracle
+from pbstages.oracles import _flat_partitions, equal_representation_oracle, k_median_oracle
 from pbstages.preferences import ideal_set
 from pbstages.shortlisting import (
     Metric,
+    VoronoiPartition,
     _integer_score,
     equal_representation,
     euclidean_metric,
@@ -241,19 +242,11 @@ class TestMinimalRadius:
 
 
 class TestPartitionEnumerators:
-    # both partition generators are load-bearing for the oracle equivalence
-    # tests, so pin their counts to the known partition numbers
+    # the flat generator is load-bearing for the oracle equivalence tests,
+    # so pin its counts to the known partition numbers
     BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
-    def test_pruned_recursive_counts(self):
-        from pbstages.shortlisting import _set_partitions
-
-        for n, expected in self.BELL.items():
-            assert sum(1 for _ in _set_partitions(list(range(n)))) == expected
-
     def test_flat_oracle_counts(self):
-        from pbstages.oracles import _flat_partitions
-
         for n, expected in self.BELL.items():
             got = list(_flat_partitions(list(range(1, n + 1))))
             assert len(got) == expected
@@ -311,3 +304,59 @@ class TestKMedian:
             assert k_median(instance, proposals, k, metric) == (
                 k_median_oracle(instance, proposals, k, metric)
             )
+
+
+@st.composite
+def clustering_cases(draw):
+    """Unions of up to 8 projects, k in {1, 2, 3}, built for ties.
+
+    The metric is either Euclidean on an integer grid of side 1-3, so
+    projects coincide or sit equidistant, or a table with one distance for
+    every pair.
+    """
+    m = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 3))
+    costs = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    budget = draw(st.integers(max(costs), sum(costs)))
+    ids = list(range(1, m + 1))
+    if draw(st.booleans()):
+        side = draw(st.integers(1, 3))
+        point = st.tuples(st.integers(0, side), st.integers(0, side))
+        coords = draw(st.lists(point, min_size=m, max_size=m))
+        instance = make_instance(costs, budget, coords)
+        metric = euclidean_metric(instance)
+    else:
+        instance = make_instance(costs, budget)
+        value = draw(st.sampled_from([0.0, 1.0, 2.5]))
+        metric = table_metric(ids, [(a, b, value) for a in ids for b in ids if a < b])
+    block = st.frozensets(st.sampled_from(ids), min_size=1)
+    proposals = draw(st.lists(block, min_size=1, max_size=3))
+    return instance, tuple(proposals), k, metric
+
+
+def flat_minimal_partitions(instance, proposals, k, metric):
+    """The least radius and its valid partitions, by a scan of every set partition."""
+    union = sorted(set().union(*proposals))
+    valid = []
+    for blocks in _flat_partitions(union):
+        clusters = tuple(sorted((frozenset(b) for b in blocks), key=min))
+        partition = VoronoiPartition(
+            clusters, tuple(geometric_median(c, metric) for c in clusters)
+        )
+        radius = partition.radius(metric)
+        if partition.is_valid(instance, k, radius, metric):
+            valid.append((radius, partition))
+    ell = min(radius for radius, _ in valid)
+    found = [partition for radius, partition in valid if radius == ell]
+    return ell, sorted(found, key=lambda p: [sorted(c) for c in p.clusters])
+
+
+class TestKMedianProperties:
+    @settings(deadline=None, max_examples=80)
+    @given(clustering_cases())
+    def test_partitions_match_flat_scan(self, case):
+        instance, proposals, k, metric = case
+        outcome = k_median_outcome(instance, proposals, k, metric)
+        ell, partitions = flat_minimal_partitions(instance, proposals, k, metric)
+        assert outcome.ell == ell
+        assert list(outcome.partitions) == partitions
