@@ -53,9 +53,14 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--output", help="write the report to this file instead of stdout")
         p.add_argument("--no-timing", action="store_true", help="omit timing from the report")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled searches")
         for cap in dataclasses.fields(Caps):
             p.add_argument(f"--cap-{cap.name.replace('_', '-')}", type=int, default=cap.default)
+
+    def seed_flag(p: argparse.ArgumentParser) -> None:
+        # check-axiom and check-ssp read the seed.  allocate, end-to-end and
+        # paper-suite never sample, but their --no-timing report bytes, seed
+        # option included, are pinned by sha256.
+        p.add_argument("--seed", type=int, default=0, help="seed for sampled searches")
 
     def metric_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -80,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="canonical",
         help="use the scenario's priority tie-break list instead of the canonical rule",
     )
+    seed_flag(p)
     common(p)
 
     p = sub.add_parser("end-to-end", help="shortlist, then vote truthfully, then allocate")
@@ -87,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--allocation-rule", choices=ALLOCATION_RULES, required=True)
     metric_flag(p)
+    seed_flag(p)
     common(p)
 
     p = sub.add_parser(
@@ -116,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ballots (0 means 200)",
     )
     metric_flag(p)
+    seed_flag(p)
     common(p)
 
     p = sub.add_parser("check-ssp", help="search for a voting-stage manipulation")
@@ -127,6 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tiebreak", choices=("canonical", "document"), default="canonical"
     )
+    seed_flag(p)
     common(p)
 
     p = sub.add_parser("check-fssp", help="search for a proposal-stage manipulation")
@@ -145,6 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-timing", action="store_true")
 
     p = sub.add_parser("paper-suite", help="run every bundled fixture against its records")
+    seed_flag(p)
     common(p, needs_source=False)
 
     return parser

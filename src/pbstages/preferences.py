@@ -1,4 +1,4 @@
-"""Agent preferences: rankings, ideal sets, and allocation comparison models.
+"""Agent preferences: rankings, ideal sets, and the value of an allocation.
 
 An agent's preference over individual projects is a strict ranking of the
 whole universe.  Her ideal set on any available pool is the greedy-best
@@ -6,11 +6,16 @@ affordable subset w.r.t. that ranking, and it doubles as her truthful
 ballot.  Two models lift the ideal set to preferences over allocations:
 ``"overlap"`` counts the projects an allocation shares with the ideal set,
 ``"cost"`` sums their costs.
+
+This module is the one place that turns a ranking into an ideal set
+(:func:`ideal_set`) and an ideal set into a value (:func:`valuation`).
+A search checks the model once when it builds the value function of an
+ideal set, then calls that plain function in its loops.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from pbstages.core import Instance, ValidationError, greedy_select
 
@@ -42,45 +47,34 @@ def ideal_set(
 
     ``available`` defaults to all projects the ranking covers.  The ranking
     need not be a full permutation of the universe, but it must cover the
-    available pool.
+    available pool; :func:`~pbstages.core.greedy_select` checks that, and
+    that the pool lies in the instance.
     """
-    if available is None:
-        available = frozenset(ranking)
+    pool = frozenset(ranking if available is None else available)
+    return greedy_select(instance, pool, [pid for pid in ranking if pid in pool])
+
+
+def valuation(
+    model: str, ideal: frozenset[int], instance: Instance
+) -> Callable[[Iterable[int]], int]:
+    """The value function of an agent with ideal set ``ideal`` under ``model``.
+
+    It maps an allocation A to |A ∩ ideal| (``"overlap"``) or c(A ∩ ideal)
+    (``"cost"``).  Each ideal project's worth (1 or its cost) is looked up
+    once here, so the returned function does no checking of its own.
+    """
+    check_model(model)
+    if model == "overlap":
+        worth = dict.fromkeys(ideal, 1)
     else:
-        available = instance.check_subset(available, "available set")
-    restricted = [pid for pid in ranking if pid in available]
-    if set(restricted) != available:
-        raise ValidationError("ranking does not cover the available project set")
-    return greedy_select(instance, available, restricted)
+        worth = {pid: instance.cost(pid) for pid in ideal}
+    # Bound once: searches call the value function in their inner loops.
+    shared, worth_of = ideal.intersection, worth.__getitem__
+    return lambda allocation: sum(map(worth_of, shared(allocation)))
 
 
 def allocation_value(
     model: str, ideal: frozenset[int], allocation: Iterable[int], instance: Instance
 ) -> int:
     """Scalar worth of an allocation: |A ∩ ideal| or c(A ∩ ideal)."""
-    check_model(model)
-    shared = frozenset(allocation) & ideal
-    if model == "overlap":
-        return len(shared)
-    return instance.total_cost(shared)
-
-
-def best_allocations(
-    model: str,
-    ideal: frozenset[int],
-    family: Iterable[frozenset[int]],
-    instance: Instance,
-) -> list[frozenset[int]]:
-    """The undominated members of a family of allocations.
-
-    Since the preference is a total preorder this is the argmax set of
-    :func:`allocation_value`; the result is nonempty and returned in
-    canonical order (sorted id tuples).
-    """
-    family = {frozenset(a) for a in family}
-    if not family:
-        raise ValidationError("cannot pick best allocations from an empty family")
-    best = max(allocation_value(model, ideal, a, instance) for a in family)
-    chosen = [a for a in family if allocation_value(model, ideal, a, instance) == best]
-    return sorted(chosen, key=lambda a: tuple(sorted(a)))
-
+    return valuation(model, ideal, instance)(allocation)

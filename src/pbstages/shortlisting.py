@@ -90,12 +90,6 @@ def _level_weights(proposals: Sequence[frozenset[int]]) -> tuple[int, list[int]]
     return n * n**top, [n ** (top - level) for level in range(1, top + 1)]
 
 
-def _integer_score(subset: frozenset[int], proposals: Sequence[frozenset[int]]) -> int:
-    """:func:`representation_score` times n^H, from the search's integer weights."""
-    base, weights = _level_weights(proposals)
-    return base + sum(sum(weights[: len(subset & block)]) for block in proposals)
-
-
 def equal_representation(
     instance: Instance,
     proposals: Sequence[Iterable[int]],
@@ -109,7 +103,7 @@ def equal_representation(
     canonical family tie-breaking.
 
     Branch and bound over projects in ascending index order, on the score
-    scaled by n^H to integers (:func:`_integer_score`).  A node's bound is
+    scaled by n^H to integers (:func:`_level_weights`).  A node's bound is
     the fractional-knapsack (Dantzig) bound over the residual budget: the
     remaining projects that still fit, at their proposers' next marginal
     weight under the current counts, taken whole in order of exact

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Callable, Collection, Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from pbstages.core import (
     Caps,
@@ -26,13 +26,7 @@ from pbstages.core import (
     tiebreak_family,
 )
 from pbstages.allocation import score_kernel
-from pbstages.preferences import (
-    allocation_value,
-    best_allocations,
-    check_model,
-    check_ranking,
-    ideal_set,
-)
+from pbstages.preferences import check_model, check_ranking, ideal_set, valuation
 from pbstages.shortlisting import check_proposals, proposal_union
 from pbstages.verification import (
     COUNTEREXAMPLE,
@@ -42,7 +36,6 @@ from pbstages.verification import (
     PropertyVerdict,
     ShortlistRule,
     ids_list,
-    model_weights,
 )
 
 MODES = ("pessimistic", "optimistic", "anticipative")
@@ -116,7 +109,6 @@ class StageGame:
         return self.awareness[agent] | proposal_union(self.base_proposals())
 
     def top_on(self, agent: int, shortlist: Iterable[int]) -> frozenset[int]:
-        shortlist = self.instance.check_subset(shortlist, "shortlist")
         return ideal_set(self.instance, self.rankings[agent], shortlist)
 
 
@@ -132,9 +124,9 @@ def best_response(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Best ballot for ``agent`` against the others' fixed ballots.
 
-    Enumerates every ballot, keeps the outcomes the agent likes best under
-    her ideal set, canonically tie-breaks to a single target outcome, and
-    returns a canonical ballot achieving it together with that outcome.
+    Enumerates every ballot and targets the outcome of highest value under
+    her ideal set, canonically tie-broken among equal values; returns a
+    canonical ballot achieving it together with that outcome.
     """
     if len(instance) > caps.ballots:
         raise ResourceLimitError(
@@ -147,28 +139,10 @@ def best_response(
     achieved: dict[frozenset[int], list[frozenset[int]]] = {}
     for ballot in subsets_ascending(instance.ids):
         achieved.setdefault(cache.with_ballot(others, agent, ballot), []).append(ballot)
-    target = tiebreak_family(best_allocations(model, ideal, achieved, instance))
+    value = valuation(model, ideal, instance)
+    best = max(map(value, achieved))
+    target = tiebreak_family(outcome for outcome in achieved if value(outcome) == best)
     return tiebreak_family(achieved[target]), target
-
-
-def f_star(
-    rule: AllocationRule,
-    instance: Instance,
-    ballots: Sequence[frozenset[int]],
-    agent: int,
-    ranking: Sequence[int],
-    model: str,
-    caps: Caps = Caps(),
-) -> frozenset[int]:
-    """The rule's outcome after the agent swaps in her best response.
-
-    The best response is computed against the ideal set on this instance's
-    own shortlist; the agent's submitted ballot is irrelevant because it
-    is always replaced.
-    """
-    ideal = ideal_set(instance, [pid for pid in ranking if pid in instance])
-    _, outcome = best_response(rule, instance, ballots, agent, ideal, model, caps)
-    return outcome
 
 
 def _fstar_outcomes(
@@ -237,7 +211,7 @@ def _grid_outcomes(
     ids = instance.ids
     m = len(ids)
     costs = tuple(p.cost for p in instance.projects)
-    weight = model_weights(model, instance)
+    value = valuation(model, ideal, instance)
     side = agents + 1
     # Point t of {0..n}^m sits at index sum(t_j * side^(m-1-j)), the order
     # of itertools.product.
@@ -248,9 +222,8 @@ def _grid_outcomes(
         outcome = kernel(ids, costs, instance.budget, scores)
         key = key_of.get(outcome)
         if key is None:
-            value = sum(weight[pid] for pid in outcome & ideal)
             mask = sum(1 << (m - 1 - j) for j, pid in enumerate(ids) if pid in outcome)
-            key = key_of[outcome] = value << m | mask
+            key = key_of[outcome] = value(outcome) << m | mask
             outcome_of[key] = outcome
         keys.append(key)
     for j in range(m):
@@ -319,38 +292,6 @@ class ManipulationResult:
         return self.verdict == SUCCESSFUL
 
 
-def _manipulation_witness(
-    game: StageGame,
-    agent: int,
-    deviation: frozenset[int],
-    mode: str,
-    base_shortlist: frozenset[int],
-    dev_shortlist: frozenset[int],
-    ideal: frozenset[int],
-    base_profile: tuple[frozenset[int], ...] | None,
-    dev_profile: tuple[frozenset[int], ...] | None,
-    base_outcome: frozenset[int],
-    dev_outcome: frozenset[int],
-) -> dict:
-    return {
-        "kind": "first-stage-manipulation",
-        "agent": agent + 1,
-        "mode": mode,
-        "model": game.model,
-        "deviation": ids_list(deviation),
-        "baseline_proposal": ids_list(game.base_proposals()[agent]),
-        "baseline_shortlist": ids_list(base_shortlist),
-        "deviation_shortlist": ids_list(dev_shortlist),
-        "comparison_ideal": ids_list(ideal),
-        "baseline_profile": None if base_profile is None else [ids_list(b) for b in base_profile],
-        "deviation_profile": None if dev_profile is None else [ids_list(b) for b in dev_profile],
-        "baseline_outcome": ids_list(base_outcome),
-        "deviation_outcome": ids_list(dev_outcome),
-        "baseline_value": allocation_value(game.model, ideal, base_outcome, game.instance),
-        "deviation_value": allocation_value(game.model, ideal, dev_outcome, game.instance),
-    }
-
-
 class _Sides:
     """Each side of a game's manipulation checks, computed once per search.
 
@@ -387,9 +328,9 @@ class _Sides:
         if key not in self._anticipated:
             game = self.game
             profile = tuple(game.top_on(i, shortlist) for i in range(game.agents))
-            outcome = f_star(
+            _, outcome = best_response(
                 game.allocation_rule, game.instance.restrict(shortlist), profile, agent,
-                game.rankings[agent], game.model, self.caps,
+                profile[agent], game.model, self.caps,
             )
             self._anticipated[key] = profile, outcome
         return self._anticipated[key]
@@ -432,31 +373,45 @@ def check_manipulation(
     """
     check_mode(mode)
     deviation = game.instance.check_subset(deviation, "deviation")
-    return _check_deviation(_Sides(game, caps), game, agent, deviation, mode)
+    return _check_deviation(_Sides(game, caps), game.base_proposals(), agent, deviation, mode)
 
 
 def _check_deviation(
     sides: _Sides,
-    game: StageGame,
+    proposals: tuple[frozenset[int], ...],
     agent: int,
     deviation: frozenset[int],
     mode: str,
 ) -> ManipulationResult:
-    """:func:`check_manipulation` with each side looked up in ``sides``."""
-    proposals = game.base_proposals()
+    """:func:`check_manipulation` of ``sides.game`` from the baseline ``proposals``.
+
+    Each side is looked up in ``sides``.
+    """
+    game = sides.game
     base_shortlist = sides.shortlist(proposals)
     deviated = tuple(deviation if i == agent else p for i, p in enumerate(proposals))
     dev_shortlist = sides.shortlist(deviated)
     ideal = game.top_on(agent, base_shortlist | dev_shortlist)
+    value = valuation(game.model, ideal, game.instance)
 
-    def value(outcome: frozenset[int]) -> int:
-        return allocation_value(game.model, ideal, outcome, game.instance)
-
-    def witness(base_prof, dev_prof, base_out, dev_out):
-        return _manipulation_witness(
-            game, agent, deviation, mode, base_shortlist, dev_shortlist,
-            ideal, base_prof, dev_prof, base_out, dev_out,
-        )
+    def witness(base_profile, dev_profile, base_outcome, dev_outcome) -> dict:
+        return {
+            "kind": "first-stage-manipulation",
+            "agent": agent + 1,
+            "mode": mode,
+            "model": game.model,
+            "deviation": ids_list(deviation),
+            "baseline_proposal": ids_list(proposals[agent]),
+            "baseline_shortlist": ids_list(base_shortlist),
+            "deviation_shortlist": ids_list(dev_shortlist),
+            "comparison_ideal": ids_list(ideal),
+            "baseline_profile": [ids_list(b) for b in base_profile],
+            "deviation_profile": [ids_list(b) for b in dev_profile],
+            "baseline_outcome": ids_list(base_outcome),
+            "deviation_outcome": ids_list(dev_outcome),
+            "baseline_value": value(base_outcome),
+            "deviation_value": value(dev_outcome),
+        }
 
     if mode == "anticipative":
         base_profile, base_out = sides.anticipated(base_shortlist, agent)
@@ -507,7 +462,6 @@ def check_fssp(
     for agent in range(game.agents):
         truthful = game.truthful_proposal(agent, variant)
         baseline = tuple(truthful if i == agent else p for i, p in enumerate(proposals))
-        agent_game = replace(game, proposals=baseline)
         pool = game.deviation_pool(agent, variant)
         if len(pool) > caps.ballots:
             raise ResourceLimitError(
@@ -518,7 +472,7 @@ def check_fssp(
             if deviation == truthful:
                 continue
             checked += 1
-            result = _check_deviation(sides, agent_game, agent, deviation, mode)
+            result = _check_deviation(sides, baseline, agent, deviation, mode)
             if result.successful:
                 witness = dict(result.witness)
                 witness["variant"] = variant
@@ -664,9 +618,7 @@ def check_nomination_fssp_class(
 
                 def value_under(ideal):
                     if ideal not in values:
-                        values[ideal] = functools.cache(
-                            lambda o: allocation_value(model, ideal, o, instance)
-                        )
+                        values[ideal] = functools.cache(valuation(model, ideal, instance))
                     return values[ideal]
 
                 def outcomes_on(ranking, shortlist, n):

@@ -23,7 +23,7 @@ from pbstages.core import (
     subsets_ascending,
 )
 from pbstages.allocation import EXHAUSTIVE, classify_allocation, score_kernel
-from pbstages.preferences import allocation_value, check_model, ideal_set
+from pbstages.preferences import allocation_value, check_model, ideal_set, valuation
 from pbstages.shortlisting import check_proposals, proposal_union
 
 HOLDS = "holds-on-suite"
@@ -117,18 +117,16 @@ def find_representative_domination(
     proposals: Sequence[Iterable[int]],
     shortlist: Iterable[int],
     caps: Caps = Caps(),
-    search_universe: bool = False,
 ) -> frozenset[int] | None:
     """A no-costlier set giving every agent weakly more proposals, someone strictly more.
 
     The search space is the union of proposals: projects outside it
     intersect no proposal and every project costs at least 1, so adding
-    them can never help.  ``search_universe=True`` scans all projects
-    instead, which exists to validate that argument on small instances.
+    them can never help.
     """
     proposals = check_proposals(instance, proposals)
     shortlist = instance.check_subset(shortlist, "shortlist")
-    space = frozenset(instance.ids) if search_universe else proposal_union(proposals)
+    space = proposal_union(proposals)
     if len(space) > caps.domination:
         raise ResourceLimitError(
             f"domination search over {len(space)} projects exceeds the cap "
@@ -322,23 +320,16 @@ def repaired_value(
     return best
 
 
-def model_weights(model: str, instance: Instance) -> dict[int, int]:
-    """What each project adds to an allocation's value under ``model``.
+def repair_gain(
+    value: Callable[[Iterable[int]], int], ideal: frozenset[int], outcome: frozenset[int]
+) -> int:
+    """``repaired_value`` minus the outcome's value, in closed form.
 
-    ``allocation_value`` sums these over the allocation's ideal projects:
-    1 each for ``"overlap"``, the cost for ``"cost"``.
+    ``value`` is the agent's :func:`~pbstages.preferences.valuation`.  The
+    best single project to add is the worthiest ideal project the outcome
+    lacks; adding any other project adds nothing.
     """
-    check_model(model)
-    return {p.index: 1 if model == "overlap" else p.cost for p in instance.projects}
-
-
-def repair_gain(weights: dict[int, int], ideal: frozenset[int], outcome: frozenset[int]) -> int:
-    """``repaired_value`` minus ``allocation_value``, in closed form.
-
-    The best single project to add is the worthiest ideal project the
-    outcome lacks; adding any other project adds nothing.
-    """
-    return max((weights[pid] for pid in ideal - outcome), default=0)
+    return max((value((pid,)) for pid in ideal - outcome), default=0)
 
 
 def _sp_witness(
@@ -465,25 +456,25 @@ def _first_manipulation(
     """Witness of the first tried ballot that beats voting truthfully, and the count tried.
 
     In each ``(agent, ideal, profile, ballots to try)`` case the agent tries
-    each ballot in her slot of ``profile``.  The bar to beat depends only
-    on the ideal set and the truthful outcome, so it is computed once per pair.
+    each ballot in her slot of ``profile``.  Each ideal set's value function
+    is built once.  The bar to beat depends only on the ideal set and the
+    truthful outcome, so it is computed once per pair.
     """
     instance = outcome.instance
-    weight = model_weights(model, instance)
-
-    def value(ideal: frozenset[int], allocation: frozenset[int]) -> int:
-        return sum(map(weight.__getitem__, allocation & ideal))
-
+    values: dict[frozenset[int], Callable[[Iterable[int]], int]] = {}
     bars: dict[tuple[frozenset[int], frozenset[int]], int] = {}
     checked = 0
     for agent, ideal, profile, tried in cases:
+        value = values.get(ideal)
+        if value is None:
+            value = values[ideal] = valuation(model, ideal, instance)
         others = outcome.others(profile, agent)
         truthful = outcome.with_ballot(others, agent, ideal)
         bar = bars.get((ideal, truthful))
         if bar is None:
-            bar = value(ideal, truthful)
+            bar = value(truthful)
             if approximate:
-                bar += repair_gain(weight, ideal, truthful)
+                bar += repair_gain(value, ideal, truthful)
             bars[ideal, truthful] = bar
         worth = {}
         for ballot in tried:
@@ -491,7 +482,7 @@ def _first_manipulation(
             manipulated = outcome.with_ballot(others, agent, ballot)
             gain = worth.get(manipulated)
             if gain is None:
-                gain = worth[manipulated] = value(ideal, manipulated)
+                gain = worth[manipulated] = value(manipulated)
             if gain > bar:
                 witness = _sp_witness(
                     instance, agent, profile[:agent] + (ballot,) + profile[agent + 1 :],

@@ -104,6 +104,46 @@ class TestCommands:
         assert replay["results"]["reproduces"] is True
         assert replay["results"]["results"]["partitions"] == results["partitions"]
 
+    def test_metric_override(self, capsys, tmp_path):
+        # Projects at 0, 1 and 10 on a line: project 2 is the euclidean
+        # median of the three, project 1 the median under the table.
+        def scenario(name, metric_spec):
+            path = tmp_path / name
+            write_scenario(ScenarioDocument(
+                instance=Instance(
+                    [Project(1, 1, (0.0, 0.0)), Project(2, 1, (1.0, 0.0)),
+                     Project(3, 1, (10.0, 0.0))], 1,
+                ),
+                agents=(AgentSpec(1, (1, 2, 3)),),
+                proposals=(frozenset({1, 2, 3}),),
+                metric_spec=metric_spec,
+            ), path)
+            return str(path)
+
+        table = scenario("table.json", {
+            "kind": "table", "entries": [[1, 2, 1.0], [1, 3, 1.0], [2, 3, 2.0]],
+        })
+        shortlist = ["shortlist", "--rule", "k-median", "--k", "1", "--no-timing"]
+        code, report = run_cli(capsys, *shortlist, "--scenario", table)
+        assert code == 0
+        assert report["results"]["shortlist"] == [1]
+
+        report_path = tmp_path / "report.json"
+        assert main([
+            *shortlist, "--scenario", table, "--metric", "euclidean",
+            "--output", str(report_path),
+        ]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["results"]["shortlist"] == [2]
+        assert report["document"]["metric"] == {"kind": "euclidean"}
+        code, replay = run_cli(capsys, "replay", str(report_path), "--no-timing")
+        assert code == 0
+        assert replay["results"]["reproduces"] is True
+
+        coordinates_only = scenario("coords.json", None)
+        assert main([*shortlist, "--scenario", coordinates_only, "--metric", "table"]) == 2
+        assert "--metric table" in capsys.readouterr().err
+
     def test_allocate_with_document_tiebreak(self, capsys):
         code, report = run_cli(
             capsys,
@@ -206,6 +246,15 @@ class TestReplayAndStability:
             "--no-timing", "--output", str(report_path),
         ])
         assert code == 0
+        code, replay = run_cli(capsys, "replay", str(report_path), "--no-timing")
+        assert code == 0
+        assert replay["results"]["reproduces"] is True
+        # check-fssp never samples, so it has no --seed; a report written
+        # while it had one still replays.
+        data = json.loads(report_path.read_text())
+        assert "seed" not in data["options"]
+        data["options"]["seed"] = 5
+        report_path.write_text(json.dumps(data))
         code, replay = run_cli(capsys, "replay", str(report_path), "--no-timing")
         assert code == 0
         assert replay["results"]["reproduces"] is True

@@ -3,11 +3,7 @@ import itertools
 import pytest
 
 from pbstages.core import ValidationError, subsets_ascending
-from pbstages.preferences import (
-    allocation_value,
-    best_allocations,
-    ideal_set,
-)
+from pbstages.preferences import allocation_value, ideal_set, valuation
 
 from conftest import fs, make_instance, ranking_from, unit_instance
 
@@ -77,31 +73,17 @@ class TestCompare:
                 )
 
 
-class TestBestAllocations:
-    def test_single_winner(self):
-        instance = unit_instance(2, 1)
-        assert best_allocations("overlap", fs(1), [fs(1), fs(2)], instance) == [fs(1)]
-
-    def test_tie_returns_both(self):
-        instance = unit_instance(3, 1)
-        got = best_allocations("overlap", fs(1, 2), [fs(1), fs(2), fs(3)], instance)
-        assert got == [fs(1), fs(2)]
-
-    def test_cost_model_breaks_count_tie(self):
-        instance = make_instance([2, 1], 2)
-        got = best_allocations("cost", fs(1, 2), [fs(1), fs(2)], instance)
-        assert got == [fs(1)]
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(ValidationError):
-            best_allocations("overlap", fs(1), [], unit_instance(1, 1))
-
-    def test_members_pairwise_equal(self):
-        instance = make_instance([1, 2, 2, 3], 4)
-        family = subsets_ascending(instance.ids)
-        for model in ("overlap", "cost"):
-            for ideal in subsets_ascending(instance.ids):
-                best = best_allocations(model, ideal, family, instance)
-                assert best
-                values = {allocation_value(model, ideal, a, instance) for a in best}
-                assert len(values) == 1
+class TestValuation:
+    def test_matches_literal_definition(self):
+        # exhaustive over every ideal set and allocation on 5 mixed-cost projects
+        costs = {1: 3, 2: 1, 3: 2, 4: 1, 5: 4}
+        instance = make_instance(list(costs.values()), 6)
+        pool = subsets_ascending(instance.ids)
+        for ideal in pool:
+            overlap = valuation("overlap", ideal, instance)
+            cost = valuation("cost", ideal, instance)
+            for allocation in pool:
+                shared = set(allocation) & ideal
+                for given in (sorted(allocation), set(allocation), frozenset(allocation)):
+                    assert overlap(given) == len(shared)
+                    assert cost(given) == sum(costs[pid] for pid in shared)

@@ -11,7 +11,7 @@ from pbstages.preferences import ideal_set
 from pbstages.shortlisting import (
     Metric,
     VoronoiPartition,
-    _integer_score,
+    _level_weights,
     equal_representation,
     euclidean_metric,
     geometric_median,
@@ -155,9 +155,9 @@ class TestEqualRepresentationProperties:
         union = sorted(set().union(*proposals))
         subset = data.draw(st.frozensets(st.sampled_from(union)))
         n, top = len(proposals), max(map(len, proposals))
-        assert _integer_score(subset, proposals) == (
-            representation_score(subset, proposals) * n**top
-        )
+        base, weights = _level_weights(proposals)
+        integer_score = base + sum(sum(weights[: len(subset & block)]) for block in proposals)
+        assert integer_score == representation_score(subset, proposals) * n**top
 
 
 class TestMetric:

@@ -31,7 +31,6 @@ from pbstages.strategy import (
     check_fssp,
     check_manipulation,
     check_nomination_fssp_class,
-    f_star,
     fssp_cells,
     verify_fssp_implications,
 )
@@ -144,32 +143,31 @@ def plain_best_response(rule, instance, ballots, agent, ideal, model):
 
 
 class TestFStar:
+    """f*: the outcome once the agent swaps in her best response to everyone's ideal sets."""
+
     def test_withheld_favourite_second_stage(self):
         game = ten_project_game()
         shortlist = game.instance.restrict(fs(*range(2, 11)))
         tops = tuple(game.top_on(i, shortlist.ids) for i in range(5))
-        got = f_star(greedy_approval, shortlist, tops, 0, game.rankings[0], "overlap")
+        _, got = best_response(greedy_approval, shortlist, tops, 0, tops[0], "overlap")
         assert got == fs(2, 4, 5)
 
     def test_truthful_second_stage(self):
         game = ten_project_game()
         shortlist = game.instance.restrict(fs(*range(1, 10)))
         tops = tuple(game.top_on(i, shortlist.ids) for i in range(5))
-        got = f_star(greedy_approval, shortlist, tops, 0, game.rankings[0], "overlap")
+        _, got = best_response(greedy_approval, shortlist, tops, 0, tops[0], "overlap")
         assert got == fs(1, 2, 3)
 
     def test_never_worse_than_submitted_ballot(self):
         # replacing the agent's ballot with her best response can only help
         game = ten_project_game()
         shortlist = game.instance.restrict(fs(*range(1, 10)))
-        tops = list(game.top_on(i, shortlist.ids) for i in range(5))
-        from pbstages.preferences import allocation_value
-
-        star = f_star(greedy_approval, shortlist, tuple(tops), 0, game.rankings[0], "overlap")
-        plain = greedy_approval(shortlist, tuple(tops))
-        ideal = game.top_on(0, shortlist.ids)
-        assert allocation_value("overlap", ideal, star, shortlist) >= allocation_value(
-            "overlap", ideal, plain, shortlist
+        tops = tuple(game.top_on(i, shortlist.ids) for i in range(5))
+        _, star = best_response(greedy_approval, shortlist, tops, 0, tops[0], "overlap")
+        plain = greedy_approval(shortlist, tops)
+        assert allocation_value("overlap", tops[0], star, shortlist) >= allocation_value(
+            "overlap", tops[0], plain, shortlist
         )
 
 
