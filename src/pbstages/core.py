@@ -39,14 +39,18 @@ class Caps:
     domination : int
         Maximum union size for the representative-domination search.
     ballots : int
-        Maximum shortlist size for best-response ballot enumeration.
+        Maximum shortlist size for best-response ballot enumeration, and
+        maximum deviation pool size for a first-stage run.
     profiles : int
         Maximum number of full ballot profiles, (2^m)^n for m projects and
         n agents, that a single strategyproofness search may enumerate.
         The manipulator's own ballots count, since a best response tries
         each of them.  A first-stage search (one manipulation check or a
         whole strategyproofness run) charges each distinct (shortlist,
-        agent) side it computes once, and adds up those charges.
+        agent) side it computes once, and adds up those charges.  The
+        nomination class check holds each side it computes to the cap on
+        its own, and the unit-class check its whole class,
+        (2^max_projects)^max_agents.
     maximisers : int
         Maximum shortlist size when all score maximisers must be listed
         explicitly (only needed for priority tie-breaking).

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pbstages.core import Caps, ValidationError
 from pbstages.allocation import allocation_rule
-from pbstages.preferences import ideal_set
+from pbstages.preferences import truthful_ballots
 from pbstages.scenario import ScenarioDocument
 from pbstages.shortlisting import (
     equal_representation,
@@ -63,14 +63,6 @@ def shortlist_rule_for(doc: ScenarioDocument, name: str, k: int | None, caps: Ca
     raise ValidationError(f"unknown shortlisting rule {name!r}")
 
 
-def truthful_ballots(doc: ScenarioDocument, instance):
-    """Each agent's ideal set on ``instance``: the truthful ballot profile."""
-    return tuple(
-        ideal_set(instance, [p for p in agent.ranking if p in instance])
-        for agent in doc.agents
-    )
-
-
 def stage_game(doc: ScenarioDocument, options: Options, caps: Caps) -> StageGame:
     return StageGame(
         instance=doc.instance,
@@ -118,9 +110,9 @@ def _allocate(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
     base = doc.instance if shortlist in (None, "all") else doc.instance.restrict(shortlist)
     ballots = options.get("ballots")
     if ballots is None:
-        ballots = doc.ballots or truthful_ballots(doc, base)
+        ballots = doc.ballots or truthful_ballots(base, doc.rankings)
     elif ballots == "truthful":
-        ballots = truthful_ballots(doc, base)
+        ballots = truthful_ballots(base, doc.rankings)
     else:
         ballots = tuple(base.check_subset(b, "ballots") for b in ballots)
     return {

@@ -4,6 +4,8 @@ Each oracle recomputes a rule's output by the most direct route available
 (flat subset scans, flat partition scans, or recomposition from the core
 primitives) without any of the pruning or forcing tricks the production
 implementations use.  They exist to be slow and obviously correct.
+``repaired_value`` does the same for the approximate strategyproofness
+bar, without the valuation code the search uses.
 """
 
 from __future__ import annotations
@@ -163,3 +165,16 @@ def maximum_score_oracle(instance: Instance, ballots: Sequence[Iterable[int]]) -
         if instance.total_cost(subset) <= instance.budget:
             best = max(best, sum(scores[pid] for pid in subset))
     return best
+
+
+def repaired_value(
+    model: str, ideal: frozenset[int], outcome: frozenset[int], instance: Instance
+) -> int:
+    """Best value of the outcome augmented with one arbitrary project, by a plain scan.
+
+    An allocation is worth the number (``"overlap"``) or the total cost
+    (``"cost"``) of the ideal projects it holds.
+    """
+    worth = {"overlap": len, "cost": instance.total_cost}[model]
+    candidates = [outcome, *(outcome | {pid} for pid in instance.ids)]
+    return max(worth(ideal & allocation) for allocation in candidates)

@@ -54,6 +54,20 @@ def ideal_set(
     return greedy_select(instance, pool, [pid for pid in ranking if pid in pool])
 
 
+def truthful_ballots(
+    instance: Instance, rankings: Iterable[Sequence[int]]
+) -> tuple[frozenset[int], ...]:
+    """Each agent's ideal set on ``instance``: the truthful ballot profile.
+
+    A ranking may leave projects of the instance out or name projects
+    outside it; each agent chooses among the projects she ranks that the
+    instance holds.
+    """
+    return tuple(
+        ideal_set(instance, [pid for pid in ranking if pid in instance]) for ranking in rankings
+    )
+
+
 def valuation(
     model: str, ideal: frozenset[int], instance: Instance
 ) -> Callable[[Iterable[int]], int]:
@@ -71,10 +85,3 @@ def valuation(
     # Bound once: searches call the value function in their inner loops.
     shared, worth_of = ideal.intersection, worth.__getitem__
     return lambda allocation: sum(map(worth_of, shared(allocation)))
-
-
-def allocation_value(
-    model: str, ideal: frozenset[int], allocation: Iterable[int], instance: Instance
-) -> int:
-    """Scalar worth of an allocation: |A ∩ ideal| or c(A ∩ ideal)."""
-    return valuation(model, ideal, instance)(allocation)

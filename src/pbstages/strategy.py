@@ -62,7 +62,8 @@ class StageGame:
     """Everything a two-stage manipulation check needs.
 
     ``proposals`` is the baseline proposal profile; when omitted, every
-    agent proposes the ideal set of her awareness set.
+    agent proposes the ideal set of her awareness set, and that profile
+    is stored in its place.
     """
 
     instance: Instance
@@ -86,18 +87,15 @@ class StageGame:
         # checked here; scenario files are validated more strictly.
         if self.proposals is not None:
             check_proposals(self.instance, self.proposals)
+        else:
+            object.__setattr__(self, "proposals", tuple(
+                ideal_set(self.instance, ranking, aware)
+                for ranking, aware in zip(self.rankings, self.awareness)
+            ))
 
     @property
     def agents(self) -> int:
         return len(self.rankings)
-
-    def base_proposals(self) -> tuple[frozenset[int], ...]:
-        if self.proposals is not None:
-            return self.proposals
-        return tuple(
-            ideal_set(self.instance, ranking, aware)
-            for ranking, aware in zip(self.rankings, self.awareness)
-        )
 
     def truthful_proposal(self, agent: int, variant: str) -> frozenset[int]:
         """The proposal an honest agent submits, per deviation variant."""
@@ -106,7 +104,7 @@ class StageGame:
     def deviation_pool(self, agent: int, variant: str) -> frozenset[int]:
         if check_variant(variant) == "restricted":
             return self.awareness[agent]
-        return self.awareness[agent] | proposal_union(self.base_proposals())
+        return self.awareness[agent] | proposal_union(self.proposals)
 
     def top_on(self, agent: int, shortlist: Iterable[int]) -> frozenset[int]:
         return ideal_set(self.instance, self.rankings[agent], shortlist)
@@ -165,13 +163,10 @@ def _fstar_outcomes(
 
     A rule with a score kernel is solved on the score-vector grid
     (:func:`_grid_outcomes`); any other rule, the oracles included, by
-    enumerating the others' profiles in order.
+    enumerating the others' profiles in order.  Callers charge the (2^m)^n
+    profiles against ``caps.profiles``; ``caps.ballots`` bounds each best
+    response of the ordered path.
     """
-    space = (2 ** len(instance)) ** agents
-    if space > caps.profiles:
-        raise ResourceLimitError(
-            f"profile enumeration needs {space} profiles, exceeding the cap of {caps.profiles}"
-        )
     kernel = score_kernel(rule)
     if kernel is not None:
         return _grid_outcomes(kernel, instance, agents, agent, ideal, model)
@@ -373,7 +368,7 @@ def check_manipulation(
     """
     check_mode(mode)
     deviation = game.instance.check_subset(deviation, "deviation")
-    return _check_deviation(_Sides(game, caps), game.base_proposals(), agent, deviation, mode)
+    return _check_deviation(_Sides(game, caps), game.proposals, agent, deviation, mode)
 
 
 def _check_deviation(
@@ -455,7 +450,7 @@ def check_fssp(
     """
     check_variant(variant)
     check_mode(mode)
-    proposals = game.base_proposals()
+    proposals = game.proposals
     sides = _Sides(game, caps)
     checked = 0
     params = {"variant": variant, "mode": mode, "model": game.model}
@@ -576,7 +571,9 @@ def check_nomination_fssp_class(
     score vectors (so the manipulator's position is irrelevant), and the
     other agents' preference orders never enter an exact pessimistic or
     optimistic verdict, which makes this reduced enumeration exhaustive
-    for the full class.
+    for the full class.  Each side is charged its (2^m)^n profiles when
+    first computed, and a side past ``caps.profiles`` raises
+    ``ResourceLimitError``.
     """
     check_model(model)
     check_mode(mode)
@@ -596,87 +593,87 @@ def check_nomination_fssp_class(
         "costs": list(costs),
         "max_budget": max_budget,
     }
-
-    for m in range(1, max_projects + 1):
-        for cost_vector in itertools.product(costs, repeat=m):
-            for budget in range(max(cost_vector), max_budget + 1):
-                instance = Instance(
-                    [Project(i + 1, c) for i, c in enumerate(cost_vector)], budget
-                )
-                ids = instance.ids
-                ideals: dict[tuple, frozenset[int]] = {}
-                values: dict[frozenset[int], Callable[[frozenset[int]], int]] = {}
-                outcomes: dict[tuple, dict] = {}
-                verdicts: dict[tuple, str] = {}
-                subsets: dict[frozenset[int], list[frozenset[int]]] = {}
-
-                def ideal_on(ranking, available):
-                    key = (ranking, available)
-                    if key not in ideals:
-                        ideals[key] = ideal_set(instance, ranking, available)
-                    return ideals[key]
-
-                def value_under(ideal):
-                    if ideal not in values:
-                        values[ideal] = functools.cache(valuation(model, ideal, instance))
-                    return values[ideal]
-
-                def outcomes_on(ranking, shortlist, n):
-                    ideal = ideal_on(ranking, shortlist)
-                    key = (shortlist, ideal, n)
-                    if key not in outcomes:
-                        outcomes[key] = _fstar_outcomes(
-                            allocation_rule, instance.restrict(shortlist),
-                            n, 0, ideal, model, caps,
-                        )
-                    return outcomes[key]
-
-                def judge(ranking, base_short, dev_short, n):
-                    base = outcomes_on(ranking, base_short, n)
-                    dev = outcomes_on(ranking, dev_short, n)
-                    value = value_under(ideal_on(ranking, base_short | dev_short))
-                    verdict, _ = _judge_outcomes(mode, base, dev, value)
-                    verdicts[ranking, base_short, dev_short, n] = verdict
-                    return verdict
-
-                for n in range(1, max_agents + 1):
-                    other_unions = subsets_ascending(ids) if n > 1 else [frozenset()]
-                    for ranking in itertools.permutations(ids):
-                        for union in other_unions:
-                            for pool in subsets_ascending(frozenset(ids) - union):
-                                aware = pool | union
-                                truthful = ideal_on(ranking, aware)
-                                base_short = union | truthful
-                                if aware not in subsets:
-                                    subsets[aware] = subsets_ascending(aware)
-                                for deviation in subsets[aware]:
-                                    if deviation == truthful:
-                                        continue
-                                    checked += 1
-                                    dev_short = union | deviation
-                                    verdict = verdicts.get((ranking, base_short, dev_short, n))
-                                    if verdict is None:
-                                        verdict = judge(ranking, base_short, dev_short, n)
-                                    if verdict == SUCCESSFUL:
-                                        witness = {
-                                            "kind": "first-stage-manipulation",
-                                            "rule": "nomination",
-                                            "mode": mode,
-                                            "model": model,
-                                            "instance": {
-                                                "costs": list(cost_vector),
-                                                "budget": budget,
-                                            },
-                                            "agents": n,
-                                            "ranking": list(ranking),
-                                            "others_union": ids_list(union),
-                                            "awareness_pool": ids_list(aware),
-                                            "truthful_proposal": ids_list(truthful),
-                                            "deviation": ids_list(deviation),
-                                            "baseline_shortlist": ids_list(base_short),
-                                            "deviation_shortlist": ids_list(dev_short),
-                                        }
-                                        return PropertyVerdict(
-                                            COUNTEREXAMPLE, witness, True, checked, params
-                                        )
+    subsets = functools.cache(subsets_ascending)
+    instances = (
+        Instance([Project(i + 1, c) for i, c in enumerate(cost_vector)], budget)
+        for m in range(1, max_projects + 1)
+        for cost_vector in itertools.product(costs, repeat=m)
+        for budget in range(max(cost_vector), max_budget + 1)
+    )
+    for instance in instances:
+        ideal, successful = _nomination_verdicts(allocation_rule, instance, model, mode, caps)
+        ids = frozenset(instance.ids)
+        cases = (
+            (n, ranking, union, union | pool)
+            for n in range(1, max_agents + 1)
+            for ranking in itertools.permutations(instance.ids)
+            for union in (subsets(ids) if n > 1 else [frozenset()])
+            for pool in subsets(ids - union)
+        )
+        for n, ranking, union, aware in cases:
+            truthful = ideal(ranking, aware)
+            for deviation in subsets(aware):
+                if deviation == truthful:
+                    continue
+                checked += 1
+                if successful(ranking, union | truthful, union | deviation, n):
+                    witness = {
+                        "kind": "first-stage-manipulation",
+                        "rule": "nomination",
+                        "mode": mode,
+                        "model": model,
+                        "instance": {
+                            "costs": [p.cost for p in instance.projects],
+                            "budget": instance.budget,
+                        },
+                        "agents": n,
+                        "ranking": list(ranking),
+                        "others_union": ids_list(union),
+                        "awareness_pool": ids_list(aware),
+                        "truthful_proposal": ids_list(truthful),
+                        "deviation": ids_list(deviation),
+                        "baseline_shortlist": ids_list(union | truthful),
+                        "deviation_shortlist": ids_list(union | deviation),
+                    }
+                    return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     return PropertyVerdict(HOLDS, None, True, checked, params)
+
+
+def _nomination_verdicts(
+    rule: AllocationRule, instance: Instance, model: str, mode: str, caps: Caps
+) -> tuple[Callable[..., frozenset[int]], Callable[..., bool]]:
+    """Cached ideal sets and verdicts on one instance of the nomination class.
+
+    ``ideal(ranking, pool)`` is the ideal set on a pool, and
+    ``successful(ranking, baseline, deviation, n)`` whether moving from
+    the baseline shortlist to the deviation shortlist pays off for an
+    agent with that ranking among n.  A side, every best-response outcome
+    on a shortlist, depends only on the shortlist, the manipulator's ideal
+    set on it and n, and is computed once.
+    """
+    ideal = functools.cache(functools.partial(ideal_set, instance))
+    value = functools.cache(lambda top: functools.cache(valuation(model, top, instance)))
+
+    @functools.cache
+    def side(shortlist: frozenset[int], top: frozenset[int], n: int) -> dict:
+        space = (2 ** len(shortlist)) ** n
+        if space > caps.profiles:
+            raise ResourceLimitError(
+                f"nomination class side needs {space} profiles, exceeding the cap "
+                f"of {caps.profiles}"
+            )
+        return _fstar_outcomes(rule, instance.restrict(shortlist), n, 0, top, model, caps)
+
+    @functools.cache
+    def successful(
+        ranking: tuple[int, ...], base: frozenset[int], dev: frozenset[int], n: int
+    ) -> bool:
+        verdict, _ = _judge_outcomes(
+            mode,
+            side(base, ideal(ranking, base), n),
+            side(dev, ideal(ranking, dev), n),
+            value(ideal(ranking, base | dev)),
+        )
+        return verdict == SUCCESSFUL
+
+    return ideal, successful

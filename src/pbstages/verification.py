@@ -23,7 +23,7 @@ from pbstages.core import (
     subsets_ascending,
 )
 from pbstages.allocation import EXHAUSTIVE, classify_allocation, score_kernel
-from pbstages.preferences import allocation_value, check_model, ideal_set, valuation
+from pbstages.preferences import check_model, truthful_ballots, valuation
 from pbstages.shortlisting import check_proposals, proposal_union
 
 HOLDS = "holds-on-suite"
@@ -307,56 +307,17 @@ class OutcomeCache:
         return outcome
 
 
-def repaired_value(
-    model: str, ideal: frozenset[int], outcome: frozenset[int], instance: Instance
-) -> int:
-    """Best value of the outcome augmented with one arbitrary project."""
-    base = allocation_value(model, ideal, outcome, instance)
-    best = base
-    for pid in instance.ids:
-        value = allocation_value(model, ideal, outcome | {pid}, instance)
-        if value > best:
-            best = value
-    return best
-
-
 def repair_gain(
     value: Callable[[Iterable[int]], int], ideal: frozenset[int], outcome: frozenset[int]
 ) -> int:
-    """``repaired_value`` minus the outcome's value, in closed form.
+    """The most that adding one arbitrary project to ``outcome`` gains the agent.
 
     ``value`` is the agent's :func:`~pbstages.preferences.valuation`.  The
     best single project to add is the worthiest ideal project the outcome
-    lacks; adding any other project adds nothing.
+    lacks; adding any other project adds nothing.  The approximate bar,
+    and a witness's ``repaired_value``, is ``value(outcome)`` plus this gain.
     """
     return max((value((pid,)) for pid in ideal - outcome), default=0)
-
-
-def _sp_witness(
-    instance: Instance,
-    agent: int,
-    profile: tuple[frozenset[int], ...],
-    ideal: frozenset[int],
-    truthful_outcome: frozenset[int],
-    manipulated_outcome: frozenset[int],
-    model: str,
-    approximate: bool,
-) -> dict:
-    truthful_value = allocation_value(model, ideal, truthful_outcome, instance)
-    return {
-        "kind": "second-stage-manipulation",
-        "instance": instance_payload(instance),
-        "agent": agent + 1,
-        "model": model,
-        "approximate": approximate,
-        "profile": [ids_list(b) for b in profile],
-        "ideal": ids_list(ideal),
-        "truthful_outcome": ids_list(truthful_outcome),
-        "manipulated_outcome": ids_list(manipulated_outcome),
-        "truthful_value": truthful_value,
-        "repaired_value": repaired_value(model, ideal, truthful_outcome, instance),
-        "manipulated_value": allocation_value(model, ideal, manipulated_outcome, instance),
-    }
 
 
 def check_second_stage_sp(
@@ -385,8 +346,9 @@ def check_second_stage_sp(
     - ``"full"``: enumerate every profile and manipulator (exact; capped).
     - ``"fixed-others"``: other agents keep the scenario ballots (their
       truthful ideal sets unless ``ballots`` is given) while the
-      manipulator's ballot is enumerated exhaustively (exact for that
-      slice of the space).
+      manipulator tries every ballot, or each of ``deviations`` when
+      given (exact for that slice of the space).  Other modes refuse
+      ``deviations``.
     - ``"sample"``: seeded random profiles; can only refute, never prove.
     - ``"auto"``: ``"full"`` when the profile space fits the cap,
       otherwise ``"fixed-others"``.
@@ -396,13 +358,17 @@ def check_second_stage_sp(
     if n == 0:
         raise ValidationError("strategyproofness needs at least one agent")
     ids = instance.ids
-    tops = [ideal_set(instance, _restrict_ranking(ranking, instance)) for ranking in rankings]
+    tops = truthful_ballots(instance, rankings)
     agent_pool = list(range(n)) if agents is None else _check_agents(agents, n)
     full_space = (2 ** len(ids)) ** n
     if search == "auto":
         search = "full" if full_space <= caps.profiles else "fixed-others"
     if search not in ("full", "fixed-others", "sample"):
         raise ValidationError(f"unknown search mode {search!r}")
+    if deviations is not None and search != "fixed-others":
+        raise ValidationError(
+            f"a deviation list applies only to the fixed-others search, not to {search!r}"
+        )
     if search == "sample" and samples < 1:
         raise ValidationError(f"sampled search needs at least one sample, got {samples}")
     if search == "full" and full_space > caps.profiles:
@@ -457,8 +423,9 @@ def _first_manipulation(
 
     In each ``(agent, ideal, profile, ballots to try)`` case the agent tries
     each ballot in her slot of ``profile``.  Each ideal set's value function
-    is built once.  The bar to beat depends only on the ideal set and the
-    truthful outcome, so it is computed once per pair.
+    is built once, and the witness reports its values.  The bar to beat
+    depends only on the ideal set and the truthful outcome, so it is
+    computed once per pair.
     """
     instance = outcome.instance
     values: dict[frozenset[int], Callable[[Iterable[int]], int]] = {}
@@ -484,10 +451,23 @@ def _first_manipulation(
             if gain is None:
                 gain = worth[manipulated] = value(manipulated)
             if gain > bar:
-                witness = _sp_witness(
-                    instance, agent, profile[:agent] + (ballot,) + profile[agent + 1 :],
-                    ideal, truthful, manipulated, model, approximate,
-                )
+                truthful_value = value(truthful)
+                witness = {
+                    "kind": "second-stage-manipulation",
+                    "instance": instance_payload(instance),
+                    "agent": agent + 1,
+                    "model": model,
+                    "approximate": approximate,
+                    "profile": [
+                        ids_list(ballot if i == agent else b) for i, b in enumerate(profile)
+                    ],
+                    "ideal": ids_list(ideal),
+                    "truthful_outcome": ids_list(truthful),
+                    "manipulated_outcome": ids_list(manipulated),
+                    "truthful_value": truthful_value,
+                    "repaired_value": truthful_value + repair_gain(value, ideal, truthful),
+                    "manipulated_value": gain,
+                }
                 return witness, checked
     return None, checked
 
@@ -511,10 +491,6 @@ def _sampled_cases(rng: Random, items: list[int], tops: list, samples: int, agen
         )
         for agent in agent_pool:
             yield agent, tops[agent], profile, (profile[agent],)
-
-
-def _restrict_ranking(ranking: Sequence[int], instance: Instance) -> tuple[int, ...]:
-    return tuple(pid for pid in ranking if pid in instance)
 
 
 def check_sp_over_unit_class(

@@ -197,6 +197,34 @@ class TestCommands:
         assert code == 0
         assert report["results"]["verdict"]["status"] == "holds-on-suite"
 
+    def test_check_axiom_kmedian_domination_witness(self, capsys):
+        code, report = run_cli(
+            capsys,
+            "check-axiom", "--fixture", "kmedian-domination",
+            "--axiom", "representation-efficiency", "--rule", "k-median", "--k", "1",
+            "--no-timing",
+        )
+        assert code == 0
+        verdict = report["results"]["verdict"]
+        assert verdict["status"] == "counterexample-found" and verdict["checked"] == 1
+        witness = verdict["witness"]
+        assert (witness["shortlist"], witness["dominating_set"]) == ([1, 3], [2, 3])
+        coords = {"1": [0.0, 0.0], "2": [1.0, 0.0], "3": [10.0, 0.0]}
+        assert witness["instance"]["coords"] == coords
+
+    def test_check_axiom_shortlisting_suite(self, capsys):
+        # The scenario's proposal profile plus 50 seeded random cases.
+        code, report = run_cli(
+            capsys,
+            "check-axiom", "--fixture", "example1",
+            "--axiom", "non-wasteful", "--rule", "nomination",
+            "--suite", "50", "--no-timing",
+        )
+        assert code == 0
+        verdict = report["results"]["verdict"]
+        assert verdict["status"] == "holds-on-suite" and verdict["checked"] == 51
+        assert verdict["params"]["suite"] == 50
+
     def test_check_axiom_allocation_suite(self, capsys):
         code, report = run_cli(
             capsys,

@@ -7,14 +7,22 @@ import pbstages
 PACKAGE = Path(pbstages.__file__).parent
 
 
-def imported_top_levels(path):
+def imported_modules(path):
+    """Every module a file imports, ``from m import x`` as both m and m.x."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield alias.name.partition(".")[0]
+            yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             # A relative import stays inside the package.
-            yield "pbstages" if node.level else node.module.partition(".")[0]
+            module = node.module or ""
+            if node.level:
+                module = f"pbstages.{module}".rstrip(".")
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def imported_top_levels(path):
+    return {name.partition(".")[0] for name in imported_modules(path)}
 
 
 def test_package_imports_only_the_standard_library():
@@ -29,3 +37,14 @@ def test_package_imports_only_the_standard_library():
         if name != "pbstages" and name not in sys.stdlib_module_names
     }
     assert not foreign
+
+
+def test_only_the_oracles_module_imports_the_oracles():
+    # An oracle is the independent reference for the code it checks, so no
+    # production module may build on one.
+    importers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "pbstages.oracles" in set(imported_modules(path))
+    }
+    assert importers <= {"oracles.py"}

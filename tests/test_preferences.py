@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from pbstages.core import ValidationError, subsets_ascending
-from pbstages.preferences import allocation_value, ideal_set, valuation
+from pbstages.preferences import ideal_set, truthful_ballots, valuation
 
 from conftest import fs, make_instance, ranking_from, unit_instance
 
@@ -42,35 +42,41 @@ class TestCompare:
     def test_overlap_prefers_larger_intersection(self):
         instance = make_instance([4, 4, 4, 6, 6, 3, 3, 3], 12)
         ideal = fs(6, 7, 8)
-        first = allocation_value("overlap", ideal, fs(5, 6, 7), instance)
-        second = allocation_value("overlap", ideal, fs(1, 2, 3, 6), instance)
-        assert (first, second) == (2, 1)
+        value = valuation("overlap", ideal, instance)
+        assert (value(fs(5, 6, 7)), value(fs(1, 2, 3, 6))) == (2, 1)
 
     def test_cost_prefers_dearer_intersection(self):
         instance = make_instance([4, 4, 4, 6, 6, 3, 3, 3], 12)
         ideal = fs(6, 7, 8)
-        first = allocation_value("cost", ideal, fs(5, 6, 7), instance)
-        second = allocation_value("cost", ideal, fs(1, 2, 3, 6), instance)
-        assert (first, second) == (6, 3)
+        value = valuation("cost", ideal, instance)
+        assert (value(fs(5, 6, 7)), value(fs(1, 2, 3, 6))) == (6, 3)
 
     def test_identical_allocations_equal(self):
         instance = unit_instance(3, 2)
         for model in ("overlap", "cost"):
-            assert allocation_value(model, fs(1), fs(1, 2), instance) == 1
+            assert valuation(model, fs(1), instance)(fs(1, 2)) == 1
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValidationError):
-            allocation_value("median", fs(1), fs(1), unit_instance(1, 1))
+            valuation("median", fs(1), unit_instance(1, 1))
 
     def test_models_coincide_on_unit_costs(self):
         # exhaustive over all ideal/allocation triples on 5 unit-cost projects
         instance = unit_instance(5, 3)
         pool = subsets_ascending(instance.ids)
         for ideal in pool:
+            overlap = valuation("overlap", ideal, instance)
+            cost = valuation("cost", ideal, instance)
             for allocation in pool:
-                assert allocation_value("overlap", ideal, allocation, instance) == (
-                    allocation_value("cost", ideal, allocation, instance)
-                )
+                assert overlap(allocation) == cost(allocation)
+
+
+class TestTruthfulBallots:
+    def test_rankings_partial_or_wider_than_instance(self):
+        # Each agent chooses among the projects she ranks that the instance holds.
+        shortlist = unit_instance(3, 2).restrict(fs(2, 3))
+        rankings = [(1, 2, 3), (3,), (3, 1)]
+        assert truthful_ballots(shortlist, rankings) == (fs(2, 3), fs(3), fs(3))
 
 
 class TestValuation:

@@ -23,7 +23,7 @@ from pbstages.allocation import (
     score_kernel,
 )
 from pbstages.oracles import approval_maximising_oracle, greedy_approval_oracle
-from pbstages.preferences import allocation_value, ideal_set
+from pbstages.preferences import ideal_set, valuation
 from pbstages.shortlisting import equal_representation, euclidean_metric, k_median, nomination
 from pbstages.strategy import (
     StageGame,
@@ -136,7 +136,8 @@ def plain_best_response(rule, instance, ballots, agent, ideal, model):
     for ballot in subsets_ascending(instance.ids):
         profile = tuple(ballot if i == agent else b for i, b in enumerate(ballots))
         reached[ballot] = rule(instance, profile)
-    worth = {o: allocation_value(model, ideal, o, instance) for o in reached.values()}
+    value = valuation(model, ideal, instance)
+    worth = {o: value(o) for o in reached.values()}
     top = max(worth.values())
     target = tiebreak_family(o for o, w in worth.items() if w == top)
     return tiebreak_family(b for b, o in reached.items() if o == target), target
@@ -166,9 +167,8 @@ class TestFStar:
         tops = tuple(game.top_on(i, shortlist.ids) for i in range(5))
         _, star = best_response(greedy_approval, shortlist, tops, 0, tops[0], "overlap")
         plain = greedy_approval(shortlist, tops)
-        assert allocation_value("overlap", tops[0], star, shortlist) >= allocation_value(
-            "overlap", tops[0], plain, shortlist
-        )
+        value = valuation("overlap", tops[0], shortlist)
+        assert value(star) >= value(plain)
 
 
 class TestFStarOutcomes:
@@ -378,6 +378,15 @@ class TestCheckFssp:
         verdict = check_fssp(game, "restricted", "pessimistic", Caps(profiles=800))
         assert verdict.to_jsonable() == check_fssp(game, "restricted", "pessimistic").to_jsonable()
 
+    def test_deviation_pool_cap(self):
+        # Restricted pools are the 3-project awareness sets; unrestricted
+        # pools add the other agent's proposal, 4 projects in all.
+        game = four_project_game()
+        with pytest.raises(ResourceLimitError, match="deviation enumeration"):
+            check_fssp(game, "unrestricted", "pessimistic", Caps(ballots=3))
+        verdict = check_fssp(game, "restricted", "pessimistic", Caps(ballots=3))
+        assert verdict.to_jsonable() == check_fssp(game, "restricted", "pessimistic").to_jsonable()
+
     def test_witness_replays(self):
         game = ten_project_game()
         verdict = check_fssp(game, "restricted", "anticipative")
@@ -460,6 +469,18 @@ class TestNominationClassCheck:
             max_projects=2, max_agents=2, costs=(1,), max_budget=2,
         )
         assert verdict.holds and verdict.exact
+
+    def test_each_side_charged_against_profile_cap(self):
+        # The largest side is a 2-project shortlist among 2 agents: (2^2)^2 = 16.
+        def check(profiles):
+            return check_nomination_fssp_class(
+                greedy_approval, "overlap", "pessimistic", max_projects=2, max_agents=2,
+                costs=(1,), max_budget=2, caps=Caps(profiles=profiles),
+            )
+
+        with pytest.raises(ResourceLimitError):
+            check(15)
+        assert check(16).holds
 
     def test_anticipative_mode_rejected(self):
         with pytest.raises(ValidationError):

@@ -9,8 +9,12 @@ from hypothesis import given, settings, strategies as st
 from pbstages.core import Caps, ResourceLimitError, ValidationError
 from pbstages.allocation import allocation_rule, greedy_approval
 from pbstages.fixtures import load_fixture
-from pbstages.oracles import approval_maximising_oracle, greedy_approval_oracle
-from pbstages.preferences import allocation_value, ideal_set, valuation
+from pbstages.oracles import (
+    approval_maximising_oracle,
+    greedy_approval_oracle,
+    repaired_value,
+)
+from pbstages.preferences import ideal_set, valuation
 from pbstages.shortlisting import equal_representation, nomination
 from pbstages.suites import (
     allocation_cases,
@@ -33,7 +37,6 @@ from pbstages.verification import (
     check_sp_over_unit_class,
     find_representative_domination,
     repair_gain,
-    repaired_value,
     unit_split,
 )
 
@@ -185,6 +188,51 @@ class TestSecondStageSp:
         )
         assert verdict.params["search"] == "fixed-others"
         assert not verdict.exact
+
+    def test_full_search_past_profile_cap_refused(self):
+        # 3 projects and 2 agents give (2^3)^2 = 64 profiles.
+        instance = unit_instance(3, 1)
+        rankings = ((1, 2, 3), (3, 2, 1))
+        with pytest.raises(ResourceLimitError):
+            check_second_stage_sp(
+                greedy_approval, instance, rankings, "overlap", search="full",
+                caps=Caps(profiles=63),
+            )
+        verdict = check_second_stage_sp(
+            greedy_approval, instance, rankings, "overlap", search="full", caps=Caps(profiles=64)
+        )
+        assert verdict.holds and verdict.exact
+
+    @pytest.mark.parametrize("search", ["auto", "full", "sample"])
+    def test_deviations_outside_fixed_others_refused(self, search):
+        # "auto" resolves to "full" here, which would try every ballot and
+        # could report one outside the list.
+        instance = unit_instance(2, 1)
+        rankings = ((1, 2), (2, 1))
+        with pytest.raises(ValidationError):
+            check_second_stage_sp(
+                greedy_approval, instance, rankings, "overlap", search=search,
+                deviations=[fs(2)],
+            )
+        verdict = check_second_stage_sp(
+            greedy_approval, instance, rankings, "overlap", search="fixed-others",
+            deviations=[fs(2)],
+        )
+        assert verdict.checked == 2
+
+    def test_partial_rankings_vote_their_ranked_ideal(self):
+        # Rankings that leave projects out: the others' truthful ballots are
+        # each agent's ideal set among the projects she ranks.
+        instance = make_instance([2, 1, 1, 1], 3)
+        rankings = ((1, 3), (4, 2, 3))
+        truthful = check_second_stage_sp(
+            greedy_approval, instance, rankings, "cost", search="fixed-others"
+        )
+        explicit = check_second_stage_sp(
+            greedy_approval, instance, rankings, "cost", search="fixed-others",
+            ballots=(fs(1, 3), fs(2, 3, 4)),
+        )
+        assert truthful.to_jsonable() == explicit.to_jsonable()
 
     def test_witness_replays(self):
         # greedy approval is manipulable on mixed costs: re-run the recorded
@@ -341,6 +389,22 @@ class TestUnitClassChecks:
         )
         assert verdict.holds and verdict.exact
 
+    def test_rules_differ_witness_replays(self):
+        verdict = check_rules_coincide_on_unit_class(greedy_approval, contrarian)
+        assert verdict.status == COUNTEREXAMPLE and verdict.exact and verdict.checked == 20
+        witness = verdict.witness
+        assert witness == {
+            "kind": "rules-differ",
+            "instance": {"costs": [1, 1], "budget": 1},
+            "ballots": [[2]],
+            "first_outcome": [2],
+            "second_outcome": [1],
+        }
+        instance = make_instance(witness["instance"]["costs"], witness["instance"]["budget"])
+        ballots = tuple(fs(*b) for b in witness["ballots"])
+        assert greedy_approval(instance, ballots) == fs(*witness["first_outcome"])
+        assert contrarian(instance, ballots) == fs(*witness["second_outcome"])
+
     def test_cap_enforced(self):
         # 4 projects and 3 agents need (2^4)^3 = 4,096 profiles.
         rule = allocation_rule("greedy-approval")
@@ -416,7 +480,6 @@ class TestUnitSplit:
             slack = max((instance.cost(p) for p in partial), default=0)
             ranking = random_ranking(rng, instance)
             ideal = ideal_set(instance, ranking)
-            gap = allocation_value("cost", ideal, direct, instance) - allocation_value(
-                "cost", ideal, full, instance
-            )
+            value = valuation("cost", ideal, instance)
+            gap = value(direct) - value(full)
             assert 0 <= gap <= (slack if partial else 0)
