@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -23,6 +24,7 @@ from pbstages.operations import SHORTLIST_RULES, run
 from pbstages.scenario import (
     ScenarioDocument,
     document_to_dict,
+    dump_json,
     parse_scenario,
     parse_scenario_dict,
 )
@@ -37,7 +39,9 @@ CAP_NAMES = tuple(cap.name for cap in dataclasses.fields(Caps))
 NOT_OPTIONS = ("command", "scenario", "fixture", "output", "no_timing", "metric")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="pbstages",
         description="Two-stage participatory budgeting rules and checkers.",
@@ -199,7 +203,7 @@ def _run_paper_suite(caps: Caps) -> dict:
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = dump_json(report) + "\n"
     if output:
         Path(output).write_text(text)
     else:

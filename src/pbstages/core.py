@@ -179,12 +179,14 @@ def greedy_select(
         A strict order covering exactly ``subset``.
     """
     subset = instance.check_subset(subset, "selection set")
-    if len(order) != len(set(order)) or set(order) != subset:
+    # With equal lengths, equal sets rule out repeats (pigeonhole).
+    if len(order) != len(subset) or set(order) != subset:
         raise ValidationError("order must cover exactly the candidate set, no repeats")
+    projects = instance._projects
     selected = []
     spent = 0
     for pid in order:
-        cost = instance.cost(pid)
+        cost = projects[pid].cost
         if spent + cost <= instance.budget:
             selected.append(pid)
             spent += cost

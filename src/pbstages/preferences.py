@@ -31,7 +31,7 @@ def check_model(model: str) -> str:
 def check_ranking(instance: Instance, ranking: Sequence[int]) -> tuple[int, ...]:
     """Validate that ``ranking`` is a permutation of the instance's ids."""
     ranking = tuple(ranking)
-    if sorted(ranking) != sorted(instance.ids):
+    if len(ranking) != len(instance) or set(ranking) != set(instance.ids):
         raise ValidationError(
             f"ranking {list(ranking)} is not a permutation of the project ids"
         )
@@ -63,9 +63,9 @@ def truthful_ballots(
     outside it; each agent chooses among the projects she ranks that the
     instance holds.
     """
-    return tuple(
-        ideal_set(instance, [pid for pid in ranking if pid in instance]) for ranking in rankings
-    )
+    ids = frozenset(instance.ids)
+    orders = ([pid for pid in ranking if pid in ids] for ranking in rankings)
+    return tuple(greedy_select(instance, order, order) for order in orders)
 
 
 def valuation(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from pbstages.core import Instance, Project, ValidationError
@@ -91,8 +92,10 @@ def _expect(data: dict, key: str, kind, where: str, optional: bool = False):
 
 
 def _id_list(values, where: str) -> list[int]:
+    # One check per distinct element type, not per id: ints and their
+    # subclasses pass, bool (an int subclass in Python) does not.
     if not isinstance(values, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in values
+        issubclass(kind, int) and kind is not bool for kind in set(map(type, values))
     ):
         _fail(where, "expected a list of project ids")
     return list(values)
@@ -305,8 +308,47 @@ def document_to_dict(doc: ScenarioDocument) -> dict:
     return data
 
 
+def dump_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` set, the standard library falls back to its pure-Python
+    encoder, which yields one chunk per token.  This writer joins each list
+    of plain ints in one call and hands every other scalar to the C encoder
+    of ``json.dumps``.  Keys are sorted before a non-string key is turned
+    into a string, as ``json`` does.  ``tests/test_scenario.py`` checks it
+    against the standard library.
+    """
+    return _dump(value, "\n")
+
+
+def _dump(value, newline: str) -> str:
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            body = sep.join(map(str, value))
+        else:
+            body = sep.join([_dump(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sorted(value.items())
+        body = sep.join([f"{_key(key)}: {_dump(item, inner)}" for key, item in items])
+        return "{" + inner + body + newline + "}"
+    return json.dumps(value)
+
+
+def _key(key) -> str:
+    if not isinstance(key, (str, int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))
+
+
 def dump_scenario(doc: ScenarioDocument) -> str:
-    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
+    return dump_json(document_to_dict(doc)) + "\n"
 
 
 def write_scenario(doc: ScenarioDocument, path: str | Path) -> None:

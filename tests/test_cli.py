@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pbstages import shortlisting
+from pbstages import cli, shortlisting
 from pbstages.cli import main
 from pbstages.core import Instance, Project
 from pbstages.fixtures import load_fixture
@@ -44,6 +44,27 @@ class TestCommands:
         assert code == 0
         assert report["results"]["shortlist"] == list(range(1, 10))
         assert report["results"]["allocation"] == [1, 2, 3]
+
+    def test_parser_built_once_serves_each_command(self, capsys):
+        # main reuses one parser; a second command's flags and defaults must
+        # not carry over from the first.
+        code, first = run_cli(
+            capsys,
+            "end-to-end", "--fixture", "example1", "--rule", "nomination",
+            "--allocation-rule", "greedy-approval", "--seed", "7", "--no-timing",
+        )
+        assert code == 0
+        assert first["options"]["seed"] == 7
+        code, second = run_cli(
+            capsys, "allocate", "--fixture", "example1", "--rule", "approval-maximising",
+            "--no-timing",
+        )
+        assert code == 0
+        assert second["command"] == "allocate"
+        assert second["options"] == {
+            "rule": "approval-maximising", "tiebreak": "canonical", "seed": 0,
+        }
+        assert cli.build_parser() is cli.build_parser()
 
     def test_shortlist_with_radius_details(self, capsys):
         code, report = run_cli(

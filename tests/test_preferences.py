@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbstages.core import ValidationError, subsets_ascending
 from pbstages.preferences import ideal_set, truthful_ballots, valuation
@@ -77,6 +78,36 @@ class TestTruthfulBallots:
         shortlist = unit_instance(3, 2).restrict(fs(2, 3))
         rankings = [(1, 2, 3), (3,), (3, 1)]
         assert truthful_ballots(shortlist, rankings) == (fs(2, 3), fs(3), fs(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_plain_greedy_scan(self, data):
+        costs = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=7))
+        budget = data.draw(st.integers(max(costs), sum(costs) + 1))
+        shortlist = data.draw(
+            st.lists(st.sampled_from(range(1, len(costs) + 1)), min_size=1, unique=True)
+        )
+        instance = make_instance(costs, budget).restrict(shortlist)
+        # Rankings over the whole universe plus unknown ids, possibly partial.
+        names = st.sampled_from(range(1, len(costs) + 4))
+        rankings = data.draw(st.lists(st.lists(names, unique=True, max_size=10), max_size=5))
+
+        def plain_ballot(ranking):
+            chosen, spent = set(), 0
+            for pid in ranking:
+                if pid in shortlist and spent + costs[pid - 1] <= budget:
+                    chosen.add(pid)
+                    spent += costs[pid - 1]
+            return frozenset(chosen)
+
+        expected = tuple(plain_ballot(ranking) for ranking in rankings)
+        assert truthful_ballots(instance, rankings) == expected
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(
+            ValidationError, match="order must cover exactly the candidate set, no repeats"
+        ):
+            truthful_ballots(unit_instance(3, 2), [(1, 2, 1)])
 
 
 class TestValuation:

@@ -1,11 +1,13 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pbstages.fixtures import fixture_names, load_fixture
 from pbstages.scenario import (
     ScenarioError,
     document_to_dict,
+    dump_json,
     dump_scenario,
     parse_scenario,
     parse_scenario_dict,
@@ -89,6 +91,24 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="1..n in order"):
             parse_scenario_dict(data)
 
+    def test_bool_in_ranking_rejected_with_location(self):
+        data = minimal_scenario()
+        data["agents"][1]["ranking"] = json.loads("[1, true, 3]")
+        with pytest.raises(
+            ScenarioError, match=r"^scenario\.agents\[1\]\.ranking: expected a list of project ids$"
+        ):
+            parse_scenario_dict(data)
+
+    def test_int_subclass_ids_accepted(self):
+        class Id(int):
+            pass
+
+        data = minimal_scenario(proposals=[[Id(1), 2], [Id(3)]])
+        data["agents"][1]["ranking"] = [Id(3), 2, Id(1)]
+        doc = parse_scenario_dict(data)
+        assert doc.agents[1].ranking == (3, 2, 1)
+        assert doc.proposals == (frozenset({1, 2}), frozenset({3}))
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", fixture_names())
@@ -109,3 +129,46 @@ class TestRoundTrip:
         path = tmp_path / "scenario.json"
         write_scenario(doc, path)
         assert parse_scenario(path) == doc
+
+
+def json_values():
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats()
+        | st.text()
+    )
+    # Lists of ints take the writer's one-call path; bools mixed in must not.
+    int_lists = st.lists(st.integers() | st.booleans(), max_size=6)
+    return st.recursive(
+        scalars | int_lists,
+        lambda children: (
+            st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(st.text(max_size=4), children, max_size=4)
+            # json sorts non-string keys before it turns them into strings.
+            | st.dictionaries(st.integers(), children, max_size=4)
+            | st.dictionaries(st.floats(allow_nan=False), children, max_size=3)
+        ),
+        max_leaves=20,
+    )
+
+
+class TestDumpJson:
+    @settings(max_examples=100, deadline=None)
+    @given(json_values())
+    @example({10: {}, 9: [], -1: [[]], 2**70: ()})
+    @example([True, 1, 2, False])
+    @example([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, -(2**80)])
+    @example({"\u00e9\n\"\\": "\x00\u2028\U0001f600", "": [{}]})
+    @example({1.5: 1, 0.25: 2, True: 3})
+    def test_matches_stdlib_encoder(self, value):
+        assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [{(1,): 2}, {1: 2, "a": 3}, [frozenset()]])
+    def test_refuses_what_stdlib_refuses(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            dump_json(value)
