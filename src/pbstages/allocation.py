@@ -14,13 +14,7 @@ import inspect
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
-from pbstages.core import (
-    Caps,
-    Instance,
-    ResourceLimitError,
-    ValidationError,
-    tiebreak_family,
-)
+from pbstages.core import Instance, ValidationError
 
 INFEASIBLE = "infeasible"
 FEASIBLE = "feasible-not-exhaustive"
@@ -106,13 +100,6 @@ class PriorityTieBreak:
         if len(set(self.allocations)) != len(self.allocations):
             raise ValidationError("priority list contains duplicate allocations")
 
-    def select(self, maximisers: Iterable[frozenset[int]]) -> frozenset[int]:
-        maximisers = set(maximisers)
-        for preferred in self.allocations:
-            if preferred in maximisers:
-                return preferred
-        return tiebreak_family(maximisers)
-
 
 def _suffix_knapsack(
     costs: Sequence[int], scores: Sequence[int], budget: int
@@ -136,59 +123,36 @@ def _suffix_knapsack(
     return table
 
 
-def maximising_allocations(
-    ids: Sequence[int],
-    costs: Sequence[int],
-    budget: int,
-    scores: Sequence[int],
-    caps: Caps = Caps(),
-) -> list[frozenset[int]]:
-    """Every feasible allocation with maximal total approval score.
-
-    Exponential in the shortlist size, hence capped; only needed for
-    explicit priority tie-breaking.
-    """
-    if len(ids) > caps.maximisers:
-        raise ResourceLimitError(
-            f"maximiser enumeration over {len(ids)} projects exceeds "
-            f"the cap of {caps.maximisers}"
-        )
-    best = -1
-    chosen: list[frozenset[int]] = []
-    for mask in range(1 << len(ids)):
-        slots = [j for j in range(len(ids)) if mask >> j & 1]
-        if sum(costs[j] for j in slots) > budget:
-            continue
-        score = sum(scores[j] for j in slots)
-        if score > best:
-            best = score
-            chosen = []
-        if score == best:
-            chosen.append(frozenset(ids[j] for j in slots))
-    return chosen
-
-
 def approval_maximising_kernel(
     ids: Sequence[int],
     costs: Sequence[int],
     budget: int,
     scores: Sequence[int],
     policy: PriorityTieBreak | None = None,
-    caps: Caps = Caps(),
 ) -> frozenset[int]:
     """Approval maximisation on a slot-indexed score vector.
 
-    A ``policy`` picks among all maximisers, listed explicitly.  Without
-    one, canonical tie-breaking prefers the maximiser whose characteristic
-    vector is lexicographically largest, so it can be built directly by
-    forcing projects in, in ascending slot order, whenever an optimal
-    completion still exists.  A suffix knapsack answers those queries
-    exactly without ever listing the (possibly huge) maximiser family.
+    A suffix knapsack gives the optimal score.  A ``policy`` returns the
+    first allocation it lists that lies in the shortlist, fits the budget
+    and reaches that score.  Otherwise canonical tie-breaking prefers the
+    maximiser whose characteristic vector is lexicographically largest, so
+    it is built directly by forcing projects in, in ascending slot order,
+    whenever an optimal completion still exists.  The knapsack answers
+    those queries exactly, so the (possibly huge) maximiser family is
+    never listed.
     """
-    if policy is not None:
-        return policy.select(maximising_allocations(ids, costs, budget, scores, caps))
     table = _suffix_knapsack(costs, scores, budget)
     optimum = table[0][budget]
+    if policy is not None:
+        slot = {pid: j for j, pid in enumerate(ids)}
+        for preferred in policy.allocations:
+            if preferred.issubset(slot):
+                slots = [slot[pid] for pid in preferred]
+                if (
+                    sum(costs[j] for j in slots) <= budget
+                    and sum(scores[j] for j in slots) == optimum
+                ):
+                    return preferred
     chosen: list[int] = []
     spent = 0
     value = 0
@@ -206,11 +170,10 @@ def approval_maximising(
     instance: Instance,
     ballots: Sequence[Iterable[int]],
     policy: PriorityTieBreak | None = None,
-    caps: Caps = Caps(),
 ) -> frozenset[int]:
     """Fund a feasible allocation with maximal total approval score."""
     scores = approval_scores(instance, ballots)
-    return approval_maximising_kernel(*_kernel_args(instance, scores), policy, caps)
+    return approval_maximising_kernel(*_kernel_args(instance, scores), policy)
 
 
 # The rules that read a ballot profile only through its approval score
@@ -226,8 +189,8 @@ def score_kernel(rule) -> Callable[..., frozenset[int]] | None:
     """The score-vector kernel a rule reduces to, or ``None`` for any other rule.
 
     Sees through ``functools.wraps`` wrappers.  A ``functools.partial`` of
-    a declared rule that binds keyword options only (a tie-break policy
-    and its caps) reduces to the kernel with the same options bound.
+    a declared rule that binds keyword options only (a tie-break policy)
+    reduces to the kernel with the same options bound.
     """
     rule = inspect.unwrap(rule)
     if isinstance(rule, functools.partial):
@@ -236,7 +199,7 @@ def score_kernel(rule) -> Callable[..., frozenset[int]] | None:
     return next((kernel for known, kernel in SCORE_KERNELS if known is rule), None)
 
 
-def allocation_rule(name: str, policy: PriorityTieBreak | None = None, caps: Caps = Caps()):
+def allocation_rule(name: str, policy: PriorityTieBreak | None = None):
     """Look up an allocation rule by identifier.
 
     Returns a callable ``rule(instance, ballots) -> frozenset`` suitable
@@ -251,7 +214,7 @@ def allocation_rule(name: str, policy: PriorityTieBreak | None = None, caps: Cap
     if name == "approval-maximising":
         if policy is None:
             return approval_maximising
-        return functools.partial(approval_maximising, policy=policy, caps=caps)
+        return functools.partial(approval_maximising, policy=policy)
     raise ValidationError(f"unknown allocation rule {name!r}")
 
 

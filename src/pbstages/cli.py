@@ -211,15 +211,27 @@ def _emit(report: dict, output: str | None) -> None:
 
 
 def _check_option_types(command: str, options: dict) -> None:
-    """Refuse a stored option the command's parser could not have produced."""
+    """Refuse a stored option the command's parser could not have produced.
+
+    An integer ``seed`` is accepted on every command: reports written
+    while ``shortlist`` and ``check-fssp`` still took ``--seed`` carry one,
+    and nothing reads it.
+    """
     commands = next(
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    for action in commands.choices[command]._actions:
-        if action.dest not in options:
-            continue
-        value = options[action.dest]
+    flags = {
+        action.dest: action
+        for action in commands.choices[command]._actions
+        if action.dest not in (*NOT_OPTIONS, "help") and not action.dest.startswith("cap_")
+    }
+    for key, value in options.items():
+        action = flags.get(key)
+        if action is None:
+            if key == "seed" and type(value) is int:
+                continue
+            raise ValidationError(f"report option {key!r} is not an option of {command}")
         if action.nargs == 0:
             ok = type(value) is bool
         elif value is None:

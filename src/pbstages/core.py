@@ -52,8 +52,9 @@ class Caps:
         its own, and the unit-class check its whole class,
         (2^max_projects)^max_agents.
     maximisers : int
-        Maximum shortlist size when all score maximisers must be listed
-        explicitly (only needed for priority tie-breaking).
+        Bounds nothing: priority tie-breaking reads the optimum off the
+        suffix knapsack and lists no maximisers.  The field stays because
+        every report records the caps and pinned report bytes include it.
     """
 
     subset_search: int = 20

@@ -67,7 +67,7 @@ def stage_game(doc: ScenarioDocument, options: Options, caps: Caps) -> StageGame
     return StageGame(
         instance=doc.instance,
         shortlist_rule=shortlist_rule_for(doc, options["rule"], options.get("k"), caps),
-        allocation_rule=allocation_rule(options["allocation_rule"], None, caps),
+        allocation_rule=allocation_rule(options["allocation_rule"]),
         rankings=doc.rankings,
         awareness=doc.awareness,
         model=options["model"],
@@ -105,7 +105,7 @@ def _allocate(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
     """Allocate on the whole instance or on ``shortlist``.  ``ballots`` is
     absent (the scenario's ballots, else truthful ones), ``"truthful"``, or
     an explicit profile."""
-    rule = allocation_rule(options["rule"], _policy(doc, options), caps)
+    rule = allocation_rule(options["rule"], _policy(doc, options))
     shortlist = options.get("shortlist")
     base = doc.instance if shortlist in (None, "all") else doc.instance.restrict(shortlist)
     ballots = options.get("ballots")
@@ -163,15 +163,15 @@ def _check_axiom(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
                 verdicts.append(check(rule, instance, proposals))
         verdict = aggregate(verdicts, {"axiom": axiom, "rule": name, "suite": suite, "seed": seed})
         return {"verdict": verdict.to_jsonable()}
-    rule = allocation_rule(name, None, caps)
-    cases = list(allocation_cases(seed, suite or 200, axiom))
-    verdict = check_allocation_axiom(rule, axiom, cases)
+    rule = allocation_rule(name)
+    # The cases are drawn lazily, after the axiom name has been checked.
+    verdict = check_allocation_axiom(rule, axiom, allocation_cases(seed, suite or 200, axiom))
     verdict.params = {"axiom": axiom, "rule": name, "suite": suite or 200, "seed": seed}
     return {"verdict": verdict.to_jsonable()}
 
 
 def _check_ssp(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
-    rule = allocation_rule(options["rule"], _policy(doc, options), caps)
+    rule = allocation_rule(options["rule"], _policy(doc, options))
     agents, deviations = options.get("agents"), options.get("deviations")
     verdict = check_second_stage_sp(
         rule,

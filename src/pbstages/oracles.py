@@ -20,7 +20,7 @@ from pbstages.core import (
     tiebreak_family,
     tiebreak_order,
 )
-from pbstages.allocation import approval_scores
+from pbstages.allocation import PriorityTieBreak, approval_scores
 from pbstages.shortlisting import (
     Metric,
     VoronoiPartition,
@@ -90,7 +90,6 @@ def k_median_oracle(
     proposals: Sequence[Iterable[int]],
     k: int,
     metric: Metric,
-    cap: int = 9,
 ) -> frozenset[int]:
     """Flat scan of every set partition of the proposal union.
 
@@ -103,7 +102,7 @@ def k_median_oracle(
     union = sorted(proposal_union(proposals))
     if not union:
         return frozenset()
-    if len(union) > cap:
+    if len(union) > 9:
         raise ResourceLimitError(f"oracle partition scan over {len(union)} projects refused")
     valid: list[tuple[float, frozenset[int]]] = []
     for blocks in _flat_partitions(union):
@@ -122,10 +121,14 @@ def k_median_oracle(
 def approval_maximising_oracle(
     instance: Instance,
     ballots: Sequence[Iterable[int]],
-    cap: int = 16,
+    policy: PriorityTieBreak | None = None,
 ) -> frozenset[int]:
-    """Scan every feasible allocation, canonical tie-break over the argmax set."""
-    if len(instance) > cap:
+    """Scan every feasible allocation and keep the argmax set.
+
+    The first allocation ``policy`` lists in that set wins; otherwise the
+    canonical tie-break over the set decides.
+    """
+    if len(instance) > 16:
         raise ResourceLimitError(f"oracle allocation scan over {len(instance)} projects refused")
     scores = approval_scores(instance, ballots)
     best = -1
@@ -139,7 +142,8 @@ def approval_maximising_oracle(
             chosen = [subset]
         elif score == best:
             chosen.append(subset)
-    return tiebreak_family(chosen)
+    listed = [] if policy is None else [a for a in policy.allocations if a in chosen]
+    return listed[0] if listed else tiebreak_family(chosen)
 
 
 def greedy_approval_oracle(

@@ -78,10 +78,8 @@ class ScenarioDocument:
         raise ScenarioError(f"no agent with label {label}")
 
 
-def _expect(data: dict, key: str, kind, where: str, optional: bool = False):
+def _expect(data: dict, key: str, kind, where: str):
     if key not in data:
-        if optional:
-            return None
         _fail(where, f"missing required key {key!r}")
     value = data[key]
     if kind is int and isinstance(value, bool):

@@ -476,12 +476,10 @@ def check_fssp(
     return PropertyVerdict(HOLDS, None, True, checked, params)
 
 
-def fssp_cells(
-    game: StageGame, caps: Caps = Caps()
-) -> dict[tuple[str, str], PropertyVerdict]:
-    """All six first-stage strategyproofness verdicts for one game."""
+def fssp_cells(game: StageGame) -> dict[tuple[str, str], PropertyVerdict]:
+    """All six first-stage strategyproofness verdicts for one game, under the default caps."""
     return {
-        (variant, mode): check_fssp(game, variant, mode, caps)
+        (variant, mode): check_fssp(game, variant, mode)
         for variant in VARIANTS
         for mode in MODES
     }

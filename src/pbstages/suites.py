@@ -74,39 +74,33 @@ def random_feasible_set(rng: Random, instance: Instance) -> frozenset[int]:
 def shortlisting_cases(
     seed: int,
     count: int,
-    min_agents: int = 1,
-    max_agents: int = 4,
     coord_range: int | None = None,
     **instance_kwargs,
 ):
-    """Random (instance, proposals) pairs for shortlisting-axiom suites."""
+    """Random (instance, proposals) pairs for shortlisting-axiom suites, 1-4 agents each."""
     rng = Random(seed)
     for _ in range(count):
         instance = random_instance(rng, coord_range=coord_range, **instance_kwargs)
-        agents = rng.randint(min_agents, max_agents)
+        agents = rng.randint(1, 4)
         yield instance, random_proposals(rng, instance, agents)
 
 
-def allocation_cases(
-    seed: int,
-    count: int,
-    axiom: str,
-    min_agents: int = 1,
-    max_agents: int = 4,
-    **instance_kwargs,
-):
-    """Random cases shaped for :func:`pbstages.verification.check_allocation_axiom`."""
+def allocation_cases(seed: int, count: int, axiom: str, **instance_kwargs):
+    """Random cases shaped for :func:`pbstages.verification.check_allocation_axiom`.
+
+    Each case has 1-4 agents, 3-4 for strong unanimity.
+    """
     rng = Random(seed)
     for _ in range(count):
         instance = random_instance(rng, **instance_kwargs)
         if axiom == "exhaustive":
-            agents = rng.randint(min_agents, max_agents)
+            agents = rng.randint(1, 4)
             yield instance, random_ballots(rng, instance, agents)
         elif axiom == "unanimous":
-            agents = rng.randint(max(min_agents, 1), max_agents)
+            agents = rng.randint(1, 4)
             yield instance, random_feasible_set(rng, instance), agents
         elif axiom == "strongly-unanimous":
-            agents = rng.randint(max(min_agents, 3), max(max_agents, 3))
+            agents = rng.randint(3, 4)
             deviant = rng.randrange(agents)
             yield (
                 instance,
@@ -119,14 +113,8 @@ def allocation_cases(
             raise ValueError(f"unknown axiom {axiom!r}")
 
 
-def sp_cases(
-    seed: int,
-    count: int,
-    min_agents: int = 2,
-    max_agents: int = 4,
-    **instance_kwargs,
-):
-    """Random (instance, rankings, ballots) triples for manipulation search.
+def sp_cases(seed: int, count: int, **instance_kwargs):
+    """Random (instance, rankings, ballots) triples of 2-4 agents for manipulation search.
 
     The ballots play the role of the other agents' votes in fixed-others
     searches; the manipulator's entry is replaced during the search.
@@ -134,6 +122,6 @@ def sp_cases(
     rng = Random(seed)
     for _ in range(count):
         instance = random_instance(rng, **instance_kwargs)
-        agents = rng.randint(min_agents, max_agents)
+        agents = rng.randint(2, 4)
         rankings = tuple(random_ranking(rng, instance) for _ in range(agents))
         yield instance, rankings, random_ballots(rng, instance, agents)

@@ -498,7 +498,6 @@ def check_sp_over_unit_class(
     model: str,
     max_projects: int = 4,
     max_agents: int = 3,
-    unit_costs: tuple[int, ...] = (1, 2),
     approximate: bool = False,
     caps: Caps = Caps(),
 ) -> PropertyVerdict:
@@ -524,11 +523,11 @@ def check_sp_over_unit_class(
         "class": "unit-cost",
         "max_projects": max_projects,
         "max_agents": max_agents,
-        "unit_costs": list(unit_costs),
+        "unit_costs": list(UNIT_COSTS),
         "model": model,
         "approximate": approximate,
     }
-    for instance, slots in _unit_class(max_projects, unit_costs):
+    for instance, slots in _unit_class(max_projects):
         all_ballots = subsets_ascending(instance.ids)
         cases = (
             (0, ideal, (ideal, *others), all_ballots)
@@ -545,10 +544,14 @@ def check_sp_over_unit_class(
     return PropertyVerdict(HOLDS, None, True, checked, params)
 
 
-def _unit_class(max_projects: int, unit_costs: tuple[int, ...]):
+# The shared project costs of the unit class.
+UNIT_COSTS = (1, 2)
+
+
+def _unit_class(max_projects: int):
     """Each equal-cost instance of the class, with the number of projects its budget buys."""
     for m in range(1, max_projects + 1):
-        for cost in unit_costs:
+        for cost in UNIT_COSTS:
             for slots in range(1, m + 1):
                 yield Instance([Project(i + 1, cost) for i in range(m)], cost * slots), slots
 
@@ -558,7 +561,6 @@ def check_rules_coincide_on_unit_class(
     second: AllocationRule,
     max_projects: int = 4,
     max_agents: int = 3,
-    unit_costs: tuple[int, ...] = (1, 2),
 ) -> PropertyVerdict:
     """Exhaustively compare two rules over small equal-cost instances.
 
@@ -571,9 +573,9 @@ def check_rules_coincide_on_unit_class(
         "class": "unit-cost",
         "max_projects": max_projects,
         "max_agents": max_agents,
-        "unit_costs": list(unit_costs),
+        "unit_costs": list(UNIT_COSTS),
     }
-    for instance, _ in _unit_class(max_projects, unit_costs):
+    for instance, _ in _unit_class(max_projects):
         ids = instance.ids
         for n in range(1, max_agents + 1):
             for scores in itertools.product(range(n + 1), repeat=len(ids)):

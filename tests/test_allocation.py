@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbstages.core import Caps, ResourceLimitError, ValidationError
+from pbstages.core import ValidationError, subsets_ascending
 from pbstages.allocation import (
     EXHAUSTIVE,
     FEASIBLE,
@@ -146,12 +146,6 @@ class TestPriorityTieBreak:
         with pytest.raises(ValidationError):
             PriorityTieBreak((fs(1), fs(1)))
 
-    def test_enumeration_cap(self):
-        instance = unit_instance(6, 2)
-        policy = PriorityTieBreak((fs(1),))
-        with pytest.raises(ResourceLimitError):
-            approval_maximising(instance, (fs(1),), policy, Caps(maximisers=4))
-
 
 @st.composite
 def scored_instances(draw):
@@ -188,6 +182,30 @@ class TestScoreKernels:
         instance, scores, ballots = case
         got = approval_maximising_kernel(*kernel_args(instance, scores))
         assert got == approval_maximising_oracle(instance, ballots)
+
+    @settings(deadline=None, max_examples=150)
+    @given(scored_instances(), st.data())
+    def test_policy_kernel_matches_oracle(self, case, data):
+        instance, scores, ballots = case
+        score = dict(zip(instance.ids, scores))
+        best = maximum_score_oracle(instance, ballots)
+        tied = [
+            s for s in subsets_ascending(instance.ids)
+            if instance.total_cost(s) <= instance.budget and sum(map(score.get, s)) == best
+        ]
+        outside = max(instance.ids) + 1
+        # The empty set, the whole shortlist (infeasible unless the budget
+        # covers it) and a set reaching outside the shortlist.
+        decoys = [fs(), frozenset(instance.ids), fs(instance.ids[0], outside)]
+        arbitrary = st.sets(st.sampled_from((*instance.ids, outside))).map(frozenset)
+        listed = data.draw(st.lists(
+            st.one_of(st.sampled_from(tied), st.sampled_from(decoys), arbitrary),
+            max_size=5,
+            unique=True,
+        ))
+        policy = PriorityTieBreak(tuple(listed))
+        got = approval_maximising_kernel(*kernel_args(instance, scores), policy)
+        assert got == approval_maximising_oracle(instance, ballots, policy)
 
     def test_declared_kernels_survive_wrapping(self):
         for rule, kernel in (

@@ -20,13 +20,14 @@ def run_cli(capsys, *argv):
     return code, json.loads(out) if out else None
 
 
-def stored_report(tmp_path, edit):
-    """Write a `shortlist` report, let ``edit`` change its JSON, return the path."""
+SHORTLIST_ARGV = ("shortlist", "--fixture", "example1", "--rule", "nomination")
+
+
+def stored_report(tmp_path, edit, argv=SHORTLIST_ARGV):
+    """Write a report (`shortlist` unless ``argv`` says otherwise), let
+    ``edit`` change its JSON, return the path."""
     path = tmp_path / "report.json"
-    assert main([
-        "shortlist", "--fixture", "example1", "--rule", "nomination",
-        "--no-timing", "--output", str(path),
-    ]) == 0
+    assert main([*argv, "--no-timing", "--output", str(path)]) == 0
     data = json.loads(path.read_text())
     edit(data)
     path.write_text(json.dumps(data))
@@ -308,6 +309,17 @@ class TestReplayAndStability:
         assert code == 0
         assert replay["results"]["reproduces"] is True
 
+    @pytest.mark.parametrize("tamper", [False, True])
+    def test_replay_paper_suite(self, capsys, tmp_path, tamper):
+        def edit(data):
+            if tamper:
+                data["results"]["ok"] = not data["results"]["ok"]
+
+        path = stored_report(tmp_path, edit, ["paper-suite"])
+        code, replay = run_cli(capsys, "replay", str(path), "--no-timing")
+        assert code == 0
+        assert replay["results"]["reproduces"] is not tamper
+
     def test_replay_detects_tampering(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
         main([
@@ -409,5 +421,33 @@ class TestExitCodes:
             data["options"].update(rule="equal-representation", k="1")
 
         path = stored_report(tmp_path, as_string_k)
+        assert main(["replay", str(path)]) == 2
+        assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (SHORTLIST_ARGV, "proposals", [5]),
+        (("check-ssp", "--fixture", "theorem-rfssp", "--rule", "greedy-approval"),
+         "deviations", [5]),
+        (SHORTLIST_ARGV, "bogus", 1),
+    ])
+    def test_replay_option_without_a_flag_is_2(self, tmp_path, capsys, argv, key, value):
+        # The command has no flag for the option, so its parser could not
+        # have written it.
+        path = stored_report(tmp_path, lambda data: data["options"].update({key: value}), argv)
+        assert main(["replay", str(path)]) == 2
+        assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "{",
+        "[]",
+        json.dumps({"command": "shortlist", "options": {}, "caps": {}, "results": {}}),
+        json.dumps(
+            {"command": "shortlist", "options": [], "caps": {}, "document": {}, "results": {}}
+        ),
+    ])
+    def test_replay_malformed_report_is_2(self, tmp_path, capsys, text):
+        # Unreadable JSON, not an object, no document field, options not an object.
+        path = tmp_path / "report.json"
+        path.write_text(text)
         assert main(["replay", str(path)]) == 2
         assert "validation error" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
 import pbstages
+from pbstages.core import Caps
 
 PACKAGE = Path(pbstages.__file__).parent
 
@@ -48,3 +50,22 @@ def test_only_the_oracles_module_imports_the_oracles():
         if "pbstages.oracles" in set(imported_modules(path))
     }
     assert importers <= {"oracles.py"}
+
+
+def caps_reads(path):
+    """Every attribute read off an object named ``caps`` (``caps.x``, ``self.caps.x``)."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if name == "caps":
+                yield node.attr
+
+
+def test_every_cap_is_read():
+    # A cap that nothing reads bounds nothing, yet it is still a flag and
+    # a report field.  ``maximisers`` is the one exception: every report
+    # records the caps, and pinned report bytes include it.
+    read = {attr for path in PACKAGE.glob("*.py") for attr in caps_reads(path)}
+    unread = {cap.name for cap in dataclasses.fields(Caps)} - read
+    assert unread <= {"maximisers"}

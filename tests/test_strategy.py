@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from random import Random
@@ -18,7 +19,6 @@ from pbstages import strategy
 from pbstages.allocation import (
     PriorityTieBreak,
     allocation_rule,
-    approval_scores,
     greedy_approval,
     score_kernel,
 )
@@ -110,6 +110,7 @@ class TestBestResponse:
             allocation_rule("approval-maximising"),
             allocation_rule("approval-maximising", policy),
             approval_maximising_oracle,
+            functools.partial(approval_maximising_oracle, policy=policy),
         ]))
         assert best_response(rule, instance, ballots, agent, ideal, model) == plain_best_response(
             rule, instance, ballots, agent, ideal, model
@@ -189,23 +190,15 @@ class TestFStarOutcomes:
         fast, slow = data.draw(st.sampled_from([
             (greedy_approval, greedy_approval_oracle),
             (allocation_rule("approval-maximising"), approval_maximising_oracle),
-            (allocation_rule("approval-maximising", policy), priority_oracle(policy)),
+            (
+                allocation_rule("approval-maximising", policy),
+                functools.partial(approval_maximising_oracle, policy=policy),
+            ),
         ]))
         assert score_kernel(fast) is not None and score_kernel(slow) is None
         grid = strategy._fstar_outcomes(fast, instance, agents, agent, ideal, model, Caps())
         ordered = strategy._fstar_outcomes(slow, instance, agents, agent, ideal, model, Caps())
         assert list(grid.items()) == list(ordered.items())
-
-
-def priority_oracle(policy):
-    """Approval maximisation under ``policy`` by a flat scan, with no score kernel."""
-    def rule(instance, ballots):
-        scores = approval_scores(instance, ballots)
-        feasible = [s for s in subsets_ascending(instance.ids)
-                    if instance.total_cost(s) <= instance.budget]
-        best = max(sum(scores[pid] for pid in s) for s in feasible)
-        return policy.select(s for s in feasible if sum(scores[pid] for pid in s) == best)
-    return rule
 
 
 def four_project_game():
@@ -290,6 +283,25 @@ class TestCheckManipulation:
 
 
 class TestCheckFssp:
+    @pytest.mark.parametrize("variant, mode, message", [
+        ("restricted", "bogus", "unknown manipulation mode"),
+        ("bogus", "pessimistic", "unknown variant"),
+    ])
+    def test_unknown_variant_or_mode_refused(self, variant, mode, message):
+        with pytest.raises(ValidationError, match=message):
+            check_fssp(crossed_awareness_game(), variant, mode)
+
+    def test_one_awareness_set_per_ranking(self):
+        with pytest.raises(ValidationError, match="one ranking and one awareness set"):
+            StageGame(
+                instance=unit_instance(2, 1),
+                shortlist_rule=nomination,
+                allocation_rule=greedy_approval,
+                rankings=((1, 2), (2, 1)),
+                awareness=(fs(1),),
+                model="overlap",
+            )
+
     @pytest.mark.parametrize("allocation_name", ["greedy-approval", "approval-maximising"])
     @pytest.mark.parametrize("mode", ["pessimistic", "anticipative"])
     def test_crossed_awareness_restricted_fails(self, allocation_name, mode):

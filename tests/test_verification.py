@@ -171,6 +171,16 @@ class TestAllocationAxioms:
         verdict = check_allocation_axiom(rule, "exhaustive", cases)
         assert not verdict.holds
 
+    @pytest.mark.parametrize("axiom, case, message", [
+        ("bogus", None, "unknown allocation axiom"),
+        ("unanimous", (unit_instance(3, 1), fs(1, 2), 2), "feasible shared ballot"),
+        ("strongly-unanimous", (unit_instance(3, 1), fs(1), 2, 0, fs()), "3\\+ agents"),
+        ("strongly-unanimous", (unit_instance(3, 1), fs(1, 2), 3, 0, fs()), "feasible shared"),
+    ])
+    def test_malformed_cases_refused(self, axiom, case, message):
+        with pytest.raises(ValidationError, match=message):
+            check_allocation_axiom(greedy_approval, axiom, [case])
+
 
 class TestSecondStageSp:
     def test_full_enumeration_on_tiny_instance(self):
@@ -276,6 +286,17 @@ class TestSecondStageSp:
             cost = check_second_stage_sp(greedy_approval, instance, rankings, "cost")
             assert overlap.holds == cost.holds
 
+
+    @pytest.mark.parametrize("rankings, options, message", [
+        ((), {}, "at least one agent"),
+        (((1, 2), (2, 1)), {"search": "bogus"}, "unknown search mode"),
+        (((1, 2), (2, 1)), {"search": "fixed-others", "ballots": [fs(1)]}, "every agent"),
+    ])
+    def test_malformed_search_refused(self, rankings, options, message):
+        with pytest.raises(ValidationError, match=message):
+            check_second_stage_sp(
+                greedy_approval, unit_instance(2, 1), rankings, "overlap", **options
+            )
 
     @pytest.mark.parametrize("agents", [[-1], [9], [0, 0], [], [True], [1.0]])
     def test_malformed_agents_rejected(self, agents):
