@@ -21,22 +21,19 @@ FEASIBLE = "feasible-not-exhaustive"
 EXHAUSTIVE = "exhaustive"
 
 
-def check_ballots(
-    instance: Instance, ballots: Sequence[Iterable[int]]
-) -> tuple[frozenset[int], ...]:
-    return tuple(
-        instance.check_subset(ballot, f"ballot of agent {i + 1}")
-        for i, ballot in enumerate(ballots)
-    )
-
-
 def approval_scores(instance: Instance, ballots: Sequence[Iterable[int]]) -> dict[int, int]:
     """Number of ballots approving each shortlisted project."""
-    ballots = check_ballots(instance, ballots)
-    scores = {pid: 0 for pid in instance.ids}
-    for ballot in ballots:
-        for pid in ballot:
-            scores[pid] += 1
+    scores = dict.fromkeys(instance.ids, 0)
+    for i, ballot in enumerate(ballots):
+        ballot = frozenset(ballot)
+        try:
+            for pid in ballot:
+                scores[pid] += 1
+        except KeyError:
+            unknown = sorted(pid for pid in ballot if pid not in scores)
+            raise ValidationError(
+                f"ballot of agent {i + 1} contains unknown project ids {unknown}"
+            ) from None
     return scores
 
 
@@ -101,26 +98,73 @@ class PriorityTieBreak:
             raise ValidationError("priority list contains duplicate allocations")
 
 
-def _suffix_knapsack(
-    costs: Sequence[int], scores: Sequence[int], budget: int
-) -> list[list[int]]:
-    """table[j][b] = best total score using slots j.. within budget b."""
-    table = [[0] * (budget + 1)]
-    for cost, gain in zip(reversed(costs), reversed(scores)):
-        nxt = table[-1]
-        if gain == 0:
-            # The best score never falls as the budget grows, so taking a
-            # worthless project never beats leaving it.
-            table.append(nxt)
-            continue
-        row = nxt[:cost]
-        row += [
-            keep if keep >= take + gain else take + gain
-            for keep, take in zip(nxt[cost:], nxt)
-        ]
-        table.append(row)
-    table.reverse()
-    return table
+def _suffix_row(nxt: list[int], cost: int, gain: int) -> list[int]:
+    """The suffix-knapsack row of a slot from the row of the slots after it.
+
+    ``row[b]`` is the best total score of the slots from this one on within
+    budget ``b``.
+    """
+    if gain == 0:
+        # The best score never falls as the budget grows, so taking a
+        # worthless project never beats leaving it.
+        return nxt
+    row = nxt[:cost]
+    row += [
+        keep if keep >= take + gain else take + gain
+        for keep, take in zip(nxt[cost:], nxt)
+    ]
+    return row
+
+
+def _listed(
+    ids: Sequence[int], costs: Sequence[int], budget: int, policy: PriorityTieBreak | None
+) -> list[tuple[frozenset[int], list[int]]]:
+    """The policy's allocations that lie in the shortlist and fit the budget, with their slots."""
+    if policy is None:
+        return []
+    slot = {pid: j for j, pid in enumerate(ids)}
+    listed = []
+    for preferred in policy.allocations:
+        if preferred.issubset(slot):
+            slots = [slot[pid] for pid in preferred]
+            if sum(costs[j] for j in slots) <= budget:
+                listed.append((preferred, slots))
+    return listed
+
+
+def _maximiser(
+    ids: Sequence[int],
+    costs: Sequence[int],
+    budget: int,
+    scores: Sequence[int],
+    rows: Sequence[list[int]],
+    listed: list[tuple[frozenset[int], list[int]]],
+) -> frozenset[int]:
+    """The chosen maximiser of ``scores`` on at least one slot.
+
+    ``rows[j]``, for j >= 1, is the suffix row of slots j.., and ``rows[m]``
+    is all zero.  Slot 0's own row is never built: the optimum is the
+    better of leaving and taking slot 0, read off slot 1's row.
+    """
+    after = rows[1]
+    optimum = after[budget]
+    rest = budget - costs[0]
+    if rest >= 0 and after[rest] + scores[0] > optimum:
+        optimum = after[rest] + scores[0]
+    for preferred, slots in listed:
+        if sum(scores[j] for j in slots) == optimum:
+            return preferred
+    chosen: list[int] = []
+    spent = 0
+    value = 0
+    for j, pid in enumerate(ids):
+        cost, gain = costs[j], scores[j]
+        rest = budget - spent - cost
+        if rest >= 0 and value + gain + rows[j + 1][rest] == optimum:
+            chosen.append(pid)
+            spent += cost
+            value += gain
+    return frozenset(chosen)
 
 
 def approval_maximising_kernel(
@@ -141,29 +185,51 @@ def approval_maximising_kernel(
     those queries exactly, so the (possibly huge) maximiser family is
     never listed.
     """
-    table = _suffix_knapsack(costs, scores, budget)
-    optimum = table[0][budget]
-    if policy is not None:
-        slot = {pid: j for j, pid in enumerate(ids)}
-        for preferred in policy.allocations:
-            if preferred.issubset(slot):
-                slots = [slot[pid] for pid in preferred]
-                if (
-                    sum(costs[j] for j in slots) <= budget
-                    and sum(scores[j] for j in slots) == optimum
-                ):
-                    return preferred
-    chosen: list[int] = []
-    spent = 0
-    value = 0
-    for j, pid in enumerate(ids):
-        cost, gain = costs[j], scores[j]
-        rest = budget - spent - cost
-        if rest >= 0 and value + gain + table[j + 1][rest] == optimum:
-            chosen.append(pid)
-            spent += cost
-            value += gain
-    return frozenset(chosen)
+    m = len(ids)
+    if m == 0:
+        return frozenset()
+    rows: list = [None] * m + [[0] * (budget + 1)]
+    for j in range(m - 1, 0, -1):
+        rows[j] = _suffix_row(rows[j + 1], costs[j], scores[j])
+    return _maximiser(ids, costs, budget, scores, rows, _listed(ids, costs, budget, policy))
+
+
+def approval_maximising_box(
+    ids: Sequence[int],
+    costs: Sequence[int],
+    budget: int,
+    lows: Sequence[int],
+    policy: PriorityTieBreak | None = None,
+) -> list[frozenset[int]]:
+    """:func:`approval_maximising_kernel` at ``lows + 1_B`` for every subset B of the slots.
+
+    Outcomes come in :func:`~pbstages.core.subsets_ascending` order: bit j
+    of the index is slot j, so slot 0 varies fastest.  The suffix row of
+    slots j.. depends only on the scores of those slots, so the slots are
+    walked depth first from the last one, each node of that tree above
+    slot 0 builds one row, and each leaf runs the kernel's forward pass:
+    2^m - 2 rows for the whole box instead of m - 1 per point.
+    """
+    m = len(ids)
+    if m == 0:
+        return [frozenset()]
+    listed = _listed(ids, costs, budget, policy)
+    scores = list(lows)
+    rows: list = [None] * m + [[0] * (budget + 1)]
+    out: list[frozenset[int]] = []
+
+    def walk(j: int) -> None:
+        cost, low = costs[j], lows[j]
+        for gain in (low, low + 1):
+            scores[j] = gain
+            if j:
+                rows[j] = _suffix_row(rows[j + 1], cost, gain)
+                walk(j - 1)
+            else:
+                out.append(_maximiser(ids, costs, budget, scores, rows, listed))
+
+    walk(m - 1)
+    return out
 
 
 def approval_maximising(
@@ -177,26 +243,38 @@ def approval_maximising(
 
 
 # The rules that read a ballot profile only through its approval score
-# vector, each with the kernel that computes its outcome from that vector.
-# The searches memoise on the vector and call the kernel on it directly.
+# vector, each with the kernel that computes its outcome from that vector
+# and the box kernel that computes it at every vector of a unit box
+# (``None`` where none is declared).  The searches memoise on the vector
+# and call the kernels on it directly.
 SCORE_KERNELS = (
-    (greedy_approval, greedy_approval_kernel),
-    (approval_maximising, approval_maximising_kernel),
+    (greedy_approval, greedy_approval_kernel, None),
+    (approval_maximising, approval_maximising_kernel, approval_maximising_box),
 )
 
 
-def score_kernel(rule) -> Callable[..., frozenset[int]] | None:
-    """The score-vector kernel a rule reduces to, or ``None`` for any other rule.
+def _declared(rule, column: int) -> Callable | None:
+    """Column ``column`` of the rule's :data:`SCORE_KERNELS` entry, seen through wrappers.
 
     Sees through ``functools.wraps`` wrappers.  A ``functools.partial`` of
     a declared rule that binds keyword options only (a tie-break policy)
-    reduces to the kernel with the same options bound.
+    reduces to the entry with the same options bound.
     """
     rule = inspect.unwrap(rule)
     if isinstance(rule, functools.partial):
-        kernel = None if rule.args else score_kernel(rule.func)
-        return None if kernel is None else functools.partial(kernel, **rule.keywords)
-    return next((kernel for known, kernel in SCORE_KERNELS if known is rule), None)
+        found = None if rule.args else _declared(rule.func, column)
+        return None if found is None else functools.partial(found, **rule.keywords)
+    return next((entry[column] for entry in SCORE_KERNELS if entry[0] is rule), None)
+
+
+def score_kernel(rule) -> Callable[..., frozenset[int]] | None:
+    """The score-vector kernel a rule reduces to, or ``None`` for any other rule."""
+    return _declared(rule, 1)
+
+
+def box_kernel(rule) -> Callable[..., list[frozenset[int]]] | None:
+    """The box kernel a rule reduces to (see :func:`approval_maximising_box`), or ``None``."""
+    return _declared(rule, 2)
 
 
 def allocation_rule(name: str, policy: PriorityTieBreak | None = None):

@@ -45,7 +45,9 @@ class Caps:
         Maximum number of full ballot profiles, (2^m)^n for m projects and
         n agents, that a single strategyproofness search may enumerate.
         The manipulator's own ballots count, since a best response tries
-        each of them.  A first-stage search (one manipulation check or a
+        each of them.  The second-stage fixed-others search charges the
+        ballots it tries, |agents| x 2^m, or |agents| x |deviations| with a
+        deviation list.  A first-stage search (one manipulation check or a
         whole strategyproofness run) charges each distinct (shortlist,
         agent) side it computes once, and adds up those charges.  The
         nomination class check holds each side it computes to the cap on
@@ -256,8 +258,8 @@ def subsets_ascending(pids: Iterable[int]) -> list[frozenset[int]]:
     set.  Every exhaustive search in the package reports the first hit in
     this order.
     """
-    items = sorted(set(pids))
-    out = []
-    for mask in range(1 << len(items)):
-        out.append(frozenset(items[j] for j in range(len(items)) if mask >> j & 1))
+    out = [frozenset()]
+    for pid in sorted(set(pids)):
+        # The sets with this id's bit set follow, in the same order, those without it.
+        out += [subset | {pid} for subset in out]
     return out

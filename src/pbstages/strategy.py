@@ -135,8 +135,8 @@ def best_response(
         cache = OutcomeCache(rule, instance)
     others = cache.others(tuple(ballots), agent)
     achieved: dict[frozenset[int], list[frozenset[int]]] = {}
-    for ballot in subsets_ascending(instance.ids):
-        achieved.setdefault(cache.with_ballot(others, agent, ballot), []).append(ballot)
+    for ballot, outcome in zip(cache.ballots, cache.box(others, agent)):
+        achieved.setdefault(outcome, []).append(ballot)
     value = valuation(model, ideal, instance)
     best = max(map(value, achieved))
     target = tiebreak_family(outcome for outcome in achieved if value(outcome) == best)
@@ -172,8 +172,7 @@ def _fstar_outcomes(
         return _grid_outcomes(kernel, instance, agents, agent, ideal, model)
     cache = OutcomeCache(rule, instance)
     out: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-    all_ballots = subsets_ascending(instance.ids)
-    for rest in itertools.product(all_ballots, repeat=agents - 1):
+    for rest in itertools.product(cache.ballots, repeat=agents - 1):
         ballots = rest[:agent] + (ideal,) + rest[agent:]
         _, outcome = best_response(rule, instance, ballots, agent, ideal, model, caps, cache)
         out.setdefault(outcome, ballots)

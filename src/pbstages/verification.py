@@ -8,6 +8,7 @@ Every counterexample witness carries enough data to be replayed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections.abc import Callable, Iterable, Sequence
@@ -22,7 +23,7 @@ from pbstages.core import (
     ValidationError,
     subsets_ascending,
 )
-from pbstages.allocation import EXHAUSTIVE, classify_allocation, score_kernel
+from pbstages.allocation import EXHAUSTIVE, box_kernel, classify_allocation, score_kernel
 from pbstages.preferences import check_model, truthful_ballots, valuation
 from pbstages.shortlisting import check_proposals, proposal_union
 
@@ -253,18 +254,29 @@ class OutcomeCache:
 
     Searches that vary one agent's ballot split a profile into the key of
     the other agents' ballots (:meth:`others`) and that ballot
-    (:meth:`with_ballot`).
+    (:meth:`with_ballot`).  A search that tries every ballot reads all of
+    their outcomes at once from :meth:`box`, in the order of
+    :attr:`ballots`; a rule with a box kernel
+    (:func:`pbstages.allocation.box_kernel`) computes them in one call.
+    Boxes are memoised per others key and live as long as the cache.
     """
 
     def __init__(self, rule: AllocationRule, instance: Instance):
         self.rule = rule
         self.instance = instance
         self.kernel = score_kernel(rule)
+        self._box_kernel = box_kernel(rule)
         self._ids = instance.ids
         self._costs = tuple(p.cost for p in instance.projects)
         self._slot = {pid: j for j, pid in enumerate(self._ids)}
         self._store: dict[tuple, frozenset[int]] = {}
         self._vectors: dict[frozenset[int], tuple[int, ...]] = {}
+        self._boxes: dict[tuple, list[frozenset[int]]] = {}
+
+    @functools.cached_property
+    def ballots(self) -> list[frozenset[int]]:
+        """Every ballot, in :func:`~pbstages.core.subsets_ascending` order."""
+        return subsets_ascending(self._ids)
 
     def _scores(self, ballots: Iterable[Iterable[int]]) -> list[int]:
         """Approval score per slot."""
@@ -305,6 +317,20 @@ class OutcomeCache:
                 outcome = self.kernel(self._ids, self._costs, self.instance.budget, key)
             self._store[key] = outcome
         return outcome
+
+    def box(self, others: tuple, agent: int) -> list[frozenset[int]]:
+        """The outcome of each of :attr:`ballots` joining the others' key as the agent's."""
+        # Without a kernel the key is the whole profile, agent's slot included,
+        # so two agents of one profile need two boxes.
+        key = others if self.kernel is not None else (others, agent)
+        box = self._boxes.get(key)
+        if box is None:
+            if self._box_kernel is not None:
+                box = self._box_kernel(self._ids, self._costs, self.instance.budget, others)
+            else:
+                box = [self.with_ballot(others, agent, ballot) for ballot in self.ballots]
+            self._boxes[key] = box
+        return box
 
 
 def repair_gain(
@@ -383,6 +409,7 @@ def check_second_stage_sp(
         "agents": [a + 1 for a in agent_pool],
     }
 
+    outcome = OutcomeCache(rule, instance)
     # Each case is (agent, ideal, profile, ballots to try in the agent's place).
     if search == "full":
         cases = (
@@ -394,8 +421,15 @@ def check_second_stage_sp(
         base = tops if ballots is None else [instance.check_subset(b) for b in ballots]
         if len(base) != n:
             raise ValidationError("fixed ballots must cover every agent")
+        charge = len(agent_pool) * (2 ** len(ids) if deviations is None else len(deviations))
+        if charge > caps.profiles:
+            raise ResourceLimitError(
+                f"fixed-others search tries {charge} ballots over {len(agent_pool)} agents, "
+                f"exceeding the cap of {caps.profiles}"
+            )
+        # No pool means every ballot, which the search reads as one box.
         pool = (
-            subsets_ascending(ids)
+            None
             if deviations is None
             else [instance.check_subset(d, "deviation") for d in deviations]
         )
@@ -405,7 +439,7 @@ def check_second_stage_sp(
         params["seed"] = seed
         cases = _sampled_cases(Random(seed), sorted(ids), tops, samples, agent_pool)
 
-    witness, checked = _first_manipulation(OutcomeCache(rule, instance), model, approximate, cases)
+    witness, checked = _first_manipulation(outcome, model, approximate, cases)
     if witness is not None:
         return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     # Only full enumeration is a proof: fixed-others searched one slice of
@@ -417,15 +451,16 @@ def _first_manipulation(
     outcome: OutcomeCache,
     model: str,
     approximate: bool,
-    cases: Iterable[tuple[int, frozenset[int], tuple[frozenset[int], ...], Iterable]],
+    cases: Iterable[tuple[int, frozenset[int], tuple[frozenset[int], ...], Sequence | None]],
 ) -> tuple[dict | None, int]:
     """Witness of the first tried ballot that beats voting truthfully, and the count tried.
 
     In each ``(agent, ideal, profile, ballots to try)`` case the agent tries
-    each ballot in her slot of ``profile``.  Each ideal set's value function
-    is built once, and the witness reports its values.  The bar to beat
-    depends only on the ideal set and the truthful outcome, so it is
-    computed once per pair.
+    each ballot in her slot of ``profile``; ``None`` tries every ballot, in
+    the order of :attr:`OutcomeCache.ballots`, read from one box.  Each
+    ideal set's value function is built once, and the witness reports its
+    values.  The bar to beat depends only on the ideal set and the truthful
+    outcome, so it is computed once per pair.
     """
     instance = outcome.instance
     values: dict[frozenset[int], Callable[[Iterable[int]], int]] = {}
@@ -443,10 +478,17 @@ def _first_manipulation(
             if approximate:
                 bar += repair_gain(value, ideal, truthful)
             bars[ideal, truthful] = bar
+        if tried is None:
+            tried, box = outcome.ballots, outcome.box(others, agent)
+        else:
+            box = None
         worth = {}
-        for ballot in tried:
+        for index, ballot in enumerate(tried):
             checked += 1
-            manipulated = outcome.with_ballot(others, agent, ballot)
+            if box is None:
+                manipulated = outcome.with_ballot(others, agent, ballot)
+            else:
+                manipulated = box[index]
             gain = worth.get(manipulated)
             if gain is None:
                 gain = worth[manipulated] = value(manipulated)
@@ -528,16 +570,14 @@ def check_sp_over_unit_class(
         "approximate": approximate,
     }
     for instance, slots in _unit_class(max_projects):
-        all_ballots = subsets_ascending(instance.ids)
+        outcome = OutcomeCache(rule, instance)
         cases = (
-            (0, ideal, (ideal, *others), all_ballots)
+            (0, ideal, (ideal, *others), None)
             for n in range(1, max_agents + 1)
             for ideal in map(frozenset, itertools.combinations(instance.ids, slots))
-            for others in itertools.product(all_ballots, repeat=n - 1)
+            for others in itertools.product(outcome.ballots, repeat=n - 1)
         )
-        witness, tried = _first_manipulation(
-            OutcomeCache(rule, instance), model, approximate, cases
-        )
+        witness, tried = _first_manipulation(outcome, model, approximate, cases)
         checked += tried
         if witness is not None:
             return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)

@@ -12,8 +12,10 @@ from pbstages.allocation import (
     PriorityTieBreak,
     allocation_rule,
     approval_maximising,
+    approval_maximising_box,
     approval_maximising_kernel,
     approval_scores,
+    box_kernel,
     classify_allocation,
     greedy_approval,
     greedy_approval_kernel,
@@ -57,8 +59,9 @@ class TestApprovalScores:
         assert scores[1] == 1 and sum(scores.values()) == 1
 
     def test_ballot_outside_shortlist_rejected(self, example_shortlist):
-        with pytest.raises(ValidationError):
-            approval_scores(example_shortlist, (fs(10),))
+        message = r"^ballot of agent 2 contains unknown project ids \[10, 12\]$"
+        with pytest.raises(ValidationError, match=message):
+            approval_scores(example_shortlist, (fs(1), [12, 3, 10, 12]))
 
 
 class TestClassify:
@@ -164,6 +167,16 @@ def scored_instances(draw):
     return instance, scores, ballots
 
 
+@st.composite
+def score_boxes(draw):
+    """An instance with m <= 8 projects of cost <= 6, and the low corner of a unit score box."""
+    m = draw(st.integers(1, 8))
+    costs = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    budget = draw(st.integers(max(costs), sum(costs)))
+    lows = tuple(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+    return make_instance(costs, budget), lows
+
+
 def kernel_args(instance, scores):
     return instance.ids, tuple(p.cost for p in instance.projects), instance.budget, scores
 
@@ -207,6 +220,49 @@ class TestScoreKernels:
         got = approval_maximising_kernel(*kernel_args(instance, scores), policy)
         assert got == approval_maximising_oracle(instance, ballots, policy)
 
+    @settings(deadline=None, max_examples=120)
+    @given(score_boxes(), st.booleans(), st.data())
+    def test_box_matches_point_kernel_and_oracle(self, case, with_policy, data):
+        instance, lows = case
+        ids, costs, budget = kernel_args(instance, lows)[:3]
+        ballots = subsets_ascending(ids)
+
+        def point(ballot):
+            return tuple(low + (pid in ballot) for pid, low in zip(ids, lows))
+
+        def profile(ballot):
+            # One ballot per score unit realises the point's score vector.
+            scores = point(ballot)
+            return tuple(
+                frozenset(pid for pid, s in zip(ids, scores) if s > level)
+                for level in range(max(scores))
+            )
+
+        tie_point = data.draw(st.sampled_from(ballots))
+        policy = None
+        if with_policy:
+            # Maximisers tied at one point of the box, the whole shortlist
+            # (infeasible unless the budget covers it) and a set reaching
+            # outside the shortlist.
+            best = maximum_score_oracle(instance, profile(tie_point))
+            tied = [
+                s for s in ballots
+                if instance.total_cost(s) <= budget
+                and sum(point(tie_point)[ids.index(pid)] for pid in s) == best
+            ]
+            decoys = [frozenset(ids), fs(ids[0], max(ids) + 1)]
+            listed = data.draw(st.lists(
+                st.sampled_from(tied + decoys), min_size=1, max_size=4, unique=True
+            ))
+            policy = PriorityTieBreak(tuple(listed))
+        box = approval_maximising_box(ids, costs, budget, lows, policy)
+        assert len(box) == len(ballots)
+        for ballot, got in zip(ballots, box):
+            assert got == approval_maximising_kernel(ids, costs, budget, point(ballot), policy)
+        for ballot in {tie_point, data.draw(st.sampled_from(ballots))}:
+            want = approval_maximising_oracle(instance, profile(ballot), policy)
+            assert box[ballots.index(ballot)] == want
+
     def test_declared_kernels_survive_wrapping(self):
         for rule, kernel in (
             (greedy_approval, greedy_approval_kernel),
@@ -230,9 +286,17 @@ class TestScoreKernels:
             got = kernel(*kernel_args(instance, tuple(scores[p] for p in instance.ids)))
             assert got == rule(instance, ballots)
 
+    def test_policy_rule_box_keeps_its_policy(self):
+        policy = PriorityTieBreak((fs(1, 2, 3, 5), fs(4, 5, 6, 7)))
+        box = box_kernel(allocation_rule("approval-maximising", policy))
+        assert box.keywords == {"policy": policy}
+        assert box.func is approval_maximising_box
+
     def test_other_rules_declare_no_kernel(self):
         assert score_kernel(approval_maximising_oracle) is None
         assert score_kernel(greedy_approval_oracle) is None
+        assert box_kernel(approval_maximising_oracle) is None
+        assert box_kernel(greedy_approval) is None
         assert score_kernel(lambda instance, ballots: frozenset()) is None
         # A positional binding changes the call, so the kernel no longer fits.
         assert score_kernel(functools.partial(greedy_approval, unit_instance(2, 1))) is None

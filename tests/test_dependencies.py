@@ -69,3 +69,14 @@ def test_every_cap_is_read():
     read = {attr for path in PACKAGE.glob("*.py") for attr in caps_reads(path)}
     unread = {cap.name for cap in dataclasses.fields(Caps)} - read
     assert unread <= {"maximisers"}
+
+
+def test_oracles_import_no_kernel():
+    # An oracle must not share the code it checks, and the allocation
+    # oracles are held to the score-vector and box kernels.
+    shared = {
+        name
+        for name in imported_modules(PACKAGE / "oracles.py")
+        if name.startswith("pbstages.allocation.") and name.endswith(("_kernel", "_box"))
+    }
+    assert not shared

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -6,8 +7,13 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbstages.core import Caps, ResourceLimitError, ValidationError
-from pbstages.allocation import allocation_rule, greedy_approval
+from pbstages.core import Caps, ResourceLimitError, ValidationError, subsets_ascending
+from pbstages.allocation import (
+    PriorityTieBreak,
+    allocation_rule,
+    approval_maximising,
+    greedy_approval,
+)
 from pbstages.fixtures import load_fixture
 from pbstages.oracles import (
     approval_maximising_oracle,
@@ -28,6 +34,7 @@ from pbstages.suites import (
 from pbstages.verification import (
     COUNTEREXAMPLE,
     HOLDS,
+    OutcomeCache,
     aggregate,
     check_allocation_axiom,
     check_non_wasteful,
@@ -213,6 +220,23 @@ class TestSecondStageSp:
         )
         assert verdict.holds and verdict.exact
 
+    def test_fixed_others_past_profile_cap_refused(self):
+        # 2 agents each try the 2^3 ballots of 3 projects, 16 in all, or
+        # each of 2 listed deviations, 4 in all.
+        instance = unit_instance(3, 1)
+        rankings = ((1, 2, 3), (3, 2, 1))
+        for deviations, needed in ((None, 16), ([fs(1), fs(2, 3)], 4)):
+            with pytest.raises(ResourceLimitError):
+                check_second_stage_sp(
+                    greedy_approval, instance, rankings, "overlap", search="fixed-others",
+                    deviations=deviations, caps=Caps(profiles=needed - 1),
+                )
+            verdict = check_second_stage_sp(
+                greedy_approval, instance, rankings, "overlap", search="fixed-others",
+                deviations=deviations, caps=Caps(profiles=needed),
+            )
+            assert verdict.holds and verdict.checked == needed
+
     @pytest.mark.parametrize("search", ["auto", "full", "sample"])
     def test_deviations_outside_fixed_others_refused(self, search):
         # "auto" resolves to "full" here, which would try every ballot and
@@ -329,6 +353,30 @@ class TestSecondStageSp:
                         ).to_jsonable())
         blob = json.dumps(verdicts, sort_keys=True, separators=(",", ":")).encode()
         assert hashlib.sha256(blob).hexdigest() == self.FIXED_OTHERS_SHA256
+
+
+class TestOutcomeCacheBox:
+    @pytest.mark.parametrize("rule", [
+        greedy_approval,
+        approval_maximising,
+        functools.partial(approval_maximising, policy=PriorityTieBreak((fs(3, 4), fs(2, 4)))),
+        approval_maximising_oracle,
+    ])
+    def test_box_is_each_ballot_in_turn(self, rule):
+        # Two agents of one fixed profile: the oracle's key is the whole
+        # profile, so a box memoised without the agent would hand the
+        # second agent the first one's outcomes.
+        instance = unit_instance(4, 2)
+        profile = (fs(1, 2), fs(3, 4), fs(1, 3))
+        cache = OutcomeCache(rule, instance)
+        for agent in (0, 1):
+            others = cache.others(profile, agent)
+            box = cache.box(others, agent)
+            assert box == [
+                rule(instance, profile[:agent] + (ballot,) + profile[agent + 1 :])
+                for ballot in subsets_ascending(instance.ids)
+            ]
+            assert cache.box(others, agent) is box
 
 
 ORACLES = {"greedy-approval": greedy_approval_oracle,
