@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -55,20 +56,15 @@ def classify_allocation(instance: Instance, allocation: Iterable[int]) -> str:
 
 
 def _kernel_args(instance: Instance, scores: dict[int, int]) -> tuple:
+    """Kernel arguments for the one point ``scores``: singleton levels."""
     ids = instance.ids
     costs = tuple(p.cost for p in instance.projects)
-    return ids, costs, instance.budget, tuple(scores[pid] for pid in ids)
+    return ids, costs, instance.budget, [(scores[pid],) for pid in ids]
 
 
-def greedy_approval_kernel(
+def _greedy(
     ids: Sequence[int], costs: Sequence[int], budget: int, scores: Sequence[int]
 ) -> frozenset[int]:
-    """Greedy approval on a score vector indexed by slot.
-
-    ``ids`` lists the projects in ascending order; ``costs`` and ``scores``
-    are indexed the same way.  The sort is stable, so equal scores keep
-    slot order: the lower id wins, which is the canonical tie-break.
-    """
     chosen = []
     for j in sorted(range(len(ids)), key=scores.__getitem__, reverse=True):
         if costs[j] <= budget:
@@ -77,9 +73,26 @@ def greedy_approval_kernel(
     return frozenset(chosen)
 
 
+def greedy_approval_kernel(
+    ids: Sequence[int], costs: Sequence[int], budget: int, levels: Sequence[Sequence[int]]
+) -> list[frozenset[int]]:
+    """Greedy approval at every point of the product of the per-slot ``levels``.
+
+    ``ids`` lists the projects in ascending order; ``costs`` and ``levels``
+    are indexed the same way.  Points come slot 0 fastest, the order of
+    :func:`~pbstages.core.subsets_ascending`.  The sort is stable, so equal
+    scores keep slot order: the lower id wins, which is the canonical
+    tie-break.
+    """
+    return [
+        _greedy(ids, costs, budget, point[::-1])
+        for point in itertools.product(*reversed(levels))
+    ]
+
+
 def greedy_approval(instance: Instance, ballots: Sequence[Iterable[int]]) -> frozenset[int]:
     """Fund projects greedily in order of approval score."""
-    return greedy_approval_kernel(*_kernel_args(instance, approval_scores(instance, ballots)))
+    return greedy_approval_kernel(*_kernel_args(instance, approval_scores(instance, ballots)))[0]
 
 
 @dataclass(frozen=True)
@@ -171,56 +184,38 @@ def approval_maximising_kernel(
     ids: Sequence[int],
     costs: Sequence[int],
     budget: int,
-    scores: Sequence[int],
-    policy: PriorityTieBreak | None = None,
-) -> frozenset[int]:
-    """Approval maximisation on a slot-indexed score vector.
-
-    A suffix knapsack gives the optimal score.  A ``policy`` returns the
-    first allocation it lists that lies in the shortlist, fits the budget
-    and reaches that score.  Otherwise canonical tie-breaking prefers the
-    maximiser whose characteristic vector is lexicographically largest, so
-    it is built directly by forcing projects in, in ascending slot order,
-    whenever an optimal completion still exists.  The knapsack answers
-    those queries exactly, so the (possibly huge) maximiser family is
-    never listed.
-    """
-    m = len(ids)
-    if m == 0:
-        return frozenset()
-    rows: list = [None] * m + [[0] * (budget + 1)]
-    for j in range(m - 1, 0, -1):
-        rows[j] = _suffix_row(rows[j + 1], costs[j], scores[j])
-    return _maximiser(ids, costs, budget, scores, rows, _listed(ids, costs, budget, policy))
-
-
-def approval_maximising_box(
-    ids: Sequence[int],
-    costs: Sequence[int],
-    budget: int,
-    lows: Sequence[int],
+    levels: Sequence[Sequence[int]],
     policy: PriorityTieBreak | None = None,
 ) -> list[frozenset[int]]:
-    """:func:`approval_maximising_kernel` at ``lows + 1_B`` for every subset B of the slots.
+    """Approval maximisation at every point of the product of the per-slot ``levels``.
 
-    Outcomes come in :func:`~pbstages.core.subsets_ascending` order: bit j
-    of the index is slot j, so slot 0 varies fastest.  The suffix row of
-    slots j.. depends only on the scores of those slots, so the slots are
-    walked depth first from the last one, each node of that tree above
-    slot 0 builds one row, and each leaf runs the kernel's forward pass:
-    2^m - 2 rows for the whole box instead of m - 1 per point.
+    Points come slot 0 fastest, as in :func:`greedy_approval_kernel`.  At
+    each point a suffix knapsack gives the optimal score.  A ``policy``
+    returns the first allocation it lists that lies in the shortlist, fits
+    the budget and reaches that score.  Otherwise canonical tie-breaking
+    prefers the maximiser whose characteristic vector is lexicographically
+    largest, so it is built directly by forcing projects in, in ascending
+    slot order, whenever an optimal completion still exists.  The knapsack
+    answers those queries exactly, so the (possibly huge) maximiser family
+    is never listed.
+
+    The suffix row of slots j.. depends only on the scores of those slots,
+    so the slots are walked depth first from the last one: each node of
+    that tree above slot 0 builds one row, and each leaf runs the forward
+    pass.  A unit box over m slots costs 2^m - 2 rows instead of m - 1 per
+    point.
     """
     m = len(ids)
     if m == 0:
         return [frozenset()]
     listed = _listed(ids, costs, budget, policy)
-    scores = list(lows)
+    scores = [0] * m
     rows: list = [None] * m + [[0] * (budget + 1)]
     out: list[frozenset[int]] = []
 
     def walk(j: int) -> None:
-        cost, low = costs[j], lows[j]
-        for gain in (low, low + 1):
+        cost = costs[j]
+        for gain in levels[j]:
             scores[j] = gain
             if j:
                 rows[j] = _suffix_row(rows[j + 1], cost, gain)
@@ -229,6 +224,9 @@ def approval_maximising_box(
                 out.append(_maximiser(ids, costs, budget, scores, rows, listed))
 
     walk(m - 1)
+    # Break the cycle through walk's own cell, so the rows are freed now and
+    # not left to the cycle collector.
+    del walk
     return out
 
 
@@ -239,42 +237,31 @@ def approval_maximising(
 ) -> frozenset[int]:
     """Fund a feasible allocation with maximal total approval score."""
     scores = approval_scores(instance, ballots)
-    return approval_maximising_kernel(*_kernel_args(instance, scores), policy)
+    return approval_maximising_kernel(*_kernel_args(instance, scores), policy)[0]
 
 
 # The rules that read a ballot profile only through its approval score
-# vector, each with the kernel that computes its outcome from that vector
-# and the box kernel that computes it at every vector of a unit box
-# (``None`` where none is declared).  The searches memoise on the vector
-# and call the kernels on it directly.
+# vector, each with the kernel that computes its outcome at every point of
+# a grid of such vectors.  The searches memoise on the vector and call the
+# kernels directly.
 SCORE_KERNELS = (
-    (greedy_approval, greedy_approval_kernel, None),
-    (approval_maximising, approval_maximising_kernel, approval_maximising_box),
+    (greedy_approval, greedy_approval_kernel),
+    (approval_maximising, approval_maximising_kernel),
 )
 
 
-def _declared(rule, column: int) -> Callable | None:
-    """Column ``column`` of the rule's :data:`SCORE_KERNELS` entry, seen through wrappers.
+def score_kernel(rule) -> Callable[..., list[frozenset[int]]] | None:
+    """The grid kernel a rule reduces to, or ``None`` for any other rule.
 
     Sees through ``functools.wraps`` wrappers.  A ``functools.partial`` of
     a declared rule that binds keyword options only (a tie-break policy)
-    reduces to the entry with the same options bound.
+    reduces to the kernel with the same options bound.
     """
     rule = inspect.unwrap(rule)
     if isinstance(rule, functools.partial):
-        found = None if rule.args else _declared(rule.func, column)
+        found = None if rule.args else score_kernel(rule.func)
         return None if found is None else functools.partial(found, **rule.keywords)
-    return next((entry[column] for entry in SCORE_KERNELS if entry[0] is rule), None)
-
-
-def score_kernel(rule) -> Callable[..., frozenset[int]] | None:
-    """The score-vector kernel a rule reduces to, or ``None`` for any other rule."""
-    return _declared(rule, 1)
-
-
-def box_kernel(rule) -> Callable[..., list[frozenset[int]]] | None:
-    """The box kernel a rule reduces to (see :func:`approval_maximising_box`), or ``None``."""
-    return _declared(rule, 2)
+    return next((kernel for declared, kernel in SCORE_KERNELS if declared is rule), None)
 
 
 def allocation_rule(name: str, policy: PriorityTieBreak | None = None):

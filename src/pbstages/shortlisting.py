@@ -351,8 +351,6 @@ def _minimal_partitions(
     geometric median is its own median.  Nearness and radii compare stored
     distances exactly.  The clusterings come back in canonical order.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
     pids = sorted(pids)
     if len(pids) > caps.partitions:
         raise ResourceLimitError(
@@ -430,6 +428,8 @@ def k_median_outcome(
     sets.  The partitions are sorted by their lists of sorted clusters, with
     clusters ordered by their least member.
     """
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     proposals = check_proposals(instance, proposals)
     union = proposal_union(proposals)
     if not union:

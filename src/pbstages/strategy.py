@@ -180,7 +180,7 @@ def _fstar_outcomes(
 
 
 def _grid_outcomes(
-    kernel: Callable[..., frozenset[int]],
+    kernel: Callable[..., list[frozenset[int]]],
     instance: Instance,
     agents: int,
     agent: int,
@@ -194,8 +194,10 @@ def _grid_outcomes(
     her best response at s maximises one key over the box s + {0,1}^m: the
     outcome's value under her ideal set, then its characteristic vector
     in ascending id order (the canonical tie-break, a total order by
-    itself).  The key is evaluated once per point of {0..n}^m, and one
-    pairwise-max pass per axis turns it into the box maximum.
+    itself).  One kernel call returns the outcome at every point of
+    {0..n}^m, sharing suffix rows between points as the kernel allows; the
+    key is evaluated once per point, and one pairwise-max pass per axis
+    turns it into the box maximum.
 
     The others' first profile summing to s in product order is greedy:
     their i-th ballot holds the projects with s_j > n - 2 - i.  Outcomes
@@ -207,13 +209,12 @@ def _grid_outcomes(
     costs = tuple(p.cost for p in instance.projects)
     value = valuation(model, ideal, instance)
     side = agents + 1
-    # Point t of {0..n}^m sits at index sum(t_j * side^(m-1-j)), the order
-    # of itertools.product.
+    # Point t of {0..n}^m sits at index sum(t_j * side^j): the kernel's
+    # order, slot 0 fastest.
     keys: list[int] = []
     outcome_of: dict[int, frozenset[int]] = {}
     key_of: dict[frozenset[int], int] = {}
-    for scores in itertools.product(range(side), repeat=m):
-        outcome = kernel(ids, costs, instance.budget, scores)
+    for outcome in kernel(ids, costs, instance.budget, [range(side)] * m):
         key = key_of.get(outcome)
         if key is None:
             mask = sum(1 << (m - 1 - j) for j, pid in enumerate(ids) if pid in outcome)
@@ -221,7 +222,7 @@ def _grid_outcomes(
             outcome_of[key] = outcome
         keys.append(key)
     for j in range(m):
-        stride = side ** (m - 1 - j)
+        stride = side**j
         for start in range(0, len(keys), stride * side):
             for low in range(start, start + agents * stride, stride):
                 high = low + stride
@@ -229,7 +230,7 @@ def _grid_outcomes(
     first: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for point in itertools.product(range(agents), repeat=m):
         index = 0
-        for s in point:
+        for s in reversed(point):
             index = index * side + s
         masks = tuple(
             sum(1 << j for j, s in enumerate(point) if s > agents - 2 - i)

@@ -23,7 +23,7 @@ from pbstages.core import (
     ValidationError,
     subsets_ascending,
 )
-from pbstages.allocation import EXHAUSTIVE, box_kernel, classify_allocation, score_kernel
+from pbstages.allocation import EXHAUSTIVE, classify_allocation, score_kernel
 from pbstages.preferences import check_model, truthful_ballots, valuation
 from pbstages.shortlisting import check_proposals, proposal_union
 
@@ -246,32 +246,35 @@ def check_allocation_axiom(rule: AllocationRule, axiom: str, cases: Iterable) ->
 class OutcomeCache:
     """Memoises an allocation rule on one instance.
 
-    A rule with a declared score-vector kernel
+    A rule with a declared grid kernel
     (:func:`pbstages.allocation.score_kernel`) is memoised per approval
     score vector, indexed by slot in ascending id order, and a miss runs
-    the kernel on that vector.  Any other rule is called on the ballot
+    the kernel on that one point.  Any other rule is called on the ballot
     profile and memoised per profile.
 
     Searches that vary one agent's ballot split a profile into the key of
     the other agents' ballots (:meth:`others`) and that ballot
     (:meth:`with_ballot`).  A search that tries every ballot reads all of
     their outcomes at once from :meth:`box`, in the order of
-    :attr:`ballots`; a rule with a box kernel
-    (:func:`pbstages.allocation.box_kernel`) computes them in one call.
-    Boxes are memoised per others key and live as long as the cache.
+    :attr:`ballots`; a rule with a kernel computes them in one call on the
+    unit box above the others' score vector.  Boxes are memoised per
+    others key and live as long as the cache.
     """
 
     def __init__(self, rule: AllocationRule, instance: Instance):
         self.rule = rule
         self.instance = instance
         self.kernel = score_kernel(rule)
-        self._box_kernel = box_kernel(rule)
         self._ids = instance.ids
         self._costs = tuple(p.cost for p in instance.projects)
         self._slot = {pid: j for j, pid in enumerate(self._ids)}
         self._store: dict[tuple, frozenset[int]] = {}
         self._vectors: dict[frozenset[int], tuple[int, ...]] = {}
         self._boxes: dict[tuple, list[frozenset[int]]] = {}
+        # The last profile :meth:`others` saw and its score vector: a search
+        # asks for each agent of one profile in turn.
+        self._profile: tuple | None = None
+        self._total: list[int] = []
 
     @functools.cached_property
     def ballots(self) -> list[frozenset[int]]:
@@ -294,7 +297,9 @@ class OutcomeCache:
         """Lookup key of every ballot in ``profile`` but the agent's."""
         if self.kernel is None:
             return profile
-        scores = self._scores(profile)
+        if profile is not self._profile:
+            self._profile, self._total = profile, self._scores(profile)
+        scores = self._total.copy()
         for pid in profile[agent]:
             scores[self._slot[pid]] -= 1
         return tuple(scores)
@@ -314,7 +319,8 @@ class OutcomeCache:
             if self.kernel is None:
                 outcome = self.rule(self.instance, key)
             else:
-                outcome = self.kernel(self._ids, self._costs, self.instance.budget, key)
+                point = [(s,) for s in key]
+                outcome = self.kernel(self._ids, self._costs, self.instance.budget, point)[0]
             self._store[key] = outcome
         return outcome
 
@@ -325,8 +331,9 @@ class OutcomeCache:
         key = others if self.kernel is not None else (others, agent)
         box = self._boxes.get(key)
         if box is None:
-            if self._box_kernel is not None:
-                box = self._box_kernel(self._ids, self._costs, self.instance.budget, others)
+            if self.kernel is not None:
+                levels = [(low, low + 1) for low in others]
+                box = self.kernel(self._ids, self._costs, self.instance.budget, levels)
             else:
                 box = [self.with_ballot(others, agent, ballot) for ballot in self.ballots]
             self._boxes[key] = box

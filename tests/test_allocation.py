@@ -1,4 +1,5 @@
 import functools
+import itertools
 from random import Random
 
 import pytest
@@ -12,10 +13,8 @@ from pbstages.allocation import (
     PriorityTieBreak,
     allocation_rule,
     approval_maximising,
-    approval_maximising_box,
     approval_maximising_kernel,
     approval_scores,
-    box_kernel,
     classify_allocation,
     greedy_approval,
     greedy_approval_kernel,
@@ -151,117 +150,72 @@ class TestPriorityTieBreak:
 
 
 @st.composite
-def scored_instances(draw):
-    """An instance with m <= 10 projects of cost <= 6, and a score vector
-    with entries 0..n, realised by one ballot per score unit."""
-    m = draw(st.integers(1, 10))
+def kernel_grids(draw):
+    """An instance of projects with cost <= 6 and per-slot score levels in 0..n.
+
+    The levels are one point (m <= 10, n <= 4), a unit box (m <= 8,
+    n <= 4) or the whole grid {0..n}^m (m <= 3, n <= 3), the shapes the
+    searches ask for.
+    """
+    shape = draw(st.sampled_from(["point", "box", "grid"]))
+    m = draw(st.integers(1, {"point": 10, "box": 8, "grid": 3}[shape]))
     costs = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
     budget = draw(st.integers(max(costs), sum(costs)))
-    n = draw(st.integers(1, 4))
-    scores = tuple(draw(st.lists(st.integers(0, n), min_size=m, max_size=m)))
-    instance = make_instance(costs, budget)
-    ballots = tuple(
+    n = draw(st.integers(1, 3 if shape == "grid" else 4))
+    if shape == "grid":
+        levels = [range(n + 1)] * m
+    else:
+        lows = draw(st.lists(st.integers(0, n if shape == "point" else n - 1),
+                             min_size=m, max_size=m))
+        levels = [(low,) if shape == "point" else (low, low + 1) for low in lows]
+    return make_instance(costs, budget), levels
+
+
+def realising_profile(instance, scores):
+    """One ballot per score unit, which realises the score vector."""
+    return tuple(
         frozenset(pid for pid, s in zip(instance.ids, scores) if s > level)
-        for level in range(n)
+        for level in range(max(scores))
     )
-    return instance, scores, ballots
-
-
-@st.composite
-def score_boxes(draw):
-    """An instance with m <= 8 projects of cost <= 6, and the low corner of a unit score box."""
-    m = draw(st.integers(1, 8))
-    costs = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
-    budget = draw(st.integers(max(costs), sum(costs)))
-    lows = tuple(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
-    return make_instance(costs, budget), lows
-
-
-def kernel_args(instance, scores):
-    return instance.ids, tuple(p.cost for p in instance.projects), instance.budget, scores
 
 
 class TestScoreKernels:
+    @pytest.mark.parametrize("rule", ["greedy", "maximising", "policy"])
     @settings(deadline=None, max_examples=150)
-    @given(scored_instances())
-    def test_greedy_kernel_matches_oracle(self, case):
-        instance, scores, ballots = case
-        got = greedy_approval_kernel(*kernel_args(instance, scores))
-        assert got == greedy_approval_oracle(instance, ballots)
-
-    @settings(deadline=None, max_examples=150)
-    @given(scored_instances())
-    def test_maximising_kernel_matches_oracle(self, case):
-        instance, scores, ballots = case
-        got = approval_maximising_kernel(*kernel_args(instance, scores))
-        assert got == approval_maximising_oracle(instance, ballots)
-
-    @settings(deadline=None, max_examples=150)
-    @given(scored_instances(), st.data())
-    def test_policy_kernel_matches_oracle(self, case, data):
-        instance, scores, ballots = case
-        score = dict(zip(instance.ids, scores))
-        best = maximum_score_oracle(instance, ballots)
-        tied = [
-            s for s in subsets_ascending(instance.ids)
-            if instance.total_cost(s) <= instance.budget and sum(map(score.get, s)) == best
-        ]
-        outside = max(instance.ids) + 1
-        # The empty set, the whole shortlist (infeasible unless the budget
-        # covers it) and a set reaching outside the shortlist.
-        decoys = [fs(), frozenset(instance.ids), fs(instance.ids[0], outside)]
-        arbitrary = st.sets(st.sampled_from((*instance.ids, outside))).map(frozenset)
-        listed = data.draw(st.lists(
-            st.one_of(st.sampled_from(tied), st.sampled_from(decoys), arbitrary),
-            max_size=5,
-            unique=True,
-        ))
-        policy = PriorityTieBreak(tuple(listed))
-        got = approval_maximising_kernel(*kernel_args(instance, scores), policy)
-        assert got == approval_maximising_oracle(instance, ballots, policy)
-
-    @settings(deadline=None, max_examples=120)
-    @given(score_boxes(), st.booleans(), st.data())
-    def test_box_matches_point_kernel_and_oracle(self, case, with_policy, data):
-        instance, lows = case
-        ids, costs, budget = kernel_args(instance, lows)[:3]
-        ballots = subsets_ascending(ids)
-
-        def point(ballot):
-            return tuple(low + (pid in ballot) for pid, low in zip(ids, lows))
-
-        def profile(ballot):
-            # One ballot per score unit realises the point's score vector.
-            scores = point(ballot)
-            return tuple(
-                frozenset(pid for pid, s in zip(ids, scores) if s > level)
-                for level in range(max(scores))
-            )
-
-        tie_point = data.draw(st.sampled_from(ballots))
+    @given(kernel_grids(), st.data())
+    def test_kernel_matches_oracle(self, rule, case, data):
+        instance, levels = case
+        ids, costs, budget = instance.ids, [p.cost for p in instance.projects], instance.budget
+        # Slot 0 varies fastest.
+        points = sorted(itertools.product(*levels), key=lambda point: point[::-1])
+        profiles = [realising_profile(instance, point) for point in points]
+        if rule == "greedy":
+            got = greedy_approval_kernel(ids, costs, budget, levels)
+            assert got == [greedy_approval_oracle(instance, p) for p in profiles]
+            return
         policy = None
-        if with_policy:
-            # Maximisers tied at one point of the box, the whole shortlist
-            # (infeasible unless the budget covers it) and a set reaching
-            # outside the shortlist.
-            best = maximum_score_oracle(instance, profile(tie_point))
+        if rule == "policy":
+            # Maximisers tied at one point, the empty set, the whole
+            # shortlist (infeasible unless the budget covers it), a set
+            # reaching outside the shortlist, and arbitrary sets.
+            tie_point = data.draw(st.sampled_from(points))
+            best = maximum_score_oracle(instance, realising_profile(instance, tie_point))
+            score = dict(zip(ids, tie_point))
             tied = [
-                s for s in ballots
-                if instance.total_cost(s) <= budget
-                and sum(point(tie_point)[ids.index(pid)] for pid in s) == best
+                s for s in subsets_ascending(ids)
+                if instance.total_cost(s) <= budget and sum(map(score.get, s)) == best
             ]
-            decoys = [frozenset(ids), fs(ids[0], max(ids) + 1)]
+            outside = max(ids) + 1
+            decoys = [fs(), frozenset(ids), fs(ids[0], outside)]
+            arbitrary = st.sets(st.sampled_from((*ids, outside))).map(frozenset)
             listed = data.draw(st.lists(
-                st.sampled_from(tied + decoys), min_size=1, max_size=4, unique=True
+                st.one_of(st.sampled_from(tied), st.sampled_from(decoys), arbitrary),
+                max_size=5,
+                unique=True,
             ))
             policy = PriorityTieBreak(tuple(listed))
-        box = approval_maximising_box(ids, costs, budget, lows, policy)
-        assert len(box) == len(ballots)
-        for ballot, got in zip(ballots, box):
-            assert got == approval_maximising_kernel(ids, costs, budget, point(ballot), policy)
-        for ballot in {tie_point, data.draw(st.sampled_from(ballots))}:
-            want = approval_maximising_oracle(instance, profile(ballot), policy)
-            assert box[ballots.index(ballot)] == want
+        got = approval_maximising_kernel(ids, costs, budget, levels, policy)
+        assert got == [approval_maximising_oracle(instance, p, policy) for p in profiles]
 
     def test_declared_kernels_survive_wrapping(self):
         for rule, kernel in (
@@ -277,26 +231,26 @@ class TestScoreKernels:
 
     def test_policy_rule_kernel_keeps_its_policy(self):
         instance = unit_instance(7, 4)
-        rule = allocation_rule(
-            "approval-maximising", PriorityTieBreak((fs(1, 2, 3, 5), fs(4, 5, 6, 7)))
-        )
+        ids, costs = instance.ids, [p.cost for p in instance.projects]
+        policy = PriorityTieBreak((fs(1, 2, 3, 5), fs(4, 5, 6, 7)))
+        rule = allocation_rule("approval-maximising", policy)
         kernel = score_kernel(rule)
+        assert kernel.func is approval_maximising_kernel
+        assert kernel.keywords == {"policy": policy}
         for ballots in ((fs(1, 2, 3, 4), fs(4, 5, 6, 7)), (fs(1, 2, 3), fs(4, 5, 6, 7))):
             scores = approval_scores(instance, ballots)
-            got = kernel(*kernel_args(instance, tuple(scores[p] for p in instance.ids)))
-            assert got == rule(instance, ballots)
-
-    def test_policy_rule_box_keeps_its_policy(self):
-        policy = PriorityTieBreak((fs(1, 2, 3, 5), fs(4, 5, 6, 7)))
-        box = box_kernel(allocation_rule("approval-maximising", policy))
-        assert box.keywords == {"policy": policy}
-        assert box.func is approval_maximising_box
+            point = [(scores[p],) for p in ids]
+            assert kernel(ids, costs, instance.budget, point) == [rule(instance, ballots)]
+        # The unit box above one other agent's ballot, one outcome per ballot.
+        other = fs(4, 5, 6, 7)
+        box = [(int(pid in other), int(pid in other) + 1) for pid in ids]
+        assert kernel(ids, costs, instance.budget, box) == [
+            rule(instance, (other, ballot)) for ballot in subsets_ascending(ids)
+        ]
 
     def test_other_rules_declare_no_kernel(self):
         assert score_kernel(approval_maximising_oracle) is None
         assert score_kernel(greedy_approval_oracle) is None
-        assert box_kernel(approval_maximising_oracle) is None
-        assert box_kernel(greedy_approval) is None
         assert score_kernel(lambda instance, ballots: frozenset()) is None
         # A positional binding changes the call, so the kernel no longer fits.
         assert score_kernel(functools.partial(greedy_approval, unit_instance(2, 1))) is None

@@ -285,6 +285,14 @@ class TestKMedian:
         metric = table_metric([1, 2], [(1, 2, 1.0)])
         assert k_median(instance, (fs(), fs()), 1, metric) == fs()
 
+    def test_k_checked_on_empty_profile(self):
+        instance = unit_instance(2, 1)
+        metric = table_metric([1, 2], [(1, 2, 1.0)])
+        with pytest.raises(ValidationError, match="k must be >= 1, got 0"):
+            k_median(instance, (fs(), fs()), 0, metric)
+        with pytest.raises(ValidationError, match="k must be >= 1, got 0"):
+            equal_representation(instance, (fs(), fs()), 0)
+
     def test_partition_invariants_hold(self, triangle_coords):
         instance = make_instance([1] * 7, 3, [triangle_coords[i] for i in range(1, 8)])
         metric = euclidean_metric(instance)

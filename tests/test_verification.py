@@ -197,6 +197,23 @@ class TestSecondStageSp:
         assert verdict.holds and verdict.exact
         assert verdict.params["search"] == "full"
 
+    def test_full_search_scores_each_profile_once(self, monkeypatch):
+        # Every agent of a profile is searched from one score vector, and
+        # each ballot is scored once for the whole search.
+        sizes = []
+        scores = OutcomeCache._scores
+
+        def counted(self, ballots):
+            sizes.append(len(ballots))
+            return scores(self, ballots)
+
+        monkeypatch.setattr(OutcomeCache, "_scores", counted)
+        verdict = check_second_stage_sp(
+            greedy_approval, unit_instance(2, 1), ((1, 2), (2, 1)), "overlap", search="full"
+        )
+        assert verdict.holds and verdict.checked == 16 * 2
+        assert sizes.count(2) == 16 and sizes.count(1) == 4 and len(sizes) == 20
+
     def test_auto_falls_back_to_fixed_others(self):
         instance = unit_instance(6, 3)
         rankings = tuple(tuple(range(1, 7)) for _ in range(4))
