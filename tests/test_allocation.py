@@ -150,14 +150,14 @@ class TestPriorityTieBreak:
 
 
 @st.composite
-def kernel_grids(draw):
+def kernel_grids(draw, shapes=("point", "box", "grid")):
     """An instance of projects with cost <= 6 and per-slot score levels in 0..n.
 
     The levels are one point (m <= 10, n <= 4), a unit box (m <= 8,
     n <= 4) or the whole grid {0..n}^m (m <= 3, n <= 3), the shapes the
-    searches ask for.
+    searches ask for; ``shapes`` limits the draw.
     """
-    shape = draw(st.sampled_from(["point", "box", "grid"]))
+    shape = draw(st.sampled_from(shapes))
     m = draw(st.integers(1, {"point": 10, "box": 8, "grid": 3}[shape]))
     costs = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
     budget = draw(st.integers(max(costs), sum(costs)))
@@ -179,43 +179,86 @@ def realising_profile(instance, scores):
     )
 
 
+def draw_policy(data, instance, tie_point):
+    """A priority list of maximisers tied at ``tie_point``, the empty set, the
+    whole shortlist (infeasible unless the budget covers it), a set reaching
+    outside the shortlist, and arbitrary sets."""
+    ids = instance.ids
+    best = maximum_score_oracle(instance, realising_profile(instance, tie_point))
+    score = dict(zip(ids, tie_point))
+    tied = [
+        s for s in subsets_ascending(ids)
+        if instance.total_cost(s) <= instance.budget and sum(map(score.get, s)) == best
+    ]
+    outside = max(ids) + 1
+    decoys = [fs(), frozenset(ids), fs(ids[0], outside)]
+    arbitrary = st.sets(st.sampled_from((*ids, outside))).map(frozenset)
+    listed = data.draw(st.lists(
+        st.one_of(st.sampled_from(tied), st.sampled_from(decoys), arbitrary),
+        max_size=5,
+        unique=True,
+    ))
+    return PriorityTieBreak(tuple(listed))
+
+
+def kernel_args(instance):
+    return instance.ids, [p.cost for p in instance.projects], instance.budget
+
+
+def grid_points(levels):
+    """The points of the product of ``levels``, slot 0 varying fastest."""
+    return sorted(itertools.product(*levels), key=lambda point: point[::-1])
+
+
 class TestScoreKernels:
-    @pytest.mark.parametrize("rule", ["greedy", "maximising", "policy"])
+    @pytest.mark.parametrize("rule", ["greedy", "maximising"])
+    @settings(deadline=None, max_examples=150)
+    @given(kernel_grids())
+    def test_kernel_matches_oracle(self, rule, case):
+        instance, levels = case
+        kernel, oracle = {
+            "greedy": (greedy_approval_kernel, greedy_approval_oracle),
+            "maximising": (approval_maximising_kernel, approval_maximising_oracle),
+        }[rule]
+        profiles = [realising_profile(instance, point) for point in grid_points(levels)]
+        assert kernel(*kernel_args(instance), levels) == [oracle(instance, p) for p in profiles]
+
     @settings(deadline=None, max_examples=150)
     @given(kernel_grids(), st.data())
-    def test_kernel_matches_oracle(self, rule, case, data):
+    def test_policy_kernel_matches_oracle(self, case, data):
         instance, levels = case
-        ids, costs, budget = instance.ids, [p.cost for p in instance.projects], instance.budget
-        # Slot 0 varies fastest.
-        points = sorted(itertools.product(*levels), key=lambda point: point[::-1])
-        profiles = [realising_profile(instance, point) for point in points]
-        if rule == "greedy":
-            got = greedy_approval_kernel(ids, costs, budget, levels)
-            assert got == [greedy_approval_oracle(instance, p) for p in profiles]
-            return
-        policy = None
-        if rule == "policy":
-            # Maximisers tied at one point, the empty set, the whole
-            # shortlist (infeasible unless the budget covers it), a set
-            # reaching outside the shortlist, and arbitrary sets.
-            tie_point = data.draw(st.sampled_from(points))
-            best = maximum_score_oracle(instance, realising_profile(instance, tie_point))
-            score = dict(zip(ids, tie_point))
-            tied = [
-                s for s in subsets_ascending(ids)
-                if instance.total_cost(s) <= budget and sum(map(score.get, s)) == best
-            ]
-            outside = max(ids) + 1
-            decoys = [fs(), frozenset(ids), fs(ids[0], outside)]
-            arbitrary = st.sets(st.sampled_from((*ids, outside))).map(frozenset)
-            listed = data.draw(st.lists(
-                st.one_of(st.sampled_from(tied), st.sampled_from(decoys), arbitrary),
-                max_size=5,
-                unique=True,
-            ))
-            policy = PriorityTieBreak(tuple(listed))
-        got = approval_maximising_kernel(ids, costs, budget, levels, policy)
-        assert got == [approval_maximising_oracle(instance, p, policy) for p in profiles]
+        points = grid_points(levels)
+        policy = draw_policy(data, instance, data.draw(st.sampled_from(points)))
+        got = approval_maximising_kernel(*kernel_args(instance), levels, policy)
+        assert got == [
+            approval_maximising_oracle(instance, realising_profile(instance, point), policy)
+            for point in points
+        ]
+
+    @settings(deadline=None, max_examples=120)
+    @given(kernel_grids(shapes=("box",)), st.booleans(), st.data())
+    def test_box_matches_point_kernel_and_oracle(self, case, with_policy, data):
+        instance, box = case
+        args = kernel_args(instance)
+        ballots = subsets_ascending(instance.ids)
+
+        def point(ballot):
+            return tuple(low + (pid in ballot) for pid, (low, _) in zip(instance.ids, box))
+
+        tie_ballot = data.draw(st.sampled_from(ballots))
+        policy = draw_policy(data, instance, point(tie_ballot)) if with_policy else None
+        greedy = greedy_approval_kernel(*args, box)
+        maximising = approval_maximising_kernel(*args, box, policy)
+        assert len(greedy) == len(maximising) == len(ballots)
+        for ballot, g, m in zip(ballots, greedy, maximising):
+            singleton = [(s,) for s in point(ballot)]
+            assert [g] == greedy_approval_kernel(*args, singleton)
+            assert [m] == approval_maximising_kernel(*args, singleton, policy)
+        for ballot in {tie_ballot, data.draw(st.sampled_from(ballots))}:
+            want = approval_maximising_oracle(
+                instance, realising_profile(instance, point(ballot)), policy
+            )
+            assert maximising[ballots.index(ballot)] == want
 
     def test_declared_kernels_survive_wrapping(self):
         for rule, kernel in (
@@ -235,12 +278,19 @@ class TestScoreKernels:
         policy = PriorityTieBreak((fs(1, 2, 3, 5), fs(4, 5, 6, 7)))
         rule = allocation_rule("approval-maximising", policy)
         kernel = score_kernel(rule)
-        assert kernel.func is approval_maximising_kernel
-        assert kernel.keywords == {"policy": policy}
         for ballots in ((fs(1, 2, 3, 4), fs(4, 5, 6, 7)), (fs(1, 2, 3), fs(4, 5, 6, 7))):
             scores = approval_scores(instance, ballots)
             point = [(scores[p],) for p in ids]
             assert kernel(ids, costs, instance.budget, point) == [rule(instance, ballots)]
+
+    def test_policy_rule_box_keeps_its_policy(self):
+        instance = unit_instance(7, 4)
+        ids, costs = instance.ids, [p.cost for p in instance.projects]
+        policy = PriorityTieBreak((fs(1, 2, 3, 5), fs(4, 5, 6, 7)))
+        rule = allocation_rule("approval-maximising", policy)
+        kernel = score_kernel(rule)
+        assert kernel.keywords == {"policy": policy}
+        assert kernel.func is approval_maximising_kernel
         # The unit box above one other agent's ballot, one outcome per ballot.
         other = fs(4, 5, 6, 7)
         box = [(int(pid in other), int(pid in other) + 1) for pid in ids]
