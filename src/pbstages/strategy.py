@@ -35,6 +35,7 @@ from pbstages.verification import (
     OutcomeCache,
     PropertyVerdict,
     ShortlistRule,
+    _box_max,
     ids_list,
 )
 
@@ -196,8 +197,8 @@ def _grid_outcomes(
     in ascending id order (the canonical tie-break, a total order by
     itself).  One kernel call returns the outcome at every point of
     {0..n}^m, sharing suffix rows between points as the kernel allows; the
-    key is evaluated once per point, and one pairwise-max pass per axis
-    turns it into the box maximum.
+    key is evaluated once per point, and
+    :func:`~pbstages.verification._box_max` turns it into the box maximum.
 
     The others' first profile summing to s in product order is greedy:
     their i-th ballot holds the projects with s_j > n - 2 - i.  Outcomes
@@ -221,12 +222,7 @@ def _grid_outcomes(
             key = key_of[outcome] = value(outcome) << m | mask
             outcome_of[key] = outcome
         keys.append(key)
-    for j in range(m):
-        stride = side**j
-        for start in range(0, len(keys), stride * side):
-            for low in range(start, start + agents * stride, stride):
-                high = low + stride
-                keys[low:high] = map(max, keys[low:high], keys[high : high + stride])
+    _box_max(keys, side, agents, m)
     first: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for point in itertools.product(range(agents), repeat=m):
         index = 0

@@ -353,6 +353,67 @@ def repair_gain(
     return max((value((pid,)) for pid in ideal - outcome), default=0)
 
 
+def _box_max(keys: list[int], side: int, n: int, m: int) -> list[int]:
+    """Each point s of {0..n-1}^m takes the maximum of ``keys`` over s + {0,1}^m, in place.
+
+    ``keys`` holds one key per point t of {0..side-1}^m at index
+    sum(t_j * side^j), slot 0 fastest (the kernels' order), with
+    ``side > n``.  A box is a product of per-axis intervals, so one
+    pairwise-max pass per axis turns the keys into box maxima (van Herk
+    1992; Gil & Werman 1993).  Entries outside {0..n-1}^m are left as
+    partial maxima.
+    """
+    for j in range(m):
+        stride = side**j
+        for start in range(0, len(keys), stride * side):
+            for low in range(start, start + n * stride, stride):
+                high = low + stride
+                keys[low:high] = map(max, keys[low:high], keys[high : high + stride])
+    return keys
+
+
+def _grid_holds(
+    outcome: OutcomeCache,
+    n: int,
+    ideals: Iterable[frozenset[int]],
+    model: str,
+    approximate: bool,
+) -> bool:
+    """Whether, among ``n`` agents, no agent with an ideal set in ``ideals`` can beat voting truthfully.
+
+    For a rule with a grid kernel.  The other agents reach the rule only
+    through their score vector s in {0..n-1}^m, every one of which some
+    profile of theirs realises, and the agent's ballot B moves it to
+    s + 1_B.  So an agent with ideal set I manipulates iff at some s the
+    box maximum of her value over s + {0,1}^m beats the bar at s + 1_I:
+    the truthful outcome's value, plus :func:`repair_gain` when
+    approximate.  One kernel call on {0..n}^m serves every ideal set.
+    """
+    instance = outcome.instance
+    ids = instance.ids
+    m = len(ids)
+    side = n + 1
+    grid = outcome.kernel(ids, outcome._costs, instance.budget, [range(side)] * m)
+    distinct = set(grid)
+    # The index of every others' score vector s in {0..n-1}^m.
+    lows = [0]
+    for j in range(m):
+        lows = [index + s * side**j for s in range(n) for index in lows]
+    for ideal in ideals:
+        value = valuation(model, ideal, instance)
+        worth = {o: value(o) for o in distinct}
+        bars = (
+            {o: w + repair_gain(value, ideal, o) for o, w in worth.items()}
+            if approximate
+            else worth
+        )
+        best = _box_max(list(map(worth.__getitem__, grid)), side, n, m)
+        shift = sum(side**j for j, pid in enumerate(ids) if pid in ideal)
+        if any(best[s] > bars[grid[s + shift]] for s in lows):
+            return False
+    return True
+
+
 def check_second_stage_sp(
     rule: AllocationRule,
     instance: Instance,
@@ -377,6 +438,10 @@ def check_second_stage_sp(
     Search modes:
 
     - ``"full"``: enumerate every profile and manipulator (exact; capped).
+      A rule with a grid kernel is decided on the score grid
+      (:func:`_grid_holds`); the profiles are enumerated in order only to
+      find the first witness when the grid refutes, so verdicts, witnesses
+      and ``checked`` are those of the ordered enumeration.
     - ``"fixed-others"``: other agents keep the scenario ballots (their
       truthful ideal sets unless ``ballots`` is given) while the
       manipulator tries every ballot, or each of ``deviations`` when
@@ -417,6 +482,10 @@ def check_second_stage_sp(
     }
 
     outcome = OutcomeCache(rule, instance)
+    if search == "full" and outcome.kernel is not None:
+        pool_ideals = {tops[agent] for agent in agent_pool}
+        if _grid_holds(outcome, n, pool_ideals, model, approximate):
+            return PropertyVerdict(HOLDS, None, True, len(agent_pool) * full_space, params)
     # Each case is (agent, ideal, profile, ballots to try in the agent's place).
     if search == "full":
         cases = (
@@ -559,6 +628,11 @@ def check_sp_over_unit_class(
     profiles covers every agent position; with equal costs every
     fixed-size subset arises as the greedy ideal of some ranking, so
     quantifying ideal sets covers every preference order.
+
+    A rule with a grid kernel is decided per (instance, agent count) on the
+    score grid (:func:`_grid_holds`), and an instance the grid refutes is
+    enumerated in order for its first witness, so verdicts and ``checked``
+    are those of the ordered enumeration.
     """
     check_model(model)
     space = (2**max_projects) ** max_agents
@@ -578,10 +652,18 @@ def check_sp_over_unit_class(
     }
     for instance, slots in _unit_class(max_projects):
         outcome = OutcomeCache(rule, instance)
+        ideals = list(map(frozenset, itertools.combinations(instance.ids, slots)))
+        if outcome.kernel is not None and all(
+            _grid_holds(outcome, n, ideals, model, approximate)
+            for n in range(1, max_agents + 1)
+        ):
+            m = len(instance.ids)
+            checked += sum(len(ideals) * (2**m) ** n for n in range(1, max_agents + 1))
+            continue
         cases = (
             (0, ideal, (ideal, *others), None)
             for n in range(1, max_agents + 1)
-            for ideal in map(frozenset, itertools.combinations(instance.ids, slots))
+            for ideal in ideals
             for others in itertools.product(outcome.ballots, repeat=n - 1)
         )
         witness, tried = _first_manipulation(outcome, model, approximate, cases)

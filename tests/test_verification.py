@@ -5,7 +5,7 @@ import json
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pbstages.core import Caps, ResourceLimitError, ValidationError, subsets_ascending
 from pbstages.allocation import (
@@ -13,6 +13,7 @@ from pbstages.allocation import (
     allocation_rule,
     approval_maximising,
     greedy_approval,
+    score_kernel,
 )
 from pbstages.fixtures import load_fixture
 from pbstages.oracles import (
@@ -20,7 +21,7 @@ from pbstages.oracles import (
     greedy_approval_oracle,
     repaired_value,
 )
-from pbstages.preferences import ideal_set, valuation
+from pbstages.preferences import ideal_set, truthful_ballots, valuation
 from pbstages.shortlisting import equal_representation, nomination
 from pbstages.suites import (
     allocation_cases,
@@ -35,6 +36,7 @@ from pbstages.verification import (
     COUNTEREXAMPLE,
     HOLDS,
     OutcomeCache,
+    _grid_holds,
     aggregate,
     check_allocation_axiom,
     check_non_wasteful,
@@ -198,8 +200,10 @@ class TestSecondStageSp:
         assert verdict.params["search"] == "full"
 
     def test_full_search_scores_each_profile_once(self, monkeypatch):
-        # Every agent of a profile is searched from one score vector, and
-        # each ballot is scored once for the whole search.
+        # A refuted kernel-rule check rebuilds its witness with the ordered
+        # scan: every agent of a profile is searched from one score vector,
+        # and each ballot is scored once for the whole search.  The witness
+        # comes at the 13th profile of (2^3)^2, its second agent.
         sizes = []
         scores = OutcomeCache._scores
 
@@ -209,10 +213,39 @@ class TestSecondStageSp:
 
         monkeypatch.setattr(OutcomeCache, "_scores", counted)
         verdict = check_second_stage_sp(
-            greedy_approval, unit_instance(2, 1), ((1, 2), (2, 1)), "overlap", search="full"
+            greedy_approval, make_instance([1, 1, 2], 3), ((1, 2, 3), (3, 2, 1)), "cost",
+            search="full",
         )
-        assert verdict.holds and verdict.checked == 16 * 2
-        assert sizes.count(2) == 16 and sizes.count(1) == 4 and len(sizes) == 20
+        assert not verdict.holds and verdict.checked == 13 * 2
+        assert verdict.witness["profile"] == [[1], [3]] and verdict.witness["agent"] == 2
+        assert sizes.count(2) == 13 and sizes.count(1) == 8 and len(sizes) == 21
+
+    @pytest.mark.parametrize("approximate", [False, True])
+    def test_holding_full_search_stays_on_the_grid(self, monkeypatch, approximate):
+        # One kernel call on the whole score grid decides every agent; no
+        # profile is enumerated and no outcome is looked up per point.
+        calls = []
+        kernel = score_kernel(greedy_approval)
+
+        def counted(*args):
+            calls.append(args[3])
+            return kernel(*args)
+
+        def refused(*args):
+            raise AssertionError("the ordered scan ran")
+
+        monkeypatch.setattr("pbstages.verification.score_kernel", lambda rule: counted)
+        monkeypatch.setattr("pbstages.verification._first_manipulation", refused)
+        monkeypatch.setattr(OutcomeCache, "_lookup", refused)
+        instance = unit_instance(4, 2)
+        rankings = ((1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3))
+        verdict = check_second_stage_sp(
+            greedy_approval, instance, rankings, "overlap", approximate=approximate,
+            search="full", agents=[0, 2],
+        )
+        assert verdict.holds and verdict.exact
+        assert verdict.checked == 2 * (2**4) ** 3
+        assert calls == [[range(4)] * 4]
 
     def test_auto_falls_back_to_fixed_others(self):
         instance = unit_instance(6, 3)
@@ -414,6 +447,11 @@ def sp_scenarios(draw, max_projects, max_agents):
     return instance, rankings, ballots
 
 
+# Scenarios small enough for the ordered scan of the oracles: up to 4
+# projects with 2 agents, or up to 3 agents on 3 projects; 1 agent included.
+FULL_SCENARIOS = st.one_of(sp_scenarios(4, 2), sp_scenarios(3, 3))
+
+
 class TestSecondStageSpAgainstOracles:
     """The score-vector search against the same search on a profile-keyed oracle."""
 
@@ -426,12 +464,48 @@ class TestSecondStageSpAgainstOracles:
             ORACLES[rule], instance, rankings, model, approximate=approximate, **search
         )
         assert fast.to_jsonable() == slow.to_jsonable()
+        return slow.to_jsonable()
 
+    # Grid against ordered scan: the oracles have no kernel.  Few draws
+    # refute, so besides one agent the examples pin two refutations that the
+    # ordered scan rebuilds, with 2 and 3 agents.
     @settings(deadline=None, max_examples=60)
-    @given(sp_scenarios(3, 2), st.sampled_from(sorted(ORACLES)),
+    @given(FULL_SCENARIOS, st.sampled_from(sorted(ORACLES)),
            st.sampled_from(["overlap", "cost"]), st.booleans())
+    @example(
+        (make_instance([1, 2, 1], 2), ((3, 1, 2),), ()), "approval-maximising", "cost", True
+    )
+    @example(
+        (make_instance([4, 1, 2], 6), ((3, 2, 1), (3, 2, 1)), ()), "greedy-approval", "cost",
+        False,
+    )
+    @example(
+        (make_instance([4, 2, 4], 9), ((2, 3, 1), (2, 1, 3), (2, 3, 1)), ()),
+        "approval-maximising", "cost", False,
+    )
     def test_full(self, scenario, rule, model, approximate):
-        self.agree(scenario, rule, model, approximate, search="full")
+        verdict = self.agree(scenario, rule, model, approximate, search="full")
+        # The grid decides alone: it refutes exactly where the scan does.
+        instance, rankings, _ = scenario
+        cache = OutcomeCache(allocation_rule(rule), instance)
+        ideals = set(truthful_ballots(instance, rankings))
+        grid = _grid_holds(cache, len(rankings), ideals, model, approximate)
+        assert grid == (verdict["status"] == HOLDS)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data(), st.sampled_from(["overlap", "cost"]), st.booleans())
+    def test_full_with_policy(self, data, model, approximate):
+        instance, rankings, _ = data.draw(FULL_SCENARIOS)
+        subsets = st.sets(st.sampled_from(instance.ids)).map(frozenset)
+        policy = PriorityTieBreak(tuple(data.draw(st.lists(subsets, max_size=5, unique=True))))
+        verdicts = [
+            check_second_stage_sp(
+                functools.partial(rule, policy=policy), instance, rankings, model,
+                approximate=approximate, search="full",
+            ).to_jsonable()
+            for rule in (approval_maximising, approval_maximising_oracle)
+        ]
+        assert verdicts[0] == verdicts[1]
 
     @settings(deadline=None, max_examples=60)
     @given(sp_scenarios(5, 4), st.sampled_from(sorted(ORACLES)),
