@@ -250,18 +250,26 @@ SCORE_KERNELS = (
 )
 
 
-def score_kernel(rule) -> Callable[..., list[frozenset[int]]] | None:
-    """The grid kernel a rule reduces to, or ``None`` for any other rule.
+def score_kernel(rule) -> Callable[..., list[frozenset[int]]]:
+    """The grid kernel a rule reduces to.
 
     Sees through ``functools.wraps`` wrappers.  A ``functools.partial`` of
     a declared rule that binds keyword options only (a tie-break policy)
-    reduces to the kernel with the same options bound.
+    reduces to the kernel with the same options bound.  The searches read
+    a rule only through its kernel, so any other rule raises
+    ``ValidationError``.
     """
-    rule = inspect.unwrap(rule)
-    if isinstance(rule, functools.partial):
-        found = None if rule.args else score_kernel(rule.func)
-        return None if found is None else functools.partial(found, **rule.keywords)
-    return next((kernel for declared, kernel in SCORE_KERNELS if declared is rule), None)
+    unwrapped = inspect.unwrap(rule)
+    if isinstance(unwrapped, functools.partial) and not unwrapped.args:
+        return functools.partial(score_kernel(unwrapped.func), **unwrapped.keywords)
+    kernel = next((k for declared, k in SCORE_KERNELS if declared is unwrapped), None)
+    if kernel is None:
+        name = getattr(rule, "__qualname__", None) or repr(rule)
+        raise ValidationError(
+            f"allocation rule {name} has no score kernel, so no search can run it; "
+            f"use allocation_rule() with one of {ALLOCATION_RULES}"
+        )
+    return kernel
 
 
 def allocation_rule(name: str, policy: PriorityTieBreak | None = None):
@@ -269,7 +277,7 @@ def allocation_rule(name: str, policy: PriorityTieBreak | None = None):
 
     Returns a callable ``rule(instance, ballots) -> frozenset`` suitable
     for the checkers in :mod:`pbstages.verification` and
-    :mod:`pbstages.strategy`, which find its kernel through
+    :mod:`pbstages.strategy`, which run its kernel through
     :func:`score_kernel`.
     """
     if name == "greedy-approval":

@@ -5,12 +5,16 @@ Each oracle recomputes a rule's output by the most direct route available
 primitives) without any of the pruning or forcing tricks the production
 implementations use.  They exist to be slow and obviously correct.
 ``repaired_value`` does the same for the approximate strategyproofness
-bar, without the valuation code the search uses.
+bar, without the valuation code the search uses.  The last three
+references redo the strategyproofness searches by calling a rule on
+every whole profile, with no memo and no score grid, so any rule fits
+them, the oracles above included.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import itertools
+from collections.abc import Callable, Iterable, Sequence
 
 from pbstages.core import (
     Instance,
@@ -182,3 +186,118 @@ def repaired_value(
     worth = {"overlap": len, "cost": instance.total_cost}[model]
     candidates = [outcome, *(outcome | {pid} for pid in instance.ids)]
     return max(worth(ideal & allocation) for allocation in candidates)
+
+
+def best_response_oracle(
+    rule: Callable[[Instance, Sequence[frozenset[int]]], frozenset[int]],
+    instance: Instance,
+    ballots: Sequence[frozenset[int]],
+    agent: int,
+    ideal: frozenset[int],
+    model: str,
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The agent's best outcome, canonically tie-broken, and the canonical ballot reaching it.
+
+    The rule is called on every full profile, each ballot in the agent's
+    slot.  An outcome is worth the number (``"overlap"``) or the total cost
+    (``"cost"``) of the ideal projects it holds.
+    """
+    worth = {"overlap": len, "cost": instance.total_cost}[model]
+    reached = {
+        ballot: rule(instance, tuple(ballot if i == agent else b for i, b in enumerate(ballots)))
+        for ballot in subsets_ascending(instance.ids)
+    }
+    top = max(worth(ideal & outcome) for outcome in reached.values())
+    target = tiebreak_family(o for o in reached.values() if worth(ideal & o) == top)
+    return tiebreak_family(b for b, o in reached.items() if o == target), target
+
+
+def fstar_outcomes_oracle(
+    rule: Callable[[Instance, Sequence[frozenset[int]]], frozenset[int]],
+    instance: Instance,
+    agents: int,
+    agent: int,
+    ideal: frozenset[int],
+    model: str,
+) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
+    """Every best-response outcome over the others' profiles, each with its first full profile.
+
+    The others' profiles run in product order, the agent's slot holding
+    her ideal set, and :func:`best_response_oracle` answers each.
+    """
+    out: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
+    for rest in itertools.product(subsets_ascending(instance.ids), repeat=agents - 1):
+        ballots = rest[:agent] + (ideal,) + rest[agent:]
+        _, outcome = best_response_oracle(rule, instance, ballots, agent, ideal, model)
+        out.setdefault(outcome, ballots)
+    return out
+
+
+def second_stage_sp_oracle(
+    rule: Callable[[Instance, Sequence[frozenset[int]]], frozenset[int]],
+    instance: Instance,
+    ideals: Sequence[frozenset[int]],
+    model: str,
+    approximate: bool = False,
+    ballots: Sequence[Iterable[int]] | None = None,
+    agents: Sequence[int] | None = None,
+) -> tuple[dict | None, int]:
+    """The first ballot that beats voting truthfully, by a plain scan, and the count tried.
+
+    ``ideals`` holds each agent's ideal set, and ``agents`` the indices
+    that may manipulate (every agent by default).  Without ``ballots`` the
+    scan is the ``full`` search: every profile in product order of
+    :func:`~pbstages.core.subsets_ascending`, and for each every agent in
+    turn, trying her ballot in the profile.  With ``ballots`` it is the
+    fixed-others search: each agent in turn tries every ballot, in that
+    order, in her slot of ``ballots``.  A ballot manipulates when its
+    outcome is worth more to the agent than the outcome with her ideal set
+    in her slot, or than its :func:`repaired_value` when ``approximate``.
+    Returns the witness in the search's format, or ``None``.
+    """
+    ideals = [frozenset(ideal) for ideal in ideals]
+    worth = {"overlap": len, "cost": instance.total_cost}[model]
+    pool = range(len(ideals)) if agents is None else agents
+    if ballots is None:
+        cases = (
+            (agent, profile, (profile[agent],))
+            for profile in itertools.product(subsets_ascending(instance.ids), repeat=len(ideals))
+            for agent in pool
+        )
+    else:
+        fixed = tuple(frozenset(ballot) for ballot in ballots)
+        cases = ((agent, fixed, subsets_ascending(instance.ids)) for agent in pool)
+    payload = {
+        "budget": instance.budget,
+        "costs": {str(p.index): p.cost for p in instance.projects},
+    }
+    coords = {str(p.index): list(p.coords) for p in instance.projects if p.coords is not None}
+    if coords:
+        payload["coords"] = coords
+    checked = 0
+    for agent, profile, tried in cases:
+        ideal = ideals[agent]
+        truthful = rule(instance, profile[:agent] + (ideal,) + profile[agent + 1 :])
+        repaired = repaired_value(model, ideal, truthful, instance)
+        bar = repaired if approximate else worth(ideal & truthful)
+        for ballot in tried:
+            checked += 1
+            deviated = profile[:agent] + (ballot,) + profile[agent + 1 :]
+            manipulated = rule(instance, deviated)
+            if worth(ideal & manipulated) > bar:
+                witness = {
+                    "kind": "second-stage-manipulation",
+                    "instance": payload,
+                    "agent": agent + 1,
+                    "model": model,
+                    "approximate": approximate,
+                    "profile": [sorted(b) for b in deviated],
+                    "ideal": sorted(ideal),
+                    "truthful_outcome": sorted(truthful),
+                    "manipulated_outcome": sorted(manipulated),
+                    "truthful_value": worth(ideal & truthful),
+                    "repaired_value": repaired,
+                    "manipulated_value": worth(ideal & manipulated),
+                }
+                return witness, checked
+    return None, checked

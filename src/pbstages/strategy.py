@@ -34,6 +34,7 @@ from pbstages.verification import (
     AllocationRule,
     OutcomeCache,
     PropertyVerdict,
+    ScoreKernel,
     ShortlistRule,
     _box_max,
     ids_list,
@@ -76,6 +77,7 @@ class StageGame:
     proposals: tuple[frozenset[int], ...] | None = None
 
     def __post_init__(self) -> None:
+        score_kernel(self.allocation_rule)
         check_model(self.model)
         if len(self.rankings) != len(self.awareness):
             raise ValidationError("one ranking and one awareness set per agent")
@@ -119,7 +121,6 @@ def best_response(
     ideal: frozenset[int],
     model: str,
     caps: Caps = Caps(),
-    cache: OutcomeCache | None = None,
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Best ballot for ``agent`` against the others' fixed ballots.
 
@@ -127,16 +128,14 @@ def best_response(
     her ideal set, canonically tie-broken among equal values; returns a
     canonical ballot achieving it together with that outcome.
     """
+    cache = OutcomeCache(score_kernel(rule), instance)
     if len(instance) > caps.ballots:
         raise ResourceLimitError(
             f"best-response enumeration over {len(instance)} projects exceeds "
             f"the cap of {caps.ballots}"
         )
-    if cache is None:
-        cache = OutcomeCache(rule, instance)
-    others = cache.others(tuple(ballots), agent)
     achieved: dict[frozenset[int], list[frozenset[int]]] = {}
-    for ballot, outcome in zip(cache.ballots, cache.box(others, agent)):
+    for ballot, outcome in zip(cache.ballots, cache.box(cache.others(tuple(ballots), agent))):
         achieved.setdefault(outcome, []).append(ballot)
     value = valuation(model, ideal, instance)
     best = max(map(value, achieved))
@@ -145,65 +144,31 @@ def best_response(
 
 
 def _fstar_outcomes(
-    rule: AllocationRule,
+    kernel: ScoreKernel,
     instance: Instance,
     agents: int,
     agent: int,
     ideal: frozenset[int],
     model: str,
-    caps: Caps,
 ) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
     """Every best-response outcome over all ballot profiles of the others.
 
-    The manipulator's own ballot never matters (it is replaced by her best
-    response), so profiles are quantified through the other agents only;
-    her best response then tries every ballot in her slot.  Returns each
-    distinct outcome with the first full profile realising it, in the
-    order the others' profiles first realise them, the manipulator's slot
-    holding her ideal set for readability.
+    Returns each distinct outcome with the first full profile realising
+    it, in product order of the others' profiles, the manipulator's slot
+    holding her ideal set for readability.  Callers charge the (2^m)^n
+    profiles against ``caps.profiles``.
 
-    A rule with a score kernel is solved on the score-vector grid
-    (:func:`_grid_outcomes`); any other rule, the oracles included, by
-    enumerating the others' profiles in order.  Callers charge the (2^m)^n
-    profiles against ``caps.profiles``; ``caps.ballots`` bounds each best
-    response of the ordered path.
-    """
-    kernel = score_kernel(rule)
-    if kernel is not None:
-        return _grid_outcomes(kernel, instance, agents, agent, ideal, model)
-    cache = OutcomeCache(rule, instance)
-    out: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-    for rest in itertools.product(cache.ballots, repeat=agents - 1):
-        ballots = rest[:agent] + (ideal,) + rest[agent:]
-        _, outcome = best_response(rule, instance, ballots, agent, ideal, model, caps, cache)
-        out.setdefault(outcome, ballots)
-    return out
-
-
-def _grid_outcomes(
-    kernel: Callable[..., list[frozenset[int]]],
-    instance: Instance,
-    agents: int,
-    agent: int,
-    ideal: frozenset[int],
-    model: str,
-) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
-    """:func:`_fstar_outcomes` for a score-kernel rule, on the score-vector grid.
-
-    The others reach the rule only through their summed score vector s in
-    {0..n-1}^m, and a ballot B of the manipulator moves it to s + 1_B, so
-    her best response at s maximises one key over the box s + {0,1}^m: the
-    outcome's value under her ideal set, then its characteristic vector
-    in ascending id order (the canonical tie-break, a total order by
-    itself).  One kernel call returns the outcome at every point of
-    {0..n}^m, sharing suffix rows between points as the kernel allows; the
-    key is evaluated once per point, and
-    :func:`~pbstages.verification._box_max` turns it into the box maximum.
-
-    The others' first profile summing to s in product order is greedy:
-    their i-th ballot holds the projects with s_j > n - 2 - i.  Outcomes
-    are returned in the order of the first such profile reaching them,
-    which is the order of the enumeration in :func:`_fstar_outcomes`.
+    Her own ballot never matters (her best response replaces it), and the
+    others reach the rule only through their summed score vector s in
+    {0..n-1}^m, which her ballot B moves to s + 1_B.  So her best response
+    at s maximises one key over the box s + {0,1}^m: the outcome's value
+    under her ideal set, then its characteristic vector in ascending id
+    order (the canonical tie-break, a total order by itself).  One call of
+    the rule's score ``kernel`` returns the outcome at every point of
+    {0..n}^m, and :func:`~pbstages.verification._box_max` turns the keys
+    into box maxima.  The others' first profile summing to s in product
+    order is greedy: their i-th ballot holds the projects with
+    s_j > n - 2 - i.
     """
     ids = instance.ids
     m = len(ids)
@@ -299,6 +264,7 @@ class _Sides:
     def __init__(self, game: StageGame, caps: Caps):
         self.game = game
         self.caps = caps
+        self.kernel = score_kernel(game.allocation_rule)
         self.profiles = 0
         self._shortlists: dict[tuple[frozenset[int], ...], frozenset[int]] = {}
         self._anticipated: dict[tuple[frozenset[int], int], tuple] = {}
@@ -340,8 +306,8 @@ class _Sides:
                     f"distinct shortlists so far, exceeding the cap of {self.caps.profiles}"
                 )
             self._outcomes[key] = _fstar_outcomes(
-                game.allocation_rule, game.instance.restrict(shortlist), game.agents,
-                agent, game.top_on(agent, shortlist), game.model, self.caps,
+                self.kernel, game.instance.restrict(shortlist), game.agents,
+                agent, game.top_on(agent, shortlist), game.model,
             )
         return self._outcomes[key]
 
@@ -569,6 +535,7 @@ def check_nomination_fssp_class(
     first computed, and a side past ``caps.profiles`` raises
     ``ResourceLimitError``.
     """
+    kernel = score_kernel(allocation_rule)
     check_model(model)
     check_mode(mode)
     if mode == "anticipative":
@@ -595,7 +562,7 @@ def check_nomination_fssp_class(
         for budget in range(max(cost_vector), max_budget + 1)
     )
     for instance in instances:
-        ideal, successful = _nomination_verdicts(allocation_rule, instance, model, mode, caps)
+        ideal, successful = _nomination_verdicts(kernel, instance, model, mode, caps)
         ids = frozenset(instance.ids)
         cases = (
             (n, ranking, union, union | pool)
@@ -634,7 +601,7 @@ def check_nomination_fssp_class(
 
 
 def _nomination_verdicts(
-    rule: AllocationRule, instance: Instance, model: str, mode: str, caps: Caps
+    kernel: ScoreKernel, instance: Instance, model: str, mode: str, caps: Caps
 ) -> tuple[Callable[..., frozenset[int]], Callable[..., bool]]:
     """Cached ideal sets and verdicts on one instance of the nomination class.
 
@@ -656,7 +623,7 @@ def _nomination_verdicts(
                 f"nomination class side needs {space} profiles, exceeding the cap "
                 f"of {caps.profiles}"
             )
-        return _fstar_outcomes(rule, instance.restrict(shortlist), n, 0, top, model, caps)
+        return _fstar_outcomes(kernel, instance.restrict(shortlist), n, 0, top, model)
 
     @functools.cache
     def successful(

@@ -31,6 +31,7 @@ HOLDS = "holds-on-suite"
 COUNTEREXAMPLE = "counterexample-found"
 
 AllocationRule = Callable[[Instance, Sequence[frozenset[int]]], frozenset[int]]
+ScoreKernel = Callable[..., list[frozenset[int]]]
 ShortlistRule = Callable[[Instance, Sequence[frozenset[int]]], frozenset[int]]
 
 
@@ -244,33 +245,31 @@ def check_allocation_axiom(rule: AllocationRule, axiom: str, cases: Iterable) ->
 
 
 class OutcomeCache:
-    """Memoises an allocation rule on one instance.
+    """Memoises an allocation rule's grid kernel on one instance.
 
-    A rule with a declared grid kernel
-    (:func:`pbstages.allocation.score_kernel`) is memoised per approval
-    score vector, indexed by slot in ascending id order, and a miss runs
-    the kernel on that one point.  Any other rule is called on the ballot
-    profile and memoised per profile.
+    ``kernel`` is the rule's :func:`~pbstages.allocation.score_kernel`.
+    Outcomes are memoised per approval score vector, indexed by slot in
+    ascending id order, and a miss runs the kernel on that one point.
 
-    Searches that vary one agent's ballot split a profile into the key of
-    the other agents' ballots (:meth:`others`) and that ballot
+    Searches that vary one agent's ballot split a profile into the score
+    vector of the other agents' ballots (:meth:`others`) and that ballot
     (:meth:`with_ballot`).  A search that tries every ballot reads all of
     their outcomes at once from :meth:`box`, in the order of
-    :attr:`ballots`; a rule with a kernel computes them in one call on the
-    unit box above the others' score vector.  Boxes are memoised per
-    others key and live as long as the cache.
+    :attr:`ballots`: one kernel call on the unit box above the others'
+    score vector.  Boxes are memoised per others' vector and live as long
+    as the cache.
     """
 
-    def __init__(self, rule: AllocationRule, instance: Instance):
-        self.rule = rule
+    def __init__(self, kernel: ScoreKernel, instance: Instance):
+        self.kernel = kernel
         self.instance = instance
-        self.kernel = score_kernel(rule)
         self._ids = instance.ids
-        self._costs = tuple(p.cost for p in instance.projects)
+        # The kernel's arguments before its levels.
+        self._args = (self._ids, tuple(p.cost for p in instance.projects), instance.budget)
         self._slot = {pid: j for j, pid in enumerate(self._ids)}
-        self._store: dict[tuple, frozenset[int]] = {}
+        self._store: dict[tuple[int, ...], frozenset[int]] = {}
         self._vectors: dict[frozenset[int], tuple[int, ...]] = {}
-        self._boxes: dict[tuple, list[frozenset[int]]] = {}
+        self._boxes: dict[tuple[int, ...], list[frozenset[int]]] = {}
         # The last profile :meth:`others` saw and its score vector: a search
         # asks for each agent of one profile in turn.
         self._profile: tuple | None = None
@@ -293,10 +292,8 @@ class OutcomeCache:
             raise ValidationError(f"ballot contains unknown project id {exc.args[0]}") from None
         return scores
 
-    def others(self, profile: tuple[frozenset[int], ...], agent: int) -> tuple:
-        """Lookup key of every ballot in ``profile`` but the agent's."""
-        if self.kernel is None:
-            return profile
+    def others(self, profile: tuple[frozenset[int], ...], agent: int) -> tuple[int, ...]:
+        """Score vector of every ballot in ``profile`` but the agent's."""
         if profile is not self._profile:
             self._profile, self._total = profile, self._scores(profile)
         scores = self._total.copy()
@@ -304,39 +301,26 @@ class OutcomeCache:
             scores[self._slot[pid]] -= 1
         return tuple(scores)
 
-    def with_ballot(self, others: tuple, agent: int, ballot: frozenset[int]) -> frozenset[int]:
-        """Outcome once ``ballot`` joins the others' key as the agent's."""
-        if self.kernel is None:
-            return self._lookup(others[:agent] + (ballot,) + others[agent + 1 :])
+    def with_ballot(self, others: tuple[int, ...], ballot: frozenset[int]) -> frozenset[int]:
+        """Outcome once ``ballot`` joins the others' score vector."""
         vector = self._vectors.get(ballot)
         if vector is None:
             vector = self._vectors[ballot] = tuple(self._scores((ballot,)))
         return self._lookup(tuple(map(operator.add, others, vector)))
 
-    def _lookup(self, key: tuple) -> frozenset[int]:
+    def _lookup(self, key: tuple[int, ...]) -> frozenset[int]:
         outcome = self._store.get(key)
         if outcome is None:
-            if self.kernel is None:
-                outcome = self.rule(self.instance, key)
-            else:
-                point = [(s,) for s in key]
-                outcome = self.kernel(self._ids, self._costs, self.instance.budget, point)[0]
-            self._store[key] = outcome
+            point = [(s,) for s in key]
+            outcome = self._store[key] = self.kernel(*self._args, point)[0]
         return outcome
 
-    def box(self, others: tuple, agent: int) -> list[frozenset[int]]:
-        """The outcome of each of :attr:`ballots` joining the others' key as the agent's."""
-        # Without a kernel the key is the whole profile, agent's slot included,
-        # so two agents of one profile need two boxes.
-        key = others if self.kernel is not None else (others, agent)
-        box = self._boxes.get(key)
+    def box(self, others: tuple[int, ...]) -> list[frozenset[int]]:
+        """The outcome of each of :attr:`ballots` joining the others' score vector."""
+        box = self._boxes.get(others)
         if box is None:
-            if self.kernel is not None:
-                levels = [(low, low + 1) for low in others]
-                box = self.kernel(self._ids, self._costs, self.instance.budget, levels)
-            else:
-                box = [self.with_ballot(others, agent, ballot) for ballot in self.ballots]
-            self._boxes[key] = box
+            levels = [(low, low + 1) for low in others]
+            box = self._boxes[others] = self.kernel(*self._args, levels)
         return box
 
 
@@ -381,10 +365,9 @@ def _grid_holds(
 ) -> bool:
     """Whether, among ``n`` agents, no agent with an ideal set in ``ideals`` can beat voting truthfully.
 
-    For a rule with a grid kernel.  The other agents reach the rule only
-    through their score vector s in {0..n-1}^m, every one of which some
-    profile of theirs realises, and the agent's ballot B moves it to
-    s + 1_B.  So an agent with ideal set I manipulates iff at some s the
+    The other agents reach the rule only through their score vector s in
+    {0..n-1}^m, every one of which some profile of theirs realises, and
+    the agent's ballot B moves it to s + 1_B.  So an agent with ideal set I manipulates iff at some s the
     box maximum of her value over s + {0,1}^m beats the bar at s + 1_I:
     the truthful outcome's value, plus :func:`repair_gain` when
     approximate.  One kernel call on {0..n}^m serves every ideal set.
@@ -393,7 +376,7 @@ def _grid_holds(
     ids = instance.ids
     m = len(ids)
     side = n + 1
-    grid = outcome.kernel(ids, outcome._costs, instance.budget, [range(side)] * m)
+    grid = outcome.kernel(*outcome._args, [range(side)] * m)
     distinct = set(grid)
     # The index of every others' score vector s in {0..n-1}^m.
     lows = [0]
@@ -438,10 +421,10 @@ def check_second_stage_sp(
     Search modes:
 
     - ``"full"``: enumerate every profile and manipulator (exact; capped).
-      A rule with a grid kernel is decided on the score grid
-      (:func:`_grid_holds`); the profiles are enumerated in order only to
-      find the first witness when the grid refutes, so verdicts, witnesses
-      and ``checked`` are those of the ordered enumeration.
+      The score grid decides (:func:`_grid_holds`); the profiles are
+      enumerated in order only to find the first witness when the grid
+      refutes, so verdicts, witnesses and ``checked`` are those of the
+      ordered enumeration.
     - ``"fixed-others"``: other agents keep the scenario ballots (their
       truthful ideal sets unless ``ballots`` is given) while the
       manipulator tries every ballot, or each of ``deviations`` when
@@ -451,6 +434,7 @@ def check_second_stage_sp(
     - ``"auto"``: ``"full"`` when the profile space fits the cap,
       otherwise ``"fixed-others"``.
     """
+    kernel = score_kernel(rule)
     check_model(model)
     n = len(rankings)
     if n == 0:
@@ -481,8 +465,8 @@ def check_second_stage_sp(
         "agents": [a + 1 for a in agent_pool],
     }
 
-    outcome = OutcomeCache(rule, instance)
-    if search == "full" and outcome.kernel is not None:
+    outcome = OutcomeCache(kernel, instance)
+    if search == "full":
         pool_ideals = {tops[agent] for agent in agent_pool}
         if _grid_holds(outcome, n, pool_ideals, model, approximate):
             return PropertyVerdict(HOLDS, None, True, len(agent_pool) * full_space, params)
@@ -547,7 +531,7 @@ def _first_manipulation(
         if value is None:
             value = values[ideal] = valuation(model, ideal, instance)
         others = outcome.others(profile, agent)
-        truthful = outcome.with_ballot(others, agent, ideal)
+        truthful = outcome.with_ballot(others, ideal)
         bar = bars.get((ideal, truthful))
         if bar is None:
             bar = value(truthful)
@@ -555,14 +539,14 @@ def _first_manipulation(
                 bar += repair_gain(value, ideal, truthful)
             bars[ideal, truthful] = bar
         if tried is None:
-            tried, box = outcome.ballots, outcome.box(others, agent)
+            tried, box = outcome.ballots, outcome.box(others)
         else:
             box = None
         worth = {}
         for index, ballot in enumerate(tried):
             checked += 1
             if box is None:
-                manipulated = outcome.with_ballot(others, agent, ballot)
+                manipulated = outcome.with_ballot(others, ballot)
             else:
                 manipulated = box[index]
             gain = worth.get(manipulated)
@@ -622,18 +606,20 @@ def check_sp_over_unit_class(
     """Exhaustively check strategyproofness over small equal-cost instances.
 
     Enumerates every instance size, shared cost, budget, agent count,
-    manipulator ideal set, and full ballot profile.  Both allocation rules
-    are anonymous (they only read approval scores), so fixing the
-    manipulator position while quantifying over ideal sets and full
-    profiles covers every agent position; with equal costs every
-    fixed-size subset arises as the greedy ideal of some ranking, so
-    quantifying ideal sets covers every preference order.
+    manipulator ideal set, and full ballot profile.  ``rule`` must have a
+    score kernel (:func:`pbstages.allocation.score_kernel`), so it reads
+    only approval scores and is anonymous: fixing the manipulator position
+    while quantifying over ideal sets and full profiles covers every agent
+    position.  With equal costs every fixed-size subset arises as the
+    greedy ideal of some ranking, so quantifying ideal sets covers every
+    preference order.
 
-    A rule with a grid kernel is decided per (instance, agent count) on the
-    score grid (:func:`_grid_holds`), and an instance the grid refutes is
-    enumerated in order for its first witness, so verdicts and ``checked``
-    are those of the ordered enumeration.
+    Each (instance, agent count) is decided on the score grid
+    (:func:`_grid_holds`), and an instance the grid refutes is enumerated
+    in order for its first witness, so verdicts and ``checked`` are those
+    of the ordered enumeration.
     """
+    kernel = score_kernel(rule)
     check_model(model)
     space = (2**max_projects) ** max_agents
     if space > caps.profiles:
@@ -651,9 +637,9 @@ def check_sp_over_unit_class(
         "approximate": approximate,
     }
     for instance, slots in _unit_class(max_projects):
-        outcome = OutcomeCache(rule, instance)
+        outcome = OutcomeCache(kernel, instance)
         ideals = list(map(frozenset, itertools.combinations(instance.ids, slots)))
-        if outcome.kernel is not None and all(
+        if all(
             _grid_holds(outcome, n, ideals, model, approximate)
             for n in range(1, max_agents + 1)
         ):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from pbstages.allocation import greedy_approval
 from pbstages.core import Instance, Project
 
 
@@ -11,6 +12,15 @@ def fs(*pids):
 
 def unit_instance(m, budget):
     return Instance([Project(i, 1) for i in range(1, m + 1)], budget)
+
+
+def contrarian(instance, ballots):
+    """Greedy approval that counts the first ballot against its own projects.
+
+    Neither anonymous nor strategyproof: the first agent gains by hiding
+    her ideal projects.  It has no score kernel, so no search takes it.
+    """
+    return greedy_approval(instance, (frozenset(instance.ids) - ballots[0], *ballots[1:]))
 
 
 def make_instance(costs, budget, coords=None):

@@ -299,8 +299,13 @@ class TestScoreKernels:
         ]
 
     def test_other_rules_declare_no_kernel(self):
-        assert score_kernel(approval_maximising_oracle) is None
-        assert score_kernel(greedy_approval_oracle) is None
-        assert score_kernel(lambda instance, ballots: frozenset()) is None
-        # A positional binding changes the call, so the kernel no longer fits.
-        assert score_kernel(functools.partial(greedy_approval, unit_instance(2, 1))) is None
+        for rule in (
+            approval_maximising_oracle,
+            greedy_approval_oracle,
+            lambda instance, ballots: frozenset(),
+            # A positional binding changes the call, so the kernel no longer fits.
+            functools.partial(greedy_approval, unit_instance(2, 1)),
+            functools.partial(approval_maximising_oracle, policy=PriorityTieBreak(())),
+        ):
+            with pytest.raises(ValidationError, match="no score kernel"):
+                score_kernel(rule)

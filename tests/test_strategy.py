@@ -12,8 +12,6 @@ from pbstages.core import (
     Project,
     ResourceLimitError,
     ValidationError,
-    subsets_ascending,
-    tiebreak_family,
 )
 from pbstages import strategy
 from pbstages.allocation import (
@@ -22,7 +20,12 @@ from pbstages.allocation import (
     greedy_approval,
     score_kernel,
 )
-from pbstages.oracles import approval_maximising_oracle, greedy_approval_oracle
+from pbstages.oracles import (
+    approval_maximising_oracle,
+    best_response_oracle,
+    fstar_outcomes_oracle,
+    greedy_approval_oracle,
+)
 from pbstages.preferences import ideal_set, valuation
 from pbstages.shortlisting import equal_representation, euclidean_metric, k_median, nomination
 from pbstages.strategy import (
@@ -35,9 +38,15 @@ from pbstages.strategy import (
     verify_fssp_implications,
 )
 from pbstages.suites import random_instance, random_ranking, random_subset
-from pbstages.verification import COUNTEREXAMPLE, HOLDS, PropertyVerdict
+from pbstages.verification import (
+    COUNTEREXAMPLE,
+    HOLDS,
+    PropertyVerdict,
+    check_second_stage_sp,
+    check_sp_over_unit_class,
+)
 
-from conftest import fs, make_instance, ranking_from, unit_instance
+from conftest import contrarian, fs, make_instance, ranking_from, unit_instance
 
 
 def crossed_awareness_game(allocation_name="greedy-approval"):
@@ -103,18 +112,25 @@ class TestBestResponse:
     @given(st.data())
     def test_matches_plain_scan(self, data):
         instance, ballots, agent, ideal, model = data.draw(best_response_cases())
-        subsets = st.sets(st.sampled_from(instance.ids)).map(frozenset)
-        policy = PriorityTieBreak(tuple(data.draw(st.lists(subsets, max_size=3, unique=True))))
-        rule = data.draw(st.sampled_from([
-            greedy_approval,
-            allocation_rule("approval-maximising"),
-            allocation_rule("approval-maximising", policy),
-            approval_maximising_oracle,
-            functools.partial(approval_maximising_oracle, policy=policy),
-        ]))
-        assert best_response(rule, instance, ballots, agent, ideal, model) == plain_best_response(
-            rule, instance, ballots, agent, ideal, model
+        fast, slow = data.draw(rule_and_oracle(instance))
+        assert best_response(fast, instance, ballots, agent, ideal, model) == (
+            best_response_oracle(slow, instance, ballots, agent, ideal, model)
         )
+
+
+def rule_and_oracle(instance):
+    """A rule with a score kernel and the oracle it must agree with, with or
+    without a drawn tie-break policy over ``instance``'s allocations."""
+    subsets = st.sets(st.sampled_from(instance.ids)).map(frozenset)
+    policies = st.lists(subsets, max_size=3, unique=True).map(tuple).map(PriorityTieBreak)
+    return st.one_of(
+        st.just((greedy_approval, greedy_approval_oracle)),
+        st.just((allocation_rule("approval-maximising"), approval_maximising_oracle)),
+        policies.map(lambda policy: (
+            allocation_rule("approval-maximising", policy),
+            functools.partial(approval_maximising_oracle, policy=policy),
+        )),
+    )
 
 
 @st.composite
@@ -130,18 +146,41 @@ def best_response_cases(draw):
     return instance, ballots, agent, ideal, draw(st.sampled_from(["overlap", "cost"]))
 
 
-def plain_best_response(rule, instance, ballots, agent, ideal, model):
-    """The rule called on every full profile, with no memo: the best outcome
-    for the agent, canonically tie-broken, and the canonical ballot reaching it."""
-    reached = {}
-    for ballot in subsets_ascending(instance.ids):
-        profile = tuple(ballot if i == agent else b for i, b in enumerate(ballots))
-        reached[ballot] = rule(instance, profile)
-    value = valuation(model, ideal, instance)
-    worth = {o: value(o) for o in reached.values()}
-    top = max(worth.values())
-    target = tiebreak_family(o for o, w in worth.items() if w == top)
-    return tiebreak_family(b for b, o in reached.items() if o == target), target
+# Every public search entry, on a tiny case, for the rule it is given.
+SEARCH_ENTRIES = {
+    "check_second_stage_sp": lambda rule: check_second_stage_sp(
+        rule, unit_instance(2, 1), ((1, 2), (2, 1)), "overlap"
+    ),
+    "check_sp_over_unit_class": lambda rule: check_sp_over_unit_class(
+        rule, "overlap", max_projects=2, max_agents=2
+    ),
+    "best_response": lambda rule: best_response(
+        rule, unit_instance(2, 1), (fs(), fs(2)), 0, fs(1), "overlap"
+    ),
+    "StageGame": lambda rule: StageGame(
+        unit_instance(2, 1), nomination, rule, ((1, 2), (2, 1)), (fs(1), fs(2)), "overlap"
+    ),
+    "check_nomination_fssp_class": lambda rule: check_nomination_fssp_class(
+        rule, "overlap", max_projects=2, max_agents=2, costs=(1,), max_budget=2
+    ),
+}
+
+
+class TestSearchEntriesTakeKernelRulesOnly:
+    @pytest.mark.parametrize("entry", sorted(SEARCH_ENTRIES))
+    @pytest.mark.parametrize("rule", [
+        approval_maximising_oracle,
+        contrarian,
+        # A positional binding changes the call, so the kernel no longer fits.
+        functools.partial(greedy_approval, unit_instance(2, 1)),
+    ], ids=["oracle", "contrarian", "positional-partial"])
+    def test_rule_without_kernel_refused(self, entry, rule):
+        with pytest.raises(ValidationError, match="no score kernel"):
+            SEARCH_ENTRIES[entry](rule)
+
+    @pytest.mark.parametrize("entry", sorted(SEARCH_ENTRIES))
+    def test_kernel_rule_accepted(self, entry):
+        SEARCH_ENTRIES[entry](allocation_rule("approval-maximising", PriorityTieBreak((fs(2),))))
 
 
 class TestFStar:
@@ -173,7 +212,7 @@ class TestFStar:
 
 
 class TestFStarOutcomes:
-    """The score-vector grid against the ordered enumeration of the others' profiles."""
+    """The score-vector grid against the oracle's ordered enumeration of the others' profiles."""
 
     @settings(deadline=None, max_examples=200)
     @given(st.data())
@@ -185,19 +224,10 @@ class TestFStarOutcomes:
         agent = data.draw(st.integers(0, agents - 1))
         ideal = ideal_set(instance, data.draw(st.permutations(list(instance.ids))))
         model = data.draw(st.sampled_from(["overlap", "cost"]))
-        subsets = st.sets(st.sampled_from(instance.ids)).map(frozenset)
-        policy = PriorityTieBreak(tuple(data.draw(st.lists(subsets, max_size=3, unique=True))))
-        fast, slow = data.draw(st.sampled_from([
-            (greedy_approval, greedy_approval_oracle),
-            (allocation_rule("approval-maximising"), approval_maximising_oracle),
-            (
-                allocation_rule("approval-maximising", policy),
-                functools.partial(approval_maximising_oracle, policy=policy),
-            ),
-        ]))
-        assert score_kernel(fast) is not None and score_kernel(slow) is None
-        grid = strategy._fstar_outcomes(fast, instance, agents, agent, ideal, model, Caps())
-        ordered = strategy._fstar_outcomes(slow, instance, agents, agent, ideal, model, Caps())
+        fast, slow = data.draw(rule_and_oracle(instance))
+        kernel = score_kernel(fast)
+        grid = strategy._fstar_outcomes(kernel, instance, agents, agent, ideal, model)
+        ordered = fstar_outcomes_oracle(slow, instance, agents, agent, ideal, model)
         assert list(grid.items()) == list(ordered.items())
 
 
@@ -367,9 +397,9 @@ class TestCheckFssp:
         calls = []
         search = strategy._fstar_outcomes
 
-        def counted(rule, instance, agents, agent, ideal, model, caps):
+        def counted(kernel, instance, agents, agent, ideal, model):
             calls.append((instance.ids, ideal, agent))
-            return search(rule, instance, agents, agent, ideal, model, caps)
+            return search(kernel, instance, agents, agent, ideal, model)
 
         monkeypatch.setattr(strategy, "_fstar_outcomes", counted)
         game = four_project_game()
