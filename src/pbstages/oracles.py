@@ -245,7 +245,8 @@ def second_stage_sp_oracle(
     """The first ballot that beats voting truthfully, by a plain scan, and the count tried.
 
     ``ideals`` holds each agent's ideal set, and ``agents`` the indices
-    that may manipulate (every agent by default).  Without ``ballots`` the
+    that may manipulate, in the order tried (every agent by default), as
+    the search's ``agents``.  Without ``ballots`` the
     scan is the ``full`` search: every profile in product order of
     :func:`~pbstages.core.subsets_ascending`, and for each every agent in
     turn, trying her ballot in the profile.  With ``ballots`` it is the

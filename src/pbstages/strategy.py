@@ -128,7 +128,15 @@ def best_response(
     her ideal set, canonically tie-broken among equal values; returns a
     canonical ballot achieving it together with that outcome.
     """
-    cache = OutcomeCache(score_kernel(rule), instance)
+    return _best_response(score_kernel(rule), instance, ballots, agent, ideal, model, caps)
+
+
+def _best_response(
+    kernel: ScoreKernel, instance: Instance, ballots: Sequence[frozenset[int]], agent: int,
+    ideal: frozenset[int], model: str, caps: Caps,
+) -> tuple[frozenset[int], frozenset[int]]:
+    """:func:`best_response` on the rule's resolved score ``kernel``."""
+    cache = OutcomeCache(kernel, instance)
     if len(instance) > caps.ballots:
         raise ResourceLimitError(
             f"best-response enumeration over {len(instance)} projects exceeds "
@@ -285,8 +293,8 @@ class _Sides:
         if key not in self._anticipated:
             game = self.game
             profile = tuple(game.top_on(i, shortlist) for i in range(game.agents))
-            _, outcome = best_response(
-                game.allocation_rule, game.instance.restrict(shortlist), profile, agent,
+            _, outcome = _best_response(
+                self.kernel, game.instance.restrict(shortlist), profile, agent,
                 profile[agent], game.model, self.caps,
             )
             self._anticipated[key] = profile, outcome

@@ -423,7 +423,11 @@ ORACLES = {"greedy-approval": greedy_approval_oracle,
 
 @st.composite
 def sp_scenarios(draw, max_projects, max_agents):
-    """(instance, rankings, ballots) with costs <= 4 and one ranking per agent."""
+    """(instance, rankings, ballots, pool) with costs <= 4 and one ranking per agent.
+
+    ``pool`` is ``None`` (every agent may manipulate) or a non-empty list of
+    distinct agent indices, in the order the search tries them.
+    """
     m = draw(st.integers(1, max_projects))
     costs = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
     instance = make_instance(costs, draw(st.integers(max(costs), sum(costs))))
@@ -432,7 +436,11 @@ def sp_scenarios(draw, max_projects, max_agents):
     ballots = tuple(
         frozenset(draw(st.sets(st.sampled_from(instance.ids)))) for _ in range(n)
     )
-    return instance, rankings, ballots
+    agents = st.permutations(range(n)).flatmap(
+        lambda order: st.integers(1, n).map(lambda k: list(order[:k]))
+    )
+    pool = draw(st.none() | agents)
+    return instance, rankings, ballots, pool
 
 
 # Scenarios small enough for a plain scan of the oracles: up to 4
@@ -444,32 +452,38 @@ class TestSecondStageSpAgainstOracles:
     """The score-vector search against a plain scan of the oracle rules."""
 
     def agree(self, rule, slow, scenario, model, approximate, **search):
-        instance, rankings, ballots = scenario
+        instance, rankings, ballots, pool = scenario
         verdict = check_second_stage_sp(
-            rule, instance, rankings, model, approximate=approximate, **search
+            rule, instance, rankings, model, approximate=approximate, agents=pool, **search
         )
         fixed = ballots if search["search"] == "fixed-others" else None
         witness, checked = second_stage_sp_oracle(
-            slow, instance, truthful_ballots(instance, rankings), model, approximate, fixed
+            slow, instance, truthful_ballots(instance, rankings), model, approximate, fixed, pool
         )
         assert (verdict.witness, verdict.checked) == (witness, checked)
         assert verdict.holds == (witness is None)
         return verdict.to_jsonable()
 
     # Few draws refute, so besides one agent the examples pin two
-    # refutations, with 2 and 3 agents.
+    # refutations, with 2 and 3 agents, and the last the 3-agent one with
+    # only the third and first agents, in that order, free to manipulate.
     @settings(deadline=None, max_examples=60)
     @given(FULL_SCENARIOS, st.sampled_from(sorted(ORACLES)),
            st.sampled_from(["overlap", "cost"]), st.booleans())
     @example(
-        (make_instance([1, 2, 1], 2), ((3, 1, 2),), ()), "approval-maximising", "cost", True
+        (make_instance([1, 2, 1], 2), ((3, 1, 2),), (), None), "approval-maximising", "cost",
+        True,
     )
     @example(
-        (make_instance([4, 1, 2], 6), ((3, 2, 1), (3, 2, 1)), ()), "greedy-approval", "cost",
-        False,
+        (make_instance([4, 1, 2], 6), ((3, 2, 1), (3, 2, 1)), (), None), "greedy-approval",
+        "cost", False,
     )
     @example(
-        (make_instance([4, 2, 4], 9), ((2, 3, 1), (2, 1, 3), (2, 3, 1)), ()),
+        (make_instance([4, 2, 4], 9), ((2, 3, 1), (2, 1, 3), (2, 3, 1)), (), None),
+        "approval-maximising", "cost", False,
+    )
+    @example(
+        (make_instance([4, 2, 4], 9), ((2, 3, 1), (2, 1, 3), (2, 3, 1)), (), [2, 0]),
         "approval-maximising", "cost", False,
     )
     def test_full(self, scenario, rule, model, approximate):
@@ -477,9 +491,10 @@ class TestSecondStageSpAgainstOracles:
             allocation_rule(rule), ORACLES[rule], scenario, model, approximate, search="full"
         )
         # The grid decides alone: it refutes exactly where the scan does.
-        instance, rankings, _ = scenario
+        instance, rankings, _, pool = scenario
         cache = OutcomeCache(score_kernel(allocation_rule(rule)), instance)
-        ideals = set(truthful_ballots(instance, rankings))
+        tops = truthful_ballots(instance, rankings)
+        ideals = set(tops) if pool is None else {tops[agent] for agent in pool}
         grid = _grid_holds(cache, len(rankings), ideals, model, approximate)
         assert grid == (verdict["status"] == HOLDS)
 
@@ -507,16 +522,17 @@ class TestSecondStageSpAgainstOracles:
            st.sampled_from(["overlap", "cost"]), st.booleans(), st.integers(0, 99))
     def test_sample(self, scenario, rule, model, approximate, seed):
         # Sampling can only refute; a witness replays on the oracle rule.
-        instance, rankings, _ = scenario
+        instance, rankings, _, pool = scenario
         verdict = check_second_stage_sp(
             allocation_rule(rule), instance, rankings, model, approximate=approximate,
-            search="sample", samples=20, seed=seed,
+            search="sample", samples=20, seed=seed, agents=pool,
         )
         assert verdict.exact != verdict.holds
         if verdict.holds:
             return
         witness = verdict.witness
         agent = witness["agent"] - 1
+        assert pool is None or agent in pool
         ideal = truthful_ballots(instance, rankings)[agent]
         profile = [fs(*b) for b in witness["profile"]]
         truthful = ORACLES[rule](instance, profile[:agent] + [ideal] + profile[agent + 1 :])
@@ -535,7 +551,7 @@ class TestSecondStageSpAgainstOracles:
     @settings(deadline=None, max_examples=200)
     @given(st.data())
     def test_closed_form_bar_is_repaired_value(self, data):
-        instance, _, _ = data.draw(sp_scenarios(6, 1))
+        instance, *_ = data.draw(sp_scenarios(6, 1))
         subsets = st.sets(st.sampled_from(instance.ids)).map(frozenset)
         ideal, outcome = data.draw(subsets), data.draw(subsets)
         for model in ("overlap", "cost"):
