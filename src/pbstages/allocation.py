@@ -23,7 +23,7 @@ EXHAUSTIVE = "exhaustive"
 
 
 def approval_scores(instance: Instance, ballots: Sequence[Iterable[int]]) -> dict[int, int]:
-    """Number of ballots approving each shortlisted project."""
+    """Number of ballots approving each shortlisted project, in ascending id order."""
     scores = dict.fromkeys(instance.ids, 0)
     for i, ballot in enumerate(ballots):
         ballot = frozenset(ballot)
@@ -55,11 +55,9 @@ def classify_allocation(instance: Instance, allocation: Iterable[int]) -> str:
     return EXHAUSTIVE
 
 
-def _kernel_args(instance: Instance, scores: dict[int, int]) -> tuple:
-    """Kernel arguments for the one point ``scores``: singleton levels."""
-    ids = instance.ids
-    costs = tuple(p.cost for p in instance.projects)
-    return ids, costs, instance.budget, [(scores[pid],) for pid in ids]
+def kernel_args(instance: Instance) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """A score kernel's arguments before its levels: the ids, their costs and the budget."""
+    return instance.ids, tuple(p.cost for p in instance.projects), instance.budget
 
 
 def _greedy(
@@ -92,7 +90,8 @@ def greedy_approval_kernel(
 
 def greedy_approval(instance: Instance, ballots: Sequence[Iterable[int]]) -> frozenset[int]:
     """Fund projects greedily in order of approval score."""
-    return greedy_approval_kernel(*_kernel_args(instance, approval_scores(instance, ballots)))[0]
+    point = [(s,) for s in approval_scores(instance, ballots).values()]
+    return greedy_approval_kernel(*kernel_args(instance), point)[0]
 
 
 @dataclass(frozen=True)
@@ -236,14 +235,14 @@ def approval_maximising(
     policy: PriorityTieBreak | None = None,
 ) -> frozenset[int]:
     """Fund a feasible allocation with maximal total approval score."""
-    scores = approval_scores(instance, ballots)
-    return approval_maximising_kernel(*_kernel_args(instance, scores), policy)[0]
+    point = [(s,) for s in approval_scores(instance, ballots).values()]
+    return approval_maximising_kernel(*kernel_args(instance), point, policy)[0]
 
 
 # The rules that read a ballot profile only through its approval score
 # vector, each with the kernel that computes its outcome at every point of
-# a grid of such vectors.  The searches memoise on the vector and call the
-# kernels directly.
+# a grid of such vectors.  The searches call the kernels directly and read
+# each outcome by its index in the result.
 SCORE_KERNELS = (
     (greedy_approval, greedy_approval_kernel),
     (approval_maximising, approval_maximising_kernel),

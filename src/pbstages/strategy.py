@@ -25,18 +25,18 @@ from pbstages.core import (
     subsets_ascending,
     tiebreak_family,
 )
-from pbstages.allocation import score_kernel
+from pbstages.allocation import approval_scores, kernel_args, score_kernel
 from pbstages.preferences import check_model, check_ranking, ideal_set, valuation
 from pbstages.shortlisting import check_proposals, proposal_union
 from pbstages.verification import (
     COUNTEREXAMPLE,
     HOLDS,
     AllocationRule,
-    OutcomeCache,
     PropertyVerdict,
     ScoreKernel,
     ShortlistRule,
     _box_max,
+    _check_agents,
     ids_list,
 )
 
@@ -128,6 +128,8 @@ def best_response(
     her ideal set, canonically tie-broken among equal values; returns a
     canonical ballot achieving it together with that outcome.
     """
+    _check_agents([agent], len(ballots))
+    ideal = instance.check_subset(ideal, "ideal set")
     return _best_response(score_kernel(rule), instance, ballots, agent, ideal, model, caps)
 
 
@@ -135,15 +137,21 @@ def _best_response(
     kernel: ScoreKernel, instance: Instance, ballots: Sequence[frozenset[int]], agent: int,
     ideal: frozenset[int], model: str, caps: Caps,
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """:func:`best_response` on the rule's resolved score ``kernel``."""
-    cache = OutcomeCache(kernel, instance)
+    """:func:`best_response` on the rule's resolved score ``kernel``, inputs unchecked.
+
+    Every ballot's outcome comes from one kernel call on the unit box above
+    the others' score vector.
+    """
     if len(instance) > caps.ballots:
         raise ResourceLimitError(
             f"best-response enumeration over {len(instance)} projects exceeds "
             f"the cap of {caps.ballots}"
         )
+    own = ballots[agent]
+    others = [s - (pid in own) for pid, s in approval_scores(instance, ballots).items()]
+    box = kernel(*kernel_args(instance), [(s, s + 1) for s in others])
     achieved: dict[frozenset[int], list[frozenset[int]]] = {}
-    for ballot, outcome in zip(cache.ballots, cache.box(cache.others(tuple(ballots), agent))):
+    for ballot, outcome in zip(subsets_ascending(instance.ids), box):
         achieved.setdefault(outcome, []).append(ballot)
     value = valuation(model, ideal, instance)
     best = max(map(value, achieved))
@@ -180,23 +188,21 @@ def _fstar_outcomes(
     """
     ids = instance.ids
     m = len(ids)
-    costs = tuple(p.cost for p in instance.projects)
     value = valuation(model, ideal, instance)
     side = agents + 1
     # Point t of {0..n}^m sits at index sum(t_j * side^j): the kernel's
     # order, slot 0 fastest.
-    keys: list[int] = []
-    outcome_of: dict[int, frozenset[int]] = {}
-    key_of: dict[frozenset[int], int] = {}
-    for outcome in kernel(ids, costs, instance.budget, [range(side)] * m):
-        key = key_of.get(outcome)
-        if key is None:
-            mask = sum(1 << (m - 1 - j) for j, pid in enumerate(ids) if pid in outcome)
-            key = key_of[outcome] = value(outcome) << m | mask
-            outcome_of[key] = outcome
-        keys.append(key)
-    _box_max(keys, side, agents, m)
-    first: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    grid = kernel(*kernel_args(instance), [range(side)] * m)
+    key_of = {
+        outcome: value(outcome) << m
+        | sum(1 << (m - 1 - j) for j, pid in enumerate(ids) if pid in outcome)
+        for outcome in set(grid)
+    }
+    outcome_of = {key: outcome for outcome, key in key_of.items()}
+    keys = _box_max([key_of[outcome] for outcome in grid], side, agents, m)
+    # The others' first profile reaching each key, as the positions of
+    # their ballots in subsets_ascending order.
+    first: dict[int, tuple[int, ...]] = {}
     for point in itertools.product(range(agents), repeat=m):
         index = 0
         for s in reversed(point):
@@ -206,14 +212,12 @@ def _fstar_outcomes(
             for i in range(agents - 1)
         )
         key = keys[index]
-        if key not in first or masks < first[key][0]:
-            first[key] = masks, point
+        if key not in first or masks < first[key]:
+            first[key] = masks
+    every = subsets_ascending(ids)
     out: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-    for key, (_, point) in sorted(first.items(), key=lambda item: item[1][0]):
-        rest = tuple(
-            frozenset(pid for pid, s in zip(ids, point) if s > agents - 2 - i)
-            for i in range(agents - 1)
-        )
+    for key, masks in sorted(first.items(), key=lambda item: item[1]):
+        rest = tuple(every[mask] for mask in masks)
         out[outcome_of[key]] = rest[:agent] + (ideal,) + rest[agent:]
     return out
 
@@ -249,7 +253,6 @@ class ManipulationResult:
 
     verdict: str
     witness: dict | None
-    exact: bool
 
     @property
     def successful(self) -> bool:
@@ -383,22 +386,22 @@ def _check_deviation(
         dev_profile, dev_out = sides.anticipated(dev_shortlist, agent)
         result = witness(base_profile, dev_profile, base_out, dev_out)
         if value(dev_out) > value(base_out):
-            return ManipulationResult(SUCCESSFUL, result, True)
-        return ManipulationResult(UNSUCCESSFUL, result, True)
+            return ManipulationResult(SUCCESSFUL, result)
+        return ManipulationResult(UNSUCCESSFUL, result)
 
     # Identical shortlists draw both sides' outcomes from one set, so no
     # strict pair can coexist with universal weak improvement.
     if mode == "pessimistic" and base_shortlist == dev_shortlist:
-        return ManipulationResult(UNSUCCESSFUL, None, True)
+        return ManipulationResult(UNSUCCESSFUL, None)
 
     base_outs = sides.outcomes(base_shortlist, agent)
     dev_outs = sides.outcomes(dev_shortlist, agent)
     verdict, pair = _judge_outcomes(mode, base_outs, dev_outs, value)
     if pair is None:
-        return ManipulationResult(verdict, None, True)
+        return ManipulationResult(verdict, None)
     base_out, dev_out = pair
     return ManipulationResult(
-        verdict, witness(base_outs[base_out], dev_outs[dev_out], base_out, dev_out), True
+        verdict, witness(base_outs[base_out], dev_outs[dev_out], base_out, dev_out)
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from random import Random
@@ -23,7 +22,13 @@ from pbstages.core import (
     ValidationError,
     subsets_ascending,
 )
-from pbstages.allocation import EXHAUSTIVE, classify_allocation, score_kernel
+from pbstages.allocation import (
+    EXHAUSTIVE,
+    approval_scores,
+    classify_allocation,
+    kernel_args,
+    score_kernel,
+)
 from pbstages.preferences import check_model, truthful_ballots, valuation
 from pbstages.shortlisting import check_proposals, proposal_union
 
@@ -244,84 +249,16 @@ def check_allocation_axiom(rule: AllocationRule, axiom: str, cases: Iterable) ->
 # Second-stage strategyproofness
 
 
-class OutcomeCache:
-    """Memoises an allocation rule's grid kernel on one instance.
+def _offset(ids: Sequence[int], ballot: frozenset[int], side: int) -> int:
+    """How far adding ``ballot`` moves an index on a grid of ``side`` levels per slot.
 
-    ``kernel`` is the rule's :func:`~pbstages.allocation.score_kernel`.
-    Outcomes are memoised per approval score vector, indexed by slot in
-    ascending id order, and a miss runs the kernel on that one point.
-
-    Searches that vary one agent's ballot split a profile into the score
-    vector of the other agents' ballots (:meth:`others`) and that ballot
-    (:meth:`with_ballot`).  A search that tries every ballot reads all of
-    their outcomes at once from :meth:`box`, in the order of
-    :attr:`ballots`: one kernel call on the unit box above the others'
-    score vector.  Boxes are memoised per others' vector and live as long
-    as the cache.
+    A score kernel returns the outcome at point t of its grid at index
+    sum(t_j * side^j), slot 0 fastest, so each search reads every outcome
+    by index from the one kernel result it makes.  On a unit box (``side``
+    2) the offset is the ballot's position in
+    :func:`~pbstages.core.subsets_ascending` order.
     """
-
-    def __init__(self, kernel: ScoreKernel, instance: Instance):
-        self.kernel = kernel
-        self.instance = instance
-        self._ids = instance.ids
-        # The kernel's arguments before its levels.
-        self._args = (self._ids, tuple(p.cost for p in instance.projects), instance.budget)
-        self._slot = {pid: j for j, pid in enumerate(self._ids)}
-        self._store: dict[tuple[int, ...], frozenset[int]] = {}
-        self._vectors: dict[frozenset[int], tuple[int, ...]] = {}
-        self._boxes: dict[tuple[int, ...], list[frozenset[int]]] = {}
-        # The last profile :meth:`others` saw and its score vector: a search
-        # asks for each agent of one profile in turn.
-        self._profile: tuple | None = None
-        self._total: list[int] = []
-
-    @functools.cached_property
-    def ballots(self) -> list[frozenset[int]]:
-        """Every ballot, in :func:`~pbstages.core.subsets_ascending` order."""
-        return subsets_ascending(self._ids)
-
-    def _scores(self, ballots: Iterable[Iterable[int]]) -> list[int]:
-        """Approval score per slot."""
-        scores = [0] * len(self._ids)
-        slot = self._slot
-        try:
-            for ballot in ballots:
-                for pid in ballot:
-                    scores[slot[pid]] += 1
-        except KeyError as exc:
-            raise ValidationError(f"ballot contains unknown project id {exc.args[0]}") from None
-        return scores
-
-    def others(self, profile: tuple[frozenset[int], ...], agent: int) -> tuple[int, ...]:
-        """Score vector of every ballot in ``profile`` but the agent's."""
-        if profile is not self._profile:
-            self._profile, self._total = profile, self._scores(profile)
-        scores = self._total.copy()
-        for pid in profile[agent]:
-            scores[self._slot[pid]] -= 1
-        return tuple(scores)
-
-    def with_ballot(self, others: tuple[int, ...], ballot: frozenset[int]) -> frozenset[int]:
-        """Outcome once ``ballot`` joins the others' score vector."""
-        vector = self._vectors.get(ballot)
-        if vector is None:
-            vector = self._vectors[ballot] = tuple(self._scores((ballot,)))
-        return self._lookup(tuple(map(operator.add, others, vector)))
-
-    def _lookup(self, key: tuple[int, ...]) -> frozenset[int]:
-        outcome = self._store.get(key)
-        if outcome is None:
-            point = [(s,) for s in key]
-            outcome = self._store[key] = self.kernel(*self._args, point)[0]
-        return outcome
-
-    def box(self, others: tuple[int, ...]) -> list[frozenset[int]]:
-        """The outcome of each of :attr:`ballots` joining the others' score vector."""
-        box = self._boxes.get(others)
-        if box is None:
-            levels = [(low, low + 1) for low in others]
-            box = self._boxes[others] = self.kernel(*self._args, levels)
-        return box
+    return sum(side**j for j, pid in enumerate(ids) if pid in ballot)
 
 
 def repair_gain(
@@ -357,26 +294,23 @@ def _box_max(keys: list[int], side: int, n: int, m: int) -> list[int]:
 
 
 def _grid_holds(
-    outcome: OutcomeCache,
-    n: int,
-    ideals: Iterable[frozenset[int]],
-    model: str,
-    approximate: bool,
+    grid: list[frozenset[int]], instance: Instance, n: int, ideals: Iterable[frozenset[int]],
+    model: str, approximate: bool,
 ) -> bool:
     """Whether, among ``n`` agents, no agent with an ideal set in ``ideals`` can beat voting truthfully.
 
-    The other agents reach the rule only through their score vector s in
-    {0..n-1}^m, every one of which some profile of theirs realises, and
-    the agent's ballot B moves it to s + 1_B.  So an agent with ideal set I manipulates iff at some s the
-    box maximum of her value over s + {0,1}^m beats the bar at s + 1_I:
-    the truthful outcome's value, plus :func:`repair_gain` when
-    approximate.  One kernel call on {0..n}^m serves every ideal set.
+    ``grid`` is the rule's outcome at every point of {0..n}^m, from one
+    kernel call that serves every ideal set.  The other agents reach the
+    rule only through their score vector s in {0..n-1}^m, every one of
+    which some profile of theirs realises, and the agent's ballot B moves
+    it to s + 1_B.  So an agent with ideal set I manipulates iff at some s
+    the box maximum of her value over s + {0,1}^m beats the bar at
+    s + 1_I: the truthful outcome's value, plus :func:`repair_gain` when
+    approximate.
     """
-    instance = outcome.instance
     ids = instance.ids
     m = len(ids)
     side = n + 1
-    grid = outcome.kernel(*outcome._args, [range(side)] * m)
     distinct = set(grid)
     # The index of every others' score vector s in {0..n-1}^m.
     lows = [0]
@@ -391,7 +325,7 @@ def _grid_holds(
             else worth
         )
         best = _box_max(list(map(worth.__getitem__, grid)), side, n, m)
-        shift = sum(side**j for j, pid in enumerate(ids) if pid in ideal)
+        shift = _offset(ids, ideal, side)
         if any(best[s] > bars[grid[s + shift]] for s in lows):
             return False
     return True
@@ -421,16 +355,19 @@ def check_second_stage_sp(
     Search modes:
 
     - ``"full"``: enumerate every profile and manipulator (exact; capped).
-      The score grid decides (:func:`_grid_holds`); the profiles are
-      enumerated in order only to find the first witness when the grid
-      refutes, so verdicts, witnesses and ``checked`` are those of the
+      One kernel call on the score grid {0..n}^m decides
+      (:func:`_grid_holds`).  When it refutes, the profiles are scanned in
+      order for the first witness, each outcome read from that grid by
+      index, so verdicts, witnesses and ``checked`` are those of the
       ordered enumeration.
     - ``"fixed-others"``: other agents keep the scenario ballots (their
       truthful ideal sets unless ``ballots`` is given) while the
-      manipulator tries every ballot, or each of ``deviations`` when
-      given (exact for that slice of the space).  Other modes refuse
-      ``deviations``.
-    - ``"sample"``: seeded random profiles; can only refute, never prove.
+      manipulator tries every ballot, read with her truthful outcome from
+      one kernel call on the unit box above the others' score vector, or
+      each of ``deviations`` when given, one point call each (exact for
+      that slice of the space).  Other modes refuse ``deviations``.
+    - ``"sample"``: seeded random profiles, one point call per distinct
+      score vector; can only refute, never prove.
     - ``"auto"``: ``"full"`` when the profile space fits the cap,
       otherwise ``"fixed-others"``.
     """
@@ -465,18 +402,15 @@ def check_second_stage_sp(
         "agents": [a + 1 for a in agent_pool],
     }
 
-    outcome = OutcomeCache(kernel, instance)
+    args = kernel_args(instance)
+    side = n + 1
     if search == "full":
-        pool_ideals = {tops[agent] for agent in agent_pool}
-        if _grid_holds(outcome, n, pool_ideals, model, approximate):
+        grid = kernel(*args, [range(side)] * len(ids))
+        if _grid_holds(grid, instance, n, {tops[a] for a in agent_pool}, model, approximate):
             return PropertyVerdict(HOLDS, None, True, len(agent_pool) * full_space, params)
-    # Each case is (agent, ideal, profile, ballots to try in the agent's place).
-    if search == "full":
-        cases = (
-            (agent, tops[agent], profile, (profile[agent],))
-            for profile in itertools.product(subsets_ascending(ids), repeat=n)
-            for agent in agent_pool
-        )
+        every = subsets_ascending(ids)
+        profiles = itertools.product(zip(every, [_offset(ids, b, side) for b in every]), repeat=n)
+        cases = _profile_cases(profiles, ids, side, tops, agent_pool, grid.__getitem__)
     elif search == "fixed-others":
         base = tops if ballots is None else [instance.check_subset(b) for b in ballots]
         if len(base) != n:
@@ -487,19 +421,26 @@ def check_second_stage_sp(
                 f"fixed-others search tries {charge} ballots over {len(agent_pool)} agents, "
                 f"exceeding the cap of {caps.profiles}"
             )
-        # No pool means every ballot, which the search reads as one box.
-        pool = (
-            None
-            if deviations is None
-            else [instance.check_subset(d, "deviation") for d in deviations]
-        )
-        cases = ((agent, tops[agent], tuple(base), pool) for agent in agent_pool)
+        if deviations is not None:
+            deviations = [instance.check_subset(d, "deviation") for d in deviations]
+        cases = _fixed_others_cases(kernel, instance, tuple(base), tops, agent_pool, deviations)
     else:
         params["samples"] = samples
         params["seed"] = seed
-        cases = _sampled_cases(Random(seed), sorted(ids), tops, samples, agent_pool)
 
-    witness, checked = _first_manipulation(outcome, model, approximate, cases)
+        @functools.cache
+        def outcome_at(index: int) -> frozenset[int]:
+            return kernel(*args, [(index // side**j % side,) for j in range(len(ids))])[0]
+
+        rng = Random(seed)
+        drawn = (
+            [frozenset(pid for pid in ids if rng.random() < 0.5) for _ in range(n)]
+            for _ in range(samples)
+        )
+        profiles = (tuple((b, _offset(ids, b, side)) for b in profile) for profile in drawn)
+        cases = _profile_cases(profiles, ids, side, tops, agent_pool, outcome_at)
+
+    witness, checked = _first_manipulation(instance, model, approximate, cases)
     if witness is not None:
         return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     # Only full enumeration is a proof: fixed-others searched one slice of
@@ -507,51 +448,77 @@ def check_second_stage_sp(
     return PropertyVerdict(HOLDS, None, search == "full", checked, params)
 
 
+def _profile_cases(profiles, ids, side, tops, agent_pool, outcome_at):
+    """The cases of the ``full`` and ``sample`` searches: each agent tries her own ballot.
+
+    ``profiles`` yields each profile as (ballot, offset) pairs, and
+    ``outcome_at`` reads the outcome at an index.  A profile's score vector
+    sits at the sum of its offsets; the truthful one moves that sum by the
+    agent's ideal set's offset less her ballot's.
+    """
+    own = {agent: _offset(ids, tops[agent], side) for agent in agent_pool}
+    for pairs in profiles:
+        profile = tuple(ballot for ballot, _ in pairs)
+        total = sum(offset for _, offset in pairs)
+        for agent in agent_pool:
+            truthful = outcome_at(total - pairs[agent][1] + own[agent])
+            yield agent, tops[agent], profile, truthful, ((profile[agent], outcome_at(total)),)
+
+
+def _fixed_others_cases(kernel, instance, profile, tops, agent_pool, deviations):
+    """The cases of the ``fixed-others`` search: each agent against the others' ballots.
+
+    Without ``deviations`` the agent tries every ballot, and all her
+    outcomes, the truthful one included, come from one kernel call on the
+    unit box above the others' score vector.  A deviation list costs one
+    point call per deviation and one for the truthful outcome.
+    """
+    ids = instance.ids
+    args = kernel_args(instance)
+    # A deviation list stands in for the 2^m ballots, which are never listed.
+    every = subsets_ascending(ids) if deviations is None else None
+    total = approval_scores(instance, profile)
+    for agent in agent_pool:
+        ideal = tops[agent]
+        others = [s - (pid in profile[agent]) for pid, s in total.items()]
+        if deviations is None:
+            box = kernel(*args, [(s, s + 1) for s in others])
+            yield agent, ideal, profile, box[_offset(ids, ideal, 2)], zip(every, box)
+            continue
+
+        def point(ballot: frozenset[int]) -> frozenset[int]:
+            return kernel(*args, [(s + (pid in ballot),) for pid, s in zip(ids, others)])[0]
+
+        yield agent, ideal, profile, point(ideal), ((d, point(d)) for d in deviations)
+
+
 def _first_manipulation(
-    outcome: OutcomeCache,
+    instance: Instance,
     model: str,
     approximate: bool,
-    cases: Iterable[tuple[int, frozenset[int], tuple[frozenset[int], ...], Sequence | None]],
+    cases: Iterable[tuple[int, frozenset[int], tuple, frozenset[int], Iterable]],
 ) -> tuple[dict | None, int]:
     """Witness of the first tried ballot that beats voting truthfully, and the count tried.
 
-    In each ``(agent, ideal, profile, ballots to try)`` case the agent tries
-    each ballot in her slot of ``profile``; ``None`` tries every ballot, in
-    the order of :attr:`OutcomeCache.ballots`, read from one box.  Each
-    ideal set's value function is built once, and the witness reports its
-    values.  The bar to beat depends only on the ideal set and the truthful
-    outcome, so it is computed once per pair.
+    Each case is ``(agent, ideal, profile, truthful outcome, tried)``, where
+    ``tried`` yields ``(ballot, outcome)`` for each ballot the agent tries in
+    her slot of ``profile``, in order.  No kernel is called here: this only
+    values outcomes, through one memoised value function per ideal set and
+    one bar per (ideal set, truthful outcome), and builds the witness.
     """
-    instance = outcome.instance
-    values: dict[frozenset[int], Callable[[Iterable[int]], int]] = {}
-    bars: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+    value_of = functools.cache(lambda ideal: functools.cache(valuation(model, ideal, instance)))
+
+    @functools.cache
+    def bar_of(ideal: frozenset[int], truthful: frozenset[int]) -> int:
+        value = value_of(ideal)
+        return value(truthful) + (repair_gain(value, ideal, truthful) if approximate else 0)
+
     checked = 0
-    for agent, ideal, profile, tried in cases:
-        value = values.get(ideal)
-        if value is None:
-            value = values[ideal] = valuation(model, ideal, instance)
-        others = outcome.others(profile, agent)
-        truthful = outcome.with_ballot(others, ideal)
-        bar = bars.get((ideal, truthful))
-        if bar is None:
-            bar = value(truthful)
-            if approximate:
-                bar += repair_gain(value, ideal, truthful)
-            bars[ideal, truthful] = bar
-        if tried is None:
-            tried, box = outcome.ballots, outcome.box(others)
-        else:
-            box = None
-        worth = {}
-        for index, ballot in enumerate(tried):
+    for agent, ideal, profile, truthful, tried in cases:
+        value, bar = value_of(ideal), bar_of(ideal, truthful)
+        for ballot, manipulated in tried:
             checked += 1
-            if box is None:
-                manipulated = outcome.with_ballot(others, ballot)
-            else:
-                manipulated = box[index]
-            gain = worth.get(manipulated)
-            if gain is None:
-                gain = worth[manipulated] = value(manipulated)
+            gain = value(manipulated)
             if gain > bar:
                 truthful_value = value(truthful)
                 witness = {
@@ -586,15 +553,6 @@ def _check_agents(agents: Iterable[int], n: int) -> list[int]:
     return pool
 
 
-def _sampled_cases(rng: Random, items: list[int], tops: list, samples: int, agent_pool: list[int]):
-    for _ in range(samples):
-        profile = tuple(
-            frozenset(pid for pid in items if rng.random() < 0.5) for _ in tops
-        )
-        for agent in agent_pool:
-            yield agent, tops[agent], profile, (profile[agent],)
-
-
 def check_sp_over_unit_class(
     rule: AllocationRule,
     model: str,
@@ -614,10 +572,11 @@ def check_sp_over_unit_class(
     greedy ideal of some ranking, so quantifying ideal sets covers every
     preference order.
 
-    Each (instance, agent count) is decided on the score grid
-    (:func:`_grid_holds`), and an instance the grid refutes is enumerated
-    in order for its first witness, so verdicts and ``checked`` are those
-    of the ordered enumeration.
+    Each (instance, agent count) is decided on its score grid
+    (:func:`_grid_holds`).  An instance the grids refute is enumerated in
+    order for its first witness, each outcome read from the grid of its
+    agent count by index, so verdicts and ``checked`` are those of the
+    ordered enumeration.
     """
     kernel = score_kernel(rule)
     check_model(model)
@@ -637,26 +596,38 @@ def check_sp_over_unit_class(
         "approximate": approximate,
     }
     for instance, slots in _unit_class(max_projects):
-        outcome = OutcomeCache(kernel, instance)
-        ideals = list(map(frozenset, itertools.combinations(instance.ids, slots)))
-        if all(
-            _grid_holds(outcome, n, ideals, model, approximate)
-            for n in range(1, max_agents + 1)
-        ):
-            m = len(instance.ids)
-            checked += sum(len(ideals) * (2**m) ** n for n in range(1, max_agents + 1))
+        ids = instance.ids
+        m = len(ids)
+        ideals = list(map(frozenset, itertools.combinations(ids, slots)))
+        args = kernel_args(instance)
+        grids = {n: kernel(*args, [range(n + 1)] * m) for n in range(1, max_agents + 1)}
+        holds = (_grid_holds(g, instance, n, ideals, model, approximate) for n, g in grids.items())
+        if all(holds):
+            checked += sum(len(ideals) * (2**m) ** n for n in grids)
             continue
-        cases = (
-            (0, ideal, (ideal, *others), None)
-            for n in range(1, max_agents + 1)
-            for ideal in ideals
-            for others in itertools.product(outcome.ballots, repeat=n - 1)
-        )
-        witness, tried = _first_manipulation(outcome, model, approximate, cases)
+        cases = _unit_cases(ids, ideals, grids)
+        witness, tried = _first_manipulation(instance, model, approximate, cases)
         checked += tried
         if witness is not None:
             return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     return PropertyVerdict(HOLDS, None, True, checked, params)
+
+
+def _unit_cases(ids, ideals, grids):
+    """The cases of the unit-class scan: the first agent tries every ballot.
+
+    For each agent count n, ideal set and profile of the other n - 1
+    agents, in order, every outcome is read from the grid of n agents.
+    """
+    every = subsets_ascending(ids)
+    for n, grid in grids.items():
+        pairs = list(zip(every, [_offset(ids, b, n + 1) for b in every]))
+        for ideal in ideals:
+            own = _offset(ids, ideal, n + 1)
+            for others in itertools.product(pairs, repeat=n - 1):
+                low = sum(offset for _, offset in others)
+                profile = (ideal, *(ballot for ballot, _ in others))
+                yield 0, ideal, profile, grid[low + own], ((b, grid[low + o]) for b, o in pairs)
 
 
 # The shared project costs of the unit class.

@@ -18,6 +18,7 @@ from pbstages.allocation import (
     classify_allocation,
     greedy_approval,
     greedy_approval_kernel,
+    kernel_args,
     score_kernel,
 )
 from pbstages.oracles import (
@@ -199,10 +200,6 @@ def draw_policy(data, instance, tie_point):
         unique=True,
     ))
     return PriorityTieBreak(tuple(listed))
-
-
-def kernel_args(instance):
-    return instance.ids, [p.cost for p in instance.projects], instance.budget
 
 
 def grid_points(levels):

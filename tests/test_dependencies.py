@@ -73,12 +73,12 @@ def test_every_cap_is_read():
 
 def test_oracles_import_no_kernel():
     # An oracle must not share the code it checks.  The allocation oracles
-    # are held to the score-vector and box kernels, and the search
+    # are held to the score kernels and their arguments, and the search
     # references to the searches and their value functions.
     shared = {
         name
         for name in imported_modules(PACKAGE / "oracles.py")
-        if name.startswith("pbstages.allocation.") and name.endswith(("_kernel", "_box"))
+        if name.startswith("pbstages.allocation.") and name.endswith(("_kernel", ".kernel_args"))
         or name.startswith(("pbstages.verification", "pbstages.strategy"))
         or name == "pbstages.preferences.valuation"
     }

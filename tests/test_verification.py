@@ -7,12 +7,13 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pbstages.core import Caps, ResourceLimitError, ValidationError, subsets_ascending
+from pbstages.core import Caps, ResourceLimitError, ValidationError
 from pbstages.allocation import (
     PriorityTieBreak,
     allocation_rule,
     approval_maximising,
     greedy_approval,
+    kernel_args,
     score_kernel,
 )
 from pbstages.fixtures import load_fixture
@@ -36,7 +37,6 @@ from pbstages.suites import (
 from pbstages.verification import (
     COUNTEREXAMPLE,
     HOLDS,
-    OutcomeCache,
     _grid_holds,
     aggregate,
     check_allocation_axiom,
@@ -66,6 +66,19 @@ def universe_domination(instance, proposals, shortlist):
             if min(a - b for a, b in zip(after, before)) >= 0 and after != before:
                 return frozenset(candidate)
     return None
+
+
+def counted_kernel(monkeypatch, rule):
+    """Route the searches' kernel for ``rule`` through a counter; return the levels of each call."""
+    calls = []
+    kernel = score_kernel(rule)
+
+    def counted(*args):
+        calls.append(args[3])
+        return kernel(*args)
+
+    monkeypatch.setattr("pbstages.verification.score_kernel", lambda rule: counted)
+    return calls
 
 
 def constant_empty(instance, proposals):
@@ -191,44 +204,30 @@ class TestSecondStageSp:
         assert verdict.holds and verdict.exact
         assert verdict.params["search"] == "full"
 
-    def test_full_search_scores_each_profile_once(self, monkeypatch):
-        # A refuted kernel-rule check rebuilds its witness with the ordered
-        # scan: every agent of a profile is searched from one score vector,
-        # and each ballot is scored once for the whole search.  The witness
-        # comes at the 13th profile of (2^3)^2, its second agent.
-        sizes = []
-        scores = OutcomeCache._scores
-
-        def counted(self, ballots):
-            sizes.append(len(ballots))
-            return scores(self, ballots)
-
-        monkeypatch.setattr(OutcomeCache, "_scores", counted)
+    def test_refuting_full_search_reads_one_grid(self, monkeypatch):
+        # A refuted check rebuilds its witness with the ordered scan, which
+        # reads every outcome from the grid that refuted: one kernel call in
+        # all.  The witness comes at the 13th profile of (2^3)^2, its second
+        # agent.
+        calls = counted_kernel(monkeypatch, greedy_approval)
         verdict = check_second_stage_sp(
             greedy_approval, make_instance([1, 1, 2], 3), ((1, 2, 3), (3, 2, 1)), "cost",
             search="full",
         )
         assert not verdict.holds and verdict.checked == 13 * 2
         assert verdict.witness["profile"] == [[1], [3]] and verdict.witness["agent"] == 2
-        assert sizes.count(2) == 13 and sizes.count(1) == 8 and len(sizes) == 21
+        assert calls == [[range(3)] * 3]
 
     @pytest.mark.parametrize("approximate", [False, True])
     def test_holding_full_search_stays_on_the_grid(self, monkeypatch, approximate):
         # One kernel call on the whole score grid decides every agent; no
-        # profile is enumerated and no outcome is looked up per point.
-        calls = []
-        kernel = score_kernel(greedy_approval)
-
-        def counted(*args):
-            calls.append(args[3])
-            return kernel(*args)
+        # profile is enumerated.
+        calls = counted_kernel(monkeypatch, greedy_approval)
 
         def refused(*args):
             raise AssertionError("the ordered scan ran")
 
-        monkeypatch.setattr("pbstages.verification.score_kernel", lambda rule: counted)
         monkeypatch.setattr("pbstages.verification._first_manipulation", refused)
-        monkeypatch.setattr(OutcomeCache, "_lookup", refused)
         instance = unit_instance(4, 2)
         rankings = ((1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3))
         verdict = check_second_stage_sp(
@@ -238,6 +237,35 @@ class TestSecondStageSp:
         assert verdict.holds and verdict.exact
         assert verdict.checked == 2 * (2**4) ** 3
         assert calls == [[range(4)] * 4]
+
+    def test_fixed_others_reads_one_box_per_agent(self, monkeypatch):
+        # Each pool agent's outcomes, her truthful one included, come from
+        # one kernel call on the unit box above the others' score vector.
+        calls = counted_kernel(monkeypatch, greedy_approval)
+        verdict = check_second_stage_sp(
+            greedy_approval, unit_instance(3, 1), ((1, 2, 3), (3, 2, 1), (2, 1, 3)), "overlap",
+            search="fixed-others", agents=[2, 0],
+        )
+        assert verdict.holds and verdict.checked == 2 * 2**3
+        assert calls == [[(1, 2), (0, 1), (1, 2)], [(0, 1), (1, 2), (1, 2)]]
+
+    def test_deviation_list_makes_point_calls_only(self, monkeypatch):
+        # On 30 projects each agent makes one point call per deviation and
+        # one for her truthful outcome, and no ballot list is built.
+        calls = counted_kernel(monkeypatch, greedy_approval)
+
+        def refused(pids):
+            raise AssertionError("every ballot was listed")
+
+        monkeypatch.setattr("pbstages.verification.subsets_ascending", refused)
+        ranking = tuple(range(1, 31))
+        verdict = check_second_stage_sp(
+            greedy_approval, unit_instance(30, 2), (ranking, ranking[::-1]), "overlap",
+            search="fixed-others", deviations=[fs(), fs(3), fs(1, 30)],
+        )
+        assert verdict.checked == 2 * 3
+        assert len(calls) == 2 * (3 + 1)
+        assert all(len(level) == 1 for levels in calls for level in levels)
 
     def test_auto_falls_back_to_fixed_others(self):
         instance = unit_instance(6, 3)
@@ -397,26 +425,6 @@ class TestSecondStageSp:
         assert hashlib.sha256(blob).hexdigest() == self.FIXED_OTHERS_SHA256
 
 
-class TestOutcomeCacheBox:
-    @pytest.mark.parametrize("rule", [
-        greedy_approval,
-        approval_maximising,
-        functools.partial(approval_maximising, policy=PriorityTieBreak((fs(3, 4), fs(2, 4)))),
-    ])
-    def test_box_is_each_ballot_in_turn(self, rule):
-        instance = unit_instance(4, 2)
-        profile = (fs(1, 2), fs(3, 4), fs(1, 3))
-        cache = OutcomeCache(score_kernel(rule), instance)
-        for agent in (0, 1):
-            others = cache.others(profile, agent)
-            box = cache.box(others)
-            assert box == [
-                rule(instance, profile[:agent] + (ballot,) + profile[agent + 1 :])
-                for ballot in subsets_ascending(instance.ids)
-            ]
-            assert cache.box(others) is box
-
-
 ORACLES = {"greedy-approval": greedy_approval_oracle,
            "approval-maximising": approval_maximising_oracle}
 
@@ -492,11 +500,14 @@ class TestSecondStageSpAgainstOracles:
         )
         # The grid decides alone: it refutes exactly where the scan does.
         instance, rankings, _, pool = scenario
-        cache = OutcomeCache(score_kernel(allocation_rule(rule)), instance)
+        n = len(rankings)
+        grid = score_kernel(allocation_rule(rule))(
+            *kernel_args(instance), [range(n + 1)] * len(instance.ids)
+        )
         tops = truthful_ballots(instance, rankings)
         ideals = set(tops) if pool is None else {tops[agent] for agent in pool}
-        grid = _grid_holds(cache, len(rankings), ideals, model, approximate)
-        assert grid == (verdict["status"] == HOLDS)
+        holds = _grid_holds(grid, instance, n, ideals, model, approximate)
+        assert holds == (verdict["status"] == HOLDS)
 
     @settings(deadline=None, max_examples=40)
     @given(st.data(), st.sampled_from(["overlap", "cost"]), st.booleans())
