@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,45 +103,62 @@ def equal_representation(
     maximising :func:`representation_score`; exact score ties are broken by
     canonical family tie-breaking.
 
-    Branch and bound over projects in ascending index order, on the score
-    scaled by n^H to integers (:func:`_level_weights`).  A node's bound is
-    the fractional-knapsack (Dantzig) bound over the residual budget: the
-    remaining projects that still fit, at their proposers' next marginal
-    weight under the current counts, taken whole in order of exact
-    weight-per-cost ratio, the first that no longer fits taken fractionally
-    and rounded up.  Marginal weights only shrink as projects are added, so
-    the bound never falls below the true gain and no maximiser is pruned.
+    A union that costs at most ``k * budget`` is returned as it is: every
+    project adds weight, so it is the unique maximiser.  Otherwise the
+    search is a branch and bound over projects in ascending index order,
+    on the score scaled by n^H to integers (:func:`_level_weights`).
+    Agents with equal proposals always hold equal counts, so they are
+    merged into one class whose level weights are multiplied by its size;
+    n stays the number of agents.  A node is pruned once a bound on its
+    gain cannot beat the best leaf strictly.  Two bounds are tried in turn:
+
+    - the fractional-knapsack (Dantzig) bound over the residual budget: the
+      remaining projects that still fit, at their proposers' next marginal
+      weight under the current counts, taken whole in order of exact
+      weight-per-cost ratio, the first that no longer fits taken
+      fractionally and rounded up;
+    - the per-class level bound: each class gains at most its next T level
+      weights, where T is the largest number of its remaining projects that
+      fit the residual budget together, taken cheapest first.  No
+      completion selects more than T of them.
+
+    Marginal weights only shrink as projects are added, so neither bound
+    falls below the true gain and no maximiser is pruned.
 
     The include branch is taken first, so leaves arrive in the order of
     :func:`~pbstages.core.tiebreak_family`: the first leaf at the best score
-    is the canonical winner, and a node is pruned once its bound cannot
-    beat it strictly.  A node whose remaining projects all fit is a leaf:
-    every project adds weight, so taking them all is its subtree's best
-    leaf, and its first.
+    is the canonical winner.  A node whose remaining projects all fit is a
+    leaf: taking them all is its subtree's best leaf, and its first.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     proposals = check_proposals(instance, proposals)
     union = sorted(proposal_union(proposals))
-    if not union:
-        return frozenset()
     if len(union) > caps.subset_search:
         raise ResourceLimitError(
             f"equal-representation search over {len(union)} proposed projects "
             f"exceeds the cap of {caps.subset_search}"
         )
     limit = k * instance.budget
-    base, weights = _level_weights(proposals)
-    m = len(union)
     costs = [instance.cost(pid) for pid in union]
+    if sum(costs) <= limit:
+        return frozenset(union)
+    base, weights = _level_weights(proposals)
+    sizes = Counter(proposals)
+    classes = list(sizes)
+    # class_weights[c][level]: the gain of class c's (level+1)-th selected project
+    class_weights = [[size * w for w in weights] for size in sizes.values()]
+    m = len(union)
     # Weight-per-cost ratios compare exactly as integers v * (scale // c).
     scale = math.lcm(*costs)
     per_cost = [scale // cost for cost in costs]
-    proposers = [[i for i, block in enumerate(proposals) if pid in block] for pid in union]
+    proposers = [[c for c, block in enumerate(classes) if pid in block] for pid in union]
+    # (cost, position) of each class's projects, cheapest first
+    by_cost = [sorted((costs[j], j) for j in range(m) if union[j] in block) for block in classes]
 
     best_score = -1
     best: list[int] = []
-    counts = [0] * len(proposals)
+    counts = [0] * len(classes)
     chosen: list[int] = []
 
     def walk(pos: int, spent: int, score: int) -> None:
@@ -153,20 +171,20 @@ def equal_representation(
             cost = costs[j]
             if cost <= room:
                 gain = 0
-                for i in proposers[j]:
-                    gain += weights[counts[i]]
+                for c in proposers[j]:
+                    gain += class_weights[c][counts[c]]
                 items.append((gain * per_cost[j], gain, cost, j))
                 total += gain
                 total_cost += cost
         if score + total <= best_score:
             return
         if total_cost <= room:
-            taken = [i for *_, j in items for i in proposers[j]]
-            for i in taken:
-                score += weights[counts[i]]
-                counts[i] += 1
-            for i in taken:
-                counts[i] -= 1
+            taken = [c for *_, j in items for c in proposers[j]]
+            for c in taken:
+                score += class_weights[c][counts[c]]
+                counts[c] += 1
+            for c in taken:
+                counts[c] -= 1
             if score > best_score:
                 best_score = score
                 best = chosen + [union[j] for *_, j in items]
@@ -174,23 +192,37 @@ def equal_representation(
         first = items[0][3]
         items.sort(reverse=True)
         bound = 0
+        left = room
         for _, gain, cost, _ in items:
-            if cost > room:
-                bound -= -gain * room // cost
+            if cost > left:
+                bound -= -gain * left // cost
                 break
             bound += gain
-            room -= cost
+            left -= cost
+        if score + bound <= best_score:
+            return
+        bound = 0
+        for c, projects in enumerate(by_cost):
+            level = counts[c]
+            left = room
+            for cost, j in projects:
+                if j >= pos:
+                    if cost > left:
+                        break
+                    left -= cost
+                    bound += class_weights[c][level]
+                    level += 1
         if score + bound <= best_score:
             return
         gain = 0
-        for i in proposers[first]:
-            gain += weights[counts[i]]
-            counts[i] += 1
+        for c in proposers[first]:
+            gain += class_weights[c][counts[c]]
+            counts[c] += 1
         chosen.append(union[first])
         walk(first + 1, spent + costs[first], score + gain)
         chosen.pop()
-        for i in proposers[first]:
-            counts[i] -= 1
+        for c in proposers[first]:
+            counts[c] -= 1
         walk(first + 1, spent, score)
 
     walk(0, 0, base)
@@ -360,13 +392,14 @@ def _minimal_partitions(
     m = len(pids)
     dist = [[metric.distance(p, q) for q in pids] for p in pids]
     limit = k * instance.budget
+    costs = [instance.cost(pid) for pid in pids]
     cost = [0] * (1 << m)
     # near[mask][i]: the distance from project i to its nearest member of mask
     near = {0: [math.inf] * m}
     for mask in range(1, 1 << m):
         low = mask & -mask
         i = low.bit_length() - 1
-        cost[mask] = cost[mask ^ low] + instance.cost(pids[i])
+        cost[mask] = cost[mask ^ low] + costs[i]
         if cost[mask] <= limit:
             near[mask] = list(map(min, near[mask ^ low], dist[i]))
     del near[0]

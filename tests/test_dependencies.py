@@ -73,13 +73,17 @@ def test_every_cap_is_read():
 
 def test_oracles_import_no_kernel():
     # An oracle must not share the code it checks.  The allocation oracles
-    # are held to the score kernels and their arguments, and the search
-    # references to the searches and their value functions.
+    # are held to the score kernels and their arguments, the search
+    # references to the searches and their value functions, and the
+    # equal-representation oracle to the Fraction scorer.
+    imported = set(imported_modules(PACKAGE / "oracles.py"))
     shared = {
         name
-        for name in imported_modules(PACKAGE / "oracles.py")
+        for name in imported
         if name.startswith("pbstages.allocation.") and name.endswith(("_kernel", ".kernel_args"))
         or name.startswith(("pbstages.verification", "pbstages.strategy"))
         or name == "pbstages.preferences.valuation"
+        or name in {"pbstages.shortlisting.equal_representation", "pbstages.shortlisting._level_weights"}
     }
     assert not shared
+    assert "pbstages.shortlisting.representation_score" in imported

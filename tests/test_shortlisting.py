@@ -1,9 +1,10 @@
 import math
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pbstages.core import Caps, ResourceLimitError, ValidationError
 from pbstages.oracles import _flat_partitions, equal_representation_oracle, k_median_oracle
@@ -93,6 +94,10 @@ class TestEqualRepresentation:
             equal_representation(
                 ten_project_instance, (fs(*range(1, 10)),), 1, Caps(subset_search=5)
             )
+        # A union that fits is returned without a search, but only after
+        # the cap has been checked.
+        with pytest.raises(ResourceLimitError):
+            equal_representation(unit_instance(6, 6), (fs(*range(1, 7)),), 1, Caps(subset_search=5))
 
     def test_matches_oracle_on_random_instances(self):
         rng = Random(11)
@@ -139,6 +144,32 @@ def tie_heavy_profiles(draw):
     return instance, proposals, k
 
 
+@st.composite
+def overlapping_unaffordable_profiles(draw):
+    """1-4 agents, each proposing 50-100 % of a union of 8-14 projects.
+
+    Some agents copy another's proposal.  The budget is 30-60 % of the
+    union's cost and ``k * budget`` never covers it, so every case is
+    decided by the branch and bound.  The regime prunes hardest on the
+    per-class level bound.
+    """
+    m = draw(st.integers(8, 14))
+    k = draw(st.integers(1, 2))
+    costs = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    total = sum(costs)
+    low = max(max(costs), math.ceil(0.3 * total))
+    high = min(int(0.6 * total), (total - 1) // k)
+    assume(low <= high)
+    budget = draw(st.integers(low, high))
+    n = draw(st.integers(1, 4))
+    block = st.frozensets(st.integers(1, m), min_size=(m + 1) // 2)
+    shapes = draw(st.lists(block, min_size=1, max_size=n))
+    shapes[0] |= frozenset(range(1, m + 1)).difference(*shapes)
+    copies = [draw(st.sampled_from(shapes)) for _ in range(n - len(shapes))]
+    proposals = tuple(draw(st.permutations(shapes + copies)))
+    return make_instance(costs, budget), proposals, k
+
+
 class TestEqualRepresentationProperties:
     @settings(deadline=None, max_examples=60)
     @given(tie_heavy_profiles())
@@ -147,6 +178,17 @@ class TestEqualRepresentationProperties:
         assert equal_representation(instance, proposals, k) == (
             equal_representation_oracle(instance, proposals, k)
         )
+
+    @settings(deadline=None, max_examples=15)
+    @given(overlapping_unaffordable_profiles())
+    def test_matches_oracle_on_unaffordable_overlaps(self, case):
+        instance, proposals, k = case
+        assert equal_representation(instance, proposals, k) == (
+            equal_representation_oracle(instance, proposals, k)
+        )
+        costs = [instance.cost(pid) for pid in sorted(instance.ids)]
+        roomy = make_instance(costs, sum(costs))
+        assert equal_representation(roomy, proposals, k) == frozenset(roomy.ids)
 
     @settings(deadline=None, max_examples=150)
     @given(tie_heavy_profiles(), st.data())
@@ -158,6 +200,76 @@ class TestEqualRepresentationProperties:
         base, weights = _level_weights(proposals)
         integer_score = base + sum(sum(weights[: len(subset & block)]) for block in proposals)
         assert integer_score == representation_score(subset, proposals) * n**top
+
+
+def union_20_cases():
+    """30 seeded unions of 20 projects with 2-6 agents and proposals of 8-20.
+
+    Costs are 1-9 and the budget is within 3 of half the total cost, the
+    regime in which the knapsack bound alone stays loose.
+    """
+    rng = Random(19)
+    cases = []
+    while len(cases) < 30:
+        costs = [rng.randint(1, 9) for _ in range(20)]
+        budget = sum(costs) // 2 + rng.randint(-3, 3)
+        proposals = tuple(
+            frozenset(rng.sample(range(1, 21), rng.randint(8, 20)))
+            for _ in range(rng.randint(2, 6))
+        )
+        if len(set().union(*proposals)) == 20:
+            cases.append((make_instance(costs, budget), proposals))
+    return cases
+
+
+# The k = 1 winners of union_20_cases, as the search found them before the
+# per-class level bound, when the slowest case took 1.0-1.6 s.
+UNION_20_WINNERS = [
+    fs(1, 3, 7, 9, 10, 12, 13, 14, 15, 16, 17, 19, 20),
+    fs(1, 2, 4, 5, 7, 8, 9, 10, 12, 13, 15, 18),
+    fs(1, 3, 4, 7, 8, 9, 10, 14, 16, 17, 18, 19),
+    fs(1, 2, 3, 4, 7, 8, 9, 11, 13, 14, 16, 18),
+    fs(2, 3, 4, 6, 9, 10, 11, 12, 16, 17, 18, 19, 20),
+    fs(4, 6, 7, 8, 9, 11, 12, 13, 16, 17, 19, 20),
+    fs(1, 5, 8, 10, 11, 12, 13, 15, 16, 17, 20),
+    fs(1, 3, 5, 6, 7, 9, 10, 15, 16, 17, 18, 19, 20),
+    fs(1, 2, 3, 4, 7, 10, 11, 12, 13, 15, 16),
+    fs(3, 4, 5, 7, 8, 10, 11, 12, 13, 15, 17, 18, 19),
+    fs(1, 2, 6, 7, 9, 10, 11, 15, 17, 20),
+    fs(1, 3, 4, 5, 6, 12, 13, 15, 16, 18, 19, 20),
+    fs(1, 3, 4, 5, 6, 8, 10, 11, 12, 16, 17, 20),
+    fs(1, 2, 4, 5, 7, 8, 9, 11, 14, 15, 16, 20),
+    fs(1, 3, 5, 7, 8, 9, 10, 11, 12, 13, 16, 17, 18, 19),
+    fs(1, 4, 5, 8, 9, 10, 11, 13, 14, 15, 16, 17, 19),
+    fs(1, 2, 4, 5, 7, 8, 9, 11, 14, 15, 17, 18, 20),
+    fs(2, 4, 5, 7, 8, 9, 12, 13, 15, 16, 18, 20),
+    fs(3, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 18, 19, 20),
+    fs(2, 4, 5, 7, 8, 10, 12, 13, 15, 16, 17, 18, 19),
+    fs(2, 3, 4, 5, 6, 7, 9, 11, 12, 17, 19, 20),
+    fs(2, 4, 5, 6, 7, 9, 10, 14, 15, 16, 17, 18, 19),
+    fs(2, 3, 4, 6, 7, 10, 13, 14, 15, 16, 20),
+    fs(1, 2, 3, 4, 5, 7, 8, 11, 12, 15, 16, 20),
+    fs(1, 3, 4, 5, 6, 7, 9, 10, 14, 15, 18, 19),
+    fs(1, 3, 4, 5, 6, 7, 9, 11, 12, 13, 14, 16, 17, 20),
+    fs(1, 2, 4, 5, 6, 8, 10, 12, 15, 16, 18, 19, 20),
+    fs(1, 2, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 17, 20),
+    fs(1, 2, 4, 5, 6, 7, 8, 9, 11, 16, 18, 20),
+    fs(1, 2, 3, 7, 8, 10, 11, 13, 15, 16, 18, 19),
+]
+
+
+def test_union_20_cases_pinned_within_budget():
+    got, slowest = [], 0.0
+    started = time.perf_counter()
+    for instance, proposals in union_20_cases():
+        before = time.perf_counter()
+        got.append(equal_representation(instance, proposals, 1))
+        slowest = max(slowest, time.perf_counter() - before)
+    elapsed = time.perf_counter() - started
+    print(f"union-20 equal representation: {elapsed:.2f}s / budget 5s, slowest {slowest:.2f}s / budget 1s")
+    assert got == UNION_20_WINNERS
+    assert slowest < 1.0, f"slowest union-20 case exceeded its 1s budget: {slowest:.2f}s"
+    assert elapsed < 5.0, f"union-20 cases exceeded their 5s budget: {elapsed:.2f}s"
 
 
 class TestMetric:
