@@ -72,11 +72,10 @@ def representation_score(
         raise ValidationError("scored set must be drawn from the union of proposals")
     n = len(proposals)
     step = Fraction(1, n) if n else Fraction(0)
-    total = Fraction(0)
-    for block in proposals:
-        hits = len(subset & block)
-        total += sum((step**level for level in range(hits + 1)), Fraction(0))
-    return total
+    hits = [len(subset & block) for block in proposals]
+    # series[h] is the term of an agent with h selected proposals.
+    series = list(itertools.accumulate(step**level for level in range(max(hits, default=0) + 1)))
+    return sum(map(series.__getitem__, hits), Fraction(0))
 
 
 def _level_weights(proposals: Sequence[frozenset[int]]) -> tuple[int, list[int]]:

@@ -140,7 +140,8 @@ def _best_response(
     """:func:`best_response` on the rule's resolved score ``kernel``, inputs unchecked.
 
     Every ballot's outcome comes from one kernel call on the unit box above
-    the others' score vector.
+    the others' score vector, and the target is the box's maximum under
+    :func:`_outcome_key`.
     """
     if len(instance) > caps.ballots:
         raise ResourceLimitError(
@@ -150,13 +151,21 @@ def _best_response(
     own = ballots[agent]
     others = [s - (pid in own) for pid, s in approval_scores(instance, ballots).items()]
     box = kernel(*kernel_args(instance), [(s, s + 1) for s in others])
-    achieved: dict[frozenset[int], list[frozenset[int]]] = {}
-    for ballot, outcome in zip(subsets_ascending(instance.ids), box):
-        achieved.setdefault(outcome, []).append(ballot)
-    value = valuation(model, ideal, instance)
-    best = max(map(value, achieved))
-    target = tiebreak_family(outcome for outcome in achieved if value(outcome) == best)
-    return tiebreak_family(achieved[target]), target
+    target = max(set(box), key=_outcome_key(valuation(model, ideal, instance), instance.ids))
+    every = subsets_ascending(instance.ids)
+    return tiebreak_family(b for b, outcome in zip(every, box) if outcome == target), target
+
+
+def _outcome_key(value: Callable[[frozenset[int]], int], ids: Sequence[int]) -> Callable:
+    """The canonical order on outcomes, as an integer key.
+
+    An outcome ranks by its ``value``, then by its characteristic vector
+    in ascending id order, present above absent: the tie-break of
+    :func:`~pbstages.core.tiebreak_family`, a total order by itself.
+    """
+    m = len(ids)
+    bits = {pid: 1 << (m - 1 - j) for j, pid in enumerate(ids)}
+    return lambda outcome: value(outcome) << m | sum(map(bits.__getitem__, outcome))
 
 
 def _fstar_outcomes(
@@ -177,27 +186,22 @@ def _fstar_outcomes(
     Her own ballot never matters (her best response replaces it), and the
     others reach the rule only through their summed score vector s in
     {0..n-1}^m, which her ballot B moves to s + 1_B.  So her best response
-    at s maximises one key over the box s + {0,1}^m: the outcome's value
-    under her ideal set, then its characteristic vector in ascending id
-    order (the canonical tie-break, a total order by itself).  One call of
-    the rule's score ``kernel`` returns the outcome at every point of
-    {0..n}^m, and :func:`~pbstages.verification._box_max` turns the keys
-    into box maxima.  The others' first profile summing to s in product
-    order is greedy: their i-th ballot holds the projects with
+    at s maximises :func:`_outcome_key` over the box s + {0,1}^m: the
+    outcome's value under her ideal set, then the canonical tie-break.
+    One call of the rule's score ``kernel`` returns the outcome at every
+    point of {0..n}^m, and :func:`~pbstages.verification._box_max` turns
+    the keys into box maxima.  The others' first profile summing to s in
+    product order is greedy: their i-th ballot holds the projects with
     s_j > n - 2 - i.
     """
     ids = instance.ids
     m = len(ids)
-    value = valuation(model, ideal, instance)
     side = agents + 1
     # Point t of {0..n}^m sits at index sum(t_j * side^j): the kernel's
     # order, slot 0 fastest.
     grid = kernel(*kernel_args(instance), [range(side)] * m)
-    key_of = {
-        outcome: value(outcome) << m
-        | sum(1 << (m - 1 - j) for j, pid in enumerate(ids) if pid in outcome)
-        for outcome in set(grid)
-    }
+    rank = _outcome_key(valuation(model, ideal, instance), ids)
+    key_of = {outcome: rank(outcome) for outcome in set(grid)}
     outcome_of = {key: outcome for outcome, key in key_of.items()}
     keys = _box_max([key_of[outcome] for outcome in grid], side, agents, m)
     # The others' first profile reaching each key, as the positions of
@@ -273,54 +277,45 @@ class _Sides:
     """
 
     def __init__(self, game: StageGame, caps: Caps):
+        # The memos close over the run's state, not ``self``: a run leaves no cycle.
         self.game = game
-        self.caps = caps
-        self.kernel = score_kernel(game.allocation_rule)
-        self.profiles = 0
-        self._shortlists: dict[tuple[frozenset[int], ...], frozenset[int]] = {}
-        self._anticipated: dict[tuple[frozenset[int], int], tuple] = {}
-        self._outcomes: dict[tuple[frozenset[int], int], dict] = {}
+        kernel = score_kernel(game.allocation_rule)
+        profiles = 0
 
-    def shortlist(self, proposals: tuple[frozenset[int], ...]) -> frozenset[int]:
-        shortlist = self._shortlists.get(proposals)
-        if shortlist is None:
-            shortlist = frozenset(self.game.shortlist_rule(self.game.instance, proposals))
-            self._shortlists[proposals] = shortlist
-        return shortlist
+        @functools.cache
+        def shortlist(proposals: tuple[frozenset[int], ...]) -> frozenset[int]:
+            return frozenset(game.shortlist_rule(game.instance, proposals))
 
-    def anticipated(
-        self, shortlist: frozenset[int], agent: int
-    ) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
-        """Everyone's ideal set on the shortlist, and the outcome once the agent best-responds."""
-        key = (shortlist, agent)
-        if key not in self._anticipated:
-            game = self.game
+        @functools.cache
+        def anticipated(
+            shortlist: frozenset[int], agent: int
+        ) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
+            """Everyone's ideal set on the shortlist, and the outcome of her best response."""
             profile = tuple(game.top_on(i, shortlist) for i in range(game.agents))
             _, outcome = _best_response(
-                self.kernel, game.instance.restrict(shortlist), profile, agent,
-                profile[agent], game.model, self.caps,
+                kernel, game.instance.restrict(shortlist), profile, agent,
+                profile[agent], game.model, caps,
             )
-            self._anticipated[key] = profile, outcome
-        return self._anticipated[key]
+            return profile, outcome
 
-    def outcomes(
-        self, shortlist: frozenset[int], agent: int
-    ) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
-        """:func:`_fstar_outcomes` of the agent on the shortlist, her ideal set on it as ideal."""
-        key = (shortlist, agent)
-        if key not in self._outcomes:
-            game = self.game
-            self.profiles += (2 ** len(shortlist)) ** game.agents
-            if self.profiles > self.caps.profiles:
+        @functools.cache
+        def outcomes(
+            shortlist: frozenset[int], agent: int
+        ) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
+            """:func:`_fstar_outcomes` of the agent on the shortlist, for her ideal set on it."""
+            nonlocal profiles
+            profiles += (2 ** len(shortlist)) ** game.agents
+            if profiles > caps.profiles:
                 raise ResourceLimitError(
-                    f"first-stage search needs {self.profiles} profiles over its "
-                    f"distinct shortlists so far, exceeding the cap of {self.caps.profiles}"
+                    f"first-stage search needs {profiles} profiles over its "
+                    f"distinct shortlists so far, exceeding the cap of {caps.profiles}"
                 )
-            self._outcomes[key] = _fstar_outcomes(
-                self.kernel, game.instance.restrict(shortlist), game.agents,
+            return _fstar_outcomes(
+                kernel, game.instance.restrict(shortlist), game.agents,
                 agent, game.top_on(agent, shortlist), game.model,
             )
-        return self._outcomes[key]
+
+        self.shortlist, self.anticipated, self.outcomes = shortlist, anticipated, outcomes
 
 
 def check_manipulation(

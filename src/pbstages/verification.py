@@ -214,22 +214,18 @@ def check_allocation_axiom(rule: AllocationRule, axiom: str, cases: Iterable) ->
             continue
         if axiom == "unanimous":
             instance, shared, n = case
-            shared = instance.check_subset(shared, "shared ballot")
-            if instance.total_cost(shared) > instance.budget:
-                raise ValidationError("unanimity cases need a feasible shared ballot")
-            ballots = (shared,) * n
-            deviant = None
+            deviant = deviant_ballot = None
         else:
             instance, shared, n, deviant, deviant_ballot = case
             if n < 3:
                 raise ValidationError("strong unanimity is only defined for 3+ agents")
-            shared = instance.check_subset(shared, "shared ballot")
-            if instance.total_cost(shared) > instance.budget:
-                raise ValidationError("strong unanimity cases need a feasible shared ballot")
-            ballots = tuple(
-                instance.check_subset(deviant_ballot) if i == deviant else shared
-                for i in range(n)
-            )
+        shared = instance.check_subset(shared, "shared ballot")
+        if instance.total_cost(shared) > instance.budget:
+            kind = "unanimity" if axiom == "unanimous" else "strong unanimity"
+            raise ValidationError(f"{kind} cases need a feasible shared ballot")
+        ballots = tuple(
+            instance.check_subset(deviant_ballot) if i == deviant else shared for i in range(n)
+        )
         outcome = rule(instance, ballots)
         if not shared <= outcome:
             witness = {
@@ -466,12 +462,12 @@ def _profile_cases(profiles, ids, side, tops, agent_pool, outcome_at):
 
 
 def _fixed_others_cases(kernel, instance, profile, tops, agent_pool, deviations):
-    """The cases of the ``fixed-others`` search: each agent against the others' ballots.
+    """The cases of the ``fixed-others`` search and the unit-class rescan.
 
-    Without ``deviations`` the agent tries every ballot, and all her
-    outcomes, the truthful one included, come from one kernel call on the
-    unit box above the others' score vector.  A deviation list costs one
-    point call per deviation and one for the truthful outcome.
+    Each agent faces the others' ballots in ``profile``.  Without
+    ``deviations`` she tries every ballot, read with her truthful outcome
+    from one kernel call on the unit box above the others' score vector;
+    a deviation list makes one point call per deviation, plus the truthful one.
     """
     ids = instance.ids
     args = kernel_args(instance)
@@ -574,8 +570,9 @@ def check_sp_over_unit_class(
 
     Each (instance, agent count) is decided on its score grid
     (:func:`_grid_holds`).  An instance the grids refute is enumerated in
-    order for its first witness, each outcome read from the grid of its
-    agent count by index, so verdicts and ``checked`` are those of the
+    order for its first witness: for each agent count, ideal set and
+    profile of the others, the first agent tries every ballot through the
+    fixed-others cases, so verdicts and ``checked`` are those of the
     ordered enumeration.
     """
     kernel = score_kernel(rule)
@@ -605,29 +602,18 @@ def check_sp_over_unit_class(
         if all(holds):
             checked += sum(len(ideals) * (2**m) ** n for n in grids)
             continue
-        cases = _unit_cases(ids, ideals, grids)
+        every = subsets_ascending(ids)
+        cases = itertools.chain.from_iterable(
+            _fixed_others_cases(kernel, instance, (ideal, *others), (ideal,), [0], None)
+            for n in grids
+            for ideal in ideals
+            for others in itertools.product(every, repeat=n - 1)
+        )
         witness, tried = _first_manipulation(instance, model, approximate, cases)
         checked += tried
         if witness is not None:
             return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     return PropertyVerdict(HOLDS, None, True, checked, params)
-
-
-def _unit_cases(ids, ideals, grids):
-    """The cases of the unit-class scan: the first agent tries every ballot.
-
-    For each agent count n, ideal set and profile of the other n - 1
-    agents, in order, every outcome is read from the grid of n agents.
-    """
-    every = subsets_ascending(ids)
-    for n, grid in grids.items():
-        pairs = list(zip(every, [_offset(ids, b, n + 1) for b in every]))
-        for ideal in ideals:
-            own = _offset(ids, ideal, n + 1)
-            for others in itertools.product(pairs, repeat=n - 1):
-                low = sum(offset for _, offset in others)
-                profile = (ideal, *(ballot for ballot, _ in others))
-                yield 0, ideal, profile, grid[low + own], ((b, grid[low + o]) for b, o in pairs)
 
 
 # The shared project costs of the unit class.

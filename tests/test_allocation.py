@@ -150,6 +150,18 @@ class TestPriorityTieBreak:
             PriorityTieBreak((fs(1), fs(1)))
 
 
+class TestAllocationRuleLookup:
+    @pytest.mark.parametrize("name, policy, message", [
+        ("greedy-approval", PriorityTieBreak((fs(1),)),
+         r"^greedy-approval does not take a tie-break policy$"),
+        ("greedy", None, r"^unknown allocation rule 'greedy'$"),
+        ("greedy", PriorityTieBreak((fs(1),)), r"^unknown allocation rule 'greedy'$"),
+    ])
+    def test_invalid_lookup_refused(self, name, policy, message):
+        with pytest.raises(ValidationError, match=message):
+            allocation_rule(name, policy)
+
+
 @st.composite
 def kernel_grids(draw, shapes=("point", "box", "grid")):
     """An instance of projects with cost <= 6 and per-slot score levels in 0..n.

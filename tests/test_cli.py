@@ -166,6 +166,38 @@ class TestCommands:
         assert main([*shortlist, "--scenario", coordinates_only, "--metric", "table"]) == 2
         assert "--metric table" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metric, coords, table, code, expected", [
+        ("table", True, True, 0, [1]),
+        ("table", True, False, 2, "--metric table needs a distance table in the scenario"),
+        ("euclidean", False, True, 2, "project p1 has no coordinates"),
+    ])
+    def test_metric_flag(self, capsys, tmp_path, metric, coords, table, code, expected):
+        # `--metric table` keeps the document's table; either override
+        # refuses a document that lacks what it names.
+        path = tmp_path / "scenario.json"
+        write_scenario(ScenarioDocument(
+            instance=Instance([
+                Project(i, 1, (x, 0.0) if coords else None)
+                for i, x in ((1, 0.0), (2, 1.0), (3, 10.0))
+            ], 1),
+            agents=(AgentSpec(1, (1, 2, 3)),),
+            proposals=(frozenset({1, 2, 3}),),
+            metric_spec={
+                "kind": "table", "entries": [[1, 2, 1.0], [1, 3, 1.0], [2, 3, 2.0]],
+            } if table else None,
+        ), path)
+        assert main([
+            "shortlist", "--rule", "k-median", "--k", "1", "--scenario", str(path),
+            "--metric", metric, "--no-timing",
+        ]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            report = json.loads(out)
+            assert report["results"]["shortlist"] == expected
+            assert report["document"]["metric"]["kind"] == "table"
+        else:
+            assert f"validation error: {expected}" in err
+
     def test_allocate_with_document_tiebreak(self, capsys):
         code, report = run_cli(
             capsys,

@@ -44,6 +44,17 @@ class TestInstance:
         with pytest.raises(ValidationError):
             ten_project_instance.total_cost([99])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Project(0, 1), r"^project index must be >= 1, got 0$"),
+        (lambda: Project(2, 0), r"^project p2 has cost 0; costs must be >= 1$"),
+        (lambda: Instance([Project(1, 1)], 0), r"^budget must be >= 1, got 0$"),
+        (lambda: Instance([Project(1, 1), Project(1, 2)], 3), r"^duplicate project index 1$"),
+        (lambda: Instance([Project(1, 5)], 4), r"^project p1 costs 5, exceeding the budget 4$"),
+    ])
+    def test_invalid_project_or_instance_refused(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
 
 class TestGreedySelect:
     def test_unit_costs(self, ten_project_instance):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,6 +36,19 @@ def minimal_scenario(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def setting(*path, value):
+    """An edit of a scenario dict that sets the entry at ``path`` (keys and indices)."""
+
+    def edit(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return data
+
+    return edit
 
 
 class TestParsing:
@@ -98,6 +112,55 @@ class TestParsing:
             ScenarioError, match=r"^scenario\.agents\[1\]\.ranking: expected a list of project ids$"
         ):
             parse_scenario_dict(data)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: [], r"^scenario: expected a JSON object$"),
+        (setting("format", value="pb-other"), r"^scenario: unknown format 'pb-other'$"),
+        (setting("version", value=2), r"^scenario: unsupported version 2$"),
+        (setting("instance", value=[]), r"^scenario\.instance: expected dict, got list$"),
+        (setting("instance", "budget", value=True),
+         r"^scenario\.instance\.budget: expected an integer$"),
+        (setting("instance", "projects", 0, "coords", value="north"),
+         r"^scenario\.instance\.projects\[0\]: coords must be a list of numbers$"),
+        (setting("instance", "projects", 0, "id", value=0),
+         r"^scenario\.instance\.projects\[0\]: project index must be >= 1, got 0$"),
+        (setting("agents", 0, "awareness", value=[1, 9]),
+         r"^scenario\.agents\[0\]\.awareness: awareness set contains unknown project ids \[9\]$"),
+        (setting("proposals", value=[[1]]),
+         r"^scenario\.proposals: expected one entry per agent \(2\)$"),
+        (setting("metric", value={"kind": "manhattan"}),
+         r"^scenario\.metric: unknown metric kind 'manhattan'$"),
+        (setting("metric", value={"kind": "table", "entries": [[1, 2]]}),
+         r"^scenario\.metric\.entries\[0\]: expected \[id, id, distance\]$"),
+        (setting("tiebreak", value={"kind": "priority", "allocations": [[1], [1]]}),
+         r"^scenario\.tiebreak: priority list contains duplicate allocations$"),
+        (setting("tiebreak", value={"kind": "random"}),
+         r"^scenario\.tiebreak: unknown tie-break kind 'random'$"),
+        (setting("config", value=["seed"]), r"^scenario\.config: expected a JSON object$"),
+        (setting("checks", value="all"), r"^scenario\.checks: expected a list of JSON objects$"),
+    ])
+    def test_invalid_document_refused_at_its_location(self, edit, message):
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario_dict(edit(minimal_scenario()))
+
+    def test_file_errors_located_by_path(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(ScenarioError, match="^" + re.escape(f"{missing}: cannot read")):
+            parse_scenario(missing)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(minimal_scenario(version=2)))
+        with pytest.raises(ScenarioError, match="^" + re.escape(f"{path}: unsupported version 2")):
+            parse_scenario(path)
+
+    def test_unknown_agent_label_refused(self):
+        doc = parse_scenario_dict(minimal_scenario())
+        assert doc.agent_index(2) == 1
+        with pytest.raises(ScenarioError, match=r"^no agent with label 9$"):
+            doc.agent_index(9)
+
+    def test_canonical_tiebreak_is_no_policy(self):
+        doc = parse_scenario_dict(minimal_scenario(tiebreak={"kind": "canonical"}))
+        assert doc.tiebreak is None
 
     def test_int_subclass_ids_accepted(self):
         class Id(int):

@@ -285,6 +285,24 @@ class TestMetric:
         assert metric.distance(2, 1) == 1.0
         assert metric.distance(1, 1) == 0.0
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: table_metric([1, 2], [(1, 2, 1.0)]).distance(1, 3),
+         r"^metric does not cover the pair \(1, 3\)$"),
+        (lambda: euclidean_metric(make_instance([1, 1], 2, [(0.0, 0.0), None])),
+         r"^project p2 has no coordinates; a euclidean metric needs coordinates on every"),
+        (lambda: euclidean_metric(make_instance([1, 1], 2, [(0.0, 0.0), (1.0, 0.0, 0.0)])),
+         r"^projects have coordinates of mixed dimension$"),
+        (lambda: table_metric([1, 2], [(1, 2, 1.0), (2, 2, 0.5)]),
+         r"^distance of project 2 to itself must be 0$"),
+    ])
+    def test_invalid_metric_refused(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+    def test_zero_self_distance_accepted(self):
+        metric = table_metric([1, 2], [(1, 1, 0.0), (1, 2, 1.0)])
+        assert metric.distance(1, 1) == 0.0 and metric.distance(1, 2) == 1.0
+
     def test_asymmetric_table_rejected(self):
         with pytest.raises(ValidationError):
             table_metric([1, 2], [(1, 2, 1.0), (2, 1, 2.0)])

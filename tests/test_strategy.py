@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import gc
 import hashlib
 import json
 from random import Random
@@ -420,6 +422,22 @@ class TestCheckFssp:
         assert len(calls) == 8
         assert second.to_jsonable() == first.to_jsonable()
 
+    @pytest.mark.parametrize("allocation_name", ["greedy-approval", "approval-maximising"])
+    def test_run_leaves_no_cyclic_garbage(self, allocation_name):
+        # A memo that holds its owner would keep every side of a run alive
+        # until the cycle collector runs.
+        game = dataclasses.replace(
+            four_project_game(), allocation_rule=allocation_rule(allocation_name)
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            for mode in ("pessimistic", "optimistic", "anticipative"):
+                check_fssp(game, "unrestricted", mode)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_profile_cap_bounds_the_whole_run(self):
         # Every check fits 2 * (2^4)^2 = 512 profiles, but the run's distinct
         # shortlists add up to 800.
@@ -511,6 +529,23 @@ class TestImplicationLattice:
                  for mode in ("pessimistic", "optimistic", "anticipative")}
         with pytest.raises(ValidationError):
             verify_fssp_implications([("sampled", cells, False)])
+
+    @pytest.mark.parametrize("cell, verdict, message", [
+        (("restricted", "optimistic"), None,
+         r"^table 't' is missing cell \('restricted', 'optimistic'\)$"),
+        (("unrestricted", "anticipative"), PropertyVerdict(HOLDS, None, False, 1),
+         r"^table 't' cell \('unrestricted', 'anticipative'\) is not exact$"),
+    ])
+    def test_malformed_tables_refused(self, cell, verdict, message):
+        cells = {(variant, mode): PropertyVerdict(HOLDS, None, True, 1)
+                 for variant in ("restricted", "unrestricted")
+                 for mode in ("pessimistic", "optimistic", "anticipative")}
+        if verdict is None:
+            del cells[cell]
+        else:
+            cells[cell] = verdict
+        with pytest.raises(ValidationError, match=message):
+            verify_fssp_implications([("t", cells, False)])
 
 
 class TestNominationClassCheck:

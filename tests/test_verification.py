@@ -643,6 +643,49 @@ class TestUnitClassChecks:
                 )
                 assert verdict.holds and verdict.exact and verdict.checked == 8708
 
+    @staticmethod
+    def demoting_kernel(ids, costs, budget, levels):
+        """Greedy approval, except that a project with 2 or more approvals is funded last."""
+        out = []
+        for point in itertools.product(*reversed(levels)):
+            scores = point[::-1]
+            chosen, left = [], budget
+            for j in sorted(range(len(ids)), key=lambda j: (scores[j] >= 2, -scores[j])):
+                if costs[j] <= left:
+                    chosen.append(ids[j])
+                    left -= costs[j]
+            out.append(frozenset(chosen))
+        return out
+
+    @pytest.mark.parametrize("model", ["overlap", "cost"])
+    def test_refuting_rule_witness_pinned(self, monkeypatch, model):
+        # No declared rule refutes the class, so a kernel that punishes a
+        # second approval drives the witness path.  The witness needs two
+        # agents, so it also pins the order of the others' profiles.
+        monkeypatch.setattr(
+            "pbstages.verification.score_kernel", lambda rule: self.demoting_kernel
+        )
+        verdict = check_sp_over_unit_class(greedy_approval, model, max_projects=3, max_agents=3)
+        assert verdict.status == COUNTEREXAMPLE and verdict.exact and verdict.checked == 41
+        assert verdict.witness == {
+            "kind": "second-stage-manipulation",
+            "instance": {"budget": 1, "costs": {"1": 1, "2": 1}},
+            "agent": 1,
+            "model": model,
+            "approximate": False,
+            "profile": [[], [1]],
+            "ideal": [1],
+            "truthful_outcome": [2],
+            "manipulated_outcome": [1],
+            "truthful_value": 0,
+            "repaired_value": 1,
+            "manipulated_value": 1,
+        }
+        approximate = check_sp_over_unit_class(
+            greedy_approval, model, max_projects=3, max_agents=3, approximate=True
+        )
+        assert approximate.holds and approximate.exact and approximate.checked == 8708
+
     def test_contrarian_refuted_by_plain_scan(self):
         # The first agent approves nothing and gets her ideal project; voting
         # it would hand the budget to the other project.  With one project
