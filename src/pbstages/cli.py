@@ -61,10 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--cap-{cap.name.replace('_', '-')}", type=int, default=cap.default)
 
     def seed_flag(p: argparse.ArgumentParser) -> None:
-        # check-axiom and check-ssp read the seed.  allocate, end-to-end and
-        # paper-suite never sample, but their --no-timing report bytes, seed
-        # option included, are pinned by sha256.
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled searches")
+        # check-axiom reads the seed of its random suite.  allocate,
+        # end-to-end and paper-suite never draw, but their --no-timing report
+        # bytes, seed option included, are pinned by sha256.
+        p.add_argument("--seed", type=int, default=0, help="seed for random suites")
 
     def metric_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -134,12 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=ALLOCATION_RULES, required=True)
     p.add_argument("--model", choices=("overlap", "cost"), default="overlap")
     p.add_argument("--approximate", action="store_true")
-    p.add_argument("--search", choices=("auto", "full", "fixed-others", "sample"), default="auto")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--search", choices=("auto", "full", "fixed-others"), default="auto")
     p.add_argument(
         "--tiebreak", choices=("canonical", "document"), default="canonical"
     )
-    seed_flag(p)
     common(p)
 
     p = sub.add_parser("check-fssp", help="search for a proposal-stage manipulation")
@@ -214,8 +212,10 @@ def _check_option_types(command: str, options: dict) -> None:
     """Refuse a stored option the command's parser could not have produced.
 
     An integer ``seed`` is accepted on every command: reports written
-    while ``shortlist`` and ``check-fssp`` still took ``--seed`` carry one,
-    and nothing reads it.
+    while ``shortlist``, ``check-fssp`` and ``check-ssp`` still took
+    ``--seed`` carry one, and nothing reads it.  So is an integer
+    ``samples`` on ``check-ssp``, left from its removed sampled search.
+    A stored ``"search": "sample"`` names that search and is refused.
     """
     commands = next(
         action for action in build_parser()._actions
@@ -229,7 +229,8 @@ def _check_option_types(command: str, options: dict) -> None:
     for key, value in options.items():
         action = flags.get(key)
         if action is None:
-            if key == "seed" and type(value) is int:
+            retired = key == "seed" or (command, key) == ("check-ssp", "samples")
+            if retired and type(value) is int:
                 continue
             raise ValidationError(f"report option {key!r} is not an option of {command}")
         if action.nargs == 0:

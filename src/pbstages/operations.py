@@ -184,8 +184,6 @@ def _check_ssp(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
         ballots=doc.ballots,
         agents=None if agents is None else [doc.agent_index(a) for a in agents],
         deviations=None if deviations is None else [frozenset(d) for d in deviations],
-        samples=options.get("samples", 2000),
-        seed=options.get("seed", 0),
     )
     return {"verdict": verdict.to_jsonable()}
 

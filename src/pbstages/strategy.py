@@ -37,6 +37,7 @@ from pbstages.verification import (
     ShortlistRule,
     _box_max,
     _check_agents,
+    _staircase,
     ids_list,
 )
 
@@ -191,8 +192,7 @@ def _fstar_outcomes(
     One call of the rule's score ``kernel`` returns the outcome at every
     point of {0..n}^m, and :func:`~pbstages.verification._box_max` turns
     the keys into box maxima.  The others' first profile summing to s in
-    product order is greedy: their i-th ballot holds the projects with
-    s_j > n - 2 - i.
+    product order is :func:`~pbstages.verification._staircase`.
     """
     ids = instance.ids
     m = len(ids)
@@ -211,10 +211,7 @@ def _fstar_outcomes(
         index = 0
         for s in reversed(point):
             index = index * side + s
-        masks = tuple(
-            sum(1 << j for j, s in enumerate(point) if s > agents - 2 - i)
-            for i in range(agents - 1)
-        )
+        masks = _staircase(point, agents)
         key = keys[index]
         if key not in first or masks < first[key]:
             first[key] = masks

@@ -1,9 +1,10 @@
 """Axiom checkers and second-stage strategyproofness search.
 
-Verdicts distinguish exhaustive evidence from sampled evidence: a verdict
-is *exact* when the declared search space was fully enumerated, in which
-case "holds" is a proof for that space.  Sampled runs can only refute.
-Every counterexample witness carries enough data to be replayed.
+A verdict is *exact* when it covers the whole declared search space,
+enumerated or decided in closed form on the score grid, in which case
+"holds" is a proof for that space.  The fixed-others search covers one
+slice of the profile space, so its "holds" is not exact.  Every
+counterexample witness carries enough data to be replayed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import functools
 import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from random import Random
 
 from pbstages.core import (
     Caps,
@@ -289,42 +289,59 @@ def _box_max(keys: list[int], side: int, n: int, m: int) -> list[int]:
     return keys
 
 
-def _grid_holds(
-    grid: list[frozenset[int]], instance: Instance, n: int, ideals: Iterable[frozenset[int]],
+def _staircase(point: Sequence[int], n: int) -> tuple[int, ...]:
+    """The first profile of n - 1 ballots whose score vector is ``point``, in product order.
+
+    Ballots are masks, bit j standing for the j-th project as in
+    :func:`~pbstages.core.subsets_ascending`.  The first profile is
+    greedy: ballot i holds just the projects j with point_j > n - 2 - i,
+    those the ballots after it could not approve often enough.
+    """
+    return tuple(sum(1 << j for j, s in enumerate(point) if s > n - 2 - i) for i in range(n - 1))
+
+
+def _product_index(masks: Sequence[int], m: int) -> int:
+    """The position of a profile of ballot masks in product order of the 2^m ballots."""
+    index = 0
+    for mask in masks:
+        index = (index << m) + mask
+    return index
+
+
+def _refutations(
+    grid: list[frozenset[int]], instance: Instance, n: int, ideal: frozenset[int],
     model: str, approximate: bool,
-) -> bool:
-    """Whether, among ``n`` agents, no agent with an ideal set in ``ideals`` can beat voting truthfully.
+) -> Iterable[tuple[tuple[int, ...], int, frozenset[int], frozenset[int]]]:
+    """Where an agent with ideal set ``ideal``, among ``n``, beats voting truthfully.
 
     ``grid`` is the rule's outcome at every point of {0..n}^m, from one
     kernel call that serves every ideal set.  The other agents reach the
-    rule only through their score vector s in {0..n-1}^m, every one of
-    which some profile of theirs realises, and the agent's ballot B moves
-    it to s + 1_B.  So an agent with ideal set I manipulates iff at some s
-    the box maximum of her value over s + {0,1}^m beats the bar at
-    s + 1_I: the truthful outcome's value, plus :func:`repair_gain` when
-    approximate.
+    rule only through their score vector s in {0..n-1}^m, and the agent's
+    ballot B moves it to s + 1_B.  So she manipulates at s iff the box
+    maximum of her value over s + {0,1}^m beats the bar at s + 1_I: the
+    truthful outcome's value, plus :func:`repair_gain` when approximate.
+
+    For each such s this yields the others' first profile reaching it
+    (:func:`_staircase`), the first ballot mask that beats the bar, and
+    the truthful and manipulated outcomes.  Nothing is yielded iff the
+    agent can manipulate in no profile, so no profile is ever listed.
     """
     ids = instance.ids
     m = len(ids)
     side = n + 1
-    distinct = set(grid)
-    # The index of every others' score vector s in {0..n-1}^m.
-    lows = [0]
-    for j in range(m):
-        lows = [index + s * side**j for s in range(n) for index in lows]
-    for ideal in ideals:
-        value = valuation(model, ideal, instance)
-        worth = {o: value(o) for o in distinct}
-        bars = (
-            {o: w + repair_gain(value, ideal, o) for o, w in worth.items()}
-            if approximate
-            else worth
-        )
-        best = _box_max(list(map(worth.__getitem__, grid)), side, n, m)
-        shift = _offset(ids, ideal, side)
-        if any(best[s] > bars[grid[s + shift]] for s in lows):
-            return False
-    return True
+    value = valuation(model, ideal, instance)
+    worth = {o: value(o) for o in set(grid)}
+    bars = {o: w + repair_gain(value, ideal, o) for o, w in worth.items()} if approximate else worth
+    best = _box_max(list(map(worth.__getitem__, grid)), side, n, m)
+    shift = _offset(ids, ideal, side)
+    offsets = [_offset(ids, b, side) for b in subsets_ascending(ids)]
+    for point in itertools.product(range(n), repeat=m):
+        low = sum(s * side**j for j, s in enumerate(point))
+        truthful = grid[low + shift]
+        bar = bars[truthful]
+        if best[low] > bar:
+            mask = next(b for b, off in enumerate(offsets) if worth[grid[low + off]] > bar)
+            yield _staircase(point, n), mask, truthful, grid[low + offsets[mask]]
 
 
 def check_second_stage_sp(
@@ -338,8 +355,6 @@ def check_second_stage_sp(
     ballots: Sequence[Iterable[int]] | None = None,
     agents: Sequence[int] | None = None,
     deviations: Sequence[Iterable[int]] | None = None,
-    samples: int = 2000,
-    seed: int = 0,
 ) -> PropertyVerdict:
     """Search for a ballot manipulation that beats voting truthfully.
 
@@ -350,20 +365,19 @@ def check_second_stage_sp(
 
     Search modes:
 
-    - ``"full"``: enumerate every profile and manipulator (exact; capped).
-      One kernel call on the score grid {0..n}^m decides
-      (:func:`_grid_holds`).  When it refutes, the profiles are scanned in
-      order for the first witness, each outcome read from that grid by
-      index, so verdicts, witnesses and ``checked`` are those of the
-      ordered enumeration.
+    - ``"full"``: every profile and manipulator (exact; capped at the
+      (2^m)^n profiles).  One kernel call on the score grid {0..n}^m
+      decides, and :func:`_refutations` reads off it the first witness
+      of the ordered enumeration: the least profile in product order of
+      :func:`~pbstages.core.subsets_ascending`, ties going to the agent
+      first in ``agents``, with the ``checked`` count of that enumeration.
+      No profile is listed.
     - ``"fixed-others"``: other agents keep the scenario ballots (their
       truthful ideal sets unless ``ballots`` is given) while the
       manipulator tries every ballot, read with her truthful outcome from
       one kernel call on the unit box above the others' score vector, or
       each of ``deviations`` when given, one point call each (exact for
       that slice of the space).  Other modes refuse ``deviations``.
-    - ``"sample"``: seeded random profiles, one point call per distinct
-      score vector; can only refute, never prove.
     - ``"auto"``: ``"full"`` when the profile space fits the cap,
       otherwise ``"fixed-others"``.
     """
@@ -378,14 +392,12 @@ def check_second_stage_sp(
     full_space = (2 ** len(ids)) ** n
     if search == "auto":
         search = "full" if full_space <= caps.profiles else "fixed-others"
-    if search not in ("full", "fixed-others", "sample"):
+    if search not in ("full", "fixed-others"):
         raise ValidationError(f"unknown search mode {search!r}")
     if deviations is not None and search != "fixed-others":
         raise ValidationError(
             f"a deviation list applies only to the fixed-others search, not to {search!r}"
         )
-    if search == "sample" and samples < 1:
-        raise ValidationError(f"sampled search needs at least one sample, got {samples}")
     if search == "full" and full_space > caps.profiles:
         raise ResourceLimitError(
             f"full profile enumeration needs {full_space} profiles, "
@@ -398,71 +410,54 @@ def check_second_stage_sp(
         "agents": [a + 1 for a in agent_pool],
     }
 
-    args = kernel_args(instance)
-    side = n + 1
     if search == "full":
-        grid = kernel(*args, [range(side)] * len(ids))
-        if _grid_holds(grid, instance, n, {tops[a] for a in agent_pool}, model, approximate):
-            return PropertyVerdict(HOLDS, None, True, len(agent_pool) * full_space, params)
-        every = subsets_ascending(ids)
-        profiles = itertools.product(zip(every, [_offset(ids, b, side) for b in every]), repeat=n)
-        cases = _profile_cases(profiles, ids, side, tops, agent_pool, grid.__getitem__)
-    elif search == "fixed-others":
-        base = tops if ballots is None else [instance.check_subset(b) for b in ballots]
-        if len(base) != n:
-            raise ValidationError("fixed ballots must cover every agent")
-        charge = len(agent_pool) * (2 ** len(ids) if deviations is None else len(deviations))
-        if charge > caps.profiles:
-            raise ResourceLimitError(
-                f"fixed-others search tries {charge} ballots over {len(agent_pool)} agents, "
-                f"exceeding the cap of {caps.profiles}"
-            )
-        if deviations is not None:
-            deviations = [instance.check_subset(d, "deviation") for d in deviations]
-        cases = _fixed_others_cases(kernel, instance, tuple(base), tops, agent_pool, deviations)
-    else:
-        params["samples"] = samples
-        params["seed"] = seed
-
-        @functools.cache
-        def outcome_at(index: int) -> frozenset[int]:
-            return kernel(*args, [(index // side**j % side,) for j in range(len(ids))])[0]
-
-        rng = Random(seed)
-        drawn = (
-            [frozenset(pid for pid in ids if rng.random() < 0.5) for _ in range(n)]
-            for _ in range(samples)
+        grid = kernel(*kernel_args(instance), [range(n + 1)] * len(ids))
+        refutations = {
+            ideal: list(_refutations(grid, instance, n, ideal, model, approximate))
+            for ideal in {tops[a] for a in agent_pool}
+        }
+        # The agent's ballot takes her slot among the others' first profile.
+        first = min(
+            (
+                ((*others[:agent], mask, *others[agent:]), rank, agent, truthful, manipulated)
+                for rank, agent in enumerate(agent_pool)
+                for others, mask, truthful, manipulated in refutations[tops[agent]]
+            ),
+            key=lambda case: case[:2],
+            default=None,
         )
-        profiles = (tuple((b, _offset(ids, b, side)) for b in profile) for profile in drawn)
-        cases = _profile_cases(profiles, ids, side, tops, agent_pool, outcome_at)
+        if first is None:
+            return PropertyVerdict(HOLDS, None, True, len(agent_pool) * full_space, params)
+        masks, rank, agent, truthful, manipulated = first
+        every = subsets_ascending(ids)
+        witness = _witness(
+            instance, model, approximate, agent, tops[agent], [every[b] for b in masks],
+            truthful, manipulated,
+        )
+        checked = _product_index(masks, len(ids)) * len(agent_pool) + rank + 1
+        return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
 
+    base = tops if ballots is None else [instance.check_subset(b) for b in ballots]
+    if len(base) != n:
+        raise ValidationError("fixed ballots must cover every agent")
+    charge = len(agent_pool) * (2 ** len(ids) if deviations is None else len(deviations))
+    if charge > caps.profiles:
+        raise ResourceLimitError(
+            f"fixed-others search tries {charge} ballots over {len(agent_pool)} agents, "
+            f"exceeding the cap of {caps.profiles}"
+        )
+    if deviations is not None:
+        deviations = [instance.check_subset(d, "deviation") for d in deviations]
+    cases = _fixed_others_cases(kernel, instance, tuple(base), tops, agent_pool, deviations)
     witness, checked = _first_manipulation(instance, model, approximate, cases)
     if witness is not None:
         return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
-    # Only full enumeration is a proof: fixed-others searched one slice of
-    # the space, and sampling can only refute.
-    return PropertyVerdict(HOLDS, None, search == "full", checked, params)
-
-
-def _profile_cases(profiles, ids, side, tops, agent_pool, outcome_at):
-    """The cases of the ``full`` and ``sample`` searches: each agent tries her own ballot.
-
-    ``profiles`` yields each profile as (ballot, offset) pairs, and
-    ``outcome_at`` reads the outcome at an index.  A profile's score vector
-    sits at the sum of its offsets; the truthful one moves that sum by the
-    agent's ideal set's offset less her ballot's.
-    """
-    own = {agent: _offset(ids, tops[agent], side) for agent in agent_pool}
-    for pairs in profiles:
-        profile = tuple(ballot for ballot, _ in pairs)
-        total = sum(offset for _, offset in pairs)
-        for agent in agent_pool:
-            truthful = outcome_at(total - pairs[agent][1] + own[agent])
-            yield agent, tops[agent], profile, truthful, ((profile[agent], outcome_at(total)),)
+    # Fixed-others searched one slice of the profile space: no proof.
+    return PropertyVerdict(HOLDS, None, False, checked, params)
 
 
 def _fixed_others_cases(kernel, instance, profile, tops, agent_pool, deviations):
-    """The cases of the ``fixed-others`` search and the unit-class rescan.
+    """The cases of the ``fixed-others`` search.
 
     Each agent faces the others' ballots in ``profile``.  Without
     ``deviations`` she tries every ballot, read with her truthful outcome
@@ -500,7 +495,7 @@ def _first_manipulation(
     ``tried`` yields ``(ballot, outcome)`` for each ballot the agent tries in
     her slot of ``profile``, in order.  No kernel is called here: this only
     values outcomes, through one memoised value function per ideal set and
-    one bar per (ideal set, truthful outcome), and builds the witness.
+    one bar per (ideal set, truthful outcome).
     """
     value_of = functools.cache(lambda ideal: functools.cache(valuation(model, ideal, instance)))
 
@@ -514,27 +509,36 @@ def _first_manipulation(
         value, bar = value_of(ideal), bar_of(ideal, truthful)
         for ballot, manipulated in tried:
             checked += 1
-            gain = value(manipulated)
-            if gain > bar:
-                truthful_value = value(truthful)
-                witness = {
-                    "kind": "second-stage-manipulation",
-                    "instance": instance_payload(instance),
-                    "agent": agent + 1,
-                    "model": model,
-                    "approximate": approximate,
-                    "profile": [
-                        ids_list(ballot if i == agent else b) for i, b in enumerate(profile)
-                    ],
-                    "ideal": ids_list(ideal),
-                    "truthful_outcome": ids_list(truthful),
-                    "manipulated_outcome": ids_list(manipulated),
-                    "truthful_value": truthful_value,
-                    "repaired_value": truthful_value + repair_gain(value, ideal, truthful),
-                    "manipulated_value": gain,
-                }
+            if value(manipulated) > bar:
+                deviated = [ballot if i == agent else b for i, b in enumerate(profile)]
+                witness = _witness(
+                    instance, model, approximate, agent, ideal, deviated, truthful, manipulated
+                )
                 return witness, checked
     return None, checked
+
+
+def _witness(
+    instance: Instance, model: str, approximate: bool, agent: int, ideal: frozenset[int],
+    profile: Sequence[frozenset[int]], truthful: frozenset[int], manipulated: frozenset[int],
+) -> dict:
+    """The replayable record of ``agent``'s ballot in ``profile`` beating her truthful outcome."""
+    value = valuation(model, ideal, instance)
+    truthful_value = value(truthful)
+    return {
+        "kind": "second-stage-manipulation",
+        "instance": instance_payload(instance),
+        "agent": agent + 1,
+        "model": model,
+        "approximate": approximate,
+        "profile": [ids_list(b) for b in profile],
+        "ideal": ids_list(ideal),
+        "truthful_outcome": ids_list(truthful),
+        "manipulated_outcome": ids_list(manipulated),
+        "truthful_value": truthful_value,
+        "repaired_value": truthful_value + repair_gain(value, ideal, truthful),
+        "manipulated_value": value(manipulated),
+    }
 
 
 def _check_agents(agents: Iterable[int], n: int) -> list[int]:
@@ -559,7 +563,7 @@ def check_sp_over_unit_class(
 ) -> PropertyVerdict:
     """Exhaustively check strategyproofness over small equal-cost instances.
 
-    Enumerates every instance size, shared cost, budget, agent count,
+    Covers every instance size, shared cost, budget, agent count,
     manipulator ideal set, and full ballot profile.  ``rule`` must have a
     score kernel (:func:`pbstages.allocation.score_kernel`), so it reads
     only approval scores and is anonymous: fixing the manipulator position
@@ -568,12 +572,11 @@ def check_sp_over_unit_class(
     greedy ideal of some ranking, so quantifying ideal sets covers every
     preference order.
 
-    Each (instance, agent count) is decided on its score grid
-    (:func:`_grid_holds`).  An instance the grids refute is enumerated in
-    order for its first witness: for each agent count, ideal set and
-    profile of the others, the first agent tries every ballot through the
-    fixed-others cases, so verdicts and ``checked`` are those of the
-    ordered enumeration.
+    Each (instance, agent count) is decided on its score grid, and
+    :func:`_refutations` reads off it, listing no profile, the first
+    witness of the ordered enumeration: for each agent count, ideal set
+    and profile of the others in product order, the first agent tries
+    every ballot.  Verdicts and ``checked`` are that enumeration's.
     """
     kernel = score_kernel(rule)
     check_model(model)
@@ -595,24 +598,27 @@ def check_sp_over_unit_class(
     for instance, slots in _unit_class(max_projects):
         ids = instance.ids
         m = len(ids)
-        ideals = list(map(frozenset, itertools.combinations(ids, slots)))
         args = kernel_args(instance)
-        grids = {n: kernel(*args, [range(n + 1)] * m) for n in range(1, max_agents + 1)}
-        holds = (_grid_holds(g, instance, n, ideals, model, approximate) for n, g in grids.items())
-        if all(holds):
-            checked += sum(len(ideals) * (2**m) ** n for n in grids)
-            continue
-        every = subsets_ascending(ids)
-        cases = itertools.chain.from_iterable(
-            _fixed_others_cases(kernel, instance, (ideal, *others), (ideal,), [0], None)
-            for n in grids
-            for ideal in ideals
-            for others in itertools.product(every, repeat=n - 1)
-        )
-        witness, tried = _first_manipulation(instance, model, approximate, cases)
-        checked += tried
-        if witness is not None:
-            return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
+        for n in range(1, max_agents + 1):
+            grid = kernel(*args, [range(n + 1)] * m)
+            for ideal in map(frozenset, itertools.combinations(ids, slots)):
+                # The others' profile is tried before her ballot.
+                first = min(
+                    _refutations(grid, instance, n, ideal, model, approximate),
+                    key=lambda refutation: refutation[:2],
+                    default=None,
+                )
+                if first is None:
+                    checked += (2**m) ** n
+                    continue
+                others, mask, truthful, manipulated = first
+                checked += _product_index((*others, mask), m) + 1
+                every = subsets_ascending(ids)
+                witness = _witness(
+                    instance, model, approximate, 0, ideal,
+                    [every[b] for b in (mask, *others)], truthful, manipulated,
+                )
+                return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     return PropertyVerdict(HOLDS, None, True, checked, params)
 
 
@@ -672,61 +678,3 @@ def check_rules_coincide_on_unit_class(
                     }
                     return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     return PropertyVerdict(HOLDS, None, True, checked, params)
-
-
-# ---------------------------------------------------------------------------
-# Unit split
-
-
-@dataclass(frozen=True)
-class UnitSplitMap:
-    """Mapping from projects to their unit-cost pieces.
-
-    Piece ids are assigned in ascending order of the parent index, with
-    consecutive ids inside each parent, so the canonical tie-breaking
-    order on pieces refines the order on parents.
-    """
-
-    forward: dict[int, tuple[int, ...]]
-
-    def split_set(self, pids: Iterable[int]) -> frozenset[int]:
-        pieces: set[int] = set()
-        for pid in pids:
-            pieces.update(self.forward[pid])
-        return frozenset(pieces)
-
-    def merge(self, pieces: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
-        """Parents fully covered by ``pieces``, and parents only partially covered."""
-        pieces = set(pieces)
-        full, partial = set(), set()
-        for parent, units in self.forward.items():
-            hits = sum(1 for u in units if u in pieces)
-            if hits == len(units):
-                full.add(parent)
-            elif hits:
-                partial.add(parent)
-        return frozenset(full), frozenset(partial)
-
-
-def unit_split(
-    instance: Instance, ballots: Sequence[Iterable[int]] = ()
-) -> tuple[Instance, tuple[frozenset[int], ...], UnitSplitMap]:
-    """Split every project into unit-cost pieces, ballots included.
-
-    A ballot approving a project approves all of its pieces.  Merging the
-    pieces back (see :meth:`UnitSplitMap.merge`) is the left inverse of
-    the split.
-    """
-    ballots = tuple(instance.check_subset(b) for b in ballots)
-    forward: dict[int, tuple[int, ...]] = {}
-    pieces: list[Project] = []
-    next_id = 1
-    for project in instance.projects:
-        unit_ids = tuple(range(next_id, next_id + project.cost))
-        next_id += project.cost
-        forward[project.index] = unit_ids
-        pieces.extend(Project(uid, 1, project.coords) for uid in unit_ids)
-    split_map = UnitSplitMap(forward)
-    unit_instance = Instance(pieces, instance.budget)
-    unit_ballots = tuple(split_map.split_set(b) for b in ballots)
-    return unit_instance, unit_ballots, split_map

@@ -21,6 +21,9 @@ def run_cli(capsys, *argv):
 
 
 SHORTLIST_ARGV = ("shortlist", "--fixture", "example1", "--rule", "nomination")
+CHECK_SSP_ARGV = (
+    "check-ssp", "--fixture", "greedy-overlap-gap", "--rule", "greedy-approval", "--search", "full",
+)
 
 
 def stored_report(tmp_path, edit, argv=SHORTLIST_ARGV):
@@ -341,6 +344,26 @@ class TestReplayAndStability:
         assert code == 0
         assert replay["results"]["reproduces"] is True
 
+    def test_replay_check_ssp_report_with_sampling_options(self, capsys, tmp_path):
+        # check-ssp no longer takes --seed or --samples; a report written
+        # while it did carries both and still replays.
+        def retired(data):
+            assert not {"seed", "samples"} & set(data["options"])
+            data["options"].update(seed=3, samples=2000)
+
+        path = stored_report(tmp_path, retired, CHECK_SSP_ARGV)
+        code, replay = run_cli(capsys, "replay", str(path), "--no-timing")
+        assert code == 0
+        assert replay["results"]["reproduces"] is True
+
+    def test_replay_of_sampled_search_is_2(self, capsys, tmp_path):
+        # The sampled search is gone, so a report of one cannot be re-run.
+        path = stored_report(
+            tmp_path, lambda data: data["options"].update(search="sample"), CHECK_SSP_ARGV
+        )
+        assert main(["replay", str(path)]) == 2
+        assert "'sample'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tamper", [False, True])
     def test_replay_paper_suite(self, capsys, tmp_path, tamper):
         def edit(data):
@@ -438,10 +461,6 @@ class TestExitCodes:
          "--rule", "greedy-approval", "--suite", "-3"],
         ["check-axiom", "--fixture", "unit-priority-tiebreak", "--axiom", "non-wasteful",
          "--rule", "nomination", "--suite", "-3"],
-        ["check-ssp", "--fixture", "greedy-overlap-gap", "--rule", "greedy-approval",
-         "--search", "sample", "--samples", "0"],
-        ["check-ssp", "--fixture", "greedy-overlap-gap", "--rule", "greedy-approval",
-         "--search", "sample", "--samples", "-5"],
     ])
     def test_search_over_no_cases_is_2(self, args, capsys):
         # A "holds" from zero checked cases would be a proof over nothing.

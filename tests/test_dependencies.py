@@ -52,6 +52,16 @@ def test_only_the_oracles_module_imports_the_oracles():
     assert importers <= {"oracles.py"}
 
 
+def test_only_the_case_generators_import_random():
+    # Randomness draws cases; no search may claim a verdict from samples.
+    importers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "random" in imported_top_levels(path)
+    }
+    assert importers == {"suites.py"}
+
+
 def caps_reads(path):
     """Every attribute read off an object named ``caps`` (``caps.x``, ``self.caps.x``)."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pbstages.core import Caps, ResourceLimitError, ValidationError
+from pbstages.core import Caps, ResourceLimitError, ValidationError, subsets_ascending
 from pbstages.allocation import (
     PriorityTieBreak,
     allocation_rule,
@@ -37,7 +37,7 @@ from pbstages.suites import (
 from pbstages.verification import (
     COUNTEREXAMPLE,
     HOLDS,
-    _grid_holds,
+    _refutations,
     aggregate,
     check_allocation_axiom,
     check_non_wasteful,
@@ -47,7 +47,6 @@ from pbstages.verification import (
     check_sp_over_unit_class,
     find_representative_domination,
     repair_gain,
-    unit_split,
 )
 
 from conftest import contrarian, fs, make_instance, unit_instance
@@ -205,11 +204,15 @@ class TestSecondStageSp:
         assert verdict.params["search"] == "full"
 
     def test_refuting_full_search_reads_one_grid(self, monkeypatch):
-        # A refuted check rebuilds its witness with the ordered scan, which
-        # reads every outcome from the grid that refuted: one kernel call in
-        # all.  The witness comes at the 13th profile of (2^3)^2, its second
-        # agent.
+        # A refuted check reads the ordered scan's first witness off the
+        # grid that refuted: one kernel call in all, and no scan.  The
+        # witness comes at the 13th profile of (2^3)^2, its second agent.
         calls = counted_kernel(monkeypatch, greedy_approval)
+
+        def refused(*args):
+            raise AssertionError("the ordered scan ran")
+
+        monkeypatch.setattr("pbstages.verification._first_manipulation", refused)
         verdict = check_second_stage_sp(
             greedy_approval, make_instance([1, 1, 2], 3), ((1, 2, 3), (3, 2, 1)), "cost",
             search="full",
@@ -223,11 +226,6 @@ class TestSecondStageSp:
         # One kernel call on the whole score grid decides every agent; no
         # profile is enumerated.
         calls = counted_kernel(monkeypatch, greedy_approval)
-
-        def refused(*args):
-            raise AssertionError("the ordered scan ran")
-
-        monkeypatch.setattr("pbstages.verification._first_manipulation", refused)
         instance = unit_instance(4, 2)
         rankings = ((1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3))
         verdict = check_second_stage_sp(
@@ -290,6 +288,33 @@ class TestSecondStageSp:
         )
         assert verdict.holds and verdict.exact
 
+    # Refutations of sp_cases(3, 200) past the default profile cap, with the
+    # witness and count of the ordered profile scan under a raised cap.  That
+    # scan took 47 s to reach case 87's witness on a 2-vCPU Xeon.
+    @pytest.mark.parametrize("case, rule, model, approximate, agent, profile, outcomes, checked", [
+        (12, "approval-maximising", "cost", False, 3, [[], [], [1], [2, 3]],
+         ([2, 3, 6], [1, 3]), 283),
+        (28, "greedy-approval", "cost", False, 4, [[], [], [2, 4], [5]],
+         ([1, 2, 3, 4], [2, 4, 5]), 2628),
+        (87, "approval-maximising", "cost", True, 3, [[6], [1, 6], [4, 5], [1, 4, 5, 6]],
+         ([1, 2, 6], [1, 4, 5]), 34_101_479),
+        (185, "approval-maximising", "overlap", True, 3, [[3, 4], [3, 4], [1, 2, 6], [3, 4]],
+         ([3, 4], [1, 2, 4, 6]), 12_788_531),
+    ])
+    def test_past_cap_witness_pinned(
+        self, case, rule, model, approximate, agent, profile, outcomes, checked
+    ):
+        instance, rankings, _ = next(itertools.islice(sp_cases(3, 200), case, None))
+        assert (2 ** len(instance.ids)) ** len(rankings) > Caps().profiles
+        verdict = check_second_stage_sp(
+            allocation_rule(rule), instance, rankings, model, approximate=approximate,
+            search="full", caps=Caps(profiles=10**30),
+        )
+        witness = verdict.witness
+        assert verdict.exact and verdict.checked == checked
+        assert (witness["agent"], witness["profile"]) == (agent, profile)
+        assert (witness["truthful_outcome"], witness["manipulated_outcome"]) == outcomes
+
     def test_fixed_others_past_profile_cap_refused(self):
         # 2 agents each try the 2^3 ballots of 3 projects, 16 in all, or
         # each of 2 listed deviations, 4 in all.
@@ -307,7 +332,7 @@ class TestSecondStageSp:
             )
             assert verdict.holds and verdict.checked == needed
 
-    @pytest.mark.parametrize("search", ["auto", "full", "sample"])
+    @pytest.mark.parametrize("search", ["auto", "full"])
     def test_deviations_outside_fixed_others_refused(self, search):
         # "auto" resolves to "full" here, which would try every ballot and
         # could report one outside the list.
@@ -361,14 +386,6 @@ class TestSecondStageSp:
             fs(*witness["ideal"]) if i == agent else profile[i] for i in range(3)
         )
         assert greedy_approval(instance, truthful) == fs(*witness["truthful_outcome"])
-
-    def test_sampling_reports_inexact(self):
-        instance = unit_instance(3, 2)
-        rankings = ((1, 2, 3), (3, 2, 1))
-        verdict = check_second_stage_sp(
-            greedy_approval, instance, rankings, "overlap", search="sample", samples=50
-        )
-        assert verdict.holds and not verdict.exact
 
     def test_verdicts_agree_across_models_on_unit_costs(self):
         rng = Random(41)
@@ -473,8 +490,10 @@ class TestSecondStageSpAgainstOracles:
         return verdict.to_jsonable()
 
     # Few draws refute, so besides one agent the examples pin two
-    # refutations, with 2 and 3 agents, and the last the 3-agent one with
-    # only the third and first agents, in that order, free to manipulate.
+    # refutations, with 2 and 3 agents, and the 3-agent one with only the
+    # third and first agents, in that order, free to manipulate.  In the
+    # last both agents manipulate in the first refuted profile, and the
+    # second, tried first, gives the witness.
     @settings(deadline=None, max_examples=60)
     @given(FULL_SCENARIOS, st.sampled_from(sorted(ORACLES)),
            st.sampled_from(["overlap", "cost"]), st.booleans())
@@ -494,20 +513,46 @@ class TestSecondStageSpAgainstOracles:
         (make_instance([4, 2, 4], 9), ((2, 3, 1), (2, 1, 3), (2, 3, 1)), (), [2, 0]),
         "approval-maximising", "cost", False,
     )
+    @example(
+        (make_instance([2, 3, 4, 3], 10), ((3, 1, 4, 2), (4, 2, 1, 3)), (), [1, 0]),
+        "greedy-approval", "cost", False,
+    )
     def test_full(self, scenario, rule, model, approximate):
         verdict = self.agree(
             allocation_rule(rule), ORACLES[rule], scenario, model, approximate, search="full"
         )
-        # The grid decides alone: it refutes exactly where the scan does.
+        # Every refutation read off the grid, not only the first, is a
+        # manipulation by its first beating ballot on the oracle rule, and
+        # the grid yields one exactly where the scan refutes.
         instance, rankings, _, pool = scenario
         n = len(rankings)
         grid = score_kernel(allocation_rule(rule))(
             *kernel_args(instance), [range(n + 1)] * len(instance.ids)
         )
         tops = truthful_ballots(instance, rankings)
-        ideals = set(tops) if pool is None else {tops[agent] for agent in pool}
-        holds = _grid_holds(grid, instance, n, ideals, model, approximate)
-        assert holds == (verdict["status"] == HOLDS)
+        every = subsets_ascending(instance.ids)
+        worth = {"overlap": len, "cost": instance.total_cost}[model]
+        refuted = False
+        for agent in range(n) if pool is None else pool:
+            ideal = tops[agent]
+            for others, mask, truthful, manipulated in _refutations(
+                grid, instance, n, ideal, model, approximate
+            ):
+                refuted = True
+                profile = [every[b] for b in others]
+
+                def outcome(ballot):
+                    return ORACLES[rule](instance, profile[:agent] + [ballot] + profile[agent:])
+
+                assert outcome(ideal) == truthful and outcome(every[mask]) == manipulated
+                bar = (
+                    repaired_value(model, ideal, truthful, instance)
+                    if approximate
+                    else worth(ideal & truthful)
+                )
+                gains = [worth(ideal & outcome(b)) for b in every[: mask + 1]]
+                assert max(gains[:-1], default=bar) <= bar < gains[-1]
+        assert refuted == (verdict["status"] == COUNTEREXAMPLE)
 
     @settings(deadline=None, max_examples=40)
     @given(st.data(), st.sampled_from(["overlap", "cost"]), st.booleans())
@@ -527,37 +572,6 @@ class TestSecondStageSpAgainstOracles:
     def test_fixed_others(self, scenario, rule, model, approximate):
         self.agree(allocation_rule(rule), ORACLES[rule], scenario, model, approximate,
                    search="fixed-others", ballots=scenario[2])
-
-    @settings(deadline=None, max_examples=60)
-    @given(sp_scenarios(5, 4), st.sampled_from(sorted(ORACLES)),
-           st.sampled_from(["overlap", "cost"]), st.booleans(), st.integers(0, 99))
-    def test_sample(self, scenario, rule, model, approximate, seed):
-        # Sampling can only refute; a witness replays on the oracle rule.
-        instance, rankings, _, pool = scenario
-        verdict = check_second_stage_sp(
-            allocation_rule(rule), instance, rankings, model, approximate=approximate,
-            search="sample", samples=20, seed=seed, agents=pool,
-        )
-        assert verdict.exact != verdict.holds
-        if verdict.holds:
-            return
-        witness = verdict.witness
-        agent = witness["agent"] - 1
-        assert pool is None or agent in pool
-        ideal = truthful_ballots(instance, rankings)[agent]
-        profile = [fs(*b) for b in witness["profile"]]
-        truthful = ORACLES[rule](instance, profile[:agent] + [ideal] + profile[agent + 1 :])
-        manipulated = ORACLES[rule](instance, profile)
-        worth = {"overlap": len, "cost": instance.total_cost}[model]
-        bar = (
-            repaired_value(model, ideal, truthful, instance)
-            if approximate
-            else worth(ideal & truthful)
-        )
-        assert worth(ideal & manipulated) > bar
-        assert witness["ideal"] == sorted(ideal)
-        assert witness["truthful_outcome"] == sorted(truthful)
-        assert witness["manipulated_outcome"] == sorted(manipulated)
 
     @settings(deadline=None, max_examples=200)
     @given(st.data())
@@ -629,20 +643,6 @@ class TestUnitClassChecks:
         blob = json.dumps(verdicts, sort_keys=True, separators=(",", ":")).encode()
         assert hashlib.sha256(blob).hexdigest() == self.UNIT_CLASS_SHA256
 
-    @pytest.mark.parametrize("name", ["greedy-approval", "approval-maximising"])
-    def test_ordered_loop_matches_closed_form(self, monkeypatch, name):
-        # With the grid refuting every instance, the ordered loop tries every
-        # case: C(m, slots) * (2^m)^n ballots per instance and agent count,
-        # 8,708 in all at (3, 3), the count the grid reports in closed form.
-        monkeypatch.setattr("pbstages.verification._grid_holds", lambda *args: False)
-        for model in ("overlap", "cost"):
-            for approximate in (False, True):
-                verdict = check_sp_over_unit_class(
-                    allocation_rule(name), model, max_projects=3, max_agents=3,
-                    approximate=approximate,
-                )
-                assert verdict.holds and verdict.exact and verdict.checked == 8708
-
     @staticmethod
     def demoting_kernel(ids, costs, budget, levels):
         """Greedy approval, except that a project with 2 or more approvals is funded last."""
@@ -686,6 +686,70 @@ class TestUnitClassChecks:
         )
         assert approximate.holds and approximate.exact and approximate.checked == 8708
 
+    @staticmethod
+    def tie_flipping_kernel(ids, costs, budget, levels):
+        """Greedy approval, except that ties go to the larger id once a project has 2 approvals."""
+        out = []
+        for point in itertools.product(*reversed(levels)):
+            scores = point[::-1]
+            flip = -1 if 2 in scores else 1
+            chosen, left = [], budget
+            for j in sorted(range(len(ids)), key=lambda j: (-scores[j], flip * j)):
+                if costs[j] <= left:
+                    chosen.append(ids[j])
+                    left -= costs[j]
+            out.append(frozenset(chosen))
+        return out
+
+    @staticmethod
+    def flat_scan(kernel, model, approximate, max_projects, max_agents):
+        """:func:`check_sp_over_unit_class`'s (witness, checked) for the rule of ``kernel``.
+
+        Every instance, agent count and ideal set in turn, with every
+        profile of the others in product order, and in each the first
+        agent trying every ballot.
+        """
+        def rule(instance, ballots):
+            ids = instance.ids
+            scores = [sum(pid in ballot for ballot in ballots) for pid in ids]
+            costs = [instance.cost(pid) for pid in ids]
+            return kernel(ids, costs, instance.budget, [(s,) for s in scores])[0]
+
+        checked = 0
+        for m in range(1, max_projects + 1):
+            for cost in (1, 2):
+                for slots in range(1, m + 1):
+                    instance = make_instance([cost] * m, cost * slots)
+                    for n in range(1, max_agents + 1):
+                        for ideal in map(frozenset, itertools.combinations(instance.ids, slots)):
+                            # With the manipulator in the last slot, the scan's
+                            # product order tries her ballot innermost.
+                            witness, tried = second_stage_sp_oracle(
+                                rule, instance, [ideal] * n, model, approximate, agents=[n - 1]
+                            )
+                            checked += tried
+                            if witness is not None:
+                                *others, ballot = witness["profile"]
+                                witness.update(agent=1, profile=[ballot, *others])
+                                return witness, checked
+        return None, checked
+
+    # The tie-flipping rule's first witness is not at the first ballot, so
+    # it also pins that the others' profile is tried before her ballot.
+    @pytest.mark.parametrize("kernel", ["demoting_kernel", "tie_flipping_kernel"])
+    @pytest.mark.parametrize("size", [(2, 2), (3, 3)])
+    def test_matches_flat_scan(self, monkeypatch, kernel, size):
+        kernel = getattr(self, kernel)
+        monkeypatch.setattr("pbstages.verification.score_kernel", lambda rule: kernel)
+        for model in ("overlap", "cost"):
+            for approximate in (False, True):
+                verdict = check_sp_over_unit_class(
+                    greedy_approval, model, *size, approximate=approximate
+                )
+                assert (verdict.witness, verdict.checked) == self.flat_scan(
+                    kernel, model, approximate, *size
+                )
+
     def test_contrarian_refuted_by_plain_scan(self):
         # The first agent approves nothing and gets her ideal project; voting
         # it would hand the budget to the other project.  With one project
@@ -714,57 +778,3 @@ class TestUnitClassChecks:
             assert second_stage_sp_oracle(
                 contrarian, instance, [fs(1)], model, approximate=True
             ) == (None, 4)
-
-
-class TestUnitSplit:
-    def test_mechanical_split(self):
-        instance = make_instance([2, 1], 2)
-        unit, ballots, split = unit_split(instance, (fs(1),))
-        assert split.forward == {1: (1, 2), 2: (3,)}
-        assert ballots == (fs(1, 2),)
-        assert unit.budget == 2
-        assert all(unit.cost(pid) == 1 for pid in unit.ids)
-
-    def test_unit_instance_is_isomorphic_copy(self):
-        instance = unit_instance(3, 2)
-        unit, ballots, split = unit_split(instance, (fs(1, 3),))
-        assert len(unit) == 3
-        assert ballots == (fs(1, 3),)
-        full, partial = split.merge(fs(1, 3))
-        assert full == fs(1, 3) and partial == fs()
-
-    def test_merge_identifies_partial_parent(self):
-        instance = make_instance([3, 2], 4)
-        _, _, split = unit_split(instance)
-        full, partial = split.merge(fs(1, 2, 3, 4))
-        assert full == fs(1)
-        assert partial == fs(2)
-
-    def test_split_greedy_leaves_at_most_one_partial_parent(self):
-        rng = Random(31)
-        for _ in range(150):
-            instance = random_instance(rng, max_projects=5, max_cost=5)
-            ballots = random_ballots(rng, instance, rng.randint(1, 3))
-            unit, unit_ballots, split = unit_split(instance, ballots)
-            outcome = greedy_approval(unit, unit_ballots)
-            _, partial = split.merge(outcome)
-            assert len(partial) <= 1
-
-    def test_merged_outcome_within_one_project_of_direct(self):
-        # the merged split outcome is a subset of the direct outcome and
-        # misses at most the residual budget below the partial project's cost
-        rng = Random(37)
-        for _ in range(150):
-            instance = random_instance(rng, max_projects=5, max_cost=5)
-            n = rng.randint(1, 3)
-            ballots = random_ballots(rng, instance, n)
-            unit, unit_ballots, split = unit_split(instance, ballots)
-            full, partial = split.merge(greedy_approval(unit, unit_ballots))
-            direct = greedy_approval(instance, ballots)
-            assert full <= direct
-            slack = max((instance.cost(p) for p in partial), default=0)
-            ranking = random_ranking(rng, instance)
-            ideal = ideal_set(instance, ranking)
-            value = valuation("cost", ideal, instance)
-            gap = value(direct) - value(full)
-            assert 0 <= gap <= (slack if partial else 0)
