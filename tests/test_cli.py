@@ -417,6 +417,16 @@ class TestExitCodes:
         assert code == 3
         assert "resource limit" in capsys.readouterr().err
 
+    def test_second_stage_profile_cap_is_3(self, capsys):
+        # 3 agents each try the 2^5 ballots of 5 projects; a cap of 0
+        # stops the check rather than reporting "holds" from no ballots.
+        code = main([
+            "check-ssp", "--fixture", "greedy-overlap-gap", "--rule", "greedy-approval",
+            "--search", "fixed-others", "--cap-profiles", "0", "--no-timing",
+        ])
+        assert code == 3
+        assert "resource limit" in capsys.readouterr().err
+
     def test_counterexample_still_exits_0(self, capsys):
         code = main([
             "check-fssp", "--fixture", "theorem-rfssp",

@@ -401,6 +401,7 @@ class TestSecondStageSp:
     @pytest.mark.parametrize("rankings, options, message", [
         ((), {}, "at least one agent"),
         (((1, 2), (2, 1)), {"search": "bogus"}, "unknown search mode"),
+        (((1, 2), (2, 1)), {"search": "sample"}, "unknown search mode"),
         (((1, 2), (2, 1)), {"search": "fixed-others", "ballots": [fs(1)]}, "every agent"),
     ])
     def test_malformed_search_refused(self, rankings, options, message):
