@@ -7,6 +7,7 @@ three overloads (single project, weak order, family of project sets).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -88,7 +89,12 @@ class Project:
                 f"project p{self.index} has cost {self.cost}; costs must be >= 1"
             )
         if self.coords is not None:
-            object.__setattr__(self, "coords", tuple(float(x) for x in self.coords))
+            coords = tuple(float(x) for x in self.coords)
+            if not all(map(math.isfinite, coords)):
+                raise ValidationError(
+                    f"project p{self.index} has non-finite coordinates {list(coords)}"
+                )
+            object.__setattr__(self, "coords", coords)
 
 
 class Instance:
@@ -114,6 +120,8 @@ class Instance:
                 )
             self._projects[project.index] = project
         self.budget = budget
+        # The greedy scan's cost table, built once per instance.
+        self._costs = {pid: project.cost for pid, project in self._projects.items()}
 
     @property
     def ids(self) -> tuple[int, ...]:
@@ -162,6 +170,9 @@ class Instance:
         return f"Instance({len(self._projects)} projects, budget={self.budget})"
 
 
+NOT_AN_ORDER = "order must cover exactly the candidate set, no repeats"
+
+
 def greedy_select(
     instance: Instance,
     subset: Iterable[int],
@@ -184,13 +195,23 @@ def greedy_select(
     subset = instance.check_subset(subset, "selection set")
     # With equal lengths, equal sets rule out repeats (pigeonhole).
     if len(order) != len(subset) or set(order) != subset:
-        raise ValidationError("order must cover exactly the candidate set, no repeats")
-    projects = instance._projects
+        raise ValidationError(NOT_AN_ORDER)
+    return greedy_scan(instance, order)
+
+
+def greedy_scan(instance: Instance, order: Iterable[int]) -> frozenset[int]:
+    """The scan of :func:`greedy_select`, unchecked.
+
+    ``order`` must list distinct ids of ``instance``; callers that have
+    not checked that go through :func:`greedy_select`.
+    """
+    costs = instance._costs
+    budget = instance.budget
     selected = []
     spent = 0
     for pid in order:
-        cost = projects[pid].cost
-        if spent + cost <= instance.budget:
+        cost = costs[pid]
+        if spent + cost <= budget:
             selected.append(pid)
             spent += cost
     return frozenset(selected)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 
-from pbstages.core import Instance, ValidationError, greedy_select
+from pbstages.core import NOT_AN_ORDER, Instance, ValidationError, greedy_scan, greedy_select
 
 MODELS = ("overlap", "cost")
 
@@ -63,9 +63,15 @@ def truthful_ballots(
     outside it; each agent chooses among the projects she ranks that the
     instance holds.
     """
-    ids = frozenset(instance.ids)
-    orders = ([pid for pid in ranking if pid in ids] for ranking in rankings)
-    return tuple(greedy_select(instance, order, order) for order in orders)
+    costs = instance._costs
+    ballots = []
+    for ranking in rankings:
+        # The filter keeps only ids of the instance; repeats are what is left to refuse.
+        order = [pid for pid in ranking if pid in costs]
+        if len(set(order)) != len(order):
+            raise ValidationError(NOT_AN_ORDER)
+        ballots.append(greedy_scan(instance, order))
+    return tuple(ballots)
 
 
 def valuation(

@@ -79,6 +79,8 @@ class ScenarioDocument:
 
 
 def _expect(data: dict, key: str, kind, where: str):
+    if not isinstance(data, dict):
+        _fail(where, "expected a JSON object")
     if key not in data:
         _fail(where, f"missing required key {key!r}")
     value = data[key]
@@ -89,14 +91,98 @@ def _expect(data: dict, key: str, kind, where: str):
     return value
 
 
+def _checked(where: str, check, *args):
+    """``check(*args)``, its ValidationError refused at ``where``."""
+    try:
+        return check(*args)
+    except ValidationError as exc:
+        _fail(where, str(exc))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _id_list(values, where: str) -> list[int]:
     # One check per distinct element type, not per id: ints and their
     # subclasses pass, bool (an int subclass in Python) does not.
-    if not isinstance(values, list) or not all(
-        issubclass(kind, int) and kind is not bool for kind in set(map(type, values))
+    if isinstance(values, list):
+        kinds = set(map(type, values))
+        if kinds <= {int} or all(issubclass(kind, int) and kind is not bool for kind in kinds):
+            return values
+    _fail(where, "expected a list of project ids")
+
+
+def _each(raw: list, where: str, parse) -> list:
+    """``parse(j, entry)`` for every entry of ``raw``.
+
+    ``parse`` raises with a location relative to its entry ("" for the
+    entry itself, ".key" for one of its fields), so an entry's location
+    string is built only when it is refused.
+    """
+    out = []
+    for j, entry in enumerate(raw):
+        try:
+            out.append(parse(j, entry))
+        except ScenarioError as exc:
+            raise ScenarioError(f"{where}[{j}]{exc}") from None
+    return out
+
+
+def _project(entry) -> Project:
+    pid = _expect(entry, "id", int, "")
+    cost = _expect(entry, "cost", int, "")
+    coords = entry.get("coords")
+    if coords is not None and (
+        not isinstance(coords, list) or not all(map(_is_number, coords))
     ):
-        _fail(where, "expected a list of project ids")
-    return list(values)
+        _fail("", "coords must be a list of numbers")
+    return _checked("", Project, pid, cost, coords)
+
+
+def _id_set(entry, instance: Instance, ids: frozenset[int], what: str) -> frozenset[int]:
+    """A list of known project ids as a set; ``check_subset`` words a refusal."""
+    block = frozenset(_id_list(entry, ""))
+    if not block <= ids:
+        _checked("", instance.check_subset, block, what)
+    return block
+
+
+def _agent(position: int, entry, instance: Instance, ids: frozenset[int]) -> AgentSpec:
+    label = _expect(entry, "id", int, "")
+    # Agents 1..position-1 are already read, with exactly those ids.
+    if 1 <= label < position:
+        _fail("", f"duplicate agent id {label}")
+    if label != position:
+        # Reports and witnesses identify agents by 1-based position, so
+        # the declared ids must match it.
+        _fail("", f"agent ids must be 1..n in order; expected {position}, got {label}")
+    ranking = _id_list(_expect(entry, "ranking", list, ""), ".ranking")
+    if len(ranking) != len(ids) or set(ranking) != ids:
+        _checked(".ranking", check_ranking, instance, ranking)
+    awareness = entry.get("awareness")
+    if awareness is not None:
+        try:
+            awareness = _id_set(awareness, instance, ids, "awareness set")
+        except ScenarioError as exc:
+            raise ScenarioError(f".awareness{exc}") from None
+    return AgentSpec(label, tuple(ranking), awareness)
+
+
+def _distance(entry) -> list:
+    if not (
+        isinstance(entry, list)
+        and len(entry) == 3
+        and _is_int(entry[0])
+        and _is_int(entry[1])
+        and _is_number(entry[2])
+    ):
+        _fail("", "expected [id, id, distance]")
+    return [int(entry[0]), int(entry[1]), float(entry[2])]
 
 
 def parse_scenario_dict(data: dict, where: str = "scenario") -> ScenarioDocument:
@@ -111,54 +197,14 @@ def parse_scenario_dict(data: dict, where: str = "scenario") -> ScenarioDocument
     raw_instance = _expect(data, "instance", dict, where)
     budget = _expect(raw_instance, "budget", int, f"{where}.instance")
     raw_projects = _expect(raw_instance, "projects", list, f"{where}.instance")
-    projects = []
-    for j, entry in enumerate(raw_projects):
-        loc = f"{where}.instance.projects[{j}]"
-        pid = _expect(entry, "id", int, loc)
-        cost = _expect(entry, "cost", int, loc)
-        coords = entry.get("coords")
-        if coords is not None:
-            if not isinstance(coords, list) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in coords
-            ):
-                _fail(loc, "coords must be a list of numbers")
-            coords = tuple(float(x) for x in coords)
-        try:
-            projects.append(Project(pid, cost, coords))
-        except ValidationError as exc:
-            _fail(loc, str(exc))
-    try:
-        instance = Instance(projects, budget)
-    except ValidationError as exc:
-        _fail(f"{where}.instance", str(exc))
+    projects = _each(raw_projects, f"{where}.instance.projects", lambda j, entry: _project(entry))
+    instance = _checked(f"{where}.instance", Instance, projects, budget)
+    ids = frozenset(instance.ids)
 
     raw_agents = _expect(data, "agents", list, where)
-    agents = []
-    labels = set()
-    for j, entry in enumerate(raw_agents):
-        loc = f"{where}.agents[{j}]"
-        label = _expect(entry, "id", int, loc)
-        if label in labels:
-            _fail(loc, f"duplicate agent id {label}")
-        if label != j + 1:
-            # Reports and witnesses identify agents by 1-based position, so
-            # the declared ids must match it.
-            _fail(loc, f"agent ids must be 1..n in order; expected {j + 1}, got {label}")
-        labels.add(label)
-        ranking = tuple(_id_list(_expect(entry, "ranking", list, loc), f"{loc}.ranking"))
-        try:
-            check_ranking(instance, ranking)
-        except ValidationError as exc:
-            _fail(f"{loc}.ranking", str(exc))
-        awareness = None
-        if entry.get("awareness") is not None:
-            ids = _id_list(entry["awareness"], f"{loc}.awareness")
-            try:
-                awareness = instance.check_subset(ids, "awareness set")
-            except ValidationError as exc:
-                _fail(f"{loc}.awareness", str(exc))
-        agents.append(AgentSpec(label, ranking, awareness))
-    agents = tuple(agents)
+    agents = tuple(
+        _each(raw_agents, f"{where}.agents", lambda j, entry: _agent(j + 1, entry, instance, ids))
+    )
 
     def profile(key: str) -> tuple[frozenset[int], ...] | None:
         if data.get(key) is None:
@@ -166,14 +212,9 @@ def parse_scenario_dict(data: dict, where: str = "scenario") -> ScenarioDocument
         raw = _expect(data, key, list, where)
         if len(raw) != len(agents):
             _fail(f"{where}.{key}", f"expected one entry per agent ({len(agents)})")
-        blocks = []
-        for j, entry in enumerate(raw):
-            ids = _id_list(entry, f"{where}.{key}[{j}]")
-            try:
-                blocks.append(instance.check_subset(ids, key))
-            except ValidationError as exc:
-                _fail(f"{where}.{key}[{j}]", str(exc))
-        return tuple(blocks)
+        return tuple(
+            _each(raw, f"{where}.{key}", lambda j, entry: _id_set(entry, instance, ids, key))
+        )
 
     proposals = profile("proposals")
     if proposals is not None:
@@ -192,15 +233,7 @@ def parse_scenario_dict(data: dict, where: str = "scenario") -> ScenarioDocument
             _fail(f"{where}.metric", f"unknown metric kind {kind!r}")
         if kind == "table":
             entries = _expect(metric_spec, "entries", list, f"{where}.metric")
-            cleaned = []
-            for j, entry in enumerate(entries):
-                if (
-                    not isinstance(entry, list)
-                    or len(entry) != 3
-                    or not all(isinstance(x, (int, float)) for x in entry[:2])
-                ):
-                    _fail(f"{where}.metric.entries[{j}]", "expected [id, id, distance]")
-                cleaned.append([int(entry[0]), int(entry[1]), float(entry[2])])
+            cleaned = _each(entries, f"{where}.metric.entries", lambda j, entry: _distance(entry))
             metric_spec = {"kind": "table", "entries": cleaned}
         else:
             metric_spec = {"kind": "euclidean"}
@@ -213,14 +246,12 @@ def parse_scenario_dict(data: dict, where: str = "scenario") -> ScenarioDocument
             tiebreak = None
         elif kind == "priority":
             allocations = _expect(raw, "allocations", list, f"{where}.tiebreak")
-            sets = []
-            for j, entry in enumerate(allocations):
-                ids = _id_list(entry, f"{where}.tiebreak.allocations[{j}]")
-                sets.append(instance.check_subset(ids, "priority allocation"))
-            try:
-                tiebreak = PriorityTieBreak(tuple(sets))
-            except ValidationError as exc:
-                _fail(f"{where}.tiebreak", str(exc))
+            sets = _each(
+                allocations,
+                f"{where}.tiebreak.allocations",
+                lambda j, entry: _id_set(entry, instance, ids, "priority allocation"),
+            )
+            tiebreak = _checked(f"{where}.tiebreak", PriorityTieBreak, tuple(sets))
         else:
             _fail(f"{where}.tiebreak", f"unknown tie-break kind {kind!r}")
 
@@ -241,10 +272,7 @@ def parse_scenario_dict(data: dict, where: str = "scenario") -> ScenarioDocument
         config=dict(config),
         checks=tuple(dict(c) for c in checks),
     )
-    try:
-        doc.metric()
-    except ValidationError as exc:
-        _fail(f"{where}.metric", str(exc))
+    _checked(f"{where}.metric", doc.metric)
     return doc
 
 
@@ -310,36 +338,56 @@ def dump_json(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
 
     With ``indent`` set, the standard library falls back to its pure-Python
-    encoder, which yields one chunk per token.  This writer joins each list
-    of plain ints in one call and hands every other scalar to the C encoder
-    of ``json.dumps``.  Keys are sorted before a non-string key is turned
-    into a string, as ``json`` does.  ``tests/test_scenario.py`` checks it
-    against the standard library.
+    encoder, which yields one chunk per token.  This writer appends the
+    chunks depth first to one list and joins it once, joins each list of
+    plain ints in one call, and hands every scalar other than a plain int
+    or string to the C encoder of ``json.dumps``.  Keys are sorted before a
+    non-string key is turned into a string, as ``json`` does.
+    ``tests/test_scenario.py`` checks it against the standard library.
     """
-    return _dump(value, "\n")
+    out: list[str] = []
+    _dump(value, "\n", out)
+    return "".join(out)
 
 
-def _dump(value, newline: str) -> str:
-    inner = newline + "  "
-    sep = "," + inner
-    if isinstance(value, (list, tuple)):
+def _dump(value, newline: str, out: list[str]) -> None:
+    kind = type(value)
+    if kind is int:
+        out.append(str(value))
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            out.append("[]")
+            return
+        inner = newline + "  "
         if set(map(type, value)) == {int}:
-            body = sep.join(map(str, value))
-        else:
-            body = sep.join([_dump(item, inner) for item in value])
-        return "[" + inner + body + newline + "]"
-    if isinstance(value, dict):
+            out += ("[", inner, ("," + inner).join(map(str, value)), newline, "]")
+            return
+        head, sep = "[" + inner, "," + inner
+        for item in value:
+            out.append(head)
+            _dump(item, inner, out)
+            head = sep
+        out.append(newline + "]")
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
-        items = sorted(value.items())
-        body = sep.join([f"{_key(key)}: {_dump(item, inner)}" for key, item in items])
-        return "{" + inner + body + newline + "}"
-    return json.dumps(value)
+            out.append("{}")
+            return
+        inner = newline + "  "
+        head, sep = "{" + inner, "," + inner
+        for key, item in sorted(value.items()):
+            out += (head, _key(key), ": ")
+            _dump(item, inner, out)
+            head = sep
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value))
 
 
 def _key(key) -> str:
+    if type(key) is str:
+        return encode_basestring_ascii(key)
     if not isinstance(key, (str, int, float)) and key is not None:
         raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
     return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))

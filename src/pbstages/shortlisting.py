@@ -237,9 +237,9 @@ class Metric:
 
     Distances are stored per unordered pair, so symmetry holds by
     construction and equal distances compare equal exactly.  Validation
-    checks non-negativity and the triangle inequality (with a small float
-    tolerance); distinct projects at distance zero are allowed, which
-    covers co-located projects.
+    checks that distances are finite and non-negative, and the triangle
+    inequality (with a small float tolerance); distinct projects at
+    distance zero are allowed, which covers co-located projects.
     """
 
     def __init__(self, ids: Iterable[int], pair_distances: dict[tuple[int, int], float]):
@@ -250,6 +250,8 @@ class Metric:
             if key not in pair_distances:
                 raise ValidationError(f"metric is missing the distance for pair {key}")
             value = float(pair_distances[key])
+            if not math.isfinite(value):
+                raise ValidationError(f"non-finite distance {value} for pair {key}")
             if value < 0:
                 raise ValidationError(f"negative distance {value} for pair {key}")
             self._dist[key] = value

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from random import Random
 
 import pytest
 
@@ -7,7 +8,15 @@ from pbstages import cli, shortlisting
 from pbstages.cli import main
 from pbstages.core import Instance, Project
 from pbstages.fixtures import load_fixture
-from pbstages.scenario import AgentSpec, ScenarioDocument, write_scenario
+from pbstages.scenario import (
+    AgentSpec,
+    ScenarioDocument,
+    document_to_dict,
+    parse_scenario,
+    parse_scenario_dict,
+    write_scenario,
+)
+from pbstages.suites import random_instance, random_ranking
 
 
 # sha256 of the `paper-suite --no-timing` report, recorded on Python 3.11.7.
@@ -317,6 +326,33 @@ class TestReplayAndStability:
         assert main(argv + ["--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_city_scale_reports_match_stdlib_encoder(self, tmp_path):
+        # 300 agents on 40 projects: the writer's deep lists and the parser's
+        # per-agent checks at the size the CLI serves.
+        rng = Random(2203)
+        instance = random_instance(rng, min_projects=40, max_projects=40, max_cost=20)
+        rankings = [random_ranking(rng, instance) for _ in range(300)]
+        doc = ScenarioDocument(
+            instance=instance,
+            agents=tuple(AgentSpec(i + 1, ranking) for i, ranking in enumerate(rankings)),
+            proposals=tuple(frozenset(ranking[: rng.randint(1, 3)]) for ranking in rankings),
+        )
+        scenario = tmp_path / "city.json"
+        write_scenario(doc, scenario)
+        parsed = parse_scenario(scenario)
+        assert parsed == doc
+        assert parse_scenario_dict(document_to_dict(parsed)) == doc
+        for argv in (
+            ["allocate", "--rule", "approval-maximising"],
+            ["end-to-end", "--rule", "nomination", "--allocation-rule", "greedy-approval"],
+        ):
+            output = tmp_path / f"{argv[0]}.json"
+            argv += ["--scenario", str(scenario), "--no-timing", "--output", str(output)]
+            assert main(argv) == 0
+            text = output.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+            assert len(json.loads(text)["results"]["ballots"]) == 300
+
     def test_paper_suite_report_bytes_pinned(self, tmp_path):
         path = tmp_path / "suite.json"
         assert main(["paper-suite", "--no-timing", "--output", str(path)]) == 0
@@ -396,6 +432,34 @@ class TestExitCodes:
         code = main(["shortlist", "--scenario", str(path), "--rule", "nomination"])
         assert code == 2
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data.update(agents=[5]),
+        lambda data: data["instance"].update(projects=[7]),
+        lambda data: data.update(tiebreak=3),
+        lambda data: data.update(metric=5),
+        lambda data: data.update(metric={"kind": "table", "entries": [[1, 2, "x"]]}),
+        # json reads NaN: a project at [NaN, 0] is refused, not shortlisted.
+        lambda data: data["instance"]["projects"][0].update(coords=[float("nan"), 0.0]),
+    ], ids=["agent", "project", "tiebreak", "metric", "table-entry", "nan-coords"])
+    def test_malformed_scenario_is_2(self, tmp_path, capsys, edit):
+        data = {
+            "instance": {
+                "budget": 2,
+                "projects": [{"id": j, "cost": 1, "coords": [float(j), 0.0]} for j in (1, 2, 3)],
+            },
+            "agents": [{"id": 1, "ranking": [1, 2, 3]}],
+            "proposals": [[1, 2, 3]],
+            "metric": {"kind": "euclidean"},
+        }
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = main(["shortlist", "--scenario", str(path), "--rule", "k-median", "--k", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err
+        assert "Traceback" not in err
 
     def test_resource_limit_is_3(self, capsys):
         code = main([

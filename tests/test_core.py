@@ -50,6 +50,10 @@ class TestInstance:
         (lambda: Instance([Project(1, 1)], 0), r"^budget must be >= 1, got 0$"),
         (lambda: Instance([Project(1, 1), Project(1, 2)], 3), r"^duplicate project index 1$"),
         (lambda: Instance([Project(1, 5)], 4), r"^project p1 costs 5, exceeding the budget 4$"),
+        (lambda: Project(3, 1, (float("nan"), 0)),
+         r"^project p3 has non-finite coordinates \[nan, 0\.0\]$"),
+        (lambda: Project(3, 1, (1, float("-inf"))),
+         r"^project p3 has non-finite coordinates \[1\.0, -inf\]$"),
     ])
     def test_invalid_project_or_instance_refused(self, build, message):
         with pytest.raises(ValidationError, match=message):

@@ -97,3 +97,22 @@ def test_oracles_import_no_kernel():
     }
     assert not shared
     assert "pbstages.shortlisting.representation_score" in imported
+
+
+def test_one_report_writer():
+    # ``scenario.dump_json`` writes every indented report; a ``json.dump``
+    # or ``json.dumps`` call that asks for indentation would be a second
+    # writer, on the standard library's slow pure-Python path.  A ``**``
+    # argument could carry ``indent``, so it counts too.
+    indented = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        and any(keyword.arg in ("indent", None) for keyword in node.keywords)
+    ]
+    assert not indented

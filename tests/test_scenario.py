@@ -66,14 +66,29 @@ class TestParsing:
             parse_scenario_dict(data)
 
     def test_dangling_proposal_id_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown project ids"):
+        with pytest.raises(
+            ScenarioError,
+            match=r"^scenario\.proposals\[0\]: proposals contains unknown project ids \[9\]$",
+        ):
             parse_scenario_dict(minimal_scenario(proposals=[[1, 9], [3]]))
+        with pytest.raises(
+            ScenarioError,
+            match=r"^scenario\.ballots\[1\]: ballots contains unknown project ids \[7\]$",
+        ):
+            parse_scenario_dict(minimal_scenario(ballots=[[1], [3, 7]]))
 
     def test_ranking_must_be_permutation(self):
-        data = minimal_scenario()
-        data["agents"][0]["ranking"] = [1, 2]
-        with pytest.raises(ScenarioError, match="permutation"):
-            parse_scenario_dict(data)
+        # A short ranking, and one of the right length with a repeated id.
+        for ranking in ([1, 2], [1, 2, 2]):
+            data = minimal_scenario()
+            data["agents"][0]["ranking"] = ranking
+            listed = re.escape(str(ranking))
+            with pytest.raises(
+                ScenarioError,
+                match=rf"^scenario\.agents\[0\]\.ranking: ranking {listed} is not a "
+                r"permutation of the project ids$",
+            ):
+                parse_scenario_dict(data)
 
     def test_proposal_outside_awareness_rejected(self):
         data = minimal_scenario(proposals=[[1, 3], [3]])
@@ -138,6 +153,31 @@ class TestParsing:
          r"^scenario\.tiebreak: unknown tie-break kind 'random'$"),
         (setting("config", value=["seed"]), r"^scenario\.config: expected a JSON object$"),
         (setting("checks", value="all"), r"^scenario\.checks: expected a list of JSON objects$"),
+        # Entries that must be objects and are not.
+        (setting("agents", value=[5]), r"^scenario\.agents\[0\]: expected a JSON object$"),
+        (setting("instance", "projects", value=[7]),
+         r"^scenario\.instance\.projects\[0\]: expected a JSON object$"),
+        (setting("tiebreak", value=3), r"^scenario\.tiebreak: expected a JSON object$"),
+        (setting("metric", value=5), r"^scenario\.metric: expected a JSON object$"),
+        # Table entries are [int, int, number]: no string, float id or bool.
+        (setting("metric", value={"kind": "table", "entries": [[1, 2, "x"]]}),
+         r"^scenario\.metric\.entries\[0\]: expected \[id, id, distance\]$"),
+        (setting("metric", value={"kind": "table", "entries": [[1.5, 1, 0]]}),
+         r"^scenario\.metric\.entries\[0\]: expected \[id, id, distance\]$"),
+        (setting("metric", value={"kind": "table", "entries": [[1, True, 1]]}),
+         r"^scenario\.metric\.entries\[0\]: expected \[id, id, distance\]$"),
+        (setting("metric", value={"kind": "table", "entries": [[1, 2, False]]}),
+         r"^scenario\.metric\.entries\[0\]: expected \[id, id, distance\]$"),
+        # json reads NaN and Infinity; geometry must be finite.
+        (setting("instance", "projects", 0, "coords", value=[float("nan"), 0]),
+         r"^scenario\.instance\.projects\[0\]: project p1 has non-finite coordinates "
+         r"\[nan, 0\.0\]$"),
+        (setting("metric", value={
+            "kind": "table", "entries": [[1, 2, float("inf")], [1, 3, 1], [2, 3, 1]],
+        }), r"^scenario\.metric: non-finite distance inf for pair \(1, 2\)$"),
+        (setting("tiebreak", value={"kind": "priority", "allocations": [[1], [9]]}),
+         r"^scenario\.tiebreak\.allocations\[1\]: priority allocation contains unknown "
+         r"project ids \[9\]$"),
     ])
     def test_invalid_document_refused_at_its_location(self, edit, message):
         with pytest.raises(ScenarioError, match=message):

@@ -315,6 +315,14 @@ class TestMetric:
         with pytest.raises(ValidationError):
             table_metric([1, 2], [(1, 2, -1.0)])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_distance_rejected(self, value):
+        # NaN compares false with everything, so neither the sign check nor
+        # the triangle inequality would catch it.
+        message = rf"^non-finite distance {value} for pair \(1, 2\)$"
+        with pytest.raises(ValidationError, match=message):
+            Metric([1, 2, 3], {(1, 2): value, (1, 3): 1.0, (2, 3): 1.0})
+
     def test_missing_pair_rejected(self):
         with pytest.raises(ValidationError):
             table_metric([1, 2, 3], [(1, 2, 1.0)])
