@@ -82,6 +82,10 @@ class Project:
     coords: tuple[float, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.index) is not int or type(self.cost) is not int:
+            raise ValidationError(
+                f"project index and cost must be integers, got {self.index!r} and {self.cost!r}"
+            )
         if self.index < 1:
             raise ValidationError(f"project index must be >= 1, got {self.index}")
         if self.cost < 1:
@@ -107,6 +111,8 @@ class Instance:
 
     def __init__(self, projects: Iterable[Project], budget: int):
         projects = sorted(projects, key=lambda p: p.index)
+        if type(budget) is not int:
+            raise ValidationError(f"budget must be an integer, got {budget!r}")
         if budget < 1:
             raise ValidationError(f"budget must be >= 1, got {budget}")
         self._projects: dict[int, Project] = {}

@@ -43,10 +43,12 @@ def proposal_union(proposals: Sequence[Iterable[int]]) -> frozenset[int]:
 def check_proposals(
     instance: Instance, proposals: Sequence[Iterable[int]]
 ) -> tuple[frozenset[int], ...]:
-    return tuple(
-        instance.check_subset(block, f"proposal of agent {i + 1}")
-        for i, block in enumerate(proposals)
-    )
+    """Each proposal as a set of the instance's ids; a refusal names the first bad block."""
+    blocks = tuple(map(frozenset, proposals))
+    if not all(map(instance._costs.keys().__ge__, blocks)):
+        for i, block in enumerate(blocks):
+            instance.check_subset(block, f"proposal of agent {i + 1}")
+    return blocks
 
 
 def nomination(instance: Instance, proposals: Sequence[Iterable[int]]) -> frozenset[int]:

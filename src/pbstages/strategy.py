@@ -22,6 +22,7 @@ from pbstages.core import (
     Project,
     ResourceLimitError,
     ValidationError,
+    greedy_scan,
     subsets_ascending,
     tiebreak_family,
 )
@@ -37,7 +38,8 @@ from pbstages.verification import (
     ShortlistRule,
     _box_max,
     _check_agents,
-    _staircase,
+    _first_profiles,
+    _profile,
     ids_list,
 )
 
@@ -191,8 +193,9 @@ def _fstar_outcomes(
     outcome's value under her ideal set, then the canonical tie-break.
     One call of the rule's score ``kernel`` returns the outcome at every
     point of {0..n}^m, and :func:`~pbstages.verification._box_max` turns
-    the keys into box maxima.  The others' first profile summing to s in
-    product order is :func:`~pbstages.verification._staircase`.
+    the keys into box maxima.  The index of the others' first profile
+    summing to s, in product order, is read off
+    :func:`~pbstages.verification._first_profiles`.
     """
     ids = instance.ids
     m = len(ids)
@@ -203,23 +206,18 @@ def _fstar_outcomes(
     rank = _outcome_key(valuation(model, ideal, instance), ids)
     key_of = {outcome: rank(outcome) for outcome in set(grid)}
     outcome_of = {key: outcome for outcome, key in key_of.items()}
-    keys = _box_max([key_of[outcome] for outcome in grid], side, agents, m)
-    # The others' first profile reaching each key, as the positions of
-    # their ballots in subsets_ascending order.
-    first: dict[int, tuple[int, ...]] = {}
-    for point in itertools.product(range(agents), repeat=m):
-        index = 0
-        for s in reversed(point):
-            index = index * side + s
-        masks = _staircase(point, agents)
-        key = keys[index]
-        if key not in first or masks < first[key]:
-            first[key] = masks
+    keys = _box_max(list(map(key_of.__getitem__, grid)), side, m)
+    # The index of the others' first profile reaching each key.
+    first: dict[int, int] = {}
+    points, indices = _first_profiles(agents, m, side)
+    for key, index in zip(map(keys.__getitem__, points), indices):
+        if first.setdefault(key, index) > index:
+            first[key] = index
     every = subsets_ascending(ids)
     out: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-    for key, masks in sorted(first.items(), key=lambda item: item[1]):
-        rest = tuple(every[mask] for mask in masks)
-        out[outcome_of[key]] = rest[:agent] + (ideal,) + rest[agent:]
+    for key, index in sorted(first.items(), key=lambda item: item[1]):
+        rest = _profile(index, agents - 1, every)
+        out[outcome_of[key]] = (*rest[:agent], ideal, *rest[agent:])
     return out
 
 
@@ -281,7 +279,9 @@ class _Sides:
 
         @functools.cache
         def shortlist(proposals: tuple[frozenset[int], ...]) -> frozenset[int]:
-            return frozenset(game.shortlist_rule(game.instance, proposals))
+            return game.instance.check_subset(
+                game.shortlist_rule(game.instance, proposals), "shortlist"
+            )
 
         @functools.cache
         def anticipated(
@@ -333,7 +333,8 @@ def check_manipulation(
     """
     check_mode(mode)
     deviation = game.instance.check_subset(deviation, "deviation")
-    return _check_deviation(_Sides(game, caps), game.proposals, agent, deviation, mode)
+    verdict, witness = _check_deviation(_Sides(game, caps), game.proposals, agent, deviation, mode)
+    return ManipulationResult(verdict, None if witness is None else witness())
 
 
 def _check_deviation(
@@ -342,20 +343,23 @@ def _check_deviation(
     agent: int,
     deviation: frozenset[int],
     mode: str,
-) -> ManipulationResult:
+) -> tuple[str, Callable[[], dict] | None]:
     """:func:`check_manipulation` of ``sides.game`` from the baseline ``proposals``.
 
-    Each side is looked up in ``sides``.
+    Each side is looked up in ``sides``.  Returns the verdict and, when
+    there is a witness, the function that builds it.
     """
     game = sides.game
     base_shortlist = sides.shortlist(proposals)
     deviated = tuple(deviation if i == agent else p for i, p in enumerate(proposals))
     dev_shortlist = sides.shortlist(deviated)
-    ideal = game.top_on(agent, base_shortlist | dev_shortlist)
+    # Both shortlists are checked subsets of the instance, which the ranking covers.
+    pool = base_shortlist | dev_shortlist
+    ideal = greedy_scan(game.instance, [pid for pid in game.rankings[agent] if pid in pool])
     value = valuation(game.model, ideal, game.instance)
 
-    def witness(base_profile, dev_profile, base_outcome, dev_outcome) -> dict:
-        return {
+    def witness(base_profile, dev_profile, base_outcome, dev_outcome) -> Callable[[], dict]:
+        return lambda: {
             "kind": "first-stage-manipulation",
             "agent": agent + 1,
             "mode": mode,
@@ -376,25 +380,21 @@ def _check_deviation(
     if mode == "anticipative":
         base_profile, base_out = sides.anticipated(base_shortlist, agent)
         dev_profile, dev_out = sides.anticipated(dev_shortlist, agent)
-        result = witness(base_profile, dev_profile, base_out, dev_out)
-        if value(dev_out) > value(base_out):
-            return ManipulationResult(SUCCESSFUL, result)
-        return ManipulationResult(UNSUCCESSFUL, result)
+        verdict = SUCCESSFUL if value(dev_out) > value(base_out) else UNSUCCESSFUL
+        return verdict, witness(base_profile, dev_profile, base_out, dev_out)
 
     # Identical shortlists draw both sides' outcomes from one set, so no
     # strict pair can coexist with universal weak improvement.
     if mode == "pessimistic" and base_shortlist == dev_shortlist:
-        return ManipulationResult(UNSUCCESSFUL, None)
+        return UNSUCCESSFUL, None
 
     base_outs = sides.outcomes(base_shortlist, agent)
     dev_outs = sides.outcomes(dev_shortlist, agent)
     verdict, pair = _judge_outcomes(mode, base_outs, dev_outs, value)
     if pair is None:
-        return ManipulationResult(verdict, None)
+        return verdict, None
     base_out, dev_out = pair
-    return ManipulationResult(
-        verdict, witness(base_outs[base_out], dev_outs[dev_out], base_out, dev_out)
-    )
+    return verdict, witness(base_outs[base_out], dev_outs[dev_out], base_out, dev_out)
 
 
 def check_fssp(
@@ -432,11 +432,11 @@ def check_fssp(
             if deviation == truthful:
                 continue
             checked += 1
-            result = _check_deviation(sides, baseline, agent, deviation, mode)
-            if result.successful:
-                witness = dict(result.witness)
-                witness["variant"] = variant
-                witness["truthful_proposal"] = ids_list(truthful)
+            verdict, witness = _check_deviation(sides, baseline, agent, deviation, mode)
+            if verdict == SUCCESSFUL:
+                witness = witness() | {
+                    "variant": variant, "truthful_proposal": ids_list(truthful)
+                }
                 return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     return PropertyVerdict(HOLDS, None, True, checked, params)
 

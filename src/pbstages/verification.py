@@ -270,48 +270,51 @@ def repair_gain(
     return max((value((pid,)) for pid in ideal - outcome), default=0)
 
 
-def _box_max(keys: list[int], side: int, n: int, m: int) -> list[int]:
-    """Each point s of {0..n-1}^m takes the maximum of ``keys`` over s + {0,1}^m, in place.
+def _box_max(keys: list[int], side: int, m: int) -> list[int]:
+    """Each point s of {0..side-2}^m takes the maximum of ``keys`` over s + {0,1}^m, in place.
 
     ``keys`` holds one key per point t of {0..side-1}^m at index
-    sum(t_j * side^j), slot 0 fastest (the kernels' order), with
-    ``side > n``.  A box is a product of per-axis intervals, so one
-    pairwise-max pass per axis turns the keys into box maxima (van Herk
-    1992; Gil & Werman 1993).  Entries outside {0..n-1}^m are left as
-    partial maxima.
+    sum(t_j * side^j), slot 0 fastest (the kernels' order).  A box is a
+    product of per-axis intervals, so one pairwise-max pass per axis turns
+    the keys into box maxima (van Herk 1992; Gil & Werman 1993), each pass
+    one shifted max over the whole list.  Only entries with a coordinate
+    at side - 1 take values from across a row boundary, and only such
+    entries read them, so every other entry is exact.
     """
     for j in range(m):
         stride = side**j
-        for start in range(0, len(keys), stride * side):
-            for low in range(start, start + n * stride, stride):
-                high = low + stride
-                keys[low:high] = map(max, keys[low:high], keys[high : high + stride])
+        keys[:-stride] = map(max, keys[:-stride], keys[stride:])
     return keys
 
 
-def _staircase(point: Sequence[int], n: int) -> tuple[int, ...]:
-    """The first profile of n - 1 ballots whose score vector is ``point``, in product order.
+def _first_profiles(n: int, m: int, side: int) -> tuple[list[int], list[int]]:
+    """Each score vector s of {0..n-1}^m of n - 1 ballots: its grid index and first profile.
 
-    Ballots are masks, bit j standing for the j-th project as in
-    :func:`~pbstages.core.subsets_ascending`.  The first profile is
-    greedy: ballot i holds just the projects j with point_j > n - 2 - i,
-    those the ballots after it could not approve often enough.
+    The grid index is sum(s_j * side^j).  The first profile summing to s,
+    in product order of :func:`~pbstages.core.subsets_ascending` masks, is
+    a staircase: project j sits in the last s_j ballots, so each earlier
+    ballot, which weighs more in the order, is as small as it can be.  Its
+    index among the (2^m)^(n-1) profiles is therefore sum(level(s_j) << j),
+    with level(v) = sum_{k<v} 2^(m k).
     """
-    return tuple(sum(1 << j for j, s in enumerate(point) if s > n - 2 - i) for i in range(n - 1))
+    points, firsts = [0], [0]
+    for j in range(m):
+        stride, levels = side**j, [((1 << m * v) - 1) // ((1 << m) - 1) << j for v in range(n)]
+        points = [p + v * stride for v in range(n) for p in points]
+        firsts = [f + level for level in levels for f in firsts]
+    return points, firsts
 
 
-def _product_index(masks: Sequence[int], m: int) -> int:
-    """The position of a profile of ballot masks in product order of the 2^m ballots."""
-    index = 0
-    for mask in masks:
-        index = (index << m) + mask
-    return index
+def _profile(index: int, n: int, every: Sequence[frozenset[int]]) -> list[frozenset[int]]:
+    """The profile of ``n`` ballots at ``index`` in product order of the ballots ``every``."""
+    m = len(every).bit_length() - 1
+    return [every[index >> m * i & len(every) - 1] for i in reversed(range(n))]
 
 
 def _refutations(
     grid: list[frozenset[int]], instance: Instance, n: int, ideal: frozenset[int],
     model: str, approximate: bool,
-) -> Iterable[tuple[tuple[int, ...], int, frozenset[int], frozenset[int]]]:
+) -> Iterable[tuple[int, int, frozenset[int], frozenset[int]]]:
     """Where an agent with ideal set ``ideal``, among ``n``, beats voting truthfully.
 
     ``grid`` is the rule's outcome at every point of {0..n}^m, from one
@@ -321,10 +324,11 @@ def _refutations(
     maximum of her value over s + {0,1}^m beats the bar at s + 1_I: the
     truthful outcome's value, plus :func:`repair_gain` when approximate.
 
-    For each such s this yields the others' first profile reaching it
-    (:func:`_staircase`), the first ballot mask that beats the bar, and
-    the truthful and manipulated outcomes.  Nothing is yielded iff the
-    agent can manipulate in no profile, so no profile is ever listed.
+    For each such s this yields the index of the others' first profile
+    reaching it (:func:`_first_profiles`), the first ballot mask that
+    beats the bar, and the truthful and manipulated outcomes.  Nothing is
+    yielded iff the agent can manipulate in no profile, so no profile is
+    ever listed.
     """
     ids = instance.ids
     m = len(ids)
@@ -332,16 +336,15 @@ def _refutations(
     value = valuation(model, ideal, instance)
     worth = {o: value(o) for o in set(grid)}
     bars = {o: w + repair_gain(value, ideal, o) for o, w in worth.items()} if approximate else worth
-    best = _box_max(list(map(worth.__getitem__, grid)), side, n, m)
+    best = _box_max(list(map(worth.__getitem__, grid)), side, m)
     shift = _offset(ids, ideal, side)
     offsets = [_offset(ids, b, side) for b in subsets_ascending(ids)]
-    for point in itertools.product(range(n), repeat=m):
-        low = sum(s * side**j for j, s in enumerate(point))
+    for low, others in zip(*_first_profiles(n, m, side)):
         truthful = grid[low + shift]
         bar = bars[truthful]
         if best[low] > bar:
             mask = next(b for b, off in enumerate(offsets) if worth[grid[low + off]] > bar)
-            yield _staircase(point, n), mask, truthful, grid[low + offsets[mask]]
+            yield others, mask, truthful, grid[low + offsets[mask]]
 
 
 def check_second_stage_sp(
@@ -411,31 +414,34 @@ def check_second_stage_sp(
     }
 
     if search == "full":
-        grid = kernel(*kernel_args(instance), [range(n + 1)] * len(ids))
+        m = len(ids)
+        grid = kernel(*kernel_args(instance), [range(n + 1)] * m)
         refutations = {
             ideal: list(_refutations(grid, instance, n, ideal, model, approximate))
             for ideal in {tops[a] for a in agent_pool}
         }
-        # The agent's ballot takes her slot among the others' first profile.
+        # The agent's ballot takes her slot among the others' first profile:
+        # the others after her keep the low bits of its index.
         first = min(
             (
-                ((*others[:agent], mask, *others[agent:]), rank, agent, truthful, manipulated)
+                (others >> low << low + m | mask << low | others & (1 << low) - 1, rank, agent,
+                 truthful, manipulated)
                 for rank, agent in enumerate(agent_pool)
+                for low in [m * (n - 1 - agent)]
                 for others, mask, truthful, manipulated in refutations[tops[agent]]
             ),
-            key=lambda case: case[:2],
             default=None,
         )
         if first is None:
             return PropertyVerdict(HOLDS, None, True, len(agent_pool) * full_space, params)
-        masks, rank, agent, truthful, manipulated = first
-        every = subsets_ascending(ids)
+        index, rank, agent, truthful, manipulated = first
+        profile = _profile(index, n, subsets_ascending(ids))
         witness = _witness(
-            instance, model, approximate, agent, tops[agent], [every[b] for b in masks],
-            truthful, manipulated,
+            instance, model, approximate, agent, tops[agent], profile, truthful, manipulated
         )
-        checked = _product_index(masks, len(ids)) * len(agent_pool) + rank + 1
-        return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
+        return PropertyVerdict(
+            COUNTEREXAMPLE, witness, True, index * len(agent_pool) + rank + 1, params
+        )
 
     base = tops if ballots is None else [instance.check_subset(b) for b in ballots]
     if len(base) != n:
@@ -604,19 +610,24 @@ def check_sp_over_unit_class(
             for ideal in map(frozenset, itertools.combinations(ids, slots)):
                 # The others' profile is tried before her ballot.
                 first = min(
-                    _refutations(grid, instance, n, ideal, model, approximate),
-                    key=lambda refutation: refutation[:2],
+                    (
+                        (others << m | mask, truthful, manipulated)
+                        for others, mask, truthful, manipulated in _refutations(
+                            grid, instance, n, ideal, model, approximate
+                        )
+                    ),
                     default=None,
                 )
                 if first is None:
                     checked += (2**m) ** n
                     continue
-                others, mask, truthful, manipulated = first
-                checked += _product_index((*others, mask), m) + 1
+                index, truthful, manipulated = first
+                checked += index + 1
                 every = subsets_ascending(ids)
                 witness = _witness(
                     instance, model, approximate, 0, ideal,
-                    [every[b] for b in (mask, *others)], truthful, manipulated,
+                    [every[index & 2**m - 1], *_profile(index >> m, n - 1, every)],
+                    truthful, manipulated,
                 )
                 return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     return PropertyVerdict(HOLDS, None, True, checked, params)

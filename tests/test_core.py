@@ -54,6 +54,10 @@ class TestInstance:
          r"^project p3 has non-finite coordinates \[nan, 0\.0\]$"),
         (lambda: Project(3, 1, (1, float("-inf"))),
          r"^project p3 has non-finite coordinates \[1\.0, -inf\]$"),
+        (lambda: Project(1, 1.5), r"^project index and cost must be integers, got 1 and 1\.5$"),
+        (lambda: Project(True, 1), r"^project index and cost must be integers, got True and 1$"),
+        (lambda: Instance([Project(1, 1), Project(2, 2)], 2.5),
+         r"^budget must be an integer, got 2\.5$"),
     ])
     def test_invalid_project_or_instance_refused(self, build, message):
         with pytest.raises(ValidationError, match=message):

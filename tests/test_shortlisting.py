@@ -48,6 +48,19 @@ class TestNomination:
         assert nomination(ten_project_instance, (fs(1), fs(1))) == fs(1)
 
 
+@pytest.mark.parametrize("rule", [
+    nomination,
+    lambda instance, proposals: equal_representation(instance, proposals, 1),
+    lambda instance, proposals: k_median(instance, proposals, 1, euclidean_metric(instance)),
+], ids=["nomination", "equal_representation", "k_median"])
+def test_unknown_proposal_ids_refused(rule):
+    instance = make_instance([1] * 4, 2, [(float(i), 0.0) for i in range(4)])
+    with pytest.raises(
+        ValidationError, match=r"^proposal of agent 2 contains unknown project ids \[9\]$"
+    ):
+        rule(instance, (fs(1, 2), [9, 3], fs(10)))
+
+
 class TestRepresentationScore:
     def test_empty_set_scores_agent_count(self):
         proposals = (fs(1), fs(2), fs(1, 2), fs(2), fs(1))

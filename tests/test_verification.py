@@ -37,6 +37,8 @@ from pbstages.suites import (
 from pbstages.verification import (
     COUNTEREXAMPLE,
     HOLDS,
+    _box_max,
+    _first_profiles,
     _refutations,
     aggregate,
     check_allocation_axiom,
@@ -474,6 +476,38 @@ def sp_scenarios(draw, max_projects, max_agents):
 FULL_SCENARIOS = st.one_of(sp_scenarios(4, 2), sp_scenarios(3, 3))
 
 
+class TestGridClosedForms:
+    """The score grid's one-pass box maxima and first-profile indices against brute force."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2))
+    def test_box_max_matches_brute_force(self, data, m, n, extra):
+        side = n + 1 + extra
+        keys = data.draw(st.lists(st.integers(0, 50), min_size=side**m, max_size=side**m))
+        best = _box_max(list(keys), side, m)
+
+        def index(point):
+            return sum(t * side**j for j, t in enumerate(point))
+
+        for point in itertools.product(range(side - 1), repeat=m):
+            corners = itertools.product(*[(t, t + 1) for t in point])
+            assert best[index(point)] == max(keys[index(c)] for c in corners)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_first_profile_index_matches_product_scan(self, m, n, extra):
+        side = n + 1 + extra
+        first = {}
+        for position, masks in enumerate(itertools.product(range(2**m), repeat=n - 1)):
+            scores = tuple(sum(mask >> j & 1 for mask in masks) for j in range(m))
+            first.setdefault(scores, position)
+        points, indices = _first_profiles(n, m, side)
+        vectors = [tuple(p // side**j % side for j in range(m)) for p in points]
+        assert sorted(vectors) == sorted(first)
+        assert indices == [first[s] for s in vectors]
+
+
 class TestSecondStageSpAgainstOracles:
     """The score-vector search against a plain scan of the oracle rules."""
 
@@ -540,7 +574,9 @@ class TestSecondStageSpAgainstOracles:
                 grid, instance, n, ideal, model, approximate
             ):
                 refuted = True
-                profile = [every[b] for b in others]
+                # The others' profile from its index in product order, first ballot highest.
+                m = len(instance.ids)
+                profile = [every[others >> m * i & 2**m - 1] for i in reversed(range(n - 1))]
 
                 def outcome(ballot):
                     return ORACLES[rule](instance, profile[:agent] + [ballot] + profile[agent:])
