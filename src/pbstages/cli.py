@@ -134,7 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=ALLOCATION_RULES, required=True)
     p.add_argument("--model", choices=("overlap", "cost"), default="overlap")
     p.add_argument("--approximate", action="store_true")
-    p.add_argument("--search", choices=("auto", "full", "fixed-others"), default="auto")
+    p.add_argument(
+        "--search", choices=("auto", "full", "fixed-others"), default="auto",
+        help="auto is full within --cap-profiles and otherwise falls back to fixed-others, "
+        'whose "holds" is not exact',
+    )
     p.add_argument(
         "--tiebreak", choices=("canonical", "document"), default="canonical"
     )

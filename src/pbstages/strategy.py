@@ -26,7 +26,7 @@ from pbstages.core import (
     subsets_ascending,
     tiebreak_family,
 )
-from pbstages.allocation import approval_scores, kernel_args, score_kernel
+from pbstages.allocation import kernel_args, score_kernel
 from pbstages.preferences import check_model, check_ranking, ideal_set, valuation
 from pbstages.shortlisting import check_proposals, proposal_union
 from pbstages.verification import (
@@ -36,8 +36,10 @@ from pbstages.verification import (
     PropertyVerdict,
     ScoreKernel,
     ShortlistRule,
+    _ballot_box,
     _box_max,
     _check_agents,
+    _class_members,
     _first_profiles,
     _profile,
     ids_list,
@@ -82,6 +84,8 @@ class StageGame:
     def __post_init__(self) -> None:
         score_kernel(self.allocation_rule)
         check_model(self.model)
+        if not self.rankings:
+            raise ValidationError("strategyproofness needs at least one agent")
         if len(self.rankings) != len(self.awareness):
             raise ValidationError("one ranking and one awareness set per agent")
         for ranking in self.rankings:
@@ -127,33 +131,19 @@ def best_response(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Best ballot for ``agent`` against the others' fixed ballots.
 
-    Enumerates every ballot and targets the outcome of highest value under
-    her ideal set, canonically tie-broken among equal values; returns a
-    canonical ballot achieving it together with that outcome.
+    Reads every ballot's outcome from :func:`~pbstages.verification._ballot_box`
+    and targets the outcome of highest value under her ideal set,
+    canonically tie-broken among equal values (:func:`_outcome_key`);
+    returns a canonical ballot achieving it together with that outcome.
     """
     _check_agents([agent], len(ballots))
     ideal = instance.check_subset(ideal, "ideal set")
-    return _best_response(score_kernel(rule), instance, ballots, agent, ideal, model, caps)
-
-
-def _best_response(
-    kernel: ScoreKernel, instance: Instance, ballots: Sequence[frozenset[int]], agent: int,
-    ideal: frozenset[int], model: str, caps: Caps,
-) -> tuple[frozenset[int], frozenset[int]]:
-    """:func:`best_response` on the rule's resolved score ``kernel``, inputs unchecked.
-
-    Every ballot's outcome comes from one kernel call on the unit box above
-    the others' score vector, and the target is the box's maximum under
-    :func:`_outcome_key`.
-    """
     if len(instance) > caps.ballots:
         raise ResourceLimitError(
             f"best-response enumeration over {len(instance)} projects exceeds "
             f"the cap of {caps.ballots}"
         )
-    own = ballots[agent]
-    others = [s - (pid in own) for pid, s in approval_scores(instance, ballots).items()]
-    box = kernel(*kernel_args(instance), [(s, s + 1) for s in others])
+    box = _ballot_box(score_kernel(rule), instance, ballots, agent)
     target = max(set(box), key=_outcome_key(valuation(model, ideal, instance), instance.ids))
     every = subsets_ascending(instance.ids)
     return tiebreak_family(b for b, outcome in zip(every, box) if outcome == target), target
@@ -289,8 +279,8 @@ class _Sides:
         ) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
             """Everyone's ideal set on the shortlist, and the outcome of her best response."""
             profile = tuple(game.top_on(i, shortlist) for i in range(game.agents))
-            _, outcome = _best_response(
-                kernel, game.instance.restrict(shortlist), profile, agent,
+            _, outcome = best_response(
+                game.allocation_rule, game.instance.restrict(shortlist), profile, agent,
                 profile[agent], game.model, caps,
             )
             return profile, outcome
@@ -332,6 +322,7 @@ def check_manipulation(
     charges pass ``caps.profiles``.
     """
     check_mode(mode)
+    _check_agents([agent], game.agents)
     deviation = game.instance.check_subset(deviation, "deviation")
     verdict, witness = _check_deviation(_Sides(game, caps), game.proposals, agent, deviation, mode)
     return ManipulationResult(verdict, None if witness is None else witness())
@@ -564,8 +555,34 @@ def check_nomination_fssp_class(
         for cost_vector in itertools.product(costs, repeat=m)
         for budget in range(max(cost_vector), max_budget + 1)
     )
-    for instance in instances:
-        ideal, successful = _nomination_verdicts(kernel, instance, model, mode, caps)
+    for instance in _class_members(instances, max_agents):
+        # A side (every best-response outcome on a shortlist) depends only on
+        # the shortlist, the manipulator's ideal set on it and n: each is computed once.
+        ideal = functools.cache(functools.partial(ideal_set, instance))
+        value = functools.cache(lambda top: functools.cache(valuation(model, top, instance)))
+
+        @functools.cache
+        def side(shortlist: frozenset[int], top: frozenset[int], n: int) -> dict:
+            space = (2 ** len(shortlist)) ** n
+            if space > caps.profiles:
+                raise ResourceLimitError(
+                    f"nomination class side needs {space} profiles, exceeding the cap "
+                    f"of {caps.profiles}"
+                )
+            return _fstar_outcomes(kernel, instance.restrict(shortlist), n, 0, top, model)
+
+        @functools.cache
+        def successful(
+            ranking: tuple[int, ...], base: frozenset[int], dev: frozenset[int], n: int
+        ) -> bool:
+            verdict, _ = _judge_outcomes(
+                mode,
+                side(base, ideal(ranking, base), n),
+                side(dev, ideal(ranking, dev), n),
+                value(ideal(ranking, base | dev)),
+            )
+            return verdict == SUCCESSFUL
+
         ids = frozenset(instance.ids)
         cases = (
             (n, ranking, union, union | pool)
@@ -601,43 +618,3 @@ def check_nomination_fssp_class(
                     }
                     return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     return PropertyVerdict(HOLDS, None, True, checked, params)
-
-
-def _nomination_verdicts(
-    kernel: ScoreKernel, instance: Instance, model: str, mode: str, caps: Caps
-) -> tuple[Callable[..., frozenset[int]], Callable[..., bool]]:
-    """Cached ideal sets and verdicts on one instance of the nomination class.
-
-    ``ideal(ranking, pool)`` is the ideal set on a pool, and
-    ``successful(ranking, baseline, deviation, n)`` whether moving from
-    the baseline shortlist to the deviation shortlist pays off for an
-    agent with that ranking among n.  A side, every best-response outcome
-    on a shortlist, depends only on the shortlist, the manipulator's ideal
-    set on it and n, and is computed once.
-    """
-    ideal = functools.cache(functools.partial(ideal_set, instance))
-    value = functools.cache(lambda top: functools.cache(valuation(model, top, instance)))
-
-    @functools.cache
-    def side(shortlist: frozenset[int], top: frozenset[int], n: int) -> dict:
-        space = (2 ** len(shortlist)) ** n
-        if space > caps.profiles:
-            raise ResourceLimitError(
-                f"nomination class side needs {space} profiles, exceeding the cap "
-                f"of {caps.profiles}"
-            )
-        return _fstar_outcomes(kernel, instance.restrict(shortlist), n, 0, top, model)
-
-    @functools.cache
-    def successful(
-        ranking: tuple[int, ...], base: frozenset[int], dev: frozenset[int], n: int
-    ) -> bool:
-        verdict, _ = _judge_outcomes(
-            mode,
-            side(base, ideal(ranking, base), n),
-            side(dev, ideal(ranking, dev), n),
-            value(ideal(ranking, base | dev)),
-        )
-        return verdict == SUCCESSFUL
-
-    return ideal, successful

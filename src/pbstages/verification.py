@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from pbstages.core import (
@@ -270,6 +270,13 @@ def repair_gain(
     return max((value((pid,)) for pid in ideal - outcome), default=0)
 
 
+def _bar(
+    value: Callable, ideal: frozenset[int], truthful: frozenset[int], approximate: bool
+) -> int:
+    """What a manipulation must beat: ``value(truthful)``, plus its repair gain if approximate."""
+    return value(truthful) + (repair_gain(value, ideal, truthful) if approximate else 0)
+
+
 def _box_max(keys: list[int], side: int, m: int) -> list[int]:
     """Each point s of {0..side-2}^m takes the maximum of ``keys`` over s + {0,1}^m, in place.
 
@@ -335,7 +342,7 @@ def _refutations(
     side = n + 1
     value = valuation(model, ideal, instance)
     worth = {o: value(o) for o in set(grid)}
-    bars = {o: w + repair_gain(value, ideal, o) for o, w in worth.items()} if approximate else worth
+    bars = {o: _bar(value, ideal, o, approximate) for o in worth}
     best = _box_max(list(map(worth.__getitem__, grid)), side, m)
     shift = _offset(ids, ideal, side)
     offsets = [_offset(ids, b, side) for b in subsets_ascending(ids)]
@@ -376,11 +383,10 @@ def check_second_stage_sp(
       first in ``agents``, with the ``checked`` count of that enumeration.
       No profile is listed.
     - ``"fixed-others"``: other agents keep the scenario ballots (their
-      truthful ideal sets unless ``ballots`` is given) while the
-      manipulator tries every ballot, read with her truthful outcome from
-      one kernel call on the unit box above the others' score vector, or
-      each of ``deviations`` when given, one point call each (exact for
-      that slice of the space).  Other modes refuse ``deviations``.
+      truthful ideal sets unless ``ballots`` is given) while each agent
+      tries every ballot, or each of ``deviations``, read by
+      :func:`_ballot_box`; the first to beat the bar is the witness.  This
+      covers one slice of the space.  Other modes refuse ``deviations``.
     - ``"auto"``: ``"full"`` when the profile space fits the cap,
       otherwise ``"fixed-others"``.
     """
@@ -454,74 +460,49 @@ def check_second_stage_sp(
         )
     if deviations is not None:
         deviations = [instance.check_subset(d, "deviation") for d in deviations]
-    cases = _fixed_others_cases(kernel, instance, tuple(base), tops, agent_pool, deviations)
-    witness, checked = _first_manipulation(instance, model, approximate, cases)
-    if witness is not None:
-        return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
+    # A deviation list stands in for the 2^m ballots, which are then never listed.
+    tried = subsets_ascending(ids) if deviations is None else deviations
+    checked = 0
+    for agent in agent_pool:
+        ideal = tops[agent]
+        if deviations is None:
+            outcomes = _ballot_box(kernel, instance, base, agent)
+            truthful = outcomes[_offset(ids, ideal, 2)]
+        else:
+            outcomes = _ballot_box(kernel, instance, base, agent, [ideal, *deviations])
+            truthful = next(outcomes)
+        value = functools.cache(valuation(model, ideal, instance))  # once per outcome
+        bar = _bar(value, ideal, truthful, approximate)
+        for ballot, manipulated in zip(tried, outcomes):
+            checked += 1
+            if value(manipulated) > bar:
+                profile = [ballot if i == agent else b for i, b in enumerate(base)]
+                witness = _witness(
+                    instance, model, approximate, agent, ideal, profile, truthful, manipulated
+                )
+                return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     # Fixed-others searched one slice of the profile space: no proof.
     return PropertyVerdict(HOLDS, None, False, checked, params)
 
 
-def _fixed_others_cases(kernel, instance, profile, tops, agent_pool, deviations):
-    """The cases of the ``fixed-others`` search.
+def _ballot_box(
+    kernel: ScoreKernel, instance: Instance, profile: Sequence[frozenset[int]], agent: int,
+    ballots: Sequence[frozenset[int]] | None = None,
+) -> Sequence[frozenset[int]] | Iterator[frozenset[int]]:
+    """The agent's outcome for each ballot while the others keep theirs in ``profile``.
 
-    Each agent faces the others' ballots in ``profile``.  Without
-    ``deviations`` she tries every ballot, read with her truthful outcome
-    from one kernel call on the unit box above the others' score vector;
-    a deviation list makes one point call per deviation, plus the truthful one.
+    Without ``ballots``: every ballot's, in ``subsets_ascending`` order, from one kernel
+    call on the unit box above the others' score vector; else one lazy point call per ballot.
     """
-    ids = instance.ids
+    own = profile[agent]
+    others = [s - (pid in own) for pid, s in approval_scores(instance, profile).items()]
     args = kernel_args(instance)
-    # A deviation list stands in for the 2^m ballots, which are never listed.
-    every = subsets_ascending(ids) if deviations is None else None
-    total = approval_scores(instance, profile)
-    for agent in agent_pool:
-        ideal = tops[agent]
-        others = [s - (pid in profile[agent]) for pid, s in total.items()]
-        if deviations is None:
-            box = kernel(*args, [(s, s + 1) for s in others])
-            yield agent, ideal, profile, box[_offset(ids, ideal, 2)], zip(every, box)
-            continue
-
-        def point(ballot: frozenset[int]) -> frozenset[int]:
-            return kernel(*args, [(s + (pid in ballot),) for pid, s in zip(ids, others)])[0]
-
-        yield agent, ideal, profile, point(ideal), ((d, point(d)) for d in deviations)
-
-
-def _first_manipulation(
-    instance: Instance,
-    model: str,
-    approximate: bool,
-    cases: Iterable[tuple[int, frozenset[int], tuple, frozenset[int], Iterable]],
-) -> tuple[dict | None, int]:
-    """Witness of the first tried ballot that beats voting truthfully, and the count tried.
-
-    Each case is ``(agent, ideal, profile, truthful outcome, tried)``, where
-    ``tried`` yields ``(ballot, outcome)`` for each ballot the agent tries in
-    her slot of ``profile``, in order.  No kernel is called here: this only
-    values outcomes, through one memoised value function per ideal set and
-    one bar per (ideal set, truthful outcome).
-    """
-    value_of = functools.cache(lambda ideal: functools.cache(valuation(model, ideal, instance)))
-
-    @functools.cache
-    def bar_of(ideal: frozenset[int], truthful: frozenset[int]) -> int:
-        value = value_of(ideal)
-        return value(truthful) + (repair_gain(value, ideal, truthful) if approximate else 0)
-
-    checked = 0
-    for agent, ideal, profile, truthful, tried in cases:
-        value, bar = value_of(ideal), bar_of(ideal, truthful)
-        for ballot, manipulated in tried:
-            checked += 1
-            if value(manipulated) > bar:
-                deviated = [ballot if i == agent else b for i, b in enumerate(profile)]
-                witness = _witness(
-                    instance, model, approximate, agent, ideal, deviated, truthful, manipulated
-                )
-                return witness, checked
-    return None, checked
+    if ballots is None:
+        return kernel(*args, [(s, s + 1) for s in others])
+    return (
+        kernel(*args, [(s + (pid in ballot),) for pid, s in zip(instance.ids, others)])[0]
+        for ballot in ballots
+    )
 
 
 def _witness(
@@ -530,7 +511,6 @@ def _witness(
 ) -> dict:
     """The replayable record of ``agent``'s ballot in ``profile`` beating her truthful outcome."""
     value = valuation(model, ideal, instance)
-    truthful_value = value(truthful)
     return {
         "kind": "second-stage-manipulation",
         "instance": instance_payload(instance),
@@ -541,8 +521,8 @@ def _witness(
         "ideal": ids_list(ideal),
         "truthful_outcome": ids_list(truthful),
         "manipulated_outcome": ids_list(manipulated),
-        "truthful_value": truthful_value,
-        "repaired_value": truthful_value + repair_gain(value, ideal, truthful),
+        "truthful_value": value(truthful),
+        "repaired_value": _bar(value, ideal, truthful, True),
         "manipulated_value": value(manipulated),
     }
 
@@ -557,6 +537,14 @@ def _check_agents(agents: Iterable[int], n: int) -> list[int]:
     if len(set(pool)) != len(pool):
         raise ValidationError(f"the agent list {pool} repeats an agent")
     return pool
+
+
+def _class_members(members: Iterable, max_agents: int) -> list:
+    """A class's members; with none or no agent count its "holds" would prove nothing."""
+    members = list(members)
+    if not members or max_agents < 1:
+        raise ValidationError("the class has no instance or no agent count to check")
+    return members
 
 
 def check_sp_over_unit_class(
@@ -601,7 +589,7 @@ def check_sp_over_unit_class(
         "model": model,
         "approximate": approximate,
     }
-    for instance, slots in _unit_class(max_projects):
+    for instance, slots in _class_members(_unit_class(max_projects), max_agents):
         ids = instance.ids
         m = len(ids)
         args = kernel_args(instance)
@@ -664,7 +652,7 @@ def check_rules_coincide_on_unit_class(
         "max_agents": max_agents,
         "unit_costs": list(UNIT_COSTS),
     }
-    for instance, _ in _unit_class(max_projects):
+    for instance, _ in _class_members(_unit_class(max_projects), max_agents):
         ids = instance.ids
         for n in range(1, max_agents + 1):
             for scores in itertools.product(range(n + 1), repeat=len(ids)):

@@ -245,6 +245,17 @@ class TestCommands:
         assert code == 0
         assert report["results"]["verdict"]["status"] == "counterexample-found"
 
+    @pytest.mark.parametrize("argv", [
+        ["check-ssp", "--rule", "greedy-approval"],
+        ["check-fssp", "--rule", "nomination", "--allocation-rule", "greedy-approval",
+         "--variant", "restricted", "--mode", "pessimistic"],
+    ])
+    def test_scenario_without_agents_refused(self, capsys, tmp_path, argv):
+        path = tmp_path / "scenario.json"
+        write_scenario(ScenarioDocument(instance=Instance([Project(1, 1)], 1), agents=()), path)
+        assert main([*argv, "--scenario", str(path), "--no-timing"]) == 2
+        assert "at least one agent" in capsys.readouterr().err
+
     def test_check_axiom_refuses_kmedian_suite(self, capsys):
         code = main([
             "check-axiom", "--fixture", "kmedian-relocation",

@@ -323,6 +323,12 @@ class TestCheckManipulation:
             check_manipulation(game, 0, fs(1), "optimistic", Caps(profiles=15))
 
 
+    @pytest.mark.parametrize("agent", [-1, 2, True, 1.0])
+    def test_agent_index_checked(self, agent):
+        with pytest.raises(ValidationError, match="agent index"):
+            check_manipulation(four_project_game(), agent, fs(1), "pessimistic")
+
+
 class TestCheckFssp:
     @pytest.mark.parametrize("variant, mode, message", [
         ("restricted", "bogus", "unknown manipulation mode"),
@@ -331,6 +337,18 @@ class TestCheckFssp:
     def test_unknown_variant_or_mode_refused(self, variant, mode, message):
         with pytest.raises(ValidationError, match=message):
             check_fssp(crossed_awareness_game(), variant, mode)
+
+    def test_no_agents_refused(self):
+        # A game without agents has no deviation to try: its "holds" would prove nothing.
+        with pytest.raises(ValidationError, match="at least one agent"):
+            StageGame(
+                instance=unit_instance(2, 1),
+                shortlist_rule=nomination,
+                allocation_rule=greedy_approval,
+                rankings=(),
+                awareness=(),
+                model="overlap",
+            )
 
     def test_one_awareness_set_per_ranking(self):
         with pytest.raises(ValidationError, match="one ranking and one awareness set"):

@@ -25,6 +25,7 @@ from pbstages.oracles import (
 )
 from pbstages.preferences import ideal_set, truthful_ballots, valuation
 from pbstages.shortlisting import equal_representation, nomination
+from pbstages.strategy import check_nomination_fssp_class
 from pbstages.suites import (
     allocation_cases,
     random_ballots,
@@ -80,6 +81,39 @@ def counted_kernel(monkeypatch, rule):
 
     monkeypatch.setattr("pbstages.verification.score_kernel", lambda rule: counted)
     return calls
+
+
+def flat_deviation_scan(rule, instance, rankings, ballots, model, agents, deviations):
+    """The first (agent, deviation) beating her truthful value, by plain calls of ``rule``.
+
+    Each agent in ``agents`` in turn puts her ideal set, then each
+    deviation, into her slot of ``ballots``.  Returns the witness's fields,
+    the count of deviations tried, and the number of rule calls made.
+    """
+    tops = truthful_ballots(instance, rankings)
+    value = {"overlap": len, "cost": instance.total_cost}[model]
+    checked = calls = 0
+    for agent in agents:
+        def outcome(ballot):
+            nonlocal calls
+            calls += 1
+            return rule(instance, [ballot if i == agent else b for i, b in enumerate(ballots)])
+
+        ideal = tops[agent]
+        truthful = outcome(ideal)
+        for deviation in deviations:
+            checked += 1
+            manipulated = outcome(deviation)
+            if value(ideal & manipulated) > value(ideal & truthful):
+                profile = [deviation if i == agent else b for i, b in enumerate(ballots)]
+                fields = {
+                    "agent": agent + 1,
+                    "profile": [sorted(b) for b in profile],
+                    "truthful_outcome": sorted(truthful),
+                    "manipulated_outcome": sorted(manipulated),
+                }
+                return fields, checked, calls
+    return None, checked, calls
 
 
 def constant_empty(instance, proposals):
@@ -210,11 +244,6 @@ class TestSecondStageSp:
         # grid that refuted: one kernel call in all, and no scan.  The
         # witness comes at the 13th profile of (2^3)^2, its second agent.
         calls = counted_kernel(monkeypatch, greedy_approval)
-
-        def refused(*args):
-            raise AssertionError("the ordered scan ran")
-
-        monkeypatch.setattr("pbstages.verification._first_manipulation", refused)
         verdict = check_second_stage_sp(
             greedy_approval, make_instance([1, 1, 2], 3), ((1, 2, 3), (3, 2, 1)), "cost",
             search="full",
@@ -265,6 +294,30 @@ class TestSecondStageSp:
         )
         assert verdict.checked == 2 * 3
         assert len(calls) == 2 * (3 + 1)
+        assert all(len(level) == 1 for levels in calls for level in levels)
+
+    def test_deviation_list_stops_at_first_witness(self, monkeypatch):
+        # The second pool agent's second deviation is the first to beat her
+        # truthful value: the point calls stop there, after the first
+        # agent's truthful call and four deviations and the second agent's
+        # truthful call and two deviations.
+        instance = make_instance([1, 4, 4, 2, 1], 9)
+        rankings = ((4, 3, 2, 5, 1), (3, 2, 4, 1, 5), (2, 3, 4, 1, 5))
+        ballots = [fs(1, 2, 4), fs(1, 2, 3, 4, 5), fs(2, 4)]
+        deviations = [fs(1, 2), fs(1, 2, 3), fs(4), fs(2, 4)]
+        agents = [2, 0, 1]
+        fields, checked, point_calls = flat_deviation_scan(
+            greedy_approval_oracle, instance, rankings, ballots, "cost", agents, deviations
+        )
+        assert (fields["agent"], checked, point_calls) == (1, 4 + 1 + 1, (1 + 4) + (1 + 2))
+        calls = counted_kernel(monkeypatch, greedy_approval)
+        verdict = check_second_stage_sp(
+            greedy_approval, instance, rankings, "cost", search="fixed-others",
+            ballots=ballots, agents=agents, deviations=deviations,
+        )
+        assert not verdict.holds and verdict.checked == checked
+        assert {key: verdict.witness[key] for key in fields} == fields
+        assert len(calls) == point_calls
         assert all(len(level) == 1 for levels in calls for level in levels)
 
     def test_auto_falls_back_to_fixed_others(self):
@@ -654,6 +707,29 @@ class TestUnitClassChecks:
         ballots = tuple(fs(*b) for b in witness["ballots"])
         assert greedy_approval(instance, ballots) == fs(*witness["first_outcome"])
         assert contrarian(instance, ballots) == fs(*witness["second_outcome"])
+
+    CLASS_CHECKS = {
+        "sp": functools.partial(check_sp_over_unit_class, greedy_approval, "overlap"),
+        "coincide": functools.partial(
+            check_rules_coincide_on_unit_class, greedy_approval, approval_maximising
+        ),
+        "nomination": functools.partial(check_nomination_fssp_class, greedy_approval, "overlap"),
+    }
+
+    @pytest.mark.parametrize("check, bounds", [
+        ("sp", {"max_projects": 0}),
+        ("sp", {"max_agents": 0}),
+        ("coincide", {"max_projects": 0}),
+        ("coincide", {"max_agents": 0}),
+        ("nomination", {"max_projects": 0}),
+        ("nomination", {"max_agents": 0}),
+        ("nomination", {"costs": ()}),
+        ("nomination", {"costs": (5,), "max_budget": 3}),
+    ])
+    def test_empty_class_refused(self, check, bounds):
+        # A class with no instance or no agent count would "hold" with nothing checked.
+        with pytest.raises(ValidationError, match="no instance or no agent count"):
+            self.CLASS_CHECKS[check](**bounds)
 
     def test_cap_enforced(self):
         # 4 projects and 3 agents need (2^4)^3 = 4,096 profiles.
