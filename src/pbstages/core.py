@@ -26,34 +26,34 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class Caps:
-    """Size limits for the exact (exponential) searches.
+    """Size limits, each an ``int`` >= 0, for the exact (exponential) searches.
+
+    Each search named below in quotes charges one cap through :func:`check_cap`
+    and is refused with "<search> needs <size> <unit>, exceeding the cap of <cap>".
 
     Attributes
     ----------
     subset_search : int
-        Maximum union-of-proposals size for the equal-representation rule.
-        On a 2-vCPU Xeon, the slowest of 30 seeded unions of 20 with 2-6
-        agents, k = 1 and a budget near half the total cost takes 0.06 s.
+        Union of proposals for "equal-representation search".  On a 2-vCPU
+        Xeon, the slowest of 30 seeded unions of 20 with 2-6 agents, k = 1
+        and a budget near half the total cost takes 0.06 s.
     partitions : int
-        Maximum union size for the clustering rule, whose search tries up
-        to 2^m median sets of the m proposed projects.
+        The m proposed projects of "median-set search", which tries 2^m median sets.
     domination : int
-        Maximum union size for the representative-domination search.
+        Union of proposals for "domination search".
     ballots : int
-        Maximum shortlist size for best-response ballot enumeration, and
-        maximum deviation pool size for a first-stage run.
+        Shortlist size for "best-response enumeration", and each agent's
+        deviation pool in a first-stage run for "deviation enumeration".
     profiles : int
-        Maximum number of full ballot profiles, (2^m)^n for m projects and
-        n agents, that a single strategyproofness search may enumerate.
-        The manipulator's own ballots count, since a best response tries
-        each of them.  The second-stage fixed-others search charges the
-        ballots it tries, |agents| x 2^m, or |agents| x |deviations| with a
-        deviation list.  A first-stage search (one manipulation check or a
-        whole strategyproofness run) charges each distinct (shortlist,
-        agent) side it computes once, and adds up those charges.  The
-        nomination class check holds each side it computes to the cap on
-        its own, and the unit-class check its whole class,
-        (2^max_projects)^max_agents.
+        Full ballot profiles, (2^m)^n for m projects and n agents, the
+        manipulator's own ballots included, also where a search reads the
+        score grid: the second-stage "full profile enumeration"; each
+        distinct (shortlist, agent) side, summed over one manipulation
+        check or a whole run, for "first-stage search"; each side on its
+        own for "nomination class side"; and the whole class,
+        (2^max_projects)^max_agents, for "unit-class check".  The
+        "fixed-others search" charges the ballots it tries instead,
+        |agents| x 2^m, or |agents| x |deviations| with a deviation list.
     maximisers : int
         Bounds nothing: priority tie-breaking reads the optimum off the
         suffix knapsack and lists no maximisers.  The field stays because
@@ -66,6 +66,17 @@ class Caps:
     ballots: int = 12
     profiles: int = 2**20
     maximisers: int = 15
+
+    def __post_init__(self) -> None:
+        for name, value in self.__dict__.items():
+            if type(value) is not int or value < 0:
+                raise ValidationError(f"cap {name} must be an integer >= 0, got {value!r}")
+
+
+def check_cap(need: int, cap: int, search: str, unit: str) -> None:
+    """Refuse a search that needs more than its cap: the one raiser of ResourceLimitError."""
+    if need > cap:
+        raise ResourceLimitError(f"{search} needs {need} {unit}, exceeding the cap of {cap}")
 
 
 @dataclass(frozen=True, order=True)

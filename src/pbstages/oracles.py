@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 from pbstages.core import (
     Instance,
-    ResourceLimitError,
+    check_cap,
     greedy_select,
     subsets_ascending,
     tiebreak_family,
@@ -46,8 +46,7 @@ def equal_representation_oracle(
     union = proposal_union(proposals)
     if not union:
         return frozenset()
-    if len(union) > cap:
-        raise ResourceLimitError(f"oracle subset scan over {len(union)} projects refused")
+    check_cap(len(union), cap, "oracle subset scan", "projects")
     limit = k * instance.budget
     best_score = None
     best: list[frozenset[int]] = []
@@ -106,8 +105,7 @@ def k_median_oracle(
     union = sorted(proposal_union(proposals))
     if not union:
         return frozenset()
-    if len(union) > 9:
-        raise ResourceLimitError(f"oracle partition scan over {len(union)} projects refused")
+    check_cap(len(union), 9, "oracle partition scan", "projects")
     valid: list[tuple[float, frozenset[int]]] = []
     for blocks in _flat_partitions(union):
         clusters = tuple(frozenset(b) for b in blocks)
@@ -132,8 +130,7 @@ def approval_maximising_oracle(
     The first allocation ``policy`` lists in that set wins; otherwise the
     canonical tie-break over the set decides.
     """
-    if len(instance) > 16:
-        raise ResourceLimitError(f"oracle allocation scan over {len(instance)} projects refused")
+    check_cap(len(instance), 16, "oracle allocation scan", "projects")
     scores = approval_scores(instance, ballots)
     best = -1
     chosen: list[frozenset[int]] = []

@@ -22,8 +22,8 @@ from fractions import Fraction
 from pbstages.core import (
     Caps,
     Instance,
-    ResourceLimitError,
     ValidationError,
+    check_cap,
     tiebreak_family,
     tiebreak_project,
 )
@@ -135,11 +135,7 @@ def equal_representation(
         raise ValidationError(f"k must be >= 1, got {k}")
     proposals = check_proposals(instance, proposals)
     union = sorted(proposal_union(proposals))
-    if len(union) > caps.subset_search:
-        raise ResourceLimitError(
-            f"equal-representation search over {len(union)} proposed projects "
-            f"exceeds the cap of {caps.subset_search}"
-        )
+    check_cap(len(union), caps.subset_search, "equal-representation search", "proposed projects")
     limit = k * instance.budget
     costs = [instance.cost(pid) for pid in union]
     if sum(costs) <= limit:
@@ -387,11 +383,7 @@ def _minimal_partitions(
     distances exactly.  The clusterings come back in canonical order.
     """
     pids = sorted(pids)
-    if len(pids) > caps.partitions:
-        raise ResourceLimitError(
-            f"median-set search over {len(pids)} projects exceeds "
-            f"the cap of {caps.partitions}"
-        )
+    check_cap(len(pids), caps.partitions, "median-set search", "projects")
     m = len(pids)
     dist = [[metric.distance(p, q) for q in pids] for p in pids]
     limit = k * instance.budget

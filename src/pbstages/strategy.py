@@ -20,13 +20,13 @@ from pbstages.core import (
     Caps,
     Instance,
     Project,
-    ResourceLimitError,
     ValidationError,
+    check_cap,
     greedy_scan,
     subsets_ascending,
     tiebreak_family,
 )
-from pbstages.allocation import kernel_args, score_kernel
+from pbstages.allocation import approval_scores, kernel_args, score_kernel
 from pbstages.preferences import check_model, check_ranking, ideal_set, valuation
 from pbstages.shortlisting import check_proposals, proposal_union
 from pbstages.verification import (
@@ -138,12 +138,9 @@ def best_response(
     """
     _check_agents([agent], len(ballots))
     ideal = instance.check_subset(ideal, "ideal set")
-    if len(instance) > caps.ballots:
-        raise ResourceLimitError(
-            f"best-response enumeration over {len(instance)} projects exceeds "
-            f"the cap of {caps.ballots}"
-        )
-    box = _ballot_box(score_kernel(rule), instance, ballots, agent)
+    check_cap(len(instance), caps.ballots, "best-response enumeration", "projects")
+    scores = approval_scores(instance, ballots)
+    box = _ballot_box(score_kernel(rule), instance, scores, ballots[agent])
     target = max(set(box), key=_outcome_key(valuation(model, ideal, instance), instance.ids))
     every = subsets_ascending(instance.ids)
     return tiebreak_family(b for b, outcome in zip(every, box) if outcome == target), target
@@ -292,11 +289,10 @@ class _Sides:
             """:func:`_fstar_outcomes` of the agent on the shortlist, for her ideal set on it."""
             nonlocal profiles
             profiles += (2 ** len(shortlist)) ** game.agents
-            if profiles > caps.profiles:
-                raise ResourceLimitError(
-                    f"first-stage search needs {profiles} profiles over its "
-                    f"distinct shortlists so far, exceeding the cap of {caps.profiles}"
-                )
+            check_cap(
+                profiles, caps.profiles, "first-stage search",
+                "profiles over its distinct shortlists so far",
+            )
             return _fstar_outcomes(
                 kernel, game.instance.restrict(shortlist), game.agents,
                 agent, game.top_on(agent, shortlist), game.model,
@@ -414,11 +410,7 @@ def check_fssp(
         truthful = game.truthful_proposal(agent, variant)
         baseline = tuple(truthful if i == agent else p for i, p in enumerate(proposals))
         pool = game.deviation_pool(agent, variant)
-        if len(pool) > caps.ballots:
-            raise ResourceLimitError(
-                f"deviation enumeration over {len(pool)} projects exceeds "
-                f"the cap of {caps.ballots}"
-            )
+        check_cap(len(pool), caps.ballots, "deviation enumeration", "projects")
         for deviation in subsets_ascending(pool):
             if deviation == truthful:
                 continue
@@ -563,12 +555,9 @@ def check_nomination_fssp_class(
 
         @functools.cache
         def side(shortlist: frozenset[int], top: frozenset[int], n: int) -> dict:
-            space = (2 ** len(shortlist)) ** n
-            if space > caps.profiles:
-                raise ResourceLimitError(
-                    f"nomination class side needs {space} profiles, exceeding the cap "
-                    f"of {caps.profiles}"
-                )
+            check_cap(
+                (2 ** len(shortlist)) ** n, caps.profiles, "nomination class side", "profiles"
+            )
             return _fstar_outcomes(kernel, instance.restrict(shortlist), n, 0, top, model)
 
         @functools.cache

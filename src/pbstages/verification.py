@@ -18,8 +18,8 @@ from pbstages.core import (
     Caps,
     Instance,
     Project,
-    ResourceLimitError,
     ValidationError,
+    check_cap,
     subsets_ascending,
 )
 from pbstages.allocation import (
@@ -134,11 +134,7 @@ def find_representative_domination(
     proposals = check_proposals(instance, proposals)
     shortlist = instance.check_subset(shortlist, "shortlist")
     space = proposal_union(proposals)
-    if len(space) > caps.domination:
-        raise ResourceLimitError(
-            f"domination search over {len(space)} projects exceeds the cap "
-            f"of {caps.domination}"
-        )
+    check_cap(len(space), caps.domination, "domination search", "projects")
     limit = instance.total_cost(shortlist)
     baseline = [len(shortlist & p) for p in proposals]
     for candidate in subsets_ascending(space):
@@ -407,11 +403,6 @@ def check_second_stage_sp(
         raise ValidationError(
             f"a deviation list applies only to the fixed-others search, not to {search!r}"
         )
-    if search == "full" and full_space > caps.profiles:
-        raise ResourceLimitError(
-            f"full profile enumeration needs {full_space} profiles, "
-            f"exceeding the cap of {caps.profiles}"
-        )
     params = {
         "search": search,
         "model": model,
@@ -420,6 +411,7 @@ def check_second_stage_sp(
     }
 
     if search == "full":
+        check_cap(full_space, caps.profiles, "full profile enumeration", "profiles")
         m = len(ids)
         grid = kernel(*kernel_args(instance), [range(n + 1)] * m)
         refutations = {
@@ -452,24 +444,21 @@ def check_second_stage_sp(
     base = tops if ballots is None else [instance.check_subset(b) for b in ballots]
     if len(base) != n:
         raise ValidationError("fixed ballots must cover every agent")
-    charge = len(agent_pool) * (2 ** len(ids) if deviations is None else len(deviations))
-    if charge > caps.profiles:
-        raise ResourceLimitError(
-            f"fixed-others search tries {charge} ballots over {len(agent_pool)} agents, "
-            f"exceeding the cap of {caps.profiles}"
-        )
     if deviations is not None:
         deviations = [instance.check_subset(d, "deviation") for d in deviations]
+    need = len(agent_pool) * (2 ** len(ids) if deviations is None else len(deviations))
+    check_cap(need, caps.profiles, "fixed-others search", f"ballots over {len(agent_pool)} agents")
+    scores = approval_scores(instance, base)
     # A deviation list stands in for the 2^m ballots, which are then never listed.
     tried = subsets_ascending(ids) if deviations is None else deviations
     checked = 0
     for agent in agent_pool:
         ideal = tops[agent]
         if deviations is None:
-            outcomes = _ballot_box(kernel, instance, base, agent)
+            outcomes = _ballot_box(kernel, instance, scores, base[agent])
             truthful = outcomes[_offset(ids, ideal, 2)]
         else:
-            outcomes = _ballot_box(kernel, instance, base, agent, [ideal, *deviations])
+            outcomes = _ballot_box(kernel, instance, scores, base[agent], [ideal, *deviations])
             truthful = next(outcomes)
         value = functools.cache(valuation(model, ideal, instance))  # once per outcome
         bar = _bar(value, ideal, truthful, approximate)
@@ -486,16 +475,17 @@ def check_second_stage_sp(
 
 
 def _ballot_box(
-    kernel: ScoreKernel, instance: Instance, profile: Sequence[frozenset[int]], agent: int,
+    kernel: ScoreKernel, instance: Instance, scores: dict[int, int], own: frozenset[int],
     ballots: Sequence[frozenset[int]] | None = None,
 ) -> Sequence[frozenset[int]] | Iterator[frozenset[int]]:
-    """The agent's outcome for each ballot while the others keep theirs in ``profile``.
+    """An agent's outcome for each ballot while the others keep theirs.
 
-    Without ``ballots``: every ballot's, in ``subsets_ascending`` order, from one kernel
-    call on the unit box above the others' score vector; else one lazy point call per ballot.
+    ``scores`` are the profile's :func:`~pbstages.allocation.approval_scores`
+    and ``own`` the agent's ballot in it.  Without ``ballots``: every ballot's
+    outcome, in ``subsets_ascending`` order, from one kernel call on the unit box
+    above the others' score vector; else one lazy point call per ballot.
     """
-    own = profile[agent]
-    others = [s - (pid in own) for pid, s in approval_scores(instance, profile).items()]
+    others = [s - (pid in own) for pid, s in scores.items()]
     args = kernel_args(instance)
     if ballots is None:
         return kernel(*args, [(s, s + 1) for s in others])
@@ -574,12 +564,7 @@ def check_sp_over_unit_class(
     """
     kernel = score_kernel(rule)
     check_model(model)
-    space = (2**max_projects) ** max_agents
-    if space > caps.profiles:
-        raise ResourceLimitError(
-            f"unit-class check enumerates {space} profiles of {max_agents} agents "
-            f"on {max_projects} projects, exceeding the cap of {caps.profiles}"
-        )
+    check_cap((2**max_projects) ** max_agents, caps.profiles, "unit-class check", "profiles")
     checked = 0
     params = {
         "class": "unit-cost",

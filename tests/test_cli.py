@@ -502,6 +502,19 @@ class TestExitCodes:
         assert code == 3
         assert "resource limit" in capsys.readouterr().err
 
+    def test_negative_cap_is_2(self, tmp_path, capsys):
+        # A negative cap is refused on the command line and in a stored
+        # report, not recorded or read as a cap every search passes.
+        code = main([
+            "allocate", "--fixture", "example1", "--rule", "greedy-approval",
+            "--cap-profiles", "-1", "--no-timing",
+        ])
+        assert code == 2
+        assert "validation error: cap profiles must be" in capsys.readouterr().err
+        path = stored_report(tmp_path, lambda data: data["caps"].update(profiles=-1))
+        assert main(["replay", str(path)]) == 2
+        assert "validation error: cap profiles must be" in capsys.readouterr().err
+
     def test_counterexample_still_exits_0(self, capsys):
         code = main([
             "check-fssp", "--fixture", "theorem-rfssp",

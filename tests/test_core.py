@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pbstages.core import (
+    Caps,
     Instance,
     Project,
     ValidationError,
@@ -15,6 +16,25 @@ from pbstages.core import (
 )
 
 from conftest import fs, make_instance
+
+
+class TestCaps:
+    def test_zero_caps_accepted(self):
+        assert Caps(**{name: 0 for name in Caps().__dict__}).profiles == 0
+
+    # Every field is an int >= 0: a negative, bool, float, string or
+    # missing cap is refused before any search reads it.
+    @pytest.mark.parametrize("field, value", [
+        ("profiles", -1),
+        ("subset_search", -20),
+        ("ballots", True),
+        ("domination", 15.0),
+        ("partitions", "12"),
+        ("maximisers", None),
+    ])
+    def test_malformed_cap_refused(self, field, value):
+        with pytest.raises(ValidationError, match=f"cap {field} must be an integer >= 0"):
+            Caps(**{field: value})
 
 
 class TestInstance:

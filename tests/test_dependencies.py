@@ -116,3 +116,28 @@ def test_one_report_writer():
         and any(keyword.arg in ("indent", None) for keyword in node.keywords)
     ]
     assert not indented
+
+
+def test_one_resource_limit_raiser():
+    # ``core.check_cap`` words every refusal of an exponential search as
+    # "<search> needs <size> <unit>, exceeding the cap of <cap>"; a second
+    # raiser would be a second shape.  Each raise is owned by the innermost
+    # function around it (``ast.walk`` reaches inner functions later).
+    raisers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(function), function.name))
+        raisers += [
+            (path.name, owner.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise)
+            and node.exc is not None
+            and any(
+                getattr(name, "id", getattr(name, "attr", None)) == "ResourceLimitError"
+                for name in ast.walk(node.exc)
+            )
+        ]
+    assert raisers == [("core.py", "check_cap")]

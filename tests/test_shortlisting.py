@@ -111,6 +111,13 @@ class TestEqualRepresentation:
         # the cap has been checked.
         with pytest.raises(ResourceLimitError):
             equal_representation(unit_instance(6, 6), (fs(*range(1, 7)),), 1, Caps(subset_search=5))
+        # The union of 9 projects runs at a cap of 9 and is refused at 8.
+        proposals = (fs(*range(1, 10)),)
+        assert equal_representation(
+            ten_project_instance, proposals, 1, Caps(subset_search=9)
+        ) == equal_representation(ten_project_instance, proposals, 1)
+        with pytest.raises(ResourceLimitError):
+            equal_representation(ten_project_instance, proposals, 1, Caps(subset_search=8))
 
     def test_matches_oracle_on_random_instances(self):
         rng = Random(11)
@@ -390,6 +397,10 @@ class TestMinimalRadius:
         )
         with pytest.raises(ResourceLimitError):
             k_median_outcome(instance, [instance.ids], 1, metric, Caps(partitions=3))
+        # The 4 projects run at a cap of 4.
+        assert k_median_outcome(
+            instance, [instance.ids], 1, metric, Caps(partitions=4)
+        ) == k_median_outcome(instance, [instance.ids], 1, metric)
 
 
 class TestPartitionEnumerators:

@@ -109,6 +109,14 @@ class TestBestResponse:
             best_response(
                 greedy_approval, instance, (fs(),), 0, fs(1), "overlap", Caps(ballots=3)
             )
+        # The 5 projects run at a cap of 5 and are refused at 4.
+        assert best_response(
+            greedy_approval, instance, (fs(),), 0, fs(1), "overlap", Caps(ballots=5)
+        ) == best_response(greedy_approval, instance, (fs(),), 0, fs(1), "overlap")
+        with pytest.raises(ResourceLimitError):
+            best_response(
+                greedy_approval, instance, (fs(),), 0, fs(1), "overlap", Caps(ballots=4)
+            )
 
     # An agent outside the profile, negative or past its end, and an ideal
     # set with an id outside the shortlist.

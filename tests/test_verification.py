@@ -177,6 +177,14 @@ class TestRepresentativeDomination:
             find_representative_domination(
                 ten_project_instance, proposals, fs(1), Caps(domination=4)
             )
+        # The union of 9 projects runs at a cap of 9 and is refused at 8.
+        assert find_representative_domination(
+            ten_project_instance, proposals, fs(1), Caps(domination=9)
+        ) == find_representative_domination(ten_project_instance, proposals, fs(1))
+        with pytest.raises(ResourceLimitError):
+            find_representative_domination(
+                ten_project_instance, proposals, fs(1), Caps(domination=8)
+            )
 
 
 class TestAllocationAxioms:
@@ -319,6 +327,23 @@ class TestSecondStageSp:
         assert {key: verdict.witness[key] for key in fields} == fields
         assert len(calls) == point_calls
         assert all(len(level) == 1 for levels in calls for level in levels)
+
+    def test_deviation_generator_matches_list(self):
+        # The deviations are validated into a list before the search
+        # charges them, so any iterable of ballots serves.
+        instance = make_instance([1, 4, 4, 2, 1], 9)
+        rankings = ((4, 3, 2, 5, 1), (3, 2, 4, 1, 5), (2, 3, 4, 1, 5))
+        deviations = [fs(1, 2), fs(1, 2, 3), fs(4), fs(2, 4)]
+
+        def check(deviations):
+            return check_second_stage_sp(
+                greedy_approval, instance, rankings, "cost", search="fixed-others",
+                agents=[2, 0, 1], deviations=deviations,
+            ).to_jsonable()
+
+        assert check(d for d in deviations) == check(deviations)
+        with pytest.raises(ValidationError):
+            check(d for d in [fs(1), fs(6)])
 
     def test_auto_falls_back_to_fixed_others(self):
         instance = unit_instance(6, 3)
