@@ -207,7 +207,10 @@ def _run_paper_suite(caps: Caps) -> dict:
 def _emit(report: dict, output: str | None) -> None:
     text = dump_json(report) + "\n"
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write report {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

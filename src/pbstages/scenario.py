@@ -334,16 +334,22 @@ def document_to_dict(doc: ScenarioDocument) -> dict:
     return data
 
 
+# Prebuilt text of the ints a report is made of: project and agent ids, counts.
+_INT_TEXT = {i: str(i) for i in range(1024)}
+
+
 def dump_json(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
 
     With ``indent`` set, the standard library falls back to its pure-Python
     encoder, which yields one chunk per token.  This writer appends the
-    chunks depth first to one list and joins it once, joins each list of
-    plain ints in one call, and hands every scalar other than a plain int
-    or string to the C encoder of ``json.dumps``.  Keys are sorted before a
-    non-string key is turned into a string, as ``json`` does.
-    ``tests/test_scenario.py`` checks it against the standard library.
+    chunks depth first to one list and joins it once.  A list of plain ints
+    is joined in one call from a table of prebuilt text for 0..1023, falling
+    back to ``str`` for the whole list when an int lies outside it; a
+    plain-int dict value is written with its key.  Every scalar other than
+    a plain int or string goes to the C encoder of ``json.dumps``.  Keys are
+    sorted before a non-string key is turned into a string, as ``json``
+    does.  ``tests/test_scenario.py`` checks it against the standard library.
     """
     out: list[str] = []
     _dump(value, "\n", out)
@@ -362,7 +368,11 @@ def _dump(value, newline: str, out: list[str]) -> None:
             return
         inner = newline + "  "
         if set(map(type, value)) == {int}:
-            out += ("[", inner, ("," + inner).join(map(str, value)), newline, "]")
+            try:
+                text = ("," + inner).join(map(_INT_TEXT.__getitem__, value))
+            except KeyError:
+                text = ("," + inner).join(map(str, value))
+            out += ("[", inner, text, newline, "]")
             return
         head, sep = "[" + inner, "," + inner
         for item in value:
@@ -377,8 +387,11 @@ def _dump(value, newline: str, out: list[str]) -> None:
         inner = newline + "  "
         head, sep = "{" + inner, "," + inner
         for key, item in sorted(value.items()):
-            out += (head, _key(key), ": ")
-            _dump(item, inner, out)
+            if type(item) is int:
+                out += (head, _key(key), ": ", str(item))
+            else:
+                out += (head, _key(key), ": ")
+                _dump(item, inner, out)
             head = sep
         out.append(newline + "}")
     else:

@@ -324,6 +324,21 @@ class TestCommands:
         ]
 
 
+def city_scenario(tmp_path, rng, projects, agents):
+    """A random scenario where each agent proposes the head of their ranking;
+    returns the document and the file it was written to."""
+    instance = random_instance(rng, min_projects=projects, max_projects=projects, max_cost=20)
+    rankings = [random_ranking(rng, instance) for _ in range(agents)]
+    doc = ScenarioDocument(
+        instance=instance,
+        agents=tuple(AgentSpec(i + 1, ranking) for i, ranking in enumerate(rankings)),
+        proposals=tuple(frozenset(ranking[: rng.randint(1, 3)]) for ranking in rankings),
+    )
+    scenario = tmp_path / "city.json"
+    write_scenario(doc, scenario)
+    return doc, scenario
+
+
 class TestReplayAndStability:
     def test_reports_byte_stable(self, capsys, tmp_path):
         argv = [
@@ -340,16 +355,7 @@ class TestReplayAndStability:
     def test_city_scale_reports_match_stdlib_encoder(self, tmp_path):
         # 300 agents on 40 projects: the writer's deep lists and the parser's
         # per-agent checks at the size the CLI serves.
-        rng = Random(2203)
-        instance = random_instance(rng, min_projects=40, max_projects=40, max_cost=20)
-        rankings = [random_ranking(rng, instance) for _ in range(300)]
-        doc = ScenarioDocument(
-            instance=instance,
-            agents=tuple(AgentSpec(i + 1, ranking) for i, ranking in enumerate(rankings)),
-            proposals=tuple(frozenset(ranking[: rng.randint(1, 3)]) for ranking in rankings),
-        )
-        scenario = tmp_path / "city.json"
-        write_scenario(doc, scenario)
+        doc, scenario = city_scenario(tmp_path, Random(2203), 40, 300)
         parsed = parse_scenario(scenario)
         assert parsed == doc
         assert parse_scenario_dict(document_to_dict(parsed)) == doc
@@ -363,6 +369,20 @@ class TestReplayAndStability:
             text = output.read_text()
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
             assert len(json.loads(text)["results"]["ballots"]) == 300
+
+    def test_thousand_agent_reports_match_stdlib_encoder(self, tmp_path):
+        # 1,000 agents on 60 projects: the writer's int table at report scale.
+        _, scenario = city_scenario(tmp_path, Random(1000), 60, 1000)
+        for argv in (
+            ["allocate", "--rule", "approval-maximising"],
+            ["end-to-end", "--rule", "nomination", "--allocation-rule", "greedy-approval"],
+        ):
+            output = tmp_path / f"{argv[0]}.json"
+            argv += ["--scenario", str(scenario), "--no-timing", "--output", str(output)]
+            assert main(argv) == 0
+            data = output.read_bytes()
+            assert data == (json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n").encode()
+            assert len(json.loads(data)["document"]["agents"]) == 1000
 
     def test_paper_suite_report_bytes_pinned(self, tmp_path):
         path = tmp_path / "suite.json"
@@ -471,6 +491,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "validation error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_is_2(self, tmp_path, capsys, where):
+        output = tmp_path / "no" / "r.json" if where == "missing-dir" else tmp_path
+        argv = ["allocate", "--fixture", "example1", "--rule", "greedy-approval"]
+        assert main([*argv, "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert f"validation error: cannot write report {output}:" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_resource_limit_is_3(self, capsys):
         code = main([

@@ -1,3 +1,4 @@
+import enum
 import json
 import re
 
@@ -258,6 +259,11 @@ def json_values():
     )
 
 
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 1024
+
+
 class TestDumpJson:
     @settings(max_examples=100, deadline=None)
     @given(json_values())
@@ -266,6 +272,12 @@ class TestDumpJson:
     @example([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, -(2**80)])
     @example({"\u00e9\n\"\\": "\x00\u2028\U0001f600", "": [{}]})
     @example({1.5: 1, 0.25: 2, True: 3})
+    @example([-1, 0, 1023, 1024, 2**70])
+    @example([1, 1.0, 2])
+    @example([0, True])
+    @example([Colour.RED, 1, Colour.BLUE])
+    @example({"x": Colour.RED, "y": [Colour.BLUE]})
+    @example({"a": 1, "b": True, "c": 1.0, "d": 2**70})
     def test_matches_stdlib_encoder(self, value):
         assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
