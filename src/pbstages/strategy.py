@@ -26,7 +26,8 @@ from pbstages.core import (
     subsets_ascending,
     tiebreak_family,
 )
-from pbstages.allocation import approval_scores, kernel_args, score_kernel
+from pbstages.allocation import approval_scores, score_kernel
+from pbstages.grid import ScoreKernel, ballot_box, box_maxima, profile_at, score_grid
 from pbstages.preferences import check_model, check_ranking, ideal_set, valuation
 from pbstages.shortlisting import check_proposals, proposal_union
 from pbstages.verification import (
@@ -34,14 +35,9 @@ from pbstages.verification import (
     HOLDS,
     AllocationRule,
     PropertyVerdict,
-    ScoreKernel,
     ShortlistRule,
-    _ballot_box,
-    _box_max,
-    _check_agents,
-    _class_members,
-    _first_profiles,
-    _profile,
+    check_agents,
+    class_members,
     ids_list,
 )
 
@@ -131,16 +127,16 @@ def best_response(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Best ballot for ``agent`` against the others' fixed ballots.
 
-    Reads every ballot's outcome from :func:`~pbstages.verification._ballot_box`
+    Reads every ballot's outcome from :func:`~pbstages.grid.ballot_box`
     and targets the outcome of highest value under her ideal set,
     canonically tie-broken among equal values (:func:`_outcome_key`);
     returns a canonical ballot achieving it together with that outcome.
     """
-    _check_agents([agent], len(ballots))
+    check_agents([agent], len(ballots))
     ideal = instance.check_subset(ideal, "ideal set")
     check_cap(len(instance), caps.ballots, "best-response enumeration", "projects")
     scores = approval_scores(instance, ballots)
-    box = _ballot_box(score_kernel(rule), instance, scores, ballots[agent])
+    box = ballot_box(score_kernel(rule), instance, scores, ballots[agent])
     target = max(set(box), key=_outcome_key(valuation(model, ideal, instance), instance.ids))
     every = subsets_ascending(instance.ids)
     return tiebreak_family(b for b, outcome in zip(every, box) if outcome == target), target
@@ -179,32 +175,26 @@ def _fstar_outcomes(
     at s maximises :func:`_outcome_key` over the box s + {0,1}^m: the
     outcome's value under her ideal set, then the canonical tie-break.
     One call of the rule's score ``kernel`` returns the outcome at every
-    point of {0..n}^m, and :func:`~pbstages.verification._box_max` turns
-    the keys into box maxima.  The index of the others' first profile
-    summing to s, in product order, is read off
-    :func:`~pbstages.verification._first_profiles`.
+    point of {0..n}^m, and :func:`~pbstages.grid.box_maxima` gives each
+    s's box maximum with the index of the others' first profile summing
+    to s, in product order.
     """
     ids = instance.ids
     m = len(ids)
-    side = agents + 1
-    # Point t of {0..n}^m sits at index sum(t_j * side^j): the kernel's
-    # order, slot 0 fastest.
-    grid = kernel(*kernel_args(instance), [range(side)] * m)
+    grid = score_grid(kernel, instance, agents)
     rank = _outcome_key(valuation(model, ideal, instance), ids)
-    key_of = {outcome: rank(outcome) for outcome in set(grid)}
-    outcome_of = {key: outcome for outcome, key in key_of.items()}
-    keys = _box_max(list(map(key_of.__getitem__, grid)), side, m)
     # The index of the others' first profile reaching each key.
     first: dict[int, int] = {}
-    points, indices = _first_profiles(agents, m, side)
-    for key, index in zip(map(keys.__getitem__, points), indices):
+    for _, index, key in box_maxima(grid, rank, agents, m):
         if first.setdefault(key, index) > index:
             first[key] = index
     every = subsets_ascending(ids)
     out: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
     for key, index in sorted(first.items(), key=lambda item: item[1]):
-        rest = _profile(index, agents - 1, every)
-        out[outcome_of[key]] = (*rest[:agent], ideal, *rest[agent:])
+        rest = profile_at(index, agents - 1, every)
+        # The key's low m bits are its outcome's characteristic vector.
+        outcome = frozenset(pid for j, pid in enumerate(ids) if key >> m - 1 - j & 1)
+        out[outcome] = (*rest[:agent], ideal, *rest[agent:])
     return out
 
 
@@ -318,7 +308,7 @@ def check_manipulation(
     charges pass ``caps.profiles``.
     """
     check_mode(mode)
-    _check_agents([agent], game.agents)
+    check_agents([agent], game.agents)
     deviation = game.instance.check_subset(deviation, "deviation")
     verdict, witness = _check_deviation(_Sides(game, caps), game.proposals, agent, deviation, mode)
     return ManipulationResult(verdict, None if witness is None else witness())
@@ -547,7 +537,7 @@ def check_nomination_fssp_class(
         for cost_vector in itertools.product(costs, repeat=m)
         for budget in range(max(cost_vector), max_budget + 1)
     )
-    for instance in _class_members(instances, max_agents):
+    for instance in class_members(instances, max_agents):
         # A side (every best-response outcome on a shortlist) depends only on
         # the shortlist, the manipulator's ideal set on it and n: each is computed once.
         ideal = functools.cache(functools.partial(ideal_set, instance))

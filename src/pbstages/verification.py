@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from pbstages.core import (
@@ -22,13 +22,8 @@ from pbstages.core import (
     check_cap,
     subsets_ascending,
 )
-from pbstages.allocation import (
-    EXHAUSTIVE,
-    approval_scores,
-    classify_allocation,
-    kernel_args,
-    score_kernel,
-)
+from pbstages.allocation import EXHAUSTIVE, approval_scores, classify_allocation, score_kernel
+from pbstages.grid import ballot_box, box_maxima, offset, profile_at, score_grid
 from pbstages.preferences import check_model, truthful_ballots, valuation
 from pbstages.shortlisting import check_proposals, proposal_union
 
@@ -36,7 +31,6 @@ HOLDS = "holds-on-suite"
 COUNTEREXAMPLE = "counterexample-found"
 
 AllocationRule = Callable[[Instance, Sequence[frozenset[int]]], frozenset[int]]
-ScoreKernel = Callable[..., list[frozenset[int]]]
 ShortlistRule = Callable[[Instance, Sequence[frozenset[int]]], frozenset[int]]
 
 
@@ -241,18 +235,6 @@ def check_allocation_axiom(rule: AllocationRule, axiom: str, cases: Iterable) ->
 # Second-stage strategyproofness
 
 
-def _offset(ids: Sequence[int], ballot: frozenset[int], side: int) -> int:
-    """How far adding ``ballot`` moves an index on a grid of ``side`` levels per slot.
-
-    A score kernel returns the outcome at point t of its grid at index
-    sum(t_j * side^j), slot 0 fastest, so each search reads every outcome
-    by index from the one kernel result it makes.  On a unit box (``side``
-    2) the offset is the ballot's position in
-    :func:`~pbstages.core.subsets_ascending` order.
-    """
-    return sum(side**j for j, pid in enumerate(ids) if pid in ballot)
-
-
 def repair_gain(
     value: Callable[[Iterable[int]], int], ideal: frozenset[int], outcome: frozenset[int]
 ) -> int:
@@ -273,80 +255,35 @@ def _bar(
     return value(truthful) + (repair_gain(value, ideal, truthful) if approximate else 0)
 
 
-def _box_max(keys: list[int], side: int, m: int) -> list[int]:
-    """Each point s of {0..side-2}^m takes the maximum of ``keys`` over s + {0,1}^m, in place.
-
-    ``keys`` holds one key per point t of {0..side-1}^m at index
-    sum(t_j * side^j), slot 0 fastest (the kernels' order).  A box is a
-    product of per-axis intervals, so one pairwise-max pass per axis turns
-    the keys into box maxima (van Herk 1992; Gil & Werman 1993), each pass
-    one shifted max over the whole list.  Only entries with a coordinate
-    at side - 1 take values from across a row boundary, and only such
-    entries read them, so every other entry is exact.
-    """
-    for j in range(m):
-        stride = side**j
-        keys[:-stride] = map(max, keys[:-stride], keys[stride:])
-    return keys
-
-
-def _first_profiles(n: int, m: int, side: int) -> tuple[list[int], list[int]]:
-    """Each score vector s of {0..n-1}^m of n - 1 ballots: its grid index and first profile.
-
-    The grid index is sum(s_j * side^j).  The first profile summing to s,
-    in product order of :func:`~pbstages.core.subsets_ascending` masks, is
-    a staircase: project j sits in the last s_j ballots, so each earlier
-    ballot, which weighs more in the order, is as small as it can be.  Its
-    index among the (2^m)^(n-1) profiles is therefore sum(level(s_j) << j),
-    with level(v) = sum_{k<v} 2^(m k).
-    """
-    points, firsts = [0], [0]
-    for j in range(m):
-        stride, levels = side**j, [((1 << m * v) - 1) // ((1 << m) - 1) << j for v in range(n)]
-        points = [p + v * stride for v in range(n) for p in points]
-        firsts = [f + level for level in levels for f in firsts]
-    return points, firsts
-
-
-def _profile(index: int, n: int, every: Sequence[frozenset[int]]) -> list[frozenset[int]]:
-    """The profile of ``n`` ballots at ``index`` in product order of the ballots ``every``."""
-    m = len(every).bit_length() - 1
-    return [every[index >> m * i & len(every) - 1] for i in reversed(range(n))]
-
-
 def _refutations(
     grid: list[frozenset[int]], instance: Instance, n: int, ideal: frozenset[int],
     model: str, approximate: bool,
 ) -> Iterable[tuple[int, int, frozenset[int], frozenset[int]]]:
     """Where an agent with ideal set ``ideal``, among ``n``, beats voting truthfully.
 
-    ``grid`` is the rule's outcome at every point of {0..n}^m, from one
-    kernel call that serves every ideal set.  The other agents reach the
-    rule only through their score vector s in {0..n-1}^m, and the agent's
-    ballot B moves it to s + 1_B.  So she manipulates at s iff the box
-    maximum of her value over s + {0,1}^m beats the bar at s + 1_I: the
-    truthful outcome's value, plus :func:`repair_gain` when approximate.
+    ``grid`` is :func:`~pbstages.grid.score_grid`, from one kernel call
+    that serves every ideal set.  The other agents reach the rule only
+    through their score vector s in {0..n-1}^m, and the agent's ballot B
+    moves it to s + 1_B.  So she manipulates at s iff the box maximum of
+    her value over s + {0,1}^m beats the bar at s + 1_I: the truthful
+    outcome's value, plus :func:`repair_gain` when approximate.
 
     For each such s this yields the index of the others' first profile
-    reaching it (:func:`_first_profiles`), the first ballot mask that
-    beats the bar, and the truthful and manipulated outcomes.  Nothing is
-    yielded iff the agent can manipulate in no profile, so no profile is
-    ever listed.
+    reaching it (:func:`~pbstages.grid.box_maxima`), the first ballot mask
+    that beats the bar, and the truthful and manipulated outcomes.
+    Nothing is yielded iff the agent can manipulate in no profile, so no
+    profile is ever listed.
     """
     ids = instance.ids
-    m = len(ids)
-    side = n + 1
-    value = valuation(model, ideal, instance)
-    worth = {o: value(o) for o in set(grid)}
-    bars = {o: _bar(value, ideal, o, approximate) for o in worth}
-    best = _box_max(list(map(worth.__getitem__, grid)), side, m)
-    shift = _offset(ids, ideal, side)
-    offsets = [_offset(ids, b, side) for b in subsets_ascending(ids)]
-    for low, others in zip(*_first_profiles(n, m, side)):
+    value = functools.cache(valuation(model, ideal, instance))  # once per outcome
+    bar_of = functools.cache(lambda truthful: _bar(value, ideal, truthful, approximate))
+    shift = offset(ids, ideal, n + 1)
+    offsets = [offset(ids, b, n + 1) for b in subsets_ascending(ids)]
+    for low, others, best in box_maxima(grid, value, n, len(ids)):
         truthful = grid[low + shift]
-        bar = bars[truthful]
-        if best[low] > bar:
-            mask = next(b for b, off in enumerate(offsets) if worth[grid[low + off]] > bar)
+        bar = bar_of(truthful)
+        if best > bar:
+            mask = next(b for b, off in enumerate(offsets) if value(grid[low + off]) > bar)
             yield others, mask, truthful, grid[low + offsets[mask]]
 
 
@@ -381,7 +318,7 @@ def check_second_stage_sp(
     - ``"fixed-others"``: other agents keep the scenario ballots (their
       truthful ideal sets unless ``ballots`` is given) while each agent
       tries every ballot, or each of ``deviations``, read by
-      :func:`_ballot_box`; the first to beat the bar is the witness.  This
+      :func:`~pbstages.grid.ballot_box`; the first to beat the bar is the witness.  This
       covers one slice of the space.  Other modes refuse ``deviations``.
     - ``"auto"``: ``"full"`` when the profile space fits the cap,
       otherwise ``"fixed-others"``.
@@ -393,7 +330,7 @@ def check_second_stage_sp(
         raise ValidationError("strategyproofness needs at least one agent")
     ids = instance.ids
     tops = truthful_ballots(instance, rankings)
-    agent_pool = list(range(n)) if agents is None else _check_agents(agents, n)
+    agent_pool = list(range(n)) if agents is None else check_agents(agents, n)
     full_space = (2 ** len(ids)) ** n
     if search == "auto":
         search = "full" if full_space <= caps.profiles else "fixed-others"
@@ -413,7 +350,7 @@ def check_second_stage_sp(
     if search == "full":
         check_cap(full_space, caps.profiles, "full profile enumeration", "profiles")
         m = len(ids)
-        grid = kernel(*kernel_args(instance), [range(n + 1)] * m)
+        grid = score_grid(kernel, instance, n)
         refutations = {
             ideal: list(_refutations(grid, instance, n, ideal, model, approximate))
             for ideal in {tops[a] for a in agent_pool}
@@ -433,7 +370,7 @@ def check_second_stage_sp(
         if first is None:
             return PropertyVerdict(HOLDS, None, True, len(agent_pool) * full_space, params)
         index, rank, agent, truthful, manipulated = first
-        profile = _profile(index, n, subsets_ascending(ids))
+        profile = profile_at(index, n, subsets_ascending(ids))
         witness = _witness(
             instance, model, approximate, agent, tops[agent], profile, truthful, manipulated
         )
@@ -455,10 +392,10 @@ def check_second_stage_sp(
     for agent in agent_pool:
         ideal = tops[agent]
         if deviations is None:
-            outcomes = _ballot_box(kernel, instance, scores, base[agent])
-            truthful = outcomes[_offset(ids, ideal, 2)]
+            outcomes = ballot_box(kernel, instance, scores, base[agent])
+            truthful = outcomes[offset(ids, ideal, 2)]
         else:
-            outcomes = _ballot_box(kernel, instance, scores, base[agent], [ideal, *deviations])
+            outcomes = ballot_box(kernel, instance, scores, base[agent], [ideal, *deviations])
             truthful = next(outcomes)
         value = functools.cache(valuation(model, ideal, instance))  # once per outcome
         bar = _bar(value, ideal, truthful, approximate)
@@ -472,27 +409,6 @@ def check_second_stage_sp(
                 return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     # Fixed-others searched one slice of the profile space: no proof.
     return PropertyVerdict(HOLDS, None, False, checked, params)
-
-
-def _ballot_box(
-    kernel: ScoreKernel, instance: Instance, scores: dict[int, int], own: frozenset[int],
-    ballots: Sequence[frozenset[int]] | None = None,
-) -> Sequence[frozenset[int]] | Iterator[frozenset[int]]:
-    """An agent's outcome for each ballot while the others keep theirs.
-
-    ``scores`` are the profile's :func:`~pbstages.allocation.approval_scores`
-    and ``own`` the agent's ballot in it.  Without ``ballots``: every ballot's
-    outcome, in ``subsets_ascending`` order, from one kernel call on the unit box
-    above the others' score vector; else one lazy point call per ballot.
-    """
-    others = [s - (pid in own) for pid, s in scores.items()]
-    args = kernel_args(instance)
-    if ballots is None:
-        return kernel(*args, [(s, s + 1) for s in others])
-    return (
-        kernel(*args, [(s + (pid in ballot),) for pid, s in zip(instance.ids, others)])[0]
-        for ballot in ballots
-    )
 
 
 def _witness(
@@ -517,7 +433,7 @@ def _witness(
     }
 
 
-def _check_agents(agents: Iterable[int], n: int) -> list[int]:
+def check_agents(agents: Iterable[int], n: int) -> list[int]:
     pool = list(agents)
     for agent in pool:
         if isinstance(agent, bool) or not isinstance(agent, int) or not 0 <= agent < n:
@@ -529,7 +445,7 @@ def _check_agents(agents: Iterable[int], n: int) -> list[int]:
     return pool
 
 
-def _class_members(members: Iterable, max_agents: int) -> list:
+def class_members(members: Iterable, max_agents: int) -> list:
     """A class's members; with none or no agent count its "holds" would prove nothing."""
     members = list(members)
     if not members or max_agents < 1:
@@ -574,12 +490,11 @@ def check_sp_over_unit_class(
         "model": model,
         "approximate": approximate,
     }
-    for instance, slots in _class_members(_unit_class(max_projects), max_agents):
+    for instance, slots in class_members(_unit_class(max_projects), max_agents):
         ids = instance.ids
         m = len(ids)
-        args = kernel_args(instance)
         for n in range(1, max_agents + 1):
-            grid = kernel(*args, [range(n + 1)] * m)
+            grid = score_grid(kernel, instance, n)
             for ideal in map(frozenset, itertools.combinations(ids, slots)):
                 # The others' profile is tried before her ballot.
                 first = min(
@@ -599,7 +514,7 @@ def check_sp_over_unit_class(
                 every = subsets_ascending(ids)
                 witness = _witness(
                     instance, model, approximate, 0, ideal,
-                    [every[index & 2**m - 1], *_profile(index >> m, n - 1, every)],
+                    [every[index & 2**m - 1], *profile_at(index >> m, n - 1, every)],
                     truthful, manipulated,
                 )
                 return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
@@ -637,7 +552,7 @@ def check_rules_coincide_on_unit_class(
         "max_agents": max_agents,
         "unit_costs": list(UNIT_COSTS),
     }
-    for instance, _ in _class_members(_unit_class(max_projects), max_agents):
+    for instance, _ in class_members(_unit_class(max_projects), max_agents):
         ids = instance.ids
         for n in range(1, max_agents + 1):
             for scores in itertools.product(range(n + 1), repeat=len(ids)):

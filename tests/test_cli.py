@@ -544,6 +544,14 @@ class TestExitCodes:
         assert main(["replay", str(path)]) == 2
         assert "validation error: cap profiles must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["3", 1.5, True])
+    def test_replay_non_integer_cap_is_2(self, tmp_path, capsys, value):
+        # The caps themselves word the refusal of a stored cap that is no int.
+        path = stored_report(tmp_path, lambda data: data["caps"].update(profiles=value))
+        assert main(["replay", str(path)]) == 2
+        expected = f"validation error: cap profiles must be an integer >= 0, got {value!r}"
+        assert expected in capsys.readouterr().err
+
     def test_counterexample_still_exits_0(self, capsys):
         code = main([
             "check-fssp", "--fixture", "theorem-rfssp",

@@ -84,14 +84,14 @@ def test_every_cap_is_read():
 def test_oracles_import_no_kernel():
     # An oracle must not share the code it checks.  The allocation oracles
     # are held to the score kernels and their arguments, the search
-    # references to the searches and their value functions, and the
-    # equal-representation oracle to the Fraction scorer.
+    # references to the searches, the score grid they read and their value
+    # functions, and the equal-representation oracle to the Fraction scorer.
     imported = set(imported_modules(PACKAGE / "oracles.py"))
     shared = {
         name
         for name in imported
         if name.startswith("pbstages.allocation.") and name.endswith(("_kernel", ".kernel_args"))
-        or name.startswith(("pbstages.verification", "pbstages.strategy"))
+        or name.startswith(("pbstages.verification", "pbstages.strategy", "pbstages.grid"))
         or name == "pbstages.preferences.valuation"
         or name in {"pbstages.shortlisting.equal_representation", "pbstages.shortlisting._level_weights"}
     }
@@ -141,3 +141,43 @@ def test_one_resource_limit_raiser():
             )
         ]
     assert raisers == [("core.py", "check_cap")]
+
+
+def test_no_private_cross_module_imports():
+    # An underscore name belongs to its own module; what two modules of the
+    # package share is public.
+    private = [
+        (path.name, node.module, alias.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "pbstages")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private
+
+
+def test_one_grid_layout():
+    # ``grid.py`` alone knows where a kernel puts each score vector's
+    # outcome: no other module builds a kernel's arguments or the levels
+    # ``[range(...)] * m`` of a whole grid.
+    importers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "pbstages.allocation.kernel_args" in set(imported_modules(path))
+    }
+    assert importers == {"grid.py"}
+    builders = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and isinstance(node.left, ast.List)
+        and any(
+            isinstance(item, ast.Call) and getattr(item.func, "id", None) == "range"
+            for item in node.left.elts
+        )
+    }
+    assert builders == {"grid.py"}

@@ -17,6 +17,7 @@ from pbstages.allocation import (
     score_kernel,
 )
 from pbstages.fixtures import load_fixture
+from pbstages.grid import ballot_box, box_maxima, offset, score_grid
 from pbstages.oracles import (
     approval_maximising_oracle,
     greedy_approval_oracle,
@@ -38,8 +39,6 @@ from pbstages.suites import (
 from pbstages.verification import (
     COUNTEREXAMPLE,
     HOLDS,
-    _box_max,
-    _first_profiles,
     _refutations,
     aggregate,
     check_allocation_axiom,
@@ -558,32 +557,61 @@ class TestGridClosedForms:
     """The score grid's one-pass box maxima and first-profile indices against brute force."""
 
     @settings(deadline=None, max_examples=100)
-    @given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2))
-    def test_box_max_matches_brute_force(self, data, m, n, extra):
-        side = n + 1 + extra
+    @given(st.data(), st.integers(1, 4), st.integers(1, 4))
+    def test_box_max_matches_brute_force(self, data, m, n):
+        side = n + 1
         keys = data.draw(st.lists(st.integers(0, 50), min_size=side**m, max_size=side**m))
-        best = _box_max(list(keys), side, m)
+        keyed = []
+
+        def key(outcome):
+            keyed.append(outcome)
+            return outcome
+
+        best = {low: top for low, _, top in box_maxima(keys, key, n, m)}
+        assert sorted(keyed) == sorted(set(keys))
 
         def index(point):
             return sum(t * side**j for j, t in enumerate(point))
 
-        for point in itertools.product(range(side - 1), repeat=m):
+        expected = {}
+        for point in itertools.product(range(n), repeat=m):
             corners = itertools.product(*[(t, t + 1) for t in point])
-            assert best[index(point)] == max(keys[index(c)] for c in corners)
+            expected[index(point)] = max(keys[index(c)] for c in corners)
+        assert best == expected
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("extra", [0, 1])
-    def test_first_profile_index_matches_product_scan(self, m, n, extra):
-        side = n + 1 + extra
+    def test_first_profile_index_matches_product_scan(self, m, n):
+        side = n + 1
         first = {}
         for position, masks in enumerate(itertools.product(range(2**m), repeat=n - 1)):
             scores = tuple(sum(mask >> j & 1 for mask in masks) for j in range(m))
             first.setdefault(scores, position)
-        points, indices = _first_profiles(n, m, side)
-        vectors = [tuple(p // side**j % side for j in range(m)) for p in points]
+        walk = list(box_maxima([frozenset()] * side**m, len, n, m))
+        vectors = [tuple(point // side**j % side for j in range(m)) for point, _, _ in walk]
         assert sorted(vectors) == sorted(first)
-        assert indices == [first[s] for s in vectors]
+        assert [index for _, index, _ in walk] == [first[s] for s in vectors]
+
+    @pytest.mark.parametrize("rule", [greedy_approval, approval_maximising])
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_ballot_box_reads_the_score_grid(self, rule, data):
+        # Both readers of the layout agree: the unit box above s, by unit
+        # call or by point calls, holds the outcome of each ballot B at
+        # s + 1_B on the whole grid, index(s) + offset(B).
+        m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        costs = data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+        instance = make_instance(costs, data.draw(st.integers(max(costs), sum(costs))))
+        ids, every = instance.ids, subsets_ascending(instance.ids)
+        others = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+        own = data.draw(st.sampled_from(every))
+        scores = {pid: s + (pid in own) for pid, s in zip(ids, others)}
+        kernel = score_kernel(rule)
+        grid = score_grid(kernel, instance, n)
+        index = sum(s * (n + 1) ** j for j, s in enumerate(others))
+        expected = [grid[index + offset(ids, ballot, n + 1)] for ballot in every]
+        assert list(ballot_box(kernel, instance, scores, own)) == expected
+        assert list(ballot_box(kernel, instance, scores, own, every)) == expected
 
 
 class TestSecondStageSpAgainstOracles:
