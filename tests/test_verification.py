@@ -581,16 +581,26 @@ class TestGridClosedForms:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_first_profile_index_matches_product_scan(self, m, n):
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_first_profile_index_matches_product_scan(self, m, n, seed):
+        # The walk over a random grid against a scan of every profile of
+        # the n - 1 others: first profile per score vector, and the best
+        # outcome one more ballot reaches from it.
         side = n + 1
+        rng = Random(seed)
+        grid = [frozenset(rng.sample(range(m), rng.randint(0, m))) for _ in range(side**m)]
         first = {}
         for position, masks in enumerate(itertools.product(range(2**m), repeat=n - 1)):
             scores = tuple(sum(mask >> j & 1 for mask in masks) for j in range(m))
             first.setdefault(scores, position)
-        walk = list(box_maxima([frozenset()] * side**m, len, n, m))
+        walk = list(box_maxima(grid, len, n, m))
         vectors = [tuple(point // side**j % side for j in range(m)) for point, _, _ in walk]
         assert sorted(vectors) == sorted(first)
         assert [index for _, index, _ in walk] == [first[s] for s in vectors]
+        ids = list(range(m))
+        for point, _, best in walk:
+            reached = (grid[point + offset(ids, ballot, side)] for ballot in subsets_ascending(ids))
+            assert best == max(map(len, reached))
 
     @pytest.mark.parametrize("rule", [greedy_approval, approval_maximising])
     @settings(deadline=None, max_examples=100)
