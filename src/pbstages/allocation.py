@@ -202,11 +202,12 @@ def approval_maximising_kernel(
     so the slots are walked depth first from the last one: each node of
     that tree above slot 0 builds one row, and each leaf runs the forward
     pass.  A unit box over m slots costs 2^m - 2 rows instead of m - 1 per
-    point.
+    point.  Rows stop at the total cost, a budget every set fits.
     """
     m = len(ids)
     if m == 0:
         return [frozenset()]
+    budget = min(budget, sum(costs))
     listed = _listed(ids, costs, budget, policy)
     scores = [0] * m
     rows: list = [None] * m + [[0] * (budget + 1)]

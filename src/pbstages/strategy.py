@@ -27,7 +27,7 @@ from pbstages.core import (
     tiebreak_family,
 )
 from pbstages.allocation import approval_scores, score_kernel
-from pbstages.grid import ScoreKernel, ballot_box, box_maxima, profile_at, score_grid
+from pbstages.grid import ballot_box, box_maxima, profile_at, score_grid
 from pbstages.preferences import check_model, check_ranking, ideal_set, valuation
 from pbstages.shortlisting import check_proposals, proposal_union
 from pbstages.verification import (
@@ -155,7 +155,7 @@ def _outcome_key(value: Callable[[frozenset[int]], int], ids: Sequence[int]) -> 
 
 
 def _fstar_outcomes(
-    kernel: ScoreKernel,
+    grid: list[frozenset[int]],
     instance: Instance,
     agents: int,
     agent: int,
@@ -174,14 +174,13 @@ def _fstar_outcomes(
     {0..n-1}^m, which her ballot B moves to s + 1_B.  So her best response
     at s maximises :func:`_outcome_key` over the box s + {0,1}^m: the
     outcome's value under her ideal set, then the canonical tie-break.
-    One call of the rule's score ``kernel`` returns the outcome at every
-    point of {0..n}^m, and :func:`~pbstages.grid.box_maxima` gives each
-    s's box maximum with the index of the others' first profile summing
-    to s, in product order.
+    ``grid``, :func:`~pbstages.grid.score_grid` of ``agents`` ballots on
+    ``instance``, holds the outcome at every point of {0..n}^m for any
+    agent, and :func:`~pbstages.grid.box_maxima` gives each s's box
+    maximum with the index of the others' first profile summing to s.
     """
     ids = instance.ids
     m = len(ids)
-    grid = score_grid(kernel, instance, agents)
     rank = _outcome_key(valuation(model, ideal, instance), ids)
     # The index of the others' first profile reaching each key.
     first: dict[int, int] = {}
@@ -241,16 +240,18 @@ class _Sides:
     The shortlist depends only on the proposal profile, and what a
     shortlist yields the manipulator only on the shortlist and her index:
     the anticipated outcome when everyone votes their ideal sets, or every
-    best-response outcome over the others' profiles.  A search holds one
-    ``_Sides`` for its game, so deviations that reach a shortlist already
-    seen reuse its side.  This is where a first-stage search is charged
-    against ``caps.profiles``: each exhaustive side its (2^m)^n profiles,
-    once, and the search fails when the charges pass the cap.
+    best-response outcome over the others' profiles, read off one score
+    grid per shortlist that all agents share, its outcomes deduplicated.
+    A search holds one ``_Sides`` for its game and ``mode``, so deviations
+    that reach a shortlist already seen reuse its side.  Every side a
+    search computes or skips is charged: an exhaustive side its (2^m)^n
+    profiles against ``caps.profiles``, once, an anticipated side its
+    shortlist against ``caps.ballots`` (``charge`` when it is skipped).
     """
 
-    def __init__(self, game: StageGame, caps: Caps):
+    def __init__(self, game: StageGame, caps: Caps, mode: str):
         # The memos close over the run's state, not ``self``: a run leaves no cycle.
-        self.game = game
+        self.game, self.mode = game, mode
         kernel = score_kernel(game.allocation_rule)
         profiles = 0
 
@@ -273,22 +274,35 @@ class _Sides:
             return profile, outcome
 
         @functools.cache
-        def outcomes(
-            shortlist: frozenset[int], agent: int
-        ) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
-            """:func:`_fstar_outcomes` of the agent on the shortlist, for her ideal set on it."""
+        def charge(shortlist: frozenset[int], agent: int) -> None:
             nonlocal profiles
+            if mode == "anticipative":
+                check_cap(len(shortlist), caps.ballots, "best-response enumeration", "projects")
+                return
             profiles += (2 ** len(shortlist)) ** game.agents
             check_cap(
                 profiles, caps.profiles, "first-stage search",
                 "profiles over its distinct shortlists so far",
             )
+
+        @functools.cache
+        def grid(shortlist: frozenset[int]) -> list[frozenset[int]]:
+            points = score_grid(kernel, game.instance.restrict(shortlist), game.agents)
+            return list(map({outcome: outcome for outcome in points}.__getitem__, points))
+
+        @functools.cache
+        def outcomes(
+            shortlist: frozenset[int], agent: int
+        ) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
+            """:func:`_fstar_outcomes` of the agent on the shortlist, for her ideal set on it."""
+            charge(shortlist, agent)
             return _fstar_outcomes(
-                kernel, game.instance.restrict(shortlist), game.agents,
+                grid(shortlist), game.instance.restrict(shortlist), game.agents,
                 agent, game.top_on(agent, shortlist), game.model,
             )
 
         self.shortlist, self.anticipated, self.outcomes = shortlist, anticipated, outcomes
+        self.charge = charge
 
 
 def check_manipulation(
@@ -310,7 +324,7 @@ def check_manipulation(
     check_mode(mode)
     check_agents([agent], game.agents)
     deviation = game.instance.check_subset(deviation, "deviation")
-    verdict, witness = _check_deviation(_Sides(game, caps), game.proposals, agent, deviation, mode)
+    verdict, witness = _check_deviation(_Sides(game, caps, mode), game.proposals, agent, deviation)
     return ManipulationResult(verdict, None if witness is None else witness())
 
 
@@ -319,14 +333,15 @@ def _check_deviation(
     proposals: tuple[frozenset[int], ...],
     agent: int,
     deviation: frozenset[int],
-    mode: str,
+    prune: bool = False,
 ) -> tuple[str, Callable[[], dict] | None]:
-    """:func:`check_manipulation` of ``sides.game`` from the baseline ``proposals``.
+    """:func:`check_manipulation` of ``sides.game`` and ``sides.mode`` from ``proposals``.
 
     Each side is looked up in ``sides``.  Returns the verdict and, when
-    there is a witness, the function that builds it.
+    there is a witness, the function that builds it.  ``prune`` applies
+    the value bound of :func:`check_fssp`.
     """
-    game = sides.game
+    game, mode = sides.game, sides.mode
     base_shortlist = sides.shortlist(proposals)
     deviated = tuple(deviation if i == agent else p for i, p in enumerate(proposals))
     dev_shortlist = sides.shortlist(deviated)
@@ -356,6 +371,9 @@ def _check_deviation(
 
     if mode == "anticipative":
         base_profile, base_out = sides.anticipated(base_shortlist, agent)
+        if prune and value(dev_shortlist) <= value(base_out):
+            sides.charge(dev_shortlist, agent)
+            return UNSUCCESSFUL, None
         dev_profile, dev_out = sides.anticipated(dev_shortlist, agent)
         verdict = SUCCESSFUL if value(dev_out) > value(base_out) else UNSUCCESSFUL
         return verdict, witness(base_profile, dev_profile, base_out, dev_out)
@@ -366,6 +384,9 @@ def _check_deviation(
         return UNSUCCESSFUL, None
 
     base_outs = sides.outcomes(base_shortlist, agent)
+    if prune and value(dev_shortlist) <= min(map(value, base_outs)):
+        sides.charge(dev_shortlist, agent)
+        return UNSUCCESSFUL, None
     dev_outs = sides.outcomes(dev_shortlist, agent)
     verdict, pair = _judge_outcomes(mode, base_outs, dev_outs, value)
     if pair is None:
@@ -386,14 +407,16 @@ def check_fssp(
     unrestricted agents may also propose anything already proposed by
     others, and their honest baseline is the ideal set of that larger
     pool.  Reports the first successful deviation in canonical order.
-    Each side of the checks is computed once per call, and the call fails
-    with ``ResourceLimitError`` once the profiles of its distinct
-    exhaustive sides add up past ``caps.profiles``.
+    Every outcome on a deviation shortlist D lies in D, so a D worth no
+    more than the baseline's worst outcome fails and its side is skipped.
+    Each other side is computed once per call, and the call fails with
+    ``ResourceLimitError`` once the profiles of its distinct exhaustive
+    sides, skipped ones included, add up past ``caps.profiles``.
     """
     check_variant(variant)
     check_mode(mode)
     proposals = game.proposals
-    sides = _Sides(game, caps)
+    sides = _Sides(game, caps, mode)
     checked = 0
     params = {"variant": variant, "mode": mode, "model": game.model}
     for agent in range(game.agents):
@@ -405,7 +428,7 @@ def check_fssp(
             if deviation == truthful:
                 continue
             checked += 1
-            verdict, witness = _check_deviation(sides, baseline, agent, deviation, mode)
+            verdict, witness = _check_deviation(sides, baseline, agent, deviation, True)
             if verdict == SUCCESSFUL:
                 witness = witness() | {
                     "variant": variant, "truthful_proposal": ids_list(truthful)
@@ -548,7 +571,8 @@ def check_nomination_fssp_class(
             check_cap(
                 (2 ** len(shortlist)) ** n, caps.profiles, "nomination class side", "profiles"
             )
-            return _fstar_outcomes(kernel, instance.restrict(shortlist), n, 0, top, model)
+            restricted = instance.restrict(shortlist)
+            return _fstar_outcomes(score_grid(kernel, restricted, n), restricted, n, 0, top, model)
 
         @functools.cache
         def successful(

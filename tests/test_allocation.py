@@ -244,6 +244,23 @@ class TestScoreKernels:
             for point in points
         ]
 
+    @settings(deadline=None, max_examples=100)
+    @given(kernel_grids(), st.data())
+    def test_maximising_kernel_at_budgets_past_total_cost(self, case, data):
+        # Every set fits, so the outcome is that of a budget equal to the
+        # total cost; the knapsack rows must not grow with the budget.
+        small, levels = case
+        total = sum(p.cost for p in small.projects)
+        budget = data.draw(st.one_of(st.integers(total, total + 3), st.integers(total, 10**30)))
+        instance = make_instance([p.cost for p in small.projects], budget)
+        points = grid_points(levels)
+        policy = data.draw(st.none() | st.just(draw_policy(data, instance, points[0])))
+        got = approval_maximising_kernel(*kernel_args(instance), levels, policy)
+        assert got == [
+            approval_maximising_oracle(instance, realising_profile(instance, point), policy)
+            for point in points
+        ]
+
     @settings(deadline=None, max_examples=120)
     @given(kernel_grids(shapes=("box",)), st.booleans(), st.data())
     def test_box_matches_point_kernel_and_oracle(self, case, with_policy, data):

@@ -8,6 +8,7 @@ from pbstages import cli, shortlisting
 from pbstages.cli import main
 from pbstages.core import Instance, Project
 from pbstages.fixtures import load_fixture
+from pbstages.oracles import approval_maximising_oracle
 from pbstages.scenario import (
     AgentSpec,
     ScenarioDocument,
@@ -500,6 +501,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"validation error: cannot write report {output}:" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_approval_maximising_with_huge_budget(self, tmp_path, capsys):
+        # The knapsack rows must stop at the total cost: a list of 10^30
+        # entries cannot be built.
+        data = document_to_dict(load_fixture("example1"))
+        data["instance"]["budget"] = 10**30
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        code, report = run_cli(
+            capsys, "allocate", "--scenario", str(path), "--rule", "approval-maximising",
+            "--no-timing",
+        )
+        assert code == 0
+        instance = parse_scenario(path).instance
+        ballots = [frozenset(b) for b in report["results"]["ballots"]]
+        expected = approval_maximising_oracle(instance, ballots)
+        assert report["results"]["allocation"] == sorted(expected)
 
     def test_resource_limit_is_3(self, capsys):
         code = main([

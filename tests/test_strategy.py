@@ -14,6 +14,7 @@ from pbstages.core import (
     Project,
     ResourceLimitError,
     ValidationError,
+    subsets_ascending,
 )
 from pbstages import strategy
 from pbstages.allocation import (
@@ -28,6 +29,7 @@ from pbstages.oracles import (
     fstar_outcomes_oracle,
     greedy_approval_oracle,
 )
+from pbstages.grid import score_grid
 from pbstages.preferences import ideal_set, valuation
 from pbstages.shortlisting import equal_representation, euclidean_metric, k_median, nomination
 from pbstages.strategy import (
@@ -245,7 +247,9 @@ class TestFStarOutcomes:
         model = data.draw(st.sampled_from(["overlap", "cost"]))
         fast, slow = data.draw(rule_and_oracle(instance))
         kernel = score_kernel(fast)
-        grid = strategy._fstar_outcomes(kernel, instance, agents, agent, ideal, model)
+        grid = strategy._fstar_outcomes(
+            score_grid(kernel, instance, agents), instance, agents, agent, ideal, model
+        )
         ordered = fstar_outcomes_oracle(slow, instance, agents, agent, ideal, model)
         assert list(grid.items()) == list(ordered.items())
 
@@ -258,6 +262,37 @@ def four_project_game():
         allocation_rule=greedy_approval,
         rankings=((1, 2, 3, 4), (4, 3, 2, 1)),
         awareness=(fs(1, 2, 3), fs(2, 3, 4)),
+        model="overlap",
+    )
+
+
+def plain_fssp(game, variant, mode):
+    """check_fssp's first witness and count, one check_manipulation per deviation."""
+    checked = 0
+    for agent in range(game.agents):
+        truthful = game.truthful_proposal(agent, variant)
+        baseline = dataclasses.replace(game, proposals=tuple(
+            truthful if i == agent else p for i, p in enumerate(game.proposals)
+        ))
+        for deviation in subsets_ascending(game.deviation_pool(agent, variant)):
+            if deviation != truthful:
+                checked += 1
+                result = check_manipulation(baseline, agent, deviation, mode)
+                if result.successful:
+                    return result.witness, checked
+    return None, checked
+
+
+def skipping_game():
+    """A game where no deviation can beat its baseline: agent 1's truthful
+    {1} is funded on every baseline, and agent 2 values only project 3,
+    which no deviation of hers keeps on the shortlist."""
+    return StageGame(
+        instance=unit_instance(3, 1),
+        shortlist_rule=nomination,
+        allocation_rule=greedy_approval,
+        rankings=((1, 2, 3), (3, 1, 2)),
+        awareness=(fs(1, 2), fs(3)),
         model="overlap",
     )
 
@@ -431,21 +466,31 @@ class TestCheckFssp:
         assert hashlib.sha256(blob).hexdigest() == self.SEEDED_GAMES_SHA256
 
     def test_each_side_computed_once_per_run(self, monkeypatch):
-        calls = []
-        search = strategy._fstar_outcomes
+        calls, grids = [], []
+        search, build = strategy._fstar_outcomes, strategy.score_grid
 
-        def counted(kernel, instance, agents, agent, ideal, model):
+        def counted(grid, instance, agents, agent, ideal, model):
             calls.append((instance.ids, ideal, agent))
-            return search(kernel, instance, agents, agent, ideal, model)
+            return search(grid, instance, agents, agent, ideal, model)
+
+        def counted_grid(kernel, instance, n):
+            grids.append(instance.ids)
+            return build(kernel, instance, n)
 
         monkeypatch.setattr(strategy, "_fstar_outcomes", counted)
+        monkeypatch.setattr(strategy, "score_grid", counted_grid)
         game = four_project_game()
         first = check_fssp(game, "unrestricted", "pessimistic")
         assert first.holds and first.checked == 30
-        assert len(calls) == len(set(calls)) == 8
+        # The value bound skips the other sides: 4 computed, not 8.
+        assert len(calls) == len(set(calls)) == 4
+        # Both agents' sides on (1, 2, 3, 4) read one grid.
+        assert sorted(grids) == sorted({ids for ids, _, _ in calls})
+        assert len(grids) == 3
         calls.clear()
+        grids.clear()
         second = check_fssp(game, "unrestricted", "pessimistic")
-        assert len(calls) == 8
+        assert len(calls) == 4 and len(grids) == 3
         assert second.to_jsonable() == first.to_jsonable()
 
     @pytest.mark.parametrize("allocation_name", ["greedy-approval", "approval-maximising"])
@@ -472,6 +517,63 @@ class TestCheckFssp:
             check_fssp(game, "restricted", "pessimistic", Caps(profiles=512))
         verdict = check_fssp(game, "restricted", "pessimistic", Caps(profiles=800))
         assert verdict.to_jsonable() == check_fssp(game, "restricted", "pessimistic").to_jsonable()
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_matches_plain_loop_of_manipulation_checks(self, data):
+        # check_fssp shares sides and skips those the value bound rules out;
+        # the plain loop checks each deviation on its own, computing both sides.
+        m = data.draw(st.integers(3, 4))
+        costs = data.draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+        instance = make_instance(costs, data.draw(st.integers(max(costs), sum(costs))))
+        agents = data.draw(st.integers(2, 3))
+        subsets = st.sets(st.sampled_from(instance.ids), min_size=1).map(frozenset)
+        er2 = functools.partial(equal_representation, k=2)
+        game = StageGame(
+            instance=instance,
+            shortlist_rule=data.draw(st.sampled_from([nomination, er2])),
+            allocation_rule=allocation_rule(
+                data.draw(st.sampled_from(["greedy-approval", "approval-maximising"]))
+            ),
+            rankings=tuple(data.draw(st.permutations(instance.ids)) for _ in range(agents)),
+            awareness=tuple(data.draw(subsets) for _ in range(agents)),
+            model=data.draw(st.sampled_from(["overlap", "cost"])),
+        )
+        for variant in ("restricted", "unrestricted"):
+            for mode in ("pessimistic", "optimistic", "anticipative"):
+                verdict = check_fssp(game, variant, mode)
+                witness, checked = plain_fssp(game, variant, mode)
+                assert verdict.checked == checked
+                if witness is None:
+                    assert verdict.holds
+                else:
+                    got = dict(verdict.witness)
+                    del got["variant"], got["truthful_proposal"]
+                    assert got == witness
+
+    @pytest.mark.parametrize("mode", ["pessimistic", "optimistic"])
+    def test_profile_cap_charges_skipped_sides(self, monkeypatch, mode):
+        # The run computes only the two baseline sides on (1, 3), 2 * (2^2)^2
+        # = 32 profiles; every deviation side is skipped by the value bound,
+        # and its charge alone takes the run past a cap of 32.
+        calls = []
+        search = strategy._fstar_outcomes
+        monkeypatch.setattr(strategy, "_fstar_outcomes",
+                            lambda *args: calls.append(args[1].ids) or search(*args))
+        game = skipping_game()
+        assert check_fssp(game, "restricted", mode).holds
+        assert calls == [(1, 3), (1, 3)]
+        with pytest.raises(ResourceLimitError, match="needs 36 profiles"):
+            check_fssp(game, "restricted", mode, Caps(profiles=32))
+
+    def test_ballot_cap_charges_skipped_anticipative_sides(self):
+        # Anticipated sides are computed on (1, 3) only; the skipped
+        # deviation to (1, 2) reaches the 3-project shortlist (1, 2, 3).
+        game = skipping_game()
+        with pytest.raises(ResourceLimitError, match="best-response enumeration needs 3"):
+            check_fssp(game, "restricted", "anticipative", Caps(ballots=2))
+        verdict = check_fssp(game, "restricted", "anticipative", Caps(ballots=3))
+        assert verdict.holds and verdict.checked == 4
 
     def test_deviation_pool_cap(self):
         # Restricted pools are the 3-project awareness sets; unrestricted
@@ -505,8 +607,6 @@ class TestImplicationLattice:
     def test_pessimistic_success_implies_optimistic_success(self):
         # an exact pessimistic witness always contains a strict pair, which
         # by itself is an optimistic witness
-        from pbstages.core import subsets_ascending
-
         game = crossed_awareness_game()
         successes = 0
         for agent in range(game.agents):
