@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
+import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -202,12 +203,16 @@ def approval_maximising_kernel(
     so the slots are walked depth first from the last one: each node of
     that tree above slot 0 builds one row, and each leaf runs the forward
     pass.  A unit box over m slots costs 2^m - 2 rows instead of m - 1 per
-    point.  Rows stop at the total cost, a budget every set fits.
+    point.  Rows count in units of the costs' gcd g (a set fits exactly
+    when its cost over g fits the budget over g, rounded down) and stop at
+    the total cost, a budget every set fits.
     """
     m = len(ids)
     if m == 0:
         return [frozenset()]
-    budget = min(budget, sum(costs))
+    unit = math.gcd(*costs)
+    costs = [cost // unit for cost in costs]
+    budget = min(budget // unit, sum(costs))
     listed = _listed(ids, costs, budget, policy)
     scores = [0] * m
     rows: list = [None] * m + [[0] * (budget + 1)]

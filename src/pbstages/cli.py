@@ -21,6 +21,7 @@ from pbstages.core import Caps, ResourceLimitError, ValidationError
 from pbstages.allocation import ALLOCATION_RULES
 from pbstages.fixtures import fixture_names, load_fixture, run_bundled_suite
 from pbstages.operations import SHORTLIST_RULES, run
+from pbstages.preferences import MODELS
 from pbstages.scenario import (
     ScenarioDocument,
     document_to_dict,
@@ -132,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-ssp", help="search for a voting-stage manipulation")
     p.add_argument("--rule", choices=ALLOCATION_RULES, required=True)
-    p.add_argument("--model", choices=("overlap", "cost"), default="overlap")
+    p.add_argument("--model", choices=MODELS, default="overlap")
     p.add_argument("--approximate", action="store_true")
     p.add_argument(
         "--search", choices=("auto", "full", "fixed-others"), default="auto",
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=SHORTLIST_RULES, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--allocation-rule", choices=ALLOCATION_RULES, required=True)
-    p.add_argument("--model", choices=("overlap", "cost"), default="overlap")
+    p.add_argument("--model", choices=MODELS, default="overlap")
     p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--mode", choices=MODES, required=True)
     metric_flag(p)

@@ -203,13 +203,14 @@ def _judge_outcomes(
     dev_outcomes: Collection[frozenset[int]],
     value: Callable[[frozenset[int]], int],
 ) -> tuple[str, tuple[frozenset[int], frozenset[int]] | None]:
-    """Pessimistic or optimistic verdict from the outcomes each shortlist can yield.
+    """The verdict of any mode from the outcomes each shortlist can yield.
 
     Optimistic success needs one deviation-side outcome better than one
     baseline-side outcome.  Pessimistic success also needs every
     deviation-side outcome at least as good as every baseline-side one.
+    An anticipative side holds one outcome, so both tests read one pair.
     Returns the (baseline, deviation) outcome pair that decides the
-    verdict, or ``None`` when no pair does.
+    verdict, or ``None`` when no pair does (never in anticipative mode).
     """
     base_min = min(base_outcomes, key=value)
     base_max = max(base_outcomes, key=value)
@@ -219,7 +220,7 @@ def _judge_outcomes(
         return UNSUCCESSFUL, (base_max, dev_min)
     if value(dev_max) > value(base_min):
         return SUCCESSFUL, (base_min, dev_max)
-    return UNSUCCESSFUL, None
+    return UNSUCCESSFUL, (base_min, dev_max) if mode == "anticipative" else None
 
 
 @dataclass
@@ -234,19 +235,28 @@ class ManipulationResult:
         return self.verdict == SUCCESSFUL
 
 
+def _shared_grid(
+    kernel: Callable, instance: Instance, shortlist: frozenset[int], n: int
+) -> list[frozenset[int]]:
+    """:func:`~pbstages.grid.score_grid` on the shortlist, one object per distinct outcome."""
+    points = score_grid(kernel, instance.restrict(shortlist), n)
+    return list(map({outcome: outcome for outcome in points}.__getitem__, points))
+
+
 class _Sides:
     """Each side of a game's manipulation checks, computed once per search.
 
     The shortlist depends only on the proposal profile, and what a
     shortlist yields the manipulator only on the shortlist and her index:
-    the anticipated outcome when everyone votes their ideal sets, or every
-    best-response outcome over the others' profiles, read off one score
-    grid per shortlist that all agents share, its outcomes deduplicated.
-    A search holds one ``_Sides`` for its game and ``mode``, so deviations
-    that reach a shortlist already seen reuse its side.  Every side a
-    search computes or skips is charged: an exhaustive side its (2^m)^n
-    profiles against ``caps.profiles``, once, an anticipated side its
-    shortlist against ``caps.ballots`` (``charge`` when it is skipped).
+    ``side`` maps each outcome she can reach to a profile reaching it.  An
+    anticipated side is her best response to everyone's ideal sets, read
+    off one ballot box; any other is every best-response outcome over the
+    others' profiles, read off one score grid per shortlist that all
+    agents share.  A search holds one ``_Sides`` for its game and
+    ``mode``, so deviations that reach a shortlist already seen reuse its
+    side.  ``charge`` charges every side a search computes or skips once:
+    an exhaustive side its (2^m)^n profiles against ``caps.profiles``, an
+    anticipated side its shortlist against ``caps.ballots``.
     """
 
     def __init__(self, game: StageGame, caps: Caps, mode: str):
@@ -262,18 +272,6 @@ class _Sides:
             )
 
         @functools.cache
-        def anticipated(
-            shortlist: frozenset[int], agent: int
-        ) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
-            """Everyone's ideal set on the shortlist, and the outcome of her best response."""
-            profile = tuple(game.top_on(i, shortlist) for i in range(game.agents))
-            _, outcome = best_response(
-                game.allocation_rule, game.instance.restrict(shortlist), profile, agent,
-                profile[agent], game.model, caps,
-            )
-            return profile, outcome
-
-        @functools.cache
         def charge(shortlist: frozenset[int], agent: int) -> None:
             nonlocal profiles
             if mode == "anticipative":
@@ -285,24 +283,27 @@ class _Sides:
                 "profiles over its distinct shortlists so far",
             )
 
-        @functools.cache
-        def grid(shortlist: frozenset[int]) -> list[frozenset[int]]:
-            points = score_grid(kernel, game.instance.restrict(shortlist), game.agents)
-            return list(map({outcome: outcome for outcome in points}.__getitem__, points))
+        grid = functools.cache(functools.partial(_shared_grid, kernel, game.instance))
 
         @functools.cache
-        def outcomes(
+        def side(
             shortlist: frozenset[int], agent: int
         ) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
-            """:func:`_fstar_outcomes` of the agent on the shortlist, for her ideal set on it."""
             charge(shortlist, agent)
-            return _fstar_outcomes(
-                grid(shortlist), game.instance.restrict(shortlist), game.agents,
-                agent, game.top_on(agent, shortlist), game.model,
+            restricted = game.instance.restrict(shortlist)
+            if mode != "anticipative":
+                return _fstar_outcomes(
+                    grid(shortlist, game.agents), restricted, game.agents,
+                    agent, game.top_on(agent, shortlist), game.model,
+                )
+            profile = tuple(game.top_on(i, shortlist) for i in range(game.agents))
+            box = ballot_box(
+                kernel, restricted, approval_scores(restricted, profile), profile[agent]
             )
+            key = _outcome_key(valuation(game.model, profile[agent], restricted), restricted.ids)
+            return {max(set(box), key=key): profile}
 
-        self.shortlist, self.anticipated, self.outcomes = shortlist, anticipated, outcomes
-        self.charge = charge
+        self.shortlist, self.side, self.charge = shortlist, side, charge
 
 
 def check_manipulation(
@@ -319,7 +320,8 @@ def check_manipulation(
     compares best-response outcomes per the mode.  Every verdict is exact:
     pessimistic and optimistic checks charge each distinct shortlist its
     (2^m)^n profiles once, and raise ``ResourceLimitError`` when the
-    charges pass ``caps.profiles``.
+    charges pass ``caps.profiles``; anticipative checks refuse a
+    shortlist of more than ``caps.ballots`` projects.
     """
     check_mode(mode)
     check_agents([agent], game.agents)
@@ -350,49 +352,37 @@ def _check_deviation(
     ideal = greedy_scan(game.instance, [pid for pid in game.rankings[agent] if pid in pool])
     value = valuation(game.model, ideal, game.instance)
 
-    def witness(base_profile, dev_profile, base_outcome, dev_outcome) -> Callable[[], dict]:
-        return lambda: {
-            "kind": "first-stage-manipulation",
-            "agent": agent + 1,
-            "mode": mode,
-            "model": game.model,
-            "deviation": ids_list(deviation),
-            "baseline_proposal": ids_list(proposals[agent]),
-            "baseline_shortlist": ids_list(base_shortlist),
-            "deviation_shortlist": ids_list(dev_shortlist),
-            "comparison_ideal": ids_list(ideal),
-            "baseline_profile": [ids_list(b) for b in base_profile],
-            "deviation_profile": [ids_list(b) for b in dev_profile],
-            "baseline_outcome": ids_list(base_outcome),
-            "deviation_outcome": ids_list(dev_outcome),
-            "baseline_value": value(base_outcome),
-            "deviation_value": value(dev_outcome),
-        }
-
-    if mode == "anticipative":
-        base_profile, base_out = sides.anticipated(base_shortlist, agent)
-        if prune and value(dev_shortlist) <= value(base_out):
-            sides.charge(dev_shortlist, agent)
-            return UNSUCCESSFUL, None
-        dev_profile, dev_out = sides.anticipated(dev_shortlist, agent)
-        verdict = SUCCESSFUL if value(dev_out) > value(base_out) else UNSUCCESSFUL
-        return verdict, witness(base_profile, dev_profile, base_out, dev_out)
-
     # Identical shortlists draw both sides' outcomes from one set, so no
     # strict pair can coexist with universal weak improvement.
     if mode == "pessimistic" and base_shortlist == dev_shortlist:
         return UNSUCCESSFUL, None
 
-    base_outs = sides.outcomes(base_shortlist, agent)
-    if prune and value(dev_shortlist) <= min(map(value, base_outs)):
+    base_side = sides.side(base_shortlist, agent)
+    if prune and value(dev_shortlist) <= min(map(value, base_side)):
         sides.charge(dev_shortlist, agent)
         return UNSUCCESSFUL, None
-    dev_outs = sides.outcomes(dev_shortlist, agent)
-    verdict, pair = _judge_outcomes(mode, base_outs, dev_outs, value)
+    dev_side = sides.side(dev_shortlist, agent)
+    verdict, pair = _judge_outcomes(mode, base_side, dev_side, value)
     if pair is None:
         return verdict, None
     base_out, dev_out = pair
-    return verdict, witness(base_outs[base_out], dev_outs[dev_out], base_out, dev_out)
+    return verdict, lambda: {
+        "kind": "first-stage-manipulation",
+        "agent": agent + 1,
+        "mode": mode,
+        "model": game.model,
+        "deviation": ids_list(deviation),
+        "baseline_proposal": ids_list(proposals[agent]),
+        "baseline_shortlist": ids_list(base_shortlist),
+        "deviation_shortlist": ids_list(dev_shortlist),
+        "comparison_ideal": ids_list(ideal),
+        "baseline_profile": [ids_list(b) for b in base_side[base_out]],
+        "deviation_profile": [ids_list(b) for b in dev_side[dev_out]],
+        "baseline_outcome": ids_list(base_out),
+        "deviation_outcome": ids_list(dev_out),
+        "baseline_value": value(base_out),
+        "deviation_value": value(dev_out),
+    }
 
 
 def check_fssp(
@@ -562,9 +552,11 @@ def check_nomination_fssp_class(
     )
     for instance in class_members(instances, max_agents):
         # A side (every best-response outcome on a shortlist) depends only on
-        # the shortlist, the manipulator's ideal set on it and n: each is computed once.
+        # the shortlist, the manipulator's ideal set on it and n, and its grid
+        # only on the shortlist and n: each is computed once.
         ideal = functools.cache(functools.partial(ideal_set, instance))
         value = functools.cache(lambda top: functools.cache(valuation(model, top, instance)))
+        grid = functools.cache(functools.partial(_shared_grid, kernel, instance))
 
         @functools.cache
         def side(shortlist: frozenset[int], top: frozenset[int], n: int) -> dict:
@@ -572,7 +564,7 @@ def check_nomination_fssp_class(
                 (2 ** len(shortlist)) ** n, caps.profiles, "nomination class side", "profiles"
             )
             restricted = instance.restrict(shortlist)
-            return _fstar_outcomes(score_grid(kernel, restricted, n), restricted, n, 0, top, model)
+            return _fstar_outcomes(grid(shortlist, n), restricted, n, 0, top, model)
 
         @functools.cache
         def successful(

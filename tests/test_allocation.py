@@ -261,6 +261,26 @@ class TestScoreKernels:
             for point in points
         ]
 
+    @settings(deadline=None, max_examples=100)
+    @given(kernel_grids(), st.integers(1, 10**30), st.data())
+    def test_maximising_kernel_on_scaled_costs(self, case, factor, data):
+        # The rows count in units of the costs' gcd, so multiplying every
+        # cost and the budget by one factor, plus less than the factor on
+        # the budget, changes no outcome and no row length.
+        small, levels = case
+        points = grid_points(levels)
+        policy = data.draw(st.none() | st.just(draw_policy(data, small, points[0])))
+        instance = make_instance(
+            [p.cost * factor for p in small.projects],
+            small.budget * factor + data.draw(st.integers(0, factor - 1)),
+        )
+        want = approval_maximising_kernel(*kernel_args(small), levels, policy)
+        assert approval_maximising_kernel(*kernel_args(instance), levels, policy) == want
+        assert want == [
+            approval_maximising_oracle(instance, realising_profile(instance, point), policy)
+            for point in points
+        ]
+
     @settings(deadline=None, max_examples=120)
     @given(kernel_grids(shapes=("box",)), st.booleans(), st.data())
     def test_box_matches_point_kernel_and_oracle(self, case, with_policy, data):

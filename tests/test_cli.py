@@ -519,6 +519,25 @@ class TestExitCodes:
         expected = approval_maximising_oracle(instance, ballots)
         assert report["results"]["allocation"] == sorted(expected)
 
+    def test_approval_maximising_with_huge_costs(self, tmp_path, capsys):
+        # The rows count in units of the costs' gcd, 10^29 here, so they
+        # are as short as for the unscaled example.
+        data = document_to_dict(load_fixture("example1"))
+        data["instance"]["budget"] *= 10**29
+        for project in data["instance"]["projects"]:
+            project["cost"] *= 10**29
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        code, report = run_cli(
+            capsys, "allocate", "--scenario", str(path), "--rule", "approval-maximising",
+            "--no-timing",
+        )
+        assert code == 0
+        assert report["results"]["allocation"] == [1, 2, 3]
+        instance = parse_scenario(path).instance
+        ballots = [frozenset(b) for b in report["results"]["ballots"]]
+        assert approval_maximising_oracle(instance, ballots) == {1, 2, 3}
+
     def test_resource_limit_is_3(self, capsys):
         code = main([
             "shortlist", "--fixture", "example1",

@@ -143,6 +143,20 @@ def test_one_resource_limit_raiser():
     assert raisers == [("core.py", "check_cap")]
 
 
+def test_no_module_calls_best_response():
+    # ``strategy.best_response`` validates its input for outside callers;
+    # the searches read the same ballot box without it, so it stays an
+    # entry point and never runs inside a search loop.
+    callers = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "best_response"
+    ]
+    assert not callers
+
+
 def test_no_private_cross_module_imports():
     # An underscore name belongs to its own module; what two modules of the
     # package share is public.

@@ -365,6 +365,55 @@ class TestCheckManipulation:
         with pytest.raises(ResourceLimitError):
             check_manipulation(game, 0, fs(1), "optimistic", Caps(profiles=15))
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_anticipative_matches_best_response_oracle(self, data):
+        # Each side recomputed on whole profiles: the oracle's best response
+        # to everyone's ideal sets on the shortlist, valued by plain sums.
+        m = data.draw(st.integers(3, 4))
+        costs = data.draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+        instance = make_instance(costs, data.draw(st.integers(max(costs), sum(costs))))
+        agents = data.draw(st.integers(2, 3))
+        subsets = st.sets(st.sampled_from(instance.ids)).map(frozenset)
+        rule, oracle = data.draw(st.sampled_from([
+            (greedy_approval, greedy_approval_oracle),
+            (allocation_rule("approval-maximising"), approval_maximising_oracle),
+        ]))
+        game = StageGame(
+            instance=instance,
+            shortlist_rule=data.draw(st.sampled_from(
+                [nomination, functools.partial(equal_representation, k=2)]
+            )),
+            allocation_rule=rule,
+            rankings=tuple(data.draw(st.permutations(instance.ids)) for _ in range(agents)),
+            awareness=tuple(data.draw(subsets.filter(bool)) for _ in range(agents)),
+            model=data.draw(st.sampled_from(["overlap", "cost"])),
+        )
+        agent = data.draw(st.integers(0, agents - 1))
+        deviation = data.draw(subsets)
+        result = check_manipulation(game, agent, deviation, "anticipative")
+
+        deviated = tuple(deviation if i == agent else p for i, p in enumerate(game.proposals))
+        shortlists = [game.shortlist_rule(instance, p) for p in (game.proposals, deviated)]
+        outcomes, profiles = [], []
+        for shortlist in map(instance.restrict, shortlists):
+            profile = tuple(ideal_set(instance, r, shortlist.ids) for r in game.rankings)
+            _, outcome = best_response_oracle(
+                oracle, shortlist, profile, agent, profile[agent], game.model
+            )
+            outcomes.append(outcome)
+            profiles.append([sorted(b) for b in profile])
+        ideal = ideal_set(instance, game.rankings[agent], shortlists[0] | shortlists[1])
+        worth = {"overlap": len, "cost": instance.total_cost}[game.model]
+        base, dev = (worth(ideal & outcome) for outcome in outcomes)
+        assert result.successful == (dev > base)
+        witness = result.witness
+        assert [witness["baseline_outcome"], witness["deviation_outcome"]] == [
+            sorted(outcome) for outcome in outcomes
+        ]
+        assert [witness["baseline_profile"], witness["deviation_profile"]] == profiles
+        assert [witness["baseline_value"], witness["deviation_value"]] == [base, dev]
+
 
     @pytest.mark.parametrize("agent", [-1, 2, True, 1.0])
     def test_agent_index_checked(self, agent):
