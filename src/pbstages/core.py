@@ -38,7 +38,9 @@ class Caps:
         Xeon, the slowest of 30 seeded unions of 20 with 2-6 agents, k = 1
         and a budget near half the total cost takes 0.06 s.
     partitions : int
-        The m proposed projects of "median-set search", which tries 2^m median sets.
+        The m proposed projects of "median-set search", which tries 2^m median
+        sets.  It does not bound the valid partitions that ``k_median_outcome``
+        lists at the least radius, up to Bell(m); ``k_median`` lists none.
     domination : int
         Union of proposals for "domination search".
     ballots : int

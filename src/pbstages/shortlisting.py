@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -318,11 +318,17 @@ def table_metric(ids: Iterable[int], entries: Iterable[tuple[int, int, float]]) 
 
 
 def geometric_median(pids: Iterable[int], metric: Metric) -> int:
-    """The project minimising the summed distance to the set, ties to lowest index."""
+    """The project minimising the summed distance to the set, ties to lowest index.
+
+    Each candidate's distances are summed in ascending order, so two
+    candidates whose distances are the same multiset get the same float
+    sum.  Other exact ties, such as sqrt(2) + sqrt(8) = sqrt(18), are still
+    decided on float sums.
+    """
     pids = sorted(set(pids))
     if not pids:
         raise ValidationError("geometric median of an empty set is undefined")
-    sums = {p: sum(metric.distance(p, q) for q in pids) for p in pids}
+    sums = {p: sum(sorted(metric.distance(p, q) for q in pids)) for p in pids}
     best = min(sums.values())
     return tiebreak_project([p for p in pids if sums[p] == best])
 
@@ -362,55 +368,58 @@ class VoronoiPartition:
         return True
 
 
-def _minimal_partitions(
+def _radius_groups(
     instance: Instance,
     pids: Iterable[int],
     k: int,
     metric: Metric,
     caps: Caps,
-) -> tuple[float, list[VoronoiPartition]]:
-    """The least radius of a valid clustering, and every clustering valid at it.
+) -> Iterator[tuple[float, list[Iterator[VoronoiPartition]]]]:
+    """The affordable median sets grouped by radius, least radius first.
 
-    A valid clustering is fixed by its median set M and, for each project
-    outside M, which of its nearest members of M it joins: each median sits
-    in its own cluster, since :func:`geometric_median` returns a member.
-    M's radius, the largest distance from a project to its nearest member
-    of M, does not depend on those choices.  So every affordable M gets its
-    radius from a subset recurrence over bitmasks, and the median sets are
-    tried in ascending order of radius, each over its tie assignments,
-    until a radius has a valid clustering: one in which every cluster's
-    geometric median is its own median.  Nearness and radii compare stored
-    distances exactly.  The clusterings come back in canonical order.
+    A median set M's radius is the least stored distance d at which M
+    dominates the graph "i is within d of j": every project is within d of
+    some member of M (the threshold view of Hochbaum and Shmoys's k-center
+    heuristic).  The distinct stored distances are taken in ascending
+    order.  At each d, every project's ball, the projects within d of it,
+    is a bitmask, and the cover of every mask, the union of its members'
+    balls, is built by doubling over the projects; the mask costs are
+    built the same way, once.  The group at d holds the affordable masks
+    that cover every project at d and at no smaller distance; empty groups
+    are skipped.  Distances are compared as stored, with ``<=`` and
+    ``==``, never with a tolerance.
+
+    The j-th smallest id holds bit m - 1 - j, so descending masks run in
+    the order of :func:`~pbstages.core.tiebreak_family`, and so does each
+    group.  It holds, for each of its median sets, a lazy iterator over the
+    set's valid clusterings: each project outside M joins one of its
+    nearest members of M, each median sits in its own cluster
+    (:func:`geometric_median` returns a member), and a clustering is valid
+    when every cluster's geometric median is its own median.
     """
     pids = sorted(pids)
     check_cap(len(pids), caps.partitions, "median-set search", "projects")
     m = len(pids)
     dist = [[metric.distance(p, q) for q in pids] for p in pids]
     limit = k * instance.budget
-    costs = [instance.cost(pid) for pid in pids]
-    cost = [0] * (1 << m)
-    # near[mask][i]: the distance from project i to its nearest member of mask
-    near = {0: [math.inf] * m}
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        cost[mask] = cost[mask ^ low] + costs[i]
-        if cost[mask] <= limit:
-            near[mask] = list(map(min, near[mask ^ low], dist[i]))
-    del near[0]
+    bits = [1 << (m - 1 - j) for j in range(m)]
+    full = (1 << m) - 1
+    cost = [0]
+    for j in reversed(range(m)):
+        c = instance.cost(pids[j])
+        cost += [spent + c for spent in cost]
+    pending = [mask for mask in reversed(range(1, 1 << m)) if cost[mask] <= limit]
     medians_of: dict[tuple[int, ...], int] = {}
-    found: list[VoronoiPartition] = []
-    ell = 0.0
-    for radius, mask in sorted((max(row), mask) for mask, row in near.items()):
-        if found and radius > ell:
-            break
-        ell = radius
-        row = near[mask]
-        medians = [j for j in range(m) if mask >> j & 1]
-        choices = [
-            [i] if mask >> i & 1 else [j for j in medians if dist[i][j] == row[i]]
-            for i in range(m)
-        ]
+
+    def clusterings(mask: int) -> Iterator[VoronoiPartition]:
+        medians = [j for j in range(m) if mask & bits[j]]
+        choices = []
+        for i, row in enumerate(dist):
+            if mask & bits[i]:
+                choices.append([i])
+            else:
+                own = min(row[j] for j in medians)
+                choices.append([j for j in medians if row[j] == own])
         for assignment in itertools.product(*choices):
             clusters: dict[int, list[int]] = {j: [] for j in medians}
             for i, j in enumerate(assignment):
@@ -423,14 +432,42 @@ def _minimal_partitions(
                     break
             else:
                 ordered = sorted(clusters.items(), key=lambda item: item[1][0])
-                found.append(
-                    VoronoiPartition(
-                        tuple(frozenset(members) for _, members in ordered),
-                        tuple(pids[j] for j, _ in ordered),
-                    )
+                yield VoronoiPartition(
+                    tuple(frozenset(members) for _, members in ordered),
+                    tuple(pids[j] for j, _ in ordered),
                 )
-    found.sort(key=lambda partition: [sorted(c) for c in partition.clusters])
-    return ell, found
+
+    for d in sorted({x for row in dist for x in row}):
+        cover = [0]
+        for j in reversed(range(m)):
+            ball = sum(bit for bit, x in zip(bits, dist[j]) if x <= d)
+            cover += [covered | ball for covered in cover]
+        group = [mask for mask in pending if cover[mask] == full]
+        if group:
+            pending = [mask for mask in pending if cover[mask] != full]
+            yield d, [clusterings(mask) for mask in group]
+
+
+def _minimal_partitions(
+    instance: Instance,
+    pids: Iterable[int],
+    k: int,
+    metric: Metric,
+    caps: Caps,
+) -> tuple[float, list[VoronoiPartition]]:
+    """The least radius of a valid clustering, and every clustering valid at it.
+
+    Reads :func:`_radius_groups` up to the first radius at which some median
+    set has a valid clustering, and lists every valid clustering of every
+    median set of that radius: all their tie assignments, which can number
+    Bell(m).  The clusterings come back in canonical order.
+    """
+    for ell, group in _radius_groups(instance, pids, k, metric, caps):
+        found = [partition for clusterings in group for partition in clusterings]
+        if found:
+            found.sort(key=lambda partition: [sorted(c) for c in partition.clusters])
+            return ell, found
+    raise AssertionError("unreachable: the union's geometric median alone is a valid median set")
 
 
 @dataclass(frozen=True)
@@ -440,6 +477,14 @@ class ClusteringOutcome:
     ell: float
     partitions: tuple[VoronoiPartition, ...]
     shortlist: frozenset[int]
+
+
+def _checked_union(
+    instance: Instance, proposals: Sequence[Iterable[int]], k: int
+) -> frozenset[int]:
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    return proposal_union(check_proposals(instance, proposals))
 
 
 def k_median_outcome(
@@ -456,10 +501,7 @@ def k_median_outcome(
     sets.  The partitions are sorted by their lists of sorted clusters, with
     clusters ordered by their least member.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    proposals = check_proposals(instance, proposals)
-    union = proposal_union(proposals)
+    union = _checked_union(instance, proposals, k)
     if not union:
         return ClusteringOutcome(0.0, (), frozenset())
     ell, partitions = _minimal_partitions(instance, union, k, metric, caps)
@@ -474,5 +516,20 @@ def k_median(
     metric: Metric,
     caps: Caps = Caps(),
 ) -> frozenset[int]:
-    """Cluster the proposed projects and shortlist one median per cluster."""
-    return k_median_outcome(instance, proposals, k, metric, caps).shortlist
+    """Cluster the proposed projects and shortlist one median per cluster.
+
+    The shortlist of :func:`k_median_outcome`, found without listing the
+    partitions: :func:`_radius_groups` is read up to the least radius at
+    which a median set has a valid clustering, that radius's median sets
+    are tried in canonical tie-break order, and the first one with one
+    valid clustering is the shortlist.
+    """
+    union = _checked_union(instance, proposals, k)
+    if not union:
+        return frozenset()
+    for _, group in _radius_groups(instance, union, k, metric, caps):
+        for clusterings in group:
+            partition = next(clusterings, None)
+            if partition is not None:
+                return partition.median_set
+    raise AssertionError("unreachable: the union's geometric median alone is a valid median set")

@@ -92,13 +92,13 @@ class TestCommands:
 
     def test_kmedian_shortlist_searches_once(self, capsys, monkeypatch):
         calls = []
-        search = shortlisting._minimal_partitions
+        search = shortlisting._radius_groups
 
         def counted(*args, **kwargs):
             calls.append(args)
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(shortlisting, "_minimal_partitions", counted)
+        monkeypatch.setattr(shortlisting, "_radius_groups", counted)
         code, report = run_cli(
             capsys,
             "shortlist", "--fixture", "kmedian-relocation",

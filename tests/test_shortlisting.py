@@ -371,6 +371,13 @@ class TestGeometricMedian:
         with pytest.raises(ValidationError):
             geometric_median(fs(), table_metric([1], []))
 
+    def test_equal_distance_multisets_tie_to_lowest_index(self):
+        # Projects 1 and 4 are both at distances sqrt(8), sqrt(13), sqrt(17)
+        # from the others; summed in id order, the two float sums differ in
+        # their last bit and project 4 came out lower.
+        instance = make_instance([1] * 4, 4, [(2, 4), (0, 2), (5, 2), (3, 0)])
+        assert geometric_median(fs(1, 2, 3, 4), euclidean_metric(instance)) == 1
+
 
 class TestMinimalRadius:
     def test_single_project(self):
@@ -464,6 +471,19 @@ class TestKMedian:
             recomputed = tuple(geometric_median(c, metric) for c in partition.clusters)
             assert recomputed == partition.medians
 
+    @pytest.mark.parametrize("m", [10, 12])
+    def test_colocated_projects_answer_without_listing_partitions(self, m):
+        # Every one of the 2^m - 1 median sets has radius 0 and Bell(m)
+        # partitions are valid; the shortlist is the first median set in
+        # canonical order with one valid clustering: all of them.
+        instance = unit_instance(m, m)
+        ids = list(instance.ids)
+        metric = table_metric(ids, [(a, b, 0.0) for a in ids for b in ids if a < b])
+        started = time.perf_counter()
+        assert k_median(instance, [instance.ids], 1, metric) == frozenset(ids)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"{m} co-located projects took {elapsed:.2f}s"
+
     def test_matches_oracle_on_random_coordinate_instances(self):
         rng = Random(23)
         for _ in range(60):
@@ -530,3 +550,13 @@ class TestKMedianProperties:
         ell, partitions = flat_minimal_partitions(instance, proposals, k, metric)
         assert outcome.ell == ell
         assert list(outcome.partitions) == partitions
+
+    @settings(deadline=None, max_examples=80)
+    @given(clustering_cases())
+    def test_shortlist_stops_at_the_listed_tie_break(self, case):
+        instance, proposals, k, metric = case
+        assert (
+            k_median(instance, proposals, k, metric)
+            == k_median_outcome(instance, proposals, k, metric).shortlist
+            == k_median_oracle(instance, proposals, k, metric)
+        )
