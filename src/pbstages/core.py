@@ -36,7 +36,7 @@ class Caps:
     subset_search : int
         Union of proposals for "equal-representation search".  On a 2-vCPU
         Xeon, the slowest of 30 seeded unions of 20 with 2-6 agents, k = 1
-        and a budget near half the total cost takes 0.06 s.
+        and a budget near half the total cost takes 0.02-0.04 s.
     partitions : int
         The m proposed projects of "median-set search", which tries 2^m median
         sets.  It does not bound the valid partitions that ``k_median_outcome``

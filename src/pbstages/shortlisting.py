@@ -110,21 +110,13 @@ def equal_representation(
     on the score scaled by n^H to integers (:func:`_level_weights`).
     Agents with equal proposals always hold equal counts, so they are
     merged into one class whose level weights are multiplied by its size;
-    n stays the number of agents.  A node is pruned once a bound on its
-    gain cannot beat the best leaf strictly.  Two bounds are tried in turn:
-
-    - the fractional-knapsack (Dantzig) bound over the residual budget: the
-      remaining projects that still fit, at their proposers' next marginal
-      weight under the current counts, taken whole in order of exact
-      weight-per-cost ratio, the first that no longer fits taken
-      fractionally and rounded up;
-    - the per-class level bound: each class gains at most its next T level
-      weights, where T is the largest number of its remaining projects that
-      fit the residual budget together, taken cheapest first.  No
-      completion selects more than T of them.
-
-    Marginal weights only shrink as projects are added, so neither bound
-    falls below the true gain and no maximiser is pruned.
+    n stays the number of agents.  A node is pruned once the per-class
+    level bound on its gain cannot beat the best leaf strictly: each class
+    gains at most its next T level weights, where T is the largest number
+    of its remaining projects that fit the residual budget together, taken
+    cheapest first.  No completion selects more than T of them, and level
+    weights only shrink, so the bound never falls below the true gain and
+    no maximiser is pruned.
 
     The include branch is taken first, so leaves arrive in the order of
     :func:`~pbstages.core.tiebreak_family`: the first leaf at the best score
@@ -146,9 +138,6 @@ def equal_representation(
     # class_weights[c][level]: the gain of class c's (level+1)-th selected project
     class_weights = [[size * w for w in weights] for size in sizes.values()]
     m = len(union)
-    # Weight-per-cost ratios compare exactly as integers v * (scale // c).
-    scale = math.lcm(*costs)
-    per_cost = [scale // cost for cost in costs]
     proposers = [[c for c, block in enumerate(classes) if pid in block] for pid in union]
     # (cost, position) of each class's projects, cheapest first
     by_cost = [sorted((costs[j], j) for j in range(m) if union[j] in block) for block in classes]
@@ -161,22 +150,9 @@ def equal_representation(
     def walk(pos: int, spent: int, score: int) -> None:
         nonlocal best_score, best
         room = limit - spent
-        # (exact ratio key, marginal, cost, position) of each project left that fits
-        items = []
-        total = total_cost = 0
-        for j in range(pos, m):
-            cost = costs[j]
-            if cost <= room:
-                gain = 0
-                for c in proposers[j]:
-                    gain += class_weights[c][counts[c]]
-                items.append((gain * per_cost[j], gain, cost, j))
-                total += gain
-                total_cost += cost
-        if score + total <= best_score:
-            return
-        if total_cost <= room:
-            taken = [c for *_, j in items for c in proposers[j]]
+        fits = [j for j in range(pos, m) if costs[j] <= room]
+        if sum(costs[j] for j in fits) <= room:
+            taken = [c for j in fits for c in proposers[j]]
             for c in taken:
                 score += class_weights[c][counts[c]]
                 counts[c] += 1
@@ -184,19 +160,7 @@ def equal_representation(
                 counts[c] -= 1
             if score > best_score:
                 best_score = score
-                best = chosen + [union[j] for *_, j in items]
-            return
-        first = items[0][3]
-        items.sort(reverse=True)
-        bound = 0
-        left = room
-        for _, gain, cost, _ in items:
-            if cost > left:
-                bound -= -gain * left // cost
-                break
-            bound += gain
-            left -= cost
-        if score + bound <= best_score:
+                best = chosen + [union[j] for j in fits]
             return
         bound = 0
         for c, projects in enumerate(by_cost):
@@ -211,6 +175,7 @@ def equal_representation(
                     level += 1
         if score + bound <= best_score:
             return
+        first = fits[0]
         gain = 0
         for c in proposers[first]:
             gain += class_weights[c][counts[c]]
@@ -235,13 +200,17 @@ class Metric:
 
     Distances are stored per unordered pair, so symmetry holds by
     construction and equal distances compare equal exactly.  Validation
-    checks that distances are finite and non-negative, and the triangle
-    inequality (with a small float tolerance); distinct projects at
-    distance zero are allowed, which covers co-located projects.
+    checks that every pair names projects of ``ids``, that distances are
+    finite and non-negative, and the triangle inequality (with a small
+    float tolerance); distinct projects at distance zero are allowed, which
+    covers co-located projects.
     """
 
     def __init__(self, ids: Iterable[int], pair_distances: dict[tuple[int, int], float]):
         self.ids = tuple(sorted(set(ids)))
+        unknown = sorted({p for pair in pair_distances for p in pair}.difference(self.ids))
+        if unknown:
+            raise ValidationError(f"metric names unknown project ids {unknown}")
         self._dist: dict[tuple[int, int], float] = {}
         for a, b in itertools.combinations(self.ids, 2):
             key = (a, b)
@@ -299,14 +268,13 @@ def table_metric(ids: Iterable[int], entries: Iterable[tuple[int, int, float]]) 
     """Metric from an explicit distance table.
 
     Entries may list each pair once in either orientation; listing both
-    orientations with different values is a symmetry violation.
+    orientations with different values is a symmetry violation.  Every
+    entry, a zero self-distance included, must name projects of ``ids``.
     """
     pairs: dict[tuple[int, int], float] = {}
     for a, b, value in entries:
-        if a == b:
-            if float(value) != 0.0:
-                raise ValidationError(f"distance of project {a} to itself must be 0")
-            continue
+        if a == b and float(value) != 0.0:
+            raise ValidationError(f"distance of project {a} to itself must be 0")
         key = (a, b) if a < b else (b, a)
         if key in pairs and pairs[key] != float(value):
             raise ValidationError(
@@ -448,28 +416,6 @@ def _radius_groups(
             yield d, [clusterings(mask) for mask in group]
 
 
-def _minimal_partitions(
-    instance: Instance,
-    pids: Iterable[int],
-    k: int,
-    metric: Metric,
-    caps: Caps,
-) -> tuple[float, list[VoronoiPartition]]:
-    """The least radius of a valid clustering, and every clustering valid at it.
-
-    Reads :func:`_radius_groups` up to the first radius at which some median
-    set has a valid clustering, and lists every valid clustering of every
-    median set of that radius: all their tie assignments, which can number
-    Bell(m).  The clusterings come back in canonical order.
-    """
-    for ell, group in _radius_groups(instance, pids, k, metric, caps):
-        found = [partition for clusterings in group for partition in clusterings]
-        if found:
-            found.sort(key=lambda partition: [sorted(c) for c in partition.clusters])
-            return ell, found
-    raise AssertionError("unreachable: the union's geometric median alone is a valid median set")
-
-
 @dataclass(frozen=True)
 class ClusteringOutcome:
     """Full result of a clustering rule: radius, partitions, and shortlist."""
@@ -496,17 +442,24 @@ def k_median_outcome(
 ) -> ClusteringOutcome:
     """The clustering shortlist with its minimal radius and valid partitions.
 
-    Every valid partition at the minimal radius contributes its median set;
-    the shortlist is the canonical tie-break over that family of median
-    sets.  The partitions are sorted by their lists of sorted clusters, with
-    clusters ordered by their least member.
+    Reads :func:`_radius_groups` up to the first radius at which some median
+    set has a valid clustering, and lists every valid clustering of every
+    median set of that radius: all their tie assignments, which can number
+    Bell(m).  Each contributes its median set; the shortlist is the
+    canonical tie-break over that family of median sets.  The partitions
+    are sorted by their lists of sorted clusters, with clusters ordered by
+    their least member.
     """
     union = _checked_union(instance, proposals, k)
     if not union:
         return ClusteringOutcome(0.0, (), frozenset())
-    ell, partitions = _minimal_partitions(instance, union, k, metric, caps)
-    shortlist = tiebreak_family([p.median_set for p in partitions])
-    return ClusteringOutcome(ell, tuple(partitions), shortlist)
+    for ell, group in _radius_groups(instance, union, k, metric, caps):
+        found = [partition for clusterings in group for partition in clusterings]
+        if found:
+            found.sort(key=lambda partition: [sorted(c) for c in partition.clusters])
+            shortlist = tiebreak_family([p.median_set for p in found])
+            return ClusteringOutcome(ell, tuple(found), shortlist)
+    raise AssertionError("unreachable: the union's geometric median alone is a valid median set")
 
 
 def k_median(

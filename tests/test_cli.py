@@ -471,9 +471,13 @@ class TestExitCodes:
         lambda data: data.update(tiebreak=3),
         lambda data: data.update(metric=5),
         lambda data: data.update(metric={"kind": "table", "entries": [[1, 2, "x"]]}),
+        lambda data: data.update(metric={
+            "kind": "table", "entries": [[1, 2, 1], [1, 3, 1], [2, 3, 1], [9, 9, 0]],
+        }),
         # json reads NaN: a project at [NaN, 0] is refused, not shortlisted.
         lambda data: data["instance"]["projects"][0].update(coords=[float("nan"), 0.0]),
-    ], ids=["agent", "project", "tiebreak", "metric", "table-entry", "nan-coords"])
+    ], ids=["agent", "project", "tiebreak", "metric", "table-entry", "table-unknown-id",
+            "nan-coords"])
     def test_malformed_scenario_is_2(self, tmp_path, capsys, edit):
         data = {
             "instance": {

@@ -176,6 +176,12 @@ class TestParsing:
         (setting("metric", value={
             "kind": "table", "entries": [[1, 2, float("inf")], [1, 3, 1], [2, 3, 1]],
         }), r"^scenario\.metric: non-finite distance inf for pair \(1, 2\)$"),
+        # Table entries, self-pairs included, name only the instance's projects.
+        (setting("metric", value={"kind": "table", "entries": [[1, 2, 1.0], [1, 9, 5.0]]}),
+         r"^scenario\.metric: metric names unknown project ids \[9\]$"),
+        (setting("metric", value={
+            "kind": "table", "entries": [[1, 2, 1], [1, 3, 1], [2, 3, 1], [9, 9, 0]],
+        }), r"^scenario\.metric: metric names unknown project ids \[9\]$"),
         (setting("tiebreak", value={"kind": "priority", "allocations": [[1], [9]]}),
          r"^scenario\.tiebreak\.allocations\[1\]: priority allocation contains unknown "
          r"project ids \[9\]$"),

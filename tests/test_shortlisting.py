@@ -222,11 +222,36 @@ class TestEqualRepresentationProperties:
         assert integer_score == representation_score(subset, proposals) * n**top
 
 
+def mid_union_case(seed):
+    """A seeded union of 10-14 projects with 3-12 agents, costs 1-6 and k in {1, 2}."""
+    rng = Random(seed)
+    instance = random_instance(rng, min_projects=10, max_projects=14, max_cost=6)
+    agents = rng.randint(3, 12)
+    proposals = random_proposals(rng, instance, agents)
+    while not 10 <= len(nomination(instance, proposals)) <= 14:
+        proposals = random_proposals(rng, instance, agents)
+    return instance, proposals, rng.randint(1, 2)
+
+
+# Seeds of mid_union_case on which the fractional-knapsack bound, which the
+# search once tried before the level bound, pruned 7-39 nodes: the cases
+# that lean on the level bound alone where it used to share the work.
+KNAPSACK_PRUNED_SEEDS = [13, 38, 44, 49, 76, 163]
+
+
+@pytest.mark.parametrize("seed", KNAPSACK_PRUNED_SEEDS)
+def test_matches_oracle_where_knapsack_bound_pruned(seed):
+    instance, proposals, k = mid_union_case(seed)
+    assert equal_representation(instance, proposals, k) == (
+        equal_representation_oracle(instance, proposals, k)
+    )
+
+
 def union_20_cases():
     """30 seeded unions of 20 projects with 2-6 agents and proposals of 8-20.
 
-    Costs are 1-9 and the budget is within 3 of half the total cost, the
-    regime in which the knapsack bound alone stays loose.
+    Costs are 1-9 and the budget is within 3 of half the total cost, so
+    about half the union fits and the search visits the most nodes.
     """
     rng = Random(19)
     cases = []
@@ -314,6 +339,12 @@ class TestMetric:
          r"^projects have coordinates of mixed dimension$"),
         (lambda: table_metric([1, 2], [(1, 2, 1.0), (2, 2, 0.5)]),
          r"^distance of project 2 to itself must be 0$"),
+        (lambda: table_metric([1, 2], [(1, 2, 1.0), (1, 9, 5.0)]),
+         r"^metric names unknown project ids \[9\]$"),
+        (lambda: table_metric([1, 2], [(1, 2, 1.0), (7, 8, -3.0)]),
+         r"^metric names unknown project ids \[7, 8\]$"),
+        (lambda: table_metric([1, 2], [(1, 2, 1.0), (9, 9, 0.0)]),
+         r"^metric names unknown project ids \[9\]$"),
     ])
     def test_invalid_metric_refused(self, build, message):
         with pytest.raises(ValidationError, match=message):
