@@ -5,14 +5,16 @@ Each oracle recomputes a rule's output by the most direct route available
 primitives) without any of the pruning or forcing tricks the production
 implementations use.  They exist to be slow and obviously correct.
 ``repaired_value`` does the same for the approximate strategyproofness
-bar, without the valuation code the search uses.  The last three
+bar, without the valuation code the search uses.  The last four
 references redo the strategyproofness searches by calling a rule on
-every whole profile, with no memo and no score grid, so any rule fits
-them, the oracles above included.
+every whole profile, with no score grid, so any rule fits them, the
+oracles above included; only ``fssp_oracle`` memoises, one side per
+(shortlist, agent) within a call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable, Iterable, Sequence
 
@@ -228,6 +230,95 @@ def fstar_outcomes_oracle(
         _, outcome = best_response_oracle(rule, instance, ballots, agent, ideal, model)
         out.setdefault(outcome, ballots)
     return out
+
+
+def fssp_oracle(
+    instance: Instance,
+    shortlist_rule: Callable[[Instance, Sequence[frozenset[int]]], Iterable[int]],
+    rule: Callable[[Instance, Sequence[frozenset[int]]], frozenset[int]],
+    rankings: Sequence[Sequence[int]],
+    awareness: Sequence[Iterable[int]],
+    model: str,
+    variant: str,
+    mode: str,
+) -> tuple[dict | None, int]:
+    """The first successful proposal deviation, by a plain scan, and the count tried.
+
+    The baseline profile has every agent propose the ideal set of her
+    awareness set.  Each agent in turn replaces her proposal with her
+    ideal set on her pool (her awareness set, plus every proposal when
+    ``variant`` is ``"unrestricted"``) and tries every other subset of
+    that pool, in :func:`~pbstages.core.subsets_ascending` order.  On each of the two
+    shortlists she best-responds: to everyone's ideal sets on it when
+    ``mode`` is ``"anticipative"``, else to every profile of the others
+    (:func:`fstar_outcomes_oracle`).  With values taken under her ideal
+    set on the union of both shortlists, a deviation succeeds when its
+    best outcome beats the baseline's worst, and in ``"pessimistic"`` mode
+    when, besides, no deviation outcome is worth less than any baseline
+    outcome.  Returns the witness in the search's format, or ``None``;
+    each (shortlist, agent) side is computed once per call.
+    """
+    worth = {"overlap": len, "cost": instance.total_cost}[model]
+
+    def top(ranking: Sequence[int], pool: frozenset[int]) -> frozenset[int]:
+        return greedy_select(instance, pool, [pid for pid in ranking if pid in pool])
+
+    proposals = [top(r, frozenset(a)) for r, a in zip(rankings, awareness)]
+
+    @functools.cache
+    def side(shortlist: frozenset[int], agent: int) -> dict:
+        restricted = instance.restrict(shortlist)
+        ideal = top(rankings[agent], shortlist)
+        if mode != "anticipative":
+            return fstar_outcomes_oracle(rule, restricted, len(rankings), agent, ideal, model)
+        profile = tuple(top(r, shortlist) for r in rankings)
+        return {best_response_oracle(rule, restricted, profile, agent, ideal, model)[1]: profile}
+
+    checked = 0
+    for agent, ranking in enumerate(rankings):
+        pool = frozenset(awareness[agent])
+        if variant == "unrestricted":
+            pool = pool.union(*proposals)
+        truthful = top(ranking, pool)
+        baseline = proposals[:agent] + [truthful] + proposals[agent + 1 :]
+        base_shortlist = frozenset(shortlist_rule(instance, baseline))
+        for deviation in subsets_ascending(pool):
+            if deviation == truthful:
+                continue
+            checked += 1
+            deviated = baseline[:agent] + [deviation] + baseline[agent + 1 :]
+            dev_shortlist = frozenset(shortlist_rule(instance, deviated))
+            ideal = top(ranking, base_shortlist | dev_shortlist)
+            base, dev = side(base_shortlist, agent), side(dev_shortlist, agent)
+            low = min(base, key=lambda outcome: worth(ideal & outcome))
+            high = max(dev, key=lambda outcome: worth(ideal & outcome))
+            if worth(ideal & high) <= worth(ideal & low):
+                continue
+            if mode == "pessimistic" and any(
+                worth(ideal & d) < worth(ideal & b) for b in base for d in dev
+            ):
+                continue
+            witness = {
+                "kind": "first-stage-manipulation",
+                "agent": agent + 1,
+                "mode": mode,
+                "model": model,
+                "deviation": sorted(deviation),
+                "baseline_proposal": sorted(truthful),
+                "baseline_shortlist": sorted(base_shortlist),
+                "deviation_shortlist": sorted(dev_shortlist),
+                "comparison_ideal": sorted(ideal),
+                "baseline_profile": [sorted(b) for b in base[low]],
+                "deviation_profile": [sorted(b) for b in dev[high]],
+                "baseline_outcome": sorted(low),
+                "deviation_outcome": sorted(high),
+                "baseline_value": worth(ideal & low),
+                "deviation_value": worth(ideal & high),
+                "variant": variant,
+                "truthful_proposal": sorted(truthful),
+            }
+            return witness, checked
+    return None, checked
 
 
 def second_stage_sp_oracle(

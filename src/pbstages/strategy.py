@@ -64,9 +64,10 @@ def check_variant(variant: str) -> str:
 class StageGame:
     """Everything a two-stage manipulation check needs.
 
-    ``proposals`` is the baseline proposal profile; when omitted, every
-    agent proposes the ideal set of her awareness set, and that profile
-    is stored in its place.
+    ``proposals`` is the baseline proposal profile, one block per agent;
+    when omitted, every agent proposes the ideal set of her awareness set,
+    and that profile is stored in its place.  Rankings are stored as
+    tuples and sets as frozensets, whatever containers the caller passed.
     """
 
     instance: Instance
@@ -84,17 +85,22 @@ class StageGame:
             raise ValidationError("strategyproofness needs at least one agent")
         if len(self.rankings) != len(self.awareness):
             raise ValidationError("one ranking and one awareness set per agent")
-        for ranking in self.rankings:
-            check_ranking(self.instance, ranking)
-        for aware in self.awareness:
-            self.instance.check_subset(aware, "awareness set")
+        store = functools.partial(object.__setattr__, self)
+        store("rankings", tuple(check_ranking(self.instance, r) for r in self.rankings))
+        store("awareness", tuple(
+            self.instance.check_subset(aware, "awareness set") for aware in self.awareness
+        ))
         # Unrestricted baselines may legitimately propose projects outside
         # the agent's own awareness set, so only universe membership is
         # checked here; scenario files are validated more strictly.
         if self.proposals is not None:
-            check_proposals(self.instance, self.proposals)
+            store("proposals", check_proposals(self.instance, self.proposals))
+            if len(self.proposals) != self.agents:
+                raise ValidationError(
+                    f"expected one proposal per agent ({self.agents}), got {len(self.proposals)}"
+                )
         else:
-            object.__setattr__(self, "proposals", tuple(
+            store("proposals", tuple(
                 ideal_set(self.instance, ranking, aware)
                 for ranking, aware in zip(self.rankings, self.awareness)
             ))
@@ -158,16 +164,15 @@ def _fstar_outcomes(
     grid: list[frozenset[int]],
     instance: Instance,
     agents: int,
-    agent: int,
     ideal: frozenset[int],
     model: str,
 ) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
     """Every best-response outcome over all ballot profiles of the others.
 
-    Returns each distinct outcome with the first full profile realising
-    it, in product order of the others' profiles, the manipulator's slot
-    holding her ideal set for readability.  Callers charge the (2^m)^n
-    profiles against ``caps.profiles``.
+    Returns each distinct outcome with the others' first profile realising
+    it, in product order of their profiles; the manipulator's slot is left
+    out, so one result serves every agent with this ideal set.  Callers
+    charge the (2^m)^n profiles against ``caps.profiles``.
 
     Her own ballot never matters (her best response replaces it), and the
     others reach the rule only through their summed score vector s in
@@ -190,10 +195,9 @@ def _fstar_outcomes(
     every = subsets_ascending(ids)
     out: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
     for key, index in sorted(first.items(), key=lambda item: item[1]):
-        rest = profile_at(index, agents - 1, every)
         # The key's low m bits are its outcome's characteristic vector.
         outcome = frozenset(pid for j, pid in enumerate(ids) if key >> m - 1 - j & 1)
-        out[outcome] = (*rest[:agent], ideal, *rest[agent:])
+        out[outcome] = tuple(profile_at(index, agents - 1, every))
     return out
 
 
@@ -247,15 +251,17 @@ class _Sides:
     """Each side of a game's manipulation checks, computed once per search.
 
     The shortlist depends only on the proposal profile, and what a
-    shortlist yields the manipulator only on the shortlist and her index:
-    ``side`` maps each outcome she can reach to a profile reaching it.  An
-    anticipated side is her best response to everyone's ideal sets, read
-    off one ballot box; any other is every best-response outcome over the
-    others' profiles, read off one score grid per shortlist that all
-    agents share.  A search holds one ``_Sides`` for its game and
-    ``mode``, so deviations that reach a shortlist already seen reuse its
-    side.  ``charge`` charges every side a search computes or skips once:
-    an exhaustive side its (2^m)^n profiles against ``caps.profiles``, an
+    shortlist yields the manipulator only on the shortlist and her ideal
+    set on it: ``outcomes`` maps each outcome she can reach to a profile
+    reaching it.  An anticipated side is her best response to everyone's
+    ideal sets, read off one ballot box; any other is every best-response
+    outcome over the others' profiles, read off one score grid per
+    shortlist that all agents share.  ``side`` is agent i's view, her
+    ideal set placed in slot i of each profile.  A search holds one
+    ``_Sides`` for its game and ``mode``, so deviations that reach a
+    shortlist already seen reuse its side.  ``charge`` charges every
+    (shortlist, agent) side a search computes or skips once: an
+    exhaustive side its (2^m)^n profiles against ``caps.profiles``, an
     anticipated side its shortlist against ``caps.ballots``.
     """
 
@@ -286,22 +292,27 @@ class _Sides:
         grid = functools.cache(functools.partial(_shared_grid, kernel, game.instance))
 
         @functools.cache
-        def side(
-            shortlist: frozenset[int], agent: int
-        ) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
-            charge(shortlist, agent)
+        def outcomes(shortlist: frozenset[int], ideal: frozenset[int]) -> dict:
             restricted = game.instance.restrict(shortlist)
             if mode != "anticipative":
                 return _fstar_outcomes(
-                    grid(shortlist, game.agents), restricted, game.agents,
-                    agent, game.top_on(agent, shortlist), game.model,
+                    grid(shortlist, game.agents), restricted, game.agents, ideal, game.model
                 )
+            # Everyone's ideal sets sum to one score vector per shortlist, so
+            # her ideal set alone fixes the others' scores.
             profile = tuple(game.top_on(i, shortlist) for i in range(game.agents))
-            box = ballot_box(
-                kernel, restricted, approval_scores(restricted, profile), profile[agent]
-            )
-            key = _outcome_key(valuation(game.model, profile[agent], restricted), restricted.ids)
+            box = ballot_box(kernel, restricted, approval_scores(restricted, profile), ideal)
+            key = _outcome_key(valuation(game.model, ideal, restricted), restricted.ids)
             return {max(set(box), key=key): profile}
+
+        @functools.cache
+        def side(shortlist: frozenset[int], agent: int) -> dict:
+            charge(shortlist, agent)
+            ideal = game.top_on(agent, shortlist)
+            found = outcomes(shortlist, ideal)
+            if mode == "anticipative":
+                return found
+            return {out: (*rest[:agent], ideal, *rest[agent:]) for out, rest in found.items()}
 
         self.shortlist, self.side, self.charge = shortlist, side, charge
 
@@ -397,6 +408,10 @@ def check_fssp(
     unrestricted agents may also propose anything already proposed by
     others, and their honest baseline is the ideal set of that larger
     pool.  Reports the first successful deviation in canonical order.
+    A verdict reads only the baseline and deviation shortlists, so each
+    (agent, reached shortlist) pair is judged once: a later deviation to
+    a shortlist already judged for her counts in ``checked`` but is
+    skipped, as an earlier success would have returned the same witness.
     Every outcome on a deviation shortlist D lies in D, so a D worth no
     more than the baseline's worst outcome fails and its side is skipped.
     Each other side is computed once per call, and the call fails with
@@ -414,10 +429,15 @@ def check_fssp(
         baseline = tuple(truthful if i == agent else p for i, p in enumerate(proposals))
         pool = game.deviation_pool(agent, variant)
         check_cap(len(pool), caps.ballots, "deviation enumeration", "projects")
+        judged = set()
         for deviation in subsets_ascending(pool):
             if deviation == truthful:
                 continue
             checked += 1
+            reached = sides.shortlist((*baseline[:agent], deviation, *baseline[agent + 1 :]))
+            if reached in judged:
+                continue
+            judged.add(reached)
             verdict, witness = _check_deviation(sides, baseline, agent, deviation, True)
             if verdict == SUCCESSFUL:
                 witness = witness() | {
@@ -564,7 +584,7 @@ def check_nomination_fssp_class(
                 (2 ** len(shortlist)) ** n, caps.profiles, "nomination class side", "profiles"
             )
             restricted = instance.restrict(shortlist)
-            return _fstar_outcomes(grid(shortlist, n), restricted, n, 0, top, model)
+            return _fstar_outcomes(grid(shortlist, n), restricted, n, top, model)
 
         @functools.cache
         def successful(

@@ -26,6 +26,8 @@ from pbstages.allocation import (
 from pbstages.oracles import (
     approval_maximising_oracle,
     best_response_oracle,
+    equal_representation_oracle,
+    fssp_oracle,
     fstar_outcomes_oracle,
     greedy_approval_oracle,
 )
@@ -248,10 +250,11 @@ class TestFStarOutcomes:
         fast, slow = data.draw(rule_and_oracle(instance))
         kernel = score_kernel(fast)
         grid = strategy._fstar_outcomes(
-            score_grid(kernel, instance, agents), instance, agents, agent, ideal, model
+            score_grid(kernel, instance, agents), instance, agents, ideal, model
         )
+        placed = [(out, (*rest[:agent], ideal, *rest[agent:])) for out, rest in grid.items()]
         ordered = fstar_outcomes_oracle(slow, instance, agents, agent, ideal, model)
-        assert list(grid.items()) == list(ordered.items())
+        assert placed == list(ordered.items())
 
 
 def four_project_game():
@@ -281,6 +284,31 @@ def plain_fssp(game, variant, mode):
                 if result.successful:
                     return result.witness, checked
     return None, checked
+
+
+def shared_ideal_game():
+    """Agents 1 and 2 rank alike, so they share an ideal set on every shortlist."""
+    return StageGame(
+        instance=unit_instance(3, 1),
+        shortlist_rule=nomination,
+        allocation_rule=greedy_approval,
+        rankings=((2, 1, 3), (2, 1, 3), (3, 1, 2)),
+        awareness=(fs(2), fs(3), fs(1)),
+        model="overlap",
+    )
+
+
+def uneven_cost_game(**fields):
+    """Three agents on projects costing 1, 1 and 2 with budget 2."""
+    return StageGame(**{
+        "instance": make_instance([1, 1, 2], 2),
+        "shortlist_rule": nomination,
+        "allocation_rule": greedy_approval,
+        "rankings": ((1, 2, 3), (3, 1, 2), (2, 3, 1)),
+        "awareness": (fs(1, 2), fs(3), fs(2, 3)),
+        "model": "overlap",
+        "proposals": (fs(1), fs(3), fs(2, 3)),
+    } | fields)
 
 
 def skipping_game():
@@ -453,6 +481,30 @@ class TestCheckFssp:
                 model="overlap",
             )
 
+    @pytest.mark.parametrize("proposals", [(), (fs(1),), (fs(1), fs(3), fs(2), fs(1))])
+    def test_one_proposal_block_per_agent(self, proposals):
+        # A profile of the wrong length once gave an exact "holds" over a
+        # malformed game.
+        with pytest.raises(ValidationError, match=r"one proposal per agent \(3\), got"):
+            uneven_cost_game(proposals=proposals)
+
+    @pytest.mark.parametrize("container", [list, set])
+    def test_plain_containers_match_frozensets(self, container):
+        game = uneven_cost_game()
+        plain = uneven_cost_game(
+            rankings=[list(r) for r in game.rankings],
+            awareness=[container(a) for a in game.awareness],
+            proposals=[container(p) for p in game.proposals],
+        )
+        assert plain == game
+        for mode in ("pessimistic", "optimistic", "anticipative"):
+            assert check_manipulation(plain, 0, [2], mode) == check_manipulation(
+                game, 0, fs(2), mode
+            )
+        assert {cell: v.to_jsonable() for cell, v in fssp_cells(plain).items()} == {
+            cell: v.to_jsonable() for cell, v in fssp_cells(game).items()
+        }
+
     @pytest.mark.parametrize("allocation_name", ["greedy-approval", "approval-maximising"])
     @pytest.mark.parametrize("mode", ["pessimistic", "anticipative"])
     def test_crossed_awareness_restricted_fails(self, allocation_name, mode):
@@ -518,9 +570,9 @@ class TestCheckFssp:
         calls, grids = [], []
         search, build = strategy._fstar_outcomes, strategy.score_grid
 
-        def counted(grid, instance, agents, agent, ideal, model):
-            calls.append((instance.ids, ideal, agent))
-            return search(grid, instance, agents, agent, ideal, model)
+        def counted(grid, instance, agents, ideal, model):
+            calls.append((instance.ids, ideal))
+            return search(grid, instance, agents, ideal, model)
 
         def counted_grid(kernel, instance, n):
             grids.append(instance.ids)
@@ -534,7 +586,7 @@ class TestCheckFssp:
         # The value bound skips the other sides: 4 computed, not 8.
         assert len(calls) == len(set(calls)) == 4
         # Both agents' sides on (1, 2, 3, 4) read one grid.
-        assert sorted(grids) == sorted({ids for ids, _, _ in calls})
+        assert sorted(grids) == sorted({ids for ids, _ in calls})
         assert len(grids) == 3
         calls.clear()
         grids.clear()
@@ -632,6 +684,95 @@ class TestCheckFssp:
             check_fssp(game, "unrestricted", "pessimistic", Caps(ballots=3))
         verdict = check_fssp(game, "restricted", "pessimistic", Caps(ballots=3))
         assert verdict.to_jsonable() == check_fssp(game, "restricted", "pessimistic").to_jsonable()
+
+    @pytest.mark.parametrize("mode, checked, judged", [
+        ("pessimistic", 30, 8), ("optimistic", 20, 6), ("anticipative", 30, 8),
+    ])
+    def test_deviations_to_one_shortlist_judged_once(self, monkeypatch, mode, checked, judged):
+        # Under nomination many deviations reach one shortlist; each
+        # (agent, shortlist) pair is judged once, every deviation counted.
+        want = plain_fssp(four_project_game(), "unrestricted", mode)
+        calls = []
+        search = strategy._check_deviation
+
+        def counted(sides, proposals, agent, deviation, prune=False):
+            deviated = tuple(deviation if i == agent else p for i, p in enumerate(proposals))
+            calls.append((agent, sides.shortlist(deviated)))
+            return search(sides, proposals, agent, deviation, prune)
+
+        monkeypatch.setattr(strategy, "_check_deviation", counted)
+        verdict = check_fssp(four_project_game(), "unrestricted", mode)
+        assert len(calls) == len(set(calls)) == judged
+        assert verdict.checked == want[1] == checked
+        if want[0] is None:
+            assert verdict.holds
+        else:
+            assert verdict.witness["deviation"] == [3]
+            assert {k: verdict.witness[k] for k in want[0]} == want[0]
+
+    @pytest.mark.parametrize("mode, computed, profiles", [
+        ("pessimistic", 4, 1728), ("optimistic", 2, 1152), ("anticipative", 3, None),
+    ])
+    def test_agents_with_one_ideal_set_share_a_side(self, monkeypatch, mode, computed, profiles):
+        # One computation per (shortlist, ideal set); the search computed 5,
+        # 3 and 4 when it keyed sides by (shortlist, agent).  The profile
+        # charge stays per (shortlist, agent), so the cap refuses where it did.
+        calls = []
+        search, box = strategy._fstar_outcomes, strategy.ballot_box
+        monkeypatch.setattr(strategy, "_fstar_outcomes",
+                            lambda *args: calls.append((args[1].ids, args[3])) or search(*args))
+        monkeypatch.setattr(strategy, "ballot_box",
+                            lambda *args: calls.append((args[1].ids, args[3])) or box(*args))
+        game = shared_ideal_game()
+        verdict = check_fssp(game, "restricted", mode)
+        assert len(calls) == len(set(calls)) == computed
+        if mode == "optimistic":
+            # Agent 2's witness reads the side agent 1's search computed.
+            assert verdict.witness["agent"] == 2
+            assert verdict.witness["baseline_profile"] == [[], [2], [1]]
+            assert verdict.witness["deviation_profile"] == [[], [2], []]
+        if profiles is not None:
+            capped = check_fssp(game, "restricted", mode, Caps(profiles=profiles))
+            assert capped.to_jsonable() == verdict.to_jsonable()
+            message = (f"^first-stage search needs {profiles} profiles over its distinct "
+                       f"shortlists so far, exceeding the cap of {profiles - 1}$")
+            with pytest.raises(ResourceLimitError, match=message):
+                check_fssp(game, "restricted", mode, Caps(profiles=profiles - 1))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_matches_fssp_oracle(self, data):
+        # The flat reference recomputes both sides of every deviation from
+        # whole profiles under the oracle rules, and judges every deviation.
+        costs = data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+        instance = make_instance(costs, data.draw(st.integers(max(costs), sum(costs))))
+        agents = data.draw(st.integers(2, 3))
+        subsets = st.sets(st.sampled_from(instance.ids), min_size=1).map(frozenset)
+        shortlist, reference = data.draw(st.sampled_from([
+            (nomination, nomination),
+            (functools.partial(equal_representation, k=2),
+             functools.partial(equal_representation_oracle, k=2)),
+        ]))
+        rule, oracle = data.draw(st.sampled_from([
+            (greedy_approval, greedy_approval_oracle),
+            (allocation_rule("approval-maximising"), approval_maximising_oracle),
+        ]))
+        game = StageGame(
+            instance=instance,
+            shortlist_rule=shortlist,
+            allocation_rule=rule,
+            rankings=tuple(data.draw(st.permutations(instance.ids)) for _ in range(agents)),
+            awareness=tuple(data.draw(subsets) for _ in range(agents)),
+            model=data.draw(st.sampled_from(["overlap", "cost"])),
+        )
+        for variant in ("restricted", "unrestricted"):
+            for mode in ("pessimistic", "optimistic", "anticipative"):
+                verdict = check_fssp(game, variant, mode)
+                witness, checked = fssp_oracle(
+                    instance, reference, oracle, game.rankings, game.awareness,
+                    game.model, variant, mode,
+                )
+                assert (verdict.witness, verdict.checked) == (witness, checked)
 
     def test_witness_replays(self):
         game = ten_project_game()
