@@ -81,8 +81,10 @@ def greedy_approval_kernel(
     are indexed the same way.  Points come slot 0 fastest, the order of
     :func:`~pbstages.core.subsets_ascending`.  The sort is stable, so equal
     scores keep slot order: the lower id wins, which is the canonical
-    tie-break.
+    tie-break.  When every project fits, every point funds them all.
     """
+    if sum(costs) <= budget:
+        return [frozenset(ids)] * math.prod(map(len, levels))
     return [
         _greedy(ids, costs, budget, point[::-1])
         for point in itertools.product(*reversed(levels))
@@ -205,15 +207,22 @@ def approval_maximising_kernel(
     pass.  A unit box over m slots costs 2^m - 2 rows instead of m - 1 per
     point.  Rows count in units of the costs' gcd g (a set fits exactly
     when its cost over g fits the budget over g, rounded down) and stop at
-    the total cost, a budget every set fits.
+    the total cost, a budget every set fits.  At that budget, with no
+    listed allocation, the whole shortlist is the canonical maximiser at
+    every point: no score is negative and its vector is the largest.  A
+    listed allocation still needs the rows, since at a point where some
+    project scores 0 a listed proper subset ties the optimum and wins.
     """
     m = len(ids)
     if m == 0:
         return [frozenset()]
     unit = math.gcd(*costs)
     costs = [cost // unit for cost in costs]
-    budget = min(budget // unit, sum(costs))
+    total = sum(costs)
+    budget = min(budget // unit, total)
     listed = _listed(ids, costs, budget, policy)
+    if budget == total and not listed:
+        return [frozenset(ids)] * math.prod(map(len, levels))
     scores = [0] * m
     rows: list = [None] * m + [[0] * (budget + 1)]
     out: list[frozenset[int]] = []

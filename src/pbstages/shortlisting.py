@@ -12,6 +12,7 @@ their radius, and fails loudly beyond its cap rather than approximating.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -121,7 +122,15 @@ def equal_representation(
     The include branch is taken first, so leaves arrive in the order of
     :func:`~pbstages.core.tiebreak_family`: the first leaf at the best score
     is the canonical winner.  A node whose remaining projects all fit is a
-    leaf: taking them all is its subtree's best leaf, and its first.
+    leaf: taking them all is its subtree's best leaf, and its first, and
+    its gain is the level bound.
+
+    The costs are fixed for the whole call, so both tests are prefix
+    questions, answered by bisection: once per call, walking the positions
+    back to front, the search builds the running totals of the remaining
+    costs taken cheapest first, the same per class, and each class's
+    cumulative level weights.  A node then costs one bisection per class
+    and one for the leaf test.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -129,18 +138,29 @@ def equal_representation(
     union = sorted(proposal_union(proposals))
     check_cap(len(union), caps.subset_search, "equal-representation search", "proposed projects")
     limit = k * instance.budget
-    costs = [instance.cost(pid) for pid in union]
+    costs = [instance._costs[pid] for pid in union]
     if sum(costs) <= limit:
         return frozenset(union)
     base, weights = _level_weights(proposals)
     sizes = Counter(proposals)
     classes = list(sizes)
-    # class_weights[c][level]: the gain of class c's (level+1)-th selected project
-    class_weights = [[size * w for w in weights] for size in sizes.values()]
+    # cum[c][h]: the gain of class c's first h selected projects
+    cum = [[size * w for w in itertools.accumulate(weights, initial=0)] for size in sizes.values()]
     m = len(union)
     proposers = [[c for c, block in enumerate(classes) if pid in block] for pid in union]
-    # (cost, position) of each class's projects, cheapest first
-    by_cost = [sorted((costs[j], j) for j in range(m) if union[j] in block) for block in classes]
+    # ascending[pos]: costs[pos:] cheapest first, totals[pos] its running
+    # totals, and class_totals[pos][c] the running totals of class c's share
+    ascending: list[list[int]] = [[]] * (m + 1)
+    totals = ascending.copy()
+    class_totals = [[[] for _ in classes]] * (m + 1)
+    shares: list[list[int]] = [[] for _ in classes]
+    for pos in range(m - 1, -1, -1):
+        ascending[pos] = sorted(ascending[pos + 1] + [costs[pos]])
+        totals[pos] = list(itertools.accumulate(ascending[pos]))
+        class_totals[pos] = class_totals[pos + 1].copy()
+        for c in proposers[pos]:
+            bisect.insort(shares[c], costs[pos])
+            class_totals[pos][c] = list(itertools.accumulate(shares[c]))
 
     best_score = -1
     best: list[int] = []
@@ -150,35 +170,23 @@ def equal_representation(
     def walk(pos: int, spent: int, score: int) -> None:
         nonlocal best_score, best
         room = limit - spent
-        fits = [j for j in range(pos, m) if costs[j] <= room]
-        if sum(costs[j] for j in fits) <= room:
-            taken = [c for j in fits for c in proposers[j]]
-            for c in taken:
-                score += class_weights[c][counts[c]]
-                counts[c] += 1
-            for c in taken:
-                counts[c] -= 1
-            if score > best_score:
-                best_score = score
-                best = chosen + [union[j] for j in fits]
-            return
-        bound = 0
-        for c, projects in enumerate(by_cost):
+        bound = score
+        for c, row in enumerate(class_totals[pos]):
             level = counts[c]
-            left = room
-            for cost, j in projects:
-                if j >= pos:
-                    if cost > left:
-                        break
-                    left -= cost
-                    bound += class_weights[c][level]
-                    level += 1
-        if score + bound <= best_score:
+            bound += cum[c][level + bisect.bisect_right(row, room)] - cum[c][level]
+        fit = bisect.bisect_right(ascending[pos], room)
+        if not fit or totals[pos][fit - 1] <= room:
+            # Every project that fits is taken, so the bound is the leaf's score.
+            if bound > best_score:
+                best_score = bound
+                best = chosen + [union[j] for j in range(pos, m) if costs[j] <= room]
             return
-        first = fits[0]
+        if bound <= best_score:
+            return
+        first = next(j for j in range(pos, m) if costs[j] <= room)
         gain = 0
         for c in proposers[first]:
-            gain += class_weights[c][counts[c]]
+            gain += cum[c][counts[c] + 1] - cum[c][counts[c]]
             counts[c] += 1
         chosen.append(union[first])
         walk(first + 1, spent + costs[first], score + gain)

@@ -262,6 +262,20 @@ class TestScoreKernels:
         ]
 
     @settings(deadline=None, max_examples=100)
+    @given(kernel_grids(), st.data())
+    def test_greedy_kernel_at_budgets_past_total_cost(self, case, data):
+        # Every project fits, so every point funds the whole shortlist.
+        small, levels = case
+        total = sum(p.cost for p in small.projects)
+        budget = data.draw(st.one_of(st.integers(total, total + 3), st.integers(total, 10**30)))
+        instance = make_instance([p.cost for p in small.projects], budget)
+        got = greedy_approval_kernel(*kernel_args(instance), levels)
+        assert got == [
+            greedy_approval_oracle(instance, realising_profile(instance, point))
+            for point in grid_points(levels)
+        ]
+
+    @settings(deadline=None, max_examples=100)
     @given(kernel_grids(), st.integers(1, 10**30), st.data())
     def test_maximising_kernel_on_scaled_costs(self, case, factor, data):
         # The rows count in units of the costs' gcd, so multiplying every

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -190,7 +191,46 @@ def overlapping_unaffordable_profiles(draw):
     return make_instance(costs, budget), proposals, k
 
 
+@st.composite
+def fit_edge_profiles(draw):
+    """Unions of 6-12 projects, 2-8 agents and k in {1, 2}, at the edges of the fit test.
+
+    ``k * budget`` equals a running total of the cheapest costs, so a
+    cheapest-first total meets the room exactly.  One project in the first
+    half costs more than the budget less the cheapest cost, so once enough
+    is taken the search skips it in front of projects that still fit.  One
+    agent proposes only projects of the first half, so her class has every
+    project decided while the search goes on.
+    """
+    m = draw(st.integers(6, 12))
+    k = draw(st.integers(1, 2))
+    costs = draw(st.lists(st.integers(1, 6), min_size=m - 1, max_size=m - 1))
+    ranked = sorted(costs)
+    totals = itertools.accumulate(ranked[: m - 2])
+    rooms = [room for room in totals if room % k == 0 and k * ranked[-1] <= room]
+    assume(rooms)
+    room = draw(st.sampled_from(rooms))
+    budget = room // k
+    dear = draw(st.integers(budget - ranked[0] + 1, budget))
+    costs.insert(draw(st.integers(0, m // 2 - 1)), dear)
+    assume(room in itertools.accumulate(sorted(costs)))
+    early = draw(st.frozensets(st.integers(1, m // 2), min_size=1))
+    block = st.frozensets(st.integers(1, m), min_size=1)
+    blocks = [early] + [draw(block) for _ in range(draw(st.integers(1, 7)))]
+    blocks[-1] |= frozenset(range(1, m + 1)).difference(*blocks)
+    proposals = tuple(draw(st.permutations(blocks)))
+    return make_instance(costs, budget), proposals, k
+
+
 class TestEqualRepresentationProperties:
+    @settings(deadline=None, max_examples=80)
+    @given(fit_edge_profiles())
+    def test_matches_oracle_at_fit_test_edges(self, case):
+        instance, proposals, k = case
+        assert equal_representation(instance, proposals, k) == (
+            equal_representation_oracle(instance, proposals, k)
+        )
+
     @settings(deadline=None, max_examples=60)
     @given(tie_heavy_profiles())
     def test_matches_oracle(self, case):
