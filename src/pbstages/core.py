@@ -44,8 +44,9 @@ class Caps:
     domination : int
         Union of proposals for "domination search".
     ballots : int
-        Shortlist size for "best-response enumeration", and each agent's
-        deviation pool in a first-stage run for "deviation enumeration".
+        Shortlist size of each anticipated side of a first-stage search, for
+        "best-response enumeration", and each agent's deviation pool in a
+        first-stage run for "deviation enumeration".
     profiles : int
         Full ballot profiles, (2^m)^n for m projects and n agents, the
         manipulator's own ballots included, also where a search reads the

@@ -28,7 +28,6 @@ from pbstages.verification import (
     check_representation_efficiency,
     check_second_stage_sp,
     find_representative_domination,
-    ids_list,
 )
 
 SHORTLIST_RULES = ("nomination", "equal-representation", "k-median")
@@ -91,11 +90,11 @@ def _shortlist(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
     name, k = options["rule"], options.get("k")
     if name != "k-median":
         rule = shortlist_rule_for(doc, name, k, caps)
-        return {"shortlist": ids_list(rule(doc.instance, _proposals(doc, options)))}
+        return {"shortlist": sorted(rule(doc.instance, _proposals(doc, options)))}
     metric = _k_median_metric(doc, k)
     outcome = k_median_outcome(doc.instance, _proposals(doc, options), k, metric, caps)
     return {
-        "shortlist": ids_list(outcome.shortlist),
+        "shortlist": sorted(outcome.shortlist),
         "radius": outcome.ell,
         "partitions": [[sorted(c) for c in part.clusters] for part in outcome.partitions],
     }
@@ -116,8 +115,8 @@ def _allocate(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
     else:
         ballots = tuple(base.check_subset(b, "ballots") for b in ballots)
     return {
-        "ballots": [ids_list(b) for b in ballots],
-        "allocation": ids_list(rule(base, ballots)),
+        "ballots": [sorted(b) for b in ballots],
+        "allocation": sorted(rule(base, ballots)),
     }
 
 
@@ -218,7 +217,7 @@ def _domination(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
     )
     result = {"found": dominating is not None, "shortlist": shortlist}
     if dominating is not None:
-        result["dominating"] = ids_list(dominating)
+        result["dominating"] = sorted(dominating)
     return result
 
 

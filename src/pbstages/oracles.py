@@ -29,7 +29,6 @@ from pbstages.core import (
 from pbstages.allocation import PriorityTieBreak, approval_scores
 from pbstages.shortlisting import (
     Metric,
-    VoronoiPartition,
     check_proposals,
     geometric_median,
     proposal_union,
@@ -90,6 +89,37 @@ def _flat_partitions(items: list[int]):
             bounds[k] = grown
 
 
+def partition_radius(
+    clusters: Sequence[Iterable[int]], medians: Sequence[int], metric: Metric
+) -> float:
+    """The largest distance from a project to its own cluster's median."""
+    return max(
+        (metric.distance(p, m) for cluster, m in zip(clusters, medians) for p in cluster),
+        default=0.0,
+    )
+
+
+def partition_is_valid(
+    clusters: Sequence[Iterable[int]],
+    medians: Sequence[int],
+    instance: Instance,
+    k: int,
+    metric: Metric,
+) -> bool:
+    """Whether the medians cost at most ``k * budget`` in total and every
+    project sits with one of its closest medians.
+
+    A valid partition's radius is its :func:`partition_radius`.
+    """
+    if instance.total_cost(medians) > k * instance.budget:
+        return False
+    return all(
+        metric.distance(p, median) <= min(metric.distance(p, other) for other in medians)
+        for cluster, median in zip(clusters, medians)
+        for p in cluster
+    )
+
+
 def k_median_oracle(
     instance: Instance,
     proposals: Sequence[Iterable[int]],
@@ -112,10 +142,8 @@ def k_median_oracle(
     for blocks in _flat_partitions(union):
         clusters = tuple(frozenset(b) for b in blocks)
         medians = tuple(geometric_median(c, metric) for c in clusters)
-        partition = VoronoiPartition(clusters, medians)
-        radius = partition.radius(metric)
-        if partition.is_valid(instance, k, radius, metric):
-            valid.append((radius, partition.median_set))
+        if partition_is_valid(clusters, medians, instance, k, metric):
+            valid.append((partition_radius(clusters, medians, metric), frozenset(medians)))
     if not valid:
         return frozenset()
     best = min(radius for radius, _ in valid)

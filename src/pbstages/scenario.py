@@ -255,10 +255,11 @@ def parse_scenario_dict(data: dict, where: str = "scenario") -> ScenarioDocument
         else:
             _fail(f"{where}.tiebreak", f"unknown tie-break kind {kind!r}")
 
-    config = data.get("config") or {}
+    # Only an absent or null field is empty; a falsy value of a wrong type is not.
+    config = {} if data.get("config") is None else data["config"]
     if not isinstance(config, dict):
         _fail(f"{where}.config", "expected a JSON object")
-    checks = data.get("checks") or []
+    checks = [] if data.get("checks") is None else data["checks"]
     if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):
         _fail(f"{where}.checks", "expected a list of JSON objects")
 

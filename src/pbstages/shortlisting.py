@@ -311,12 +311,7 @@ def geometric_median(pids: Iterable[int], metric: Metric) -> int:
 
 @dataclass(frozen=True)
 class VoronoiPartition:
-    """A clustering together with its geometric medians.
-
-    Valid (for a given ``k`` and radius ``ell``) when the medians cost at
-    most ``k * budget`` in total, every project sits with its closest
-    median, and every project is within ``ell`` of its own median.
-    """
+    """A clustering together with its geometric medians, one per cluster."""
 
     clusters: tuple[frozenset[int], ...]
     medians: tuple[int, ...]
@@ -324,24 +319,6 @@ class VoronoiPartition:
     @property
     def median_set(self) -> frozenset[int]:
         return frozenset(self.medians)
-
-    def radius(self, metric: Metric) -> float:
-        return max(
-            (metric.distance(p, m) for cluster, m in zip(self.clusters, self.medians) for p in cluster),
-            default=0.0,
-        )
-
-    def is_valid(self, instance: Instance, k: int, ell: float, metric: Metric) -> bool:
-        if instance.total_cost(self.medians) > k * instance.budget:
-            return False
-        for cluster, median in zip(self.clusters, self.medians):
-            for p in cluster:
-                own = metric.distance(p, median)
-                if own > ell:
-                    return False
-                if any(own > metric.distance(p, other) for other in self.medians):
-                    return False
-        return True
 
 
 def _radius_groups(

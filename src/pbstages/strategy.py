@@ -24,7 +24,6 @@ from pbstages.core import (
     check_cap,
     greedy_scan,
     subsets_ascending,
-    tiebreak_family,
 )
 from pbstages.allocation import approval_scores, score_kernel
 from pbstages.grid import ballot_box, box_maxima, profile_at, score_grid
@@ -38,7 +37,6 @@ from pbstages.verification import (
     ShortlistRule,
     check_agents,
     class_members,
-    ids_list,
 )
 
 MODES = ("pessimistic", "optimistic", "anticipative")
@@ -120,32 +118,6 @@ class StageGame:
 
     def top_on(self, agent: int, shortlist: Iterable[int]) -> frozenset[int]:
         return ideal_set(self.instance, self.rankings[agent], shortlist)
-
-
-def best_response(
-    rule: AllocationRule,
-    instance: Instance,
-    ballots: Sequence[frozenset[int]],
-    agent: int,
-    ideal: frozenset[int],
-    model: str,
-    caps: Caps = Caps(),
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Best ballot for ``agent`` against the others' fixed ballots.
-
-    Reads every ballot's outcome from :func:`~pbstages.grid.ballot_box`
-    and targets the outcome of highest value under her ideal set,
-    canonically tie-broken among equal values (:func:`_outcome_key`);
-    returns a canonical ballot achieving it together with that outcome.
-    """
-    check_agents([agent], len(ballots))
-    ideal = instance.check_subset(ideal, "ideal set")
-    check_cap(len(instance), caps.ballots, "best-response enumeration", "projects")
-    scores = approval_scores(instance, ballots)
-    box = ballot_box(score_kernel(rule), instance, scores, ballots[agent])
-    target = max(set(box), key=_outcome_key(valuation(model, ideal, instance), instance.ids))
-    every = subsets_ascending(instance.ids)
-    return tiebreak_family(b for b, outcome in zip(every, box) if outcome == target), target
 
 
 def _outcome_key(value: Callable[[frozenset[int]], int], ids: Sequence[int]) -> Callable:
@@ -382,15 +354,15 @@ def _check_deviation(
         "agent": agent + 1,
         "mode": mode,
         "model": game.model,
-        "deviation": ids_list(deviation),
-        "baseline_proposal": ids_list(proposals[agent]),
-        "baseline_shortlist": ids_list(base_shortlist),
-        "deviation_shortlist": ids_list(dev_shortlist),
-        "comparison_ideal": ids_list(ideal),
-        "baseline_profile": [ids_list(b) for b in base_side[base_out]],
-        "deviation_profile": [ids_list(b) for b in dev_side[dev_out]],
-        "baseline_outcome": ids_list(base_out),
-        "deviation_outcome": ids_list(dev_out),
+        "deviation": sorted(deviation),
+        "baseline_proposal": sorted(proposals[agent]),
+        "baseline_shortlist": sorted(base_shortlist),
+        "deviation_shortlist": sorted(dev_shortlist),
+        "comparison_ideal": sorted(ideal),
+        "baseline_profile": [sorted(b) for b in base_side[base_out]],
+        "deviation_profile": [sorted(b) for b in dev_side[dev_out]],
+        "baseline_outcome": sorted(base_out),
+        "deviation_outcome": sorted(dev_out),
         "baseline_value": value(base_out),
         "deviation_value": value(dev_out),
     }
@@ -441,7 +413,7 @@ def check_fssp(
             verdict, witness = _check_deviation(sides, baseline, agent, deviation, True)
             if verdict == SUCCESSFUL:
                 witness = witness() | {
-                    "variant": variant, "truthful_proposal": ids_list(truthful)
+                    "variant": variant, "truthful_proposal": sorted(truthful)
                 }
                 return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     return PropertyVerdict(HOLDS, None, True, checked, params)
@@ -624,12 +596,12 @@ def check_nomination_fssp_class(
                         },
                         "agents": n,
                         "ranking": list(ranking),
-                        "others_union": ids_list(union),
-                        "awareness_pool": ids_list(aware),
-                        "truthful_proposal": ids_list(truthful),
-                        "deviation": ids_list(deviation),
-                        "baseline_shortlist": ids_list(union | truthful),
-                        "deviation_shortlist": ids_list(union | deviation),
+                        "others_union": sorted(union),
+                        "awareness_pool": sorted(aware),
+                        "truthful_proposal": sorted(truthful),
+                        "deviation": sorted(deviation),
+                        "baseline_shortlist": sorted(union | truthful),
+                        "deviation_shortlist": sorted(union | deviation),
                     }
                     return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     return PropertyVerdict(HOLDS, None, True, checked, params)

@@ -72,10 +72,6 @@ def aggregate(verdicts: Iterable[PropertyVerdict], params: dict | None = None) -
     return PropertyVerdict(HOLDS, None, exact, total, params or {})
 
 
-def ids_list(pids: Iterable[int]) -> list[int]:
-    return sorted(pids)
-
-
 def instance_payload(instance: Instance) -> dict:
     data = {
         "budget": instance.budget,
@@ -105,8 +101,8 @@ def check_non_wasteful(
     witness = {
         "kind": "non-wasteful",
         "instance": instance_payload(instance),
-        "proposals": [ids_list(p) for p in proposals],
-        "shortlist": ids_list(shortlist),
+        "proposals": [sorted(p) for p in proposals],
+        "shortlist": sorted(shortlist),
         "shortlist_cost": instance.total_cost(shortlist),
         "budget": instance.budget,
     }
@@ -157,9 +153,9 @@ def check_representation_efficiency(
     witness = {
         "kind": "representative-domination",
         "instance": instance_payload(instance),
-        "proposals": [ids_list(p) for p in proposals],
-        "shortlist": ids_list(shortlist),
-        "dominating_set": ids_list(dominating),
+        "proposals": [sorted(p) for p in proposals],
+        "shortlist": sorted(shortlist),
+        "dominating_set": sorted(dominating),
     }
     return PropertyVerdict(COUNTEREXAMPLE, witness, checked=1)
 
@@ -196,8 +192,8 @@ def check_allocation_axiom(rule: AllocationRule, axiom: str, cases: Iterable) ->
                 witness = {
                     "kind": "exhaustive",
                     "instance": instance_payload(instance),
-                    "ballots": [ids_list(b) for b in ballots],
-                    "outcome": ids_list(outcome),
+                    "ballots": [sorted(b) for b in ballots],
+                    "outcome": sorted(outcome),
                     "classification": label,
                 }
                 return PropertyVerdict(COUNTEREXAMPLE, witness, checked=checked)
@@ -221,11 +217,11 @@ def check_allocation_axiom(rule: AllocationRule, axiom: str, cases: Iterable) ->
             witness = {
                 "kind": axiom,
                 "instance": instance_payload(instance),
-                "shared": ids_list(shared),
+                "shared": sorted(shared),
                 "agents": n,
                 "deviant": None if deviant is None else deviant + 1,
-                "ballots": [ids_list(b) for b in ballots],
-                "outcome": ids_list(outcome),
+                "ballots": [sorted(b) for b in ballots],
+                "outcome": sorted(outcome),
             }
             return PropertyVerdict(COUNTEREXAMPLE, witness, checked=checked)
     return PropertyVerdict(HOLDS, checked=checked)
@@ -423,10 +419,10 @@ def _witness(
         "agent": agent + 1,
         "model": model,
         "approximate": approximate,
-        "profile": [ids_list(b) for b in profile],
-        "ideal": ids_list(ideal),
-        "truthful_outcome": ids_list(truthful),
-        "manipulated_outcome": ids_list(manipulated),
+        "profile": [sorted(b) for b in profile],
+        "ideal": sorted(ideal),
+        "truthful_outcome": sorted(truthful),
+        "manipulated_outcome": sorted(manipulated),
         "truthful_value": value(truthful),
         "repaired_value": _bar(value, ideal, truthful, True),
         "manipulated_value": value(manipulated),
@@ -571,9 +567,9 @@ def check_rules_coincide_on_unit_class(
                             "costs": [p.cost for p in instance.projects],
                             "budget": instance.budget,
                         },
-                        "ballots": [ids_list(x) for x in ballots],
-                        "first_outcome": ids_list(a),
-                        "second_outcome": ids_list(b),
+                        "ballots": [sorted(x) for x in ballots],
+                        "first_outcome": sorted(a),
+                        "second_outcome": sorted(b),
                     }
                     return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     return PropertyVerdict(HOLDS, None, True, checked, params)

@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -86,6 +88,7 @@ def test_oracles_import_no_kernel():
     # are held to the score kernels and their arguments, the search
     # references to the searches, the score grid they read and their value
     # functions, and the equal-representation oracle to the Fraction scorer.
+    # The k-median oracle checks its partitions with its own geometry.
     imported = set(imported_modules(PACKAGE / "oracles.py"))
     shared = {
         name
@@ -93,7 +96,11 @@ def test_oracles_import_no_kernel():
         if name.startswith("pbstages.allocation.") and name.endswith(("_kernel", ".kernel_args"))
         or name.startswith(("pbstages.verification", "pbstages.strategy", "pbstages.grid"))
         or name == "pbstages.preferences.valuation"
-        or name in {"pbstages.shortlisting.equal_representation", "pbstages.shortlisting._level_weights"}
+        or name in {
+            "pbstages.shortlisting.equal_representation",
+            "pbstages.shortlisting._level_weights",
+            "pbstages.shortlisting.VoronoiPartition",
+        }
     }
     assert not shared
     assert "pbstages.shortlisting.representation_score" in imported
@@ -143,20 +150,6 @@ def test_one_resource_limit_raiser():
     assert raisers == [("core.py", "check_cap")]
 
 
-def test_no_module_calls_best_response():
-    # ``strategy.best_response`` validates its input for outside callers;
-    # the searches read the same ballot box without it, so it stays an
-    # entry point and never runs inside a search loop.
-    callers = [
-        (path.name, node.lineno)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "best_response"
-    ]
-    assert not callers
-
-
 def test_no_private_cross_module_imports():
     # An underscore name belongs to its own module; what two modules of the
     # package share is public.
@@ -195,3 +188,22 @@ def test_one_grid_layout():
         )
     }
     assert builders == {"grid.py"}
+
+
+def test_readme_names_resolve():
+    # Every backticked ``module.name`` (or ``pbstages.module.name``, with
+    # or without an argument list) in the README names something that
+    # module defines, so a deleted or renamed function cannot stay
+    # documented.
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    spans = re.findall(r"`(?:pbstages\.)?(\w+)\.(\w+(?:\.\w+)*)(?:\([^`]*\))?`", readme)
+    references = [(module, name) for module, name in spans if module in modules]
+    unresolved = []
+    for module, name in references:
+        target = importlib.import_module(f"pbstages.{module}")
+        for part in name.split("."):
+            target = getattr(target, part, None)
+        if target is None:
+            unresolved.append(f"{module}.{name}")
+    assert references and not unresolved

@@ -185,6 +185,14 @@ class TestParsing:
         (setting("tiebreak", value={"kind": "priority", "allocations": [[1], [9]]}),
          r"^scenario\.tiebreak\.allocations\[1\]: priority allocation contains unknown "
          r"project ids \[9\]$"),
+        # Falsy values of a wrong type are refused, not read as empty.
+        *(pytest.param(setting("config", value=falsy),
+                       r"^scenario\.config: expected a JSON object$", id=f"config={falsy!r}")
+          for falsy in (0, False, [], "")),
+        *(pytest.param(setting("checks", value=falsy),
+                       r"^scenario\.checks: expected a list of JSON objects$",
+                       id=f"checks={falsy!r}")
+          for falsy in (0, False, "", {})),
     ])
     def test_invalid_document_refused_at_its_location(self, edit, message):
         with pytest.raises(ScenarioError, match=message):

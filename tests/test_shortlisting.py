@@ -8,9 +8,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pbstages.core import Caps, ResourceLimitError, ValidationError
-from pbstages.oracles import _flat_partitions, equal_representation_oracle, k_median_oracle
+from pbstages.oracles import (
+    _flat_partitions,
+    equal_representation_oracle,
+    k_median_oracle,
+    partition_is_valid,
+    partition_radius,
+)
 from pbstages.preferences import ideal_set
 from pbstages.shortlisting import (
+    ClusteringOutcome,
     Metric,
     VoronoiPartition,
     _level_weights,
@@ -525,6 +532,19 @@ class TestKMedian:
         metric = table_metric([1, 2], [(1, 2, 1.0)])
         assert k_median(instance, (fs(), fs()), 1, metric) == fs()
 
+    # No proposed project: the full outcome and both oracles answer empty.
+    @pytest.mark.parametrize("search, empty", [
+        (k_median_outcome, ClusteringOutcome(0.0, (), fs())),
+        (k_median_oracle, fs()),
+        (lambda instance, proposals, k, metric: equal_representation_oracle(
+            instance, proposals, k
+        ), fs()),
+    ], ids=["k_median_outcome", "k_median_oracle", "equal_representation_oracle"])
+    def test_all_empty_proposals(self, search, empty):
+        instance = unit_instance(2, 1)
+        metric = table_metric([1, 2], [(1, 2, 1.0)])
+        assert search(instance, (fs(), fs()), 1, metric) == empty
+
     def test_k_checked_on_empty_profile(self):
         instance = unit_instance(2, 1)
         metric = table_metric([1, 2], [(1, 2, 1.0)])
@@ -538,7 +558,8 @@ class TestKMedian:
         metric = euclidean_metric(instance)
         outcome = k_median_outcome(instance, (fs(1, 2, 5), fs(4, 6, 7)), 1, metric)
         for partition in outcome.partitions:
-            assert partition.is_valid(instance, 1, outcome.ell, metric)
+            assert partition_is_valid(partition.clusters, partition.medians, instance, 1, metric)
+            assert partition_radius(partition.clusters, partition.medians, metric) == outcome.ell
             recomputed = tuple(geometric_median(c, metric) for c in partition.clusters)
             assert recomputed == partition.medians
 
@@ -601,12 +622,10 @@ def flat_minimal_partitions(instance, proposals, k, metric):
     valid = []
     for blocks in _flat_partitions(union):
         clusters = tuple(sorted((frozenset(b) for b in blocks), key=min))
-        partition = VoronoiPartition(
-            clusters, tuple(geometric_median(c, metric) for c in clusters)
-        )
-        radius = partition.radius(metric)
-        if partition.is_valid(instance, k, radius, metric):
-            valid.append((radius, partition))
+        medians = tuple(geometric_median(c, metric) for c in clusters)
+        if partition_is_valid(clusters, medians, instance, k, metric):
+            radius = partition_radius(clusters, medians, metric)
+            valid.append((radius, VoronoiPartition(clusters, medians)))
     ell = min(radius for radius, _ in valid)
     found = [partition for radius, partition in valid if radius == ell]
     return ell, sorted(found, key=lambda p: [sorted(c) for c in p.clusters])

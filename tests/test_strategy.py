@@ -36,7 +36,6 @@ from pbstages.preferences import ideal_set, valuation
 from pbstages.shortlisting import equal_representation, euclidean_metric, k_median, nomination
 from pbstages.strategy import (
     StageGame,
-    best_response,
     check_fssp,
     check_manipulation,
     check_nomination_fssp_class,
@@ -82,65 +81,6 @@ def ten_project_game(model="overlap"):
     )
 
 
-class TestBestResponse:
-    def test_score_tie_won_by_low_index(self):
-        instance = unit_instance(2, 1)
-        ballot, outcome = best_response(
-            greedy_approval, instance, (fs(), fs(2)), 0, fs(1), "overlap"
-        )
-        assert ballot == fs(1)
-        assert outcome == fs(1)
-
-    def test_single_agent_gets_ideal(self):
-        instance = make_instance([2, 1, 1], 3)
-        ideal = ideal_set(instance, (2, 3, 1))
-        ballot, outcome = best_response(
-            greedy_approval, instance, (fs(),), 0, ideal, "overlap"
-        )
-        assert ideal <= outcome
-
-    def test_truthful_already_best(self):
-        instance = unit_instance(3, 2)
-        ballots = (fs(1, 2), fs(1, 2))
-        ballot, outcome = best_response(
-            greedy_approval, instance, ballots, 0, fs(1, 2), "overlap"
-        )
-        assert outcome == fs(1, 2)
-
-    def test_cap_enforced(self):
-        instance = unit_instance(5, 2)
-        with pytest.raises(ResourceLimitError):
-            best_response(
-                greedy_approval, instance, (fs(),), 0, fs(1), "overlap", Caps(ballots=3)
-            )
-        # The 5 projects run at a cap of 5 and are refused at 4.
-        assert best_response(
-            greedy_approval, instance, (fs(),), 0, fs(1), "overlap", Caps(ballots=5)
-        ) == best_response(greedy_approval, instance, (fs(),), 0, fs(1), "overlap")
-        with pytest.raises(ResourceLimitError):
-            best_response(
-                greedy_approval, instance, (fs(),), 0, fs(1), "overlap", Caps(ballots=4)
-            )
-
-    # An agent outside the profile, negative or past its end, and an ideal
-    # set with an id outside the shortlist.
-    @pytest.mark.parametrize("agent, ideal", [(-1, fs(1)), (2, fs(1)), (0, fs(9))])
-    def test_inputs_checked(self, agent, ideal):
-        with pytest.raises(ValidationError):
-            best_response(
-                greedy_approval, unit_instance(2, 1), (fs(), fs(2)), agent, ideal, "overlap"
-            )
-
-    @settings(deadline=None, max_examples=150)
-    @given(st.data())
-    def test_matches_plain_scan(self, data):
-        instance, ballots, agent, ideal, model = data.draw(best_response_cases())
-        fast, slow = data.draw(rule_and_oracle(instance))
-        assert best_response(fast, instance, ballots, agent, ideal, model) == (
-            best_response_oracle(slow, instance, ballots, agent, ideal, model)
-        )
-
-
 def rule_and_oracle(instance):
     """A rule with a score kernel and the oracle it must agree with, with or
     without a drawn tie-break policy over ``instance``'s allocations."""
@@ -156,19 +96,6 @@ def rule_and_oracle(instance):
     )
 
 
-@st.composite
-def best_response_cases(draw):
-    """(instance, ballots, agent, ideal, model) with up to 4 projects and 3 agents."""
-    m = draw(st.integers(1, 4))
-    costs = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
-    instance = make_instance(costs, draw(st.integers(max(costs), sum(costs))))
-    subsets = st.sets(st.sampled_from(instance.ids)).map(frozenset)
-    ballots = tuple(draw(st.lists(subsets, min_size=1, max_size=3)))
-    agent = draw(st.integers(0, len(ballots) - 1))
-    ideal = ideal_set(instance, draw(st.permutations(list(instance.ids))))
-    return instance, ballots, agent, ideal, draw(st.sampled_from(["overlap", "cost"]))
-
-
 # Every public search entry, on a tiny case, for the rule it is given.
 SEARCH_ENTRIES = {
     "check_second_stage_sp": lambda rule: check_second_stage_sp(
@@ -176,9 +103,6 @@ SEARCH_ENTRIES = {
     ),
     "check_sp_over_unit_class": lambda rule: check_sp_over_unit_class(
         rule, "overlap", max_projects=2, max_agents=2
-    ),
-    "best_response": lambda rule: best_response(
-        rule, unit_instance(2, 1), (fs(), fs(2)), 0, fs(1), "overlap"
     ),
     "StageGame": lambda rule: StageGame(
         unit_instance(2, 1), nomination, rule, ((1, 2), (2, 1)), (fs(1), fs(2)), "overlap"
@@ -213,14 +137,14 @@ class TestFStar:
         game = ten_project_game()
         shortlist = game.instance.restrict(fs(*range(2, 11)))
         tops = tuple(game.top_on(i, shortlist.ids) for i in range(5))
-        _, got = best_response(greedy_approval, shortlist, tops, 0, tops[0], "overlap")
+        _, got = best_response_oracle(greedy_approval, shortlist, tops, 0, tops[0], "overlap")
         assert got == fs(2, 4, 5)
 
     def test_truthful_second_stage(self):
         game = ten_project_game()
         shortlist = game.instance.restrict(fs(*range(1, 10)))
         tops = tuple(game.top_on(i, shortlist.ids) for i in range(5))
-        _, got = best_response(greedy_approval, shortlist, tops, 0, tops[0], "overlap")
+        _, got = best_response_oracle(greedy_approval, shortlist, tops, 0, tops[0], "overlap")
         assert got == fs(1, 2, 3)
 
     def test_never_worse_than_submitted_ballot(self):
@@ -228,7 +152,7 @@ class TestFStar:
         game = ten_project_game()
         shortlist = game.instance.restrict(fs(*range(1, 10)))
         tops = tuple(game.top_on(i, shortlist.ids) for i in range(5))
-        _, star = best_response(greedy_approval, shortlist, tops, 0, tops[0], "overlap")
+        _, star = best_response_oracle(greedy_approval, shortlist, tops, 0, tops[0], "overlap")
         plain = greedy_approval(shortlist, tops)
         value = valuation("overlap", tops[0], shortlist)
         assert value(star) >= value(plain)
@@ -403,10 +327,7 @@ class TestCheckManipulation:
         instance = make_instance(costs, data.draw(st.integers(max(costs), sum(costs))))
         agents = data.draw(st.integers(2, 3))
         subsets = st.sets(st.sampled_from(instance.ids)).map(frozenset)
-        rule, oracle = data.draw(st.sampled_from([
-            (greedy_approval, greedy_approval_oracle),
-            (allocation_rule("approval-maximising"), approval_maximising_oracle),
-        ]))
+        rule, oracle = data.draw(rule_and_oracle(instance))
         game = StageGame(
             instance=instance,
             shortlist_rule=data.draw(st.sampled_from(
