@@ -150,6 +150,21 @@ def test_one_resource_limit_raiser():
     assert raisers == [("core.py", "check_cap")]
 
 
+def test_no_module_calls_best_response():
+    # The anticipated side reads its best response off its own ballot box,
+    # and ``oracles.best_response_oracle`` is the one reference scan, so no
+    # module defines or calls a second ``best_response``.
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "best_response"
+        or isinstance(node, ast.FunctionDef) and node.name == "best_response"
+    ]
+    assert not found
+
+
 def test_no_private_cross_module_imports():
     # An underscore name belongs to its own module; what two modules of the
     # package share is public.

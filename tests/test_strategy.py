@@ -81,6 +81,45 @@ def ten_project_game(model="overlap"):
     )
 
 
+class TestBestResponse:
+    """The reference best response to fixed ballots, ``best_response_oracle``."""
+
+    def test_score_tie_won_by_low_index(self):
+        instance = unit_instance(2, 1)
+        ballot, outcome = best_response_oracle(
+            greedy_approval, instance, (fs(), fs(2)), 0, fs(1), "overlap"
+        )
+        assert ballot == fs(1)
+        assert outcome == fs(1)
+
+    def test_single_agent_gets_ideal(self):
+        instance = make_instance([2, 1, 1], 3)
+        ideal = ideal_set(instance, (2, 3, 1))
+        ballot, outcome = best_response_oracle(
+            greedy_approval, instance, (fs(),), 0, ideal, "overlap"
+        )
+        assert ideal <= outcome
+
+    def test_truthful_already_best(self):
+        instance = unit_instance(3, 2)
+        ballots = (fs(1, 2), fs(1, 2))
+        ballot, outcome = best_response_oracle(
+            greedy_approval, instance, ballots, 0, fs(1, 2), "overlap"
+        )
+        assert outcome == fs(1, 2)
+
+    # The scan under a kernel rule picks the same ballot and outcome as the
+    # scan under that rule's plain oracle, tie-break policies included.
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_matches_plain_scan(self, data):
+        instance, ballots, agent, ideal, model = data.draw(best_response_cases())
+        fast, slow = data.draw(rule_and_oracle(instance))
+        assert best_response_oracle(fast, instance, ballots, agent, ideal, model) == (
+            best_response_oracle(slow, instance, ballots, agent, ideal, model)
+        )
+
+
 def rule_and_oracle(instance):
     """A rule with a score kernel and the oracle it must agree with, with or
     without a drawn tie-break policy over ``instance``'s allocations."""
@@ -94,6 +133,19 @@ def rule_and_oracle(instance):
             functools.partial(approval_maximising_oracle, policy=policy),
         )),
     )
+
+
+@st.composite
+def best_response_cases(draw):
+    """(instance, ballots, agent, ideal, model) with up to 4 projects and 3 agents."""
+    m = draw(st.integers(1, 4))
+    costs = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    instance = make_instance(costs, draw(st.integers(max(costs), sum(costs))))
+    subsets = st.sets(st.sampled_from(instance.ids)).map(frozenset)
+    ballots = tuple(draw(st.lists(subsets, min_size=1, max_size=3)))
+    agent = draw(st.integers(0, len(ballots) - 1))
+    ideal = ideal_set(instance, draw(st.permutations(list(instance.ids))))
+    return instance, ballots, agent, ideal, draw(st.sampled_from(["overlap", "cost"]))
 
 
 # Every public search entry, on a tiny case, for the rule it is given.
