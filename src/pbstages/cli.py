@@ -273,6 +273,9 @@ def _replay(args: argparse.Namespace) -> dict:
         raise ValidationError("report options must be a JSON object")
     if not (isinstance(raw_caps, dict) and set(raw_caps) <= set(CAP_NAMES)):
         raise ValidationError(f"report caps must map some of {', '.join(CAP_NAMES)} to integers")
+    header = stored.get("format"), stored.get("version")
+    if header != (REPORT_FORMAT, REPORT_VERSION) or type(header[1]) is not int:
+        raise ValidationError(f"not a {REPORT_FORMAT} version {REPORT_VERSION} report: {header}")
     _check_option_types(command, stored["options"])
     caps = Caps(**raw_caps)
     if command == "paper-suite":

@@ -48,9 +48,9 @@ class Caps:
         "best-response enumeration", and each agent's deviation pool in a
         first-stage run for "deviation enumeration".
     profiles : int
-        Full ballot profiles, (2^m)^n for m projects and n agents, the
-        manipulator's own ballots included, also where a search reads the
-        score grid: the second-stage "full profile enumeration"; each
+        Full ballot profiles, ``grid.charge(m, n)`` = (2^m)^n for m projects
+        and n agents, also where a search reads the score grid: the
+        second-stage "full profile enumeration" and ``auto``'s fit test; each
         distinct (shortlist, agent) side, summed over one manipulation
         check or a whole run, for "first-stage search"; each side on its
         own for "nomination class side"; and the whole class,

@@ -19,8 +19,14 @@ ScoreKernel = Callable[..., list[frozenset[int]]]
 
 
 def score_grid(kernel: ScoreKernel, instance: Instance, n: int) -> list[frozenset[int]]:
-    """The rule's outcome at every point of {0..n}^m, the scores ``n`` ballots can reach."""
-    return kernel(*kernel_args(instance), [range(n + 1)] * len(instance.ids))
+    """The outcome at every point of {0..n}^m (``n`` ballots' scores), one object per outcome."""
+    points = kernel(*kernel_args(instance), [range(n + 1)] * len(instance.ids))
+    return list(map({outcome: outcome for outcome in points}.__getitem__, points))
+
+
+def charge(m: int, n: int) -> int:
+    """What a grid search over ``n`` ballots on ``m`` projects charges ``caps.profiles``."""
+    return (2**m) ** n
 
 
 def offset(ids: Sequence[int], ballot: frozenset[int], side: int) -> int:

@@ -191,8 +191,9 @@ def parse_scenario_dict(data: dict, where: str = "scenario") -> ScenarioDocument
         _fail(where, "expected a JSON object")
     if data.get("format", FORMAT) != FORMAT:
         _fail(where, f"unknown format {data.get('format')!r}")
-    if data.get("version", VERSION) != VERSION:
-        _fail(where, f"unsupported version {data.get('version')!r}")
+    version = data.get("version", VERSION)
+    if not _is_int(version) or version != VERSION:
+        _fail(where, f"unsupported version {version!r}")
 
     raw_instance = _expect(data, "instance", dict, where)
     budget = _expect(raw_instance, "budget", int, f"{where}.instance")

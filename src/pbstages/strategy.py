@@ -26,6 +26,7 @@ from pbstages.core import (
     subsets_ascending,
 )
 from pbstages.allocation import approval_scores, score_kernel
+import pbstages.grid
 from pbstages.grid import ballot_box, box_maxima, profile_at, score_grid
 from pbstages.preferences import check_model, check_ranking, ideal_set, valuation
 from pbstages.shortlisting import check_proposals, proposal_union
@@ -144,17 +145,14 @@ def _fstar_outcomes(
     Returns each distinct outcome with the others' first profile realising
     it, in product order of their profiles; the manipulator's slot is left
     out, so one result serves every agent with this ideal set.  Callers
-    charge the (2^m)^n profiles against ``caps.profiles``.
+    charge :func:`~pbstages.grid.charge` against ``caps.profiles``.
 
-    Her own ballot never matters (her best response replaces it), and the
-    others reach the rule only through their summed score vector s in
-    {0..n-1}^m, which her ballot B moves to s + 1_B.  So her best response
-    at s maximises :func:`_outcome_key` over the box s + {0,1}^m: the
-    outcome's value under her ideal set, then the canonical tie-break.
-    ``grid``, :func:`~pbstages.grid.score_grid` of ``agents`` ballots on
-    ``instance``, holds the outcome at every point of {0..n}^m for any
-    agent, and :func:`~pbstages.grid.box_maxima` gives each s's box
-    maximum with the index of the others' first profile summing to s.
+    Her best response replaces her own ballot, and the others reach the
+    rule only through their score vector s in {0..n-1}^m, which her ballot
+    B moves to s + 1_B, so she maximises :func:`_outcome_key` over the box
+    s + {0,1}^m.  ``grid`` is :func:`~pbstages.grid.score_grid` of
+    ``agents`` ballots on ``instance``, and :func:`~pbstages.grid.box_maxima`
+    gives each s's box maximum and the others' first profile reaching s.
     """
     ids = instance.ids
     m = len(ids)
@@ -211,14 +209,6 @@ class ManipulationResult:
         return self.verdict == SUCCESSFUL
 
 
-def _shared_grid(
-    kernel: Callable, instance: Instance, shortlist: frozenset[int], n: int
-) -> list[frozenset[int]]:
-    """:func:`~pbstages.grid.score_grid` on the shortlist, one object per distinct outcome."""
-    points = score_grid(kernel, instance.restrict(shortlist), n)
-    return list(map({outcome: outcome for outcome in points}.__getitem__, points))
-
-
 class _Sides:
     """Each side of a game's manipulation checks, computed once per search.
 
@@ -232,9 +222,9 @@ class _Sides:
     ideal set placed in slot i of each profile.  A search holds one
     ``_Sides`` for its game and ``mode``, so deviations that reach a
     shortlist already seen reuse its side.  ``charge`` charges every
-    (shortlist, agent) side a search computes or skips once: an
-    exhaustive side its (2^m)^n profiles against ``caps.profiles``, an
-    anticipated side its shortlist against ``caps.ballots``.
+    (shortlist, agent) side a search computes or skips once, the
+    exhaustive ones summed: :func:`~pbstages.grid.charge` against
+    ``caps.profiles``, or an anticipated side's shortlist against ``caps.ballots``.
     """
 
     def __init__(self, game: StageGame, caps: Caps, mode: str):
@@ -255,21 +245,21 @@ class _Sides:
             if mode == "anticipative":
                 check_cap(len(shortlist), caps.ballots, "best-response enumeration", "projects")
                 return
-            profiles += (2 ** len(shortlist)) ** game.agents
+            profiles += pbstages.grid.charge(len(shortlist), game.agents)
             check_cap(
                 profiles, caps.profiles, "first-stage search",
                 "profiles over its distinct shortlists so far",
             )
 
-        grid = functools.cache(functools.partial(_shared_grid, kernel, game.instance))
+        @functools.cache
+        def grid(shortlist: frozenset[int]) -> list[frozenset[int]]:
+            return score_grid(kernel, game.instance.restrict(shortlist), game.agents)
 
         @functools.cache
         def outcomes(shortlist: frozenset[int], ideal: frozenset[int]) -> dict:
             restricted = game.instance.restrict(shortlist)
             if mode != "anticipative":
-                return _fstar_outcomes(
-                    grid(shortlist, game.agents), restricted, game.agents, ideal, game.model
-                )
+                return _fstar_outcomes(grid(shortlist), restricted, game.agents, ideal, game.model)
             # Everyone's ideal sets sum to one score vector per shortlist, so
             # her ideal set alone fixes the others' scores.
             profile = tuple(game.top_on(i, shortlist) for i in range(game.agents))
@@ -300,11 +290,9 @@ def check_manipulation(
 
     Builds the baseline shortlist from the game's proposals and the
     deviation shortlist with the agent's proposal swapped out, then
-    compares best-response outcomes per the mode.  Every verdict is exact:
-    pessimistic and optimistic checks charge each distinct shortlist its
-    (2^m)^n profiles once, and raise ``ResourceLimitError`` when the
-    charges pass ``caps.profiles``; anticipative checks refuse a
-    shortlist of more than ``caps.ballots`` projects.
+    compares best-response outcomes per the mode.  Every verdict is exact,
+    and each distinct shortlist is charged once, as :class:`_Sides` says:
+    past its cap the check raises ``ResourceLimitError``.
     """
     check_mode(mode)
     check_agents([agent], game.agents)
@@ -386,9 +374,8 @@ def check_fssp(
     skipped, as an earlier success would have returned the same witness.
     Every outcome on a deviation shortlist D lies in D, so a D worth no
     more than the baseline's worst outcome fails and its side is skipped.
-    Each other side is computed once per call, and the call fails with
-    ``ResourceLimitError`` once the profiles of its distinct exhaustive
-    sides, skipped ones included, add up past ``caps.profiles``.
+    Each other side is computed once per call, and every side, skipped
+    or not, is charged once per call as :class:`_Sides` says.
     """
     check_variant(variant)
     check_mode(mode)
@@ -512,9 +499,8 @@ def check_nomination_fssp_class(
     score vectors (so the manipulator's position is irrelevant), and the
     other agents' preference orders never enter an exact pessimistic or
     optimistic verdict, which makes this reduced enumeration exhaustive
-    for the full class.  Each side is charged its (2^m)^n profiles when
-    first computed, and a side past ``caps.profiles`` raises
-    ``ResourceLimitError``.
+    for the full class.  Each side is charged :func:`~pbstages.grid.charge`
+    against ``caps.profiles`` when first computed.
     """
     kernel = score_kernel(allocation_rule)
     check_model(model)
@@ -548,13 +534,12 @@ def check_nomination_fssp_class(
         # only on the shortlist and n: each is computed once.
         ideal = functools.cache(functools.partial(ideal_set, instance))
         value = functools.cache(lambda top: functools.cache(valuation(model, top, instance)))
-        grid = functools.cache(functools.partial(_shared_grid, kernel, instance))
+        grid = functools.cache(lambda pids, n: score_grid(kernel, instance.restrict(pids), n))
 
         @functools.cache
         def side(shortlist: frozenset[int], top: frozenset[int], n: int) -> dict:
-            check_cap(
-                (2 ** len(shortlist)) ** n, caps.profiles, "nomination class side", "profiles"
-            )
+            need = pbstages.grid.charge(len(shortlist), n)
+            check_cap(need, caps.profiles, "nomination class side", "profiles")
             restricted = instance.restrict(shortlist)
             return _fstar_outcomes(grid(shortlist, n), restricted, n, top, model)
 

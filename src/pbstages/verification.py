@@ -23,6 +23,7 @@ from pbstages.core import (
     subsets_ascending,
 )
 from pbstages.allocation import EXHAUSTIVE, approval_scores, classify_allocation, score_kernel
+import pbstages.grid
 from pbstages.grid import ballot_box, box_maxima, offset, profile_at, score_grid
 from pbstages.preferences import check_model, truthful_ballots, valuation
 from pbstages.shortlisting import check_proposals, proposal_union
@@ -264,11 +265,9 @@ def _refutations(
     her value over s + {0,1}^m beats the bar at s + 1_I: the truthful
     outcome's value, plus :func:`repair_gain` when approximate.
 
-    For each such s this yields the index of the others' first profile
-    reaching it (:func:`~pbstages.grid.box_maxima`), the first ballot mask
-    that beats the bar, and the truthful and manipulated outcomes.
-    Nothing is yielded iff the agent can manipulate in no profile, so no
-    profile is ever listed.
+    For each such s it yields the others' first profile index there
+    (:func:`~pbstages.grid.box_maxima`), the first ballot mask beating the
+    bar, and the truthful and manipulated outcomes; no profile is listed.
     """
     ids = instance.ids
     value = functools.cache(valuation(model, ideal, instance))  # once per outcome
@@ -281,6 +280,36 @@ def _refutations(
         if best > bar:
             mask = next(b for b, off in enumerate(offsets) if value(grid[low + off]) > bar)
             yield others, mask, truthful, grid[low + offsets[mask]]
+
+
+def _first_refutation(
+    grid: list[frozenset[int]], instance: Instance, n: int, tops: Sequence[frozenset[int]],
+    agent_pool: Sequence[int], model: str, approximate: bool,
+) -> tuple[int, int, int, frozenset[int], frozenset[int]] | None:
+    """The first manipulation in the ``full`` order, or ``None`` if there is none.
+
+    The order takes profiles in product order of ``subsets_ascending``
+    ballots, then the agents of ``agent_pool``, agent i of ideal set
+    ``tops[i]``.  Returns the profile index, the agent's rank in the pool,
+    the agent, and her truthful and manipulated outcomes.
+    """
+    m = len(instance.ids)
+    refutations = {
+        ideal: list(_refutations(grid, instance, n, ideal, model, approximate))
+        for ideal in {tops[a] for a in agent_pool}
+    }
+    # The agent's ballot takes her slot among the others' first profile:
+    # the others after her keep the low bits of its index.
+    return min(
+        (
+            (others >> low << low + m | mask << low | others & (1 << low) - 1, rank, agent,
+             truthful, manipulated)
+            for rank, agent in enumerate(agent_pool)
+            for low in [m * (n - 1 - agent)]
+            for others, mask, truthful, manipulated in refutations[tops[agent]]
+        ),
+        default=None,
+    )
 
 
 def check_second_stage_sp(
@@ -304,13 +333,11 @@ def check_second_stage_sp(
 
     Search modes:
 
-    - ``"full"``: every profile and manipulator (exact; capped at the
-      (2^m)^n profiles).  One kernel call on the score grid {0..n}^m
-      decides, and :func:`_refutations` reads off it the first witness
-      of the ordered enumeration: the least profile in product order of
-      :func:`~pbstages.core.subsets_ascending`, ties going to the agent
-      first in ``agents``, with the ``checked`` count of that enumeration.
-      No profile is listed.
+    - ``"full"``: every profile and manipulator (exact; charged
+      :func:`~pbstages.grid.charge` profiles).  One kernel call on the
+      score grid {0..n}^m decides, and :func:`_first_refutation` reads off
+      it the first witness of the ordered enumeration, with the
+      ``checked`` count of that enumeration.  No profile is listed.
     - ``"fixed-others"``: other agents keep the scenario ballots (their
       truthful ideal sets unless ``ballots`` is given) while each agent
       tries every ballot, or each of ``deviations``, read by
@@ -327,15 +354,16 @@ def check_second_stage_sp(
     ids = instance.ids
     tops = truthful_ballots(instance, rankings)
     agent_pool = list(range(n)) if agents is None else check_agents(agents, n)
-    full_space = (2 ** len(ids)) ** n
-    if search == "auto":
-        search = "full" if full_space <= caps.profiles else "fixed-others"
-    if search not in ("full", "fixed-others"):
+    m = len(ids)
+    charge = pbstages.grid.charge(m, n)
+    if search not in ("auto", "full", "fixed-others"):
         raise ValidationError(f"unknown search mode {search!r}")
     if deviations is not None and search != "fixed-others":
         raise ValidationError(
             f"a deviation list applies only to the fixed-others search, not to {search!r}"
         )
+    if search == "auto":
+        search = "full" if charge <= caps.profiles else "fixed-others"
     params = {
         "search": search,
         "model": model,
@@ -344,27 +372,11 @@ def check_second_stage_sp(
     }
 
     if search == "full":
-        check_cap(full_space, caps.profiles, "full profile enumeration", "profiles")
-        m = len(ids)
+        check_cap(charge, caps.profiles, "full profile enumeration", "profiles")
         grid = score_grid(kernel, instance, n)
-        refutations = {
-            ideal: list(_refutations(grid, instance, n, ideal, model, approximate))
-            for ideal in {tops[a] for a in agent_pool}
-        }
-        # The agent's ballot takes her slot among the others' first profile:
-        # the others after her keep the low bits of its index.
-        first = min(
-            (
-                (others >> low << low + m | mask << low | others & (1 << low) - 1, rank, agent,
-                 truthful, manipulated)
-                for rank, agent in enumerate(agent_pool)
-                for low in [m * (n - 1 - agent)]
-                for others, mask, truthful, manipulated in refutations[tops[agent]]
-            ),
-            default=None,
-        )
+        first = _first_refutation(grid, instance, n, tops, agent_pool, model, approximate)
         if first is None:
-            return PropertyVerdict(HOLDS, None, True, len(agent_pool) * full_space, params)
+            return PropertyVerdict(HOLDS, None, True, len(agent_pool) * (2**m) ** n, params)
         index, rank, agent, truthful, manipulated = first
         profile = profile_at(index, n, subsets_ascending(ids))
         witness = _witness(
@@ -468,15 +480,15 @@ def check_sp_over_unit_class(
     greedy ideal of some ranking, so quantifying ideal sets covers every
     preference order.
 
-    Each (instance, agent count) is decided on its score grid, and
-    :func:`_refutations` reads off it, listing no profile, the first
-    witness of the ordered enumeration: for each agent count, ideal set
-    and profile of the others in product order, the first agent tries
-    every ballot.  Verdicts and ``checked`` are that enumeration's.
+    Each (instance, agent count) is decided on its score grid, listing no
+    profile: per ideal set, :func:`_first_refutation` with the manipulator
+    last, so the others' profile is tried before her ballot (the witness
+    lists it first).  Verdicts and ``checked`` are that enumeration's.
     """
     kernel = score_kernel(rule)
     check_model(model)
-    check_cap((2**max_projects) ** max_agents, caps.profiles, "unit-class check", "profiles")
+    need = pbstages.grid.charge(max_projects, max_agents)
+    check_cap(need, caps.profiles, "unit-class check", "profiles")
     checked = 0
     params = {
         "class": "unit-cost",
@@ -492,25 +504,17 @@ def check_sp_over_unit_class(
         for n in range(1, max_agents + 1):
             grid = score_grid(kernel, instance, n)
             for ideal in map(frozenset, itertools.combinations(ids, slots)):
-                # The others' profile is tried before her ballot.
-                first = min(
-                    (
-                        (others << m | mask, truthful, manipulated)
-                        for others, mask, truthful, manipulated in _refutations(
-                            grid, instance, n, ideal, model, approximate
-                        )
-                    ),
-                    default=None,
+                first = _first_refutation(
+                    grid, instance, n, [ideal] * n, [n - 1], model, approximate
                 )
                 if first is None:
                     checked += (2**m) ** n
                     continue
-                index, truthful, manipulated = first
+                index, _, _, truthful, manipulated = first
                 checked += index + 1
-                every = subsets_ascending(ids)
+                *others, ballot = profile_at(index, n, subsets_ascending(ids))
                 witness = _witness(
-                    instance, model, approximate, 0, ideal,
-                    [every[index & 2**m - 1], *profile_at(index >> m, n - 1, every)],
+                    instance, model, approximate, 0, ideal, [ballot, *others],
                     truthful, manipulated,
                 )
                 return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)

@@ -678,3 +678,15 @@ class TestExitCodes:
         path.write_text(text)
         assert main(["replay", str(path)]) == 2
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("version", 2),
+        ("version", True),
+        ("format", "pb-scenario"),
+    ])
+    def test_replay_of_another_report_header_is_2(self, tmp_path, capsys, key, value):
+        # A report of another format or version, or a version merely equal
+        # to the integer 1, is not replayed as this one.
+        path = stored_report(tmp_path, lambda data: data.update({key: value}))
+        assert main(["replay", str(path)]) == 2
+        assert "validation error: not a pb-report version 1 report" in capsys.readouterr().err

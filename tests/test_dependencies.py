@@ -5,8 +5,15 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import pbstages
-from pbstages.core import Caps
+from pbstages import grid
+from pbstages.allocation import greedy_approval
+from pbstages.core import Caps, Instance, Project, ResourceLimitError
+from pbstages.shortlisting import nomination
+from pbstages.strategy import StageGame, check_fssp, check_nomination_fssp_class
+from pbstages.verification import check_second_stage_sp, check_sp_over_unit_class
 
 PACKAGE = Path(pbstages.__file__).parent
 
@@ -222,3 +229,29 @@ def test_readme_names_resolve():
         if target is None:
             unresolved.append(f"{module}.{name}")
     assert references and not unresolved
+
+
+def test_grid_charge_is_the_one_profile_charge(monkeypatch):
+    # ``grid.charge`` is what every search read off the score grid counts
+    # against ``caps.profiles``: once it passes the cap, each of them
+    # refuses, under its own name, a case that would otherwise fit.
+    monkeypatch.setattr(grid, "charge", lambda m, n: Caps().profiles + 1)
+    instance = Instance([Project(1, 1), Project(2, 1)], 1)
+    rankings = ((1, 2), (2, 1))
+    game = StageGame(instance, nomination, greedy_approval, rankings, ({1}, {2}), "overlap")
+    searches = {
+        "full profile enumeration": lambda: check_second_stage_sp(
+            greedy_approval, instance, rankings, "overlap", search="full"
+        ),
+        "unit-class check": lambda: check_sp_over_unit_class(greedy_approval, "overlap", 1, 1),
+        "first-stage search": lambda: check_fssp(game, "restricted", "pessimistic"),
+        "nomination class side": lambda: check_nomination_fssp_class(
+            greedy_approval, "overlap", max_projects=1, max_agents=1
+        ),
+    }
+    for name, search in searches.items():
+        with pytest.raises(ResourceLimitError, match=f"^{name} needs {Caps().profiles + 1} "):
+            search()
+    # And "auto" no longer finds that the full search fits.
+    verdict = check_second_stage_sp(greedy_approval, instance, rankings, "overlap")
+    assert verdict.params["search"] == "fixed-others"

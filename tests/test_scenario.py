@@ -193,6 +193,11 @@ class TestParsing:
                        r"^scenario\.checks: expected a list of JSON objects$",
                        id=f"checks={falsy!r}")
           for falsy in (0, False, "", {})),
+        # The version is the integer 1, not a value equal to it.
+        pytest.param(setting("version", value=True), r"^scenario: unsupported version True$",
+                     id="version=True"),
+        pytest.param(setting("version", value=1.0), r"^scenario: unsupported version 1\.0$",
+                     id="version=1.0"),
     ])
     def test_invalid_document_refused_at_its_location(self, edit, message):
         with pytest.raises(ScenarioError, match=message):

@@ -428,6 +428,19 @@ class TestSecondStageSp:
         )
         assert verdict.checked == 2
 
+    def test_deviations_refused_by_auto_past_the_cap(self):
+        # Past the cap "auto" would resolve to fixed-others, the one mode a
+        # list applies to; the list is checked against the mode asked for,
+        # so "auto" refuses it at every size.
+        instance = unit_instance(3, 1)
+        rankings = ((1, 2, 3), (2, 1, 3))
+        for caps in (Caps(), Caps(profiles=63)):
+            with pytest.raises(ValidationError, match="not to 'auto'$"):
+                check_second_stage_sp(
+                    greedy_approval, instance, rankings, "overlap", search="auto", caps=caps,
+                    deviations=[fs(2)],
+                )
+
     def test_partial_rankings_vote_their_ranked_ideal(self):
         # Rankings that leave projects out: the others' truthful ballots are
         # each agent's ideal set among the projects she ranks.
@@ -601,6 +614,15 @@ class TestGridClosedForms:
         for point, _, best in walk:
             reached = (grid[point + offset(ids, ballot, side)] for ballot in subsets_ascending(ids))
             assert best == max(map(len, reached))
+
+    @pytest.mark.parametrize("rule", [greedy_approval, approval_maximising])
+    def test_score_grid_holds_one_object_per_outcome(self, rule):
+        # Every point with the same outcome holds the same object, so each
+        # search that reads the grid keeps one copy of each outcome.
+        instance = make_instance([1, 2, 1, 3], 4)
+        grid = score_grid(score_kernel(rule), instance, 3)
+        assert len(grid) == 4**4
+        assert len({id(outcome) for outcome in grid}) == len(set(grid)) > 1
 
     @pytest.mark.parametrize("rule", [greedy_approval, approval_maximising])
     @settings(deadline=None, max_examples=100)
