@@ -58,7 +58,7 @@ def classify_allocation(instance: Instance, allocation: Iterable[int]) -> str:
 
 def kernel_args(instance: Instance) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """A score kernel's arguments before its levels: the ids, their costs and the budget."""
-    return instance.ids, tuple(p.cost for p in instance.projects), instance.budget
+    return instance.ids, tuple(instance.costs.values()), instance.budget
 
 
 def _greedy(

@@ -8,6 +8,7 @@ three overloads (single project, weak order, family of project sets).
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -82,6 +83,13 @@ def check_cap(need: int, cap: int, search: str, unit: str) -> None:
         raise ResourceLimitError(f"{search} needs {need} {unit}, exceeding the cap of {cap}")
 
 
+def is_number(value) -> bool:
+    """A float, or an int that fits one; ``bool`` is an int subclass but no number here."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    )
+
+
 @dataclass(frozen=True, order=True)
 class Project:
     """A project with a positive integer index and cost.
@@ -107,7 +115,14 @@ class Project:
                 f"project p{self.index} has cost {self.cost}; costs must be >= 1"
             )
         if self.coords is not None:
-            coords = tuple(float(x) for x in self.coords)
+            if isinstance(self.coords, (str, bytes)) or not (
+                isinstance(self.coords, Sequence) and all(map(is_number, self.coords))
+            ):
+                raise ValidationError(
+                    f"project p{self.index} coordinates must be a sequence of numbers, "
+                    f"got {self.coords!r}"
+                )
+            coords = tuple(map(float, self.coords))
             if not all(map(math.isfinite, coords)):
                 raise ValidationError(
                     f"project p{self.index} has non-finite coordinates {list(coords)}"
@@ -120,7 +135,8 @@ class Instance:
 
     Used both for the proposal stage (the full project universe) and for
     the voting stage (a shortlist); :meth:`restrict` derives the latter
-    from the former.
+    from the former.  ``projects``, ``ids`` and the read-only ``costs``
+    table (id -> cost) are built once, each in ascending id order.
     """
 
     def __init__(self, projects: Iterable[Project], budget: int):
@@ -129,42 +145,32 @@ class Instance:
             raise ValidationError(f"budget must be an integer, got {budget!r}")
         if budget < 1:
             raise ValidationError(f"budget must be >= 1, got {budget}")
-        self._projects: dict[int, Project] = {}
+        costs: dict[int, int] = {}
         for project in projects:
-            if project.index in self._projects:
+            if project.index in costs:
                 raise ValidationError(f"duplicate project index {project.index}")
             if project.cost > budget:
                 raise ValidationError(
                     f"project p{project.index} costs {project.cost}, "
                     f"exceeding the budget {budget}"
                 )
-            self._projects[project.index] = project
+            costs[project.index] = project.cost
         self.budget = budget
-        # The greedy scan's cost table, built once per instance.
-        self._costs = {pid: project.cost for pid, project in self._projects.items()}
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(self._projects)
-
-    @property
-    def projects(self) -> tuple[Project, ...]:
-        return tuple(self._projects.values())
+        self.projects = tuple(projects)
+        self.costs = costs
+        self.ids = tuple(costs)
 
     def __contains__(self, pid: int) -> bool:
-        return pid in self._projects
+        return pid in self.costs
 
     def __len__(self) -> int:
-        return len(self._projects)
-
-    def project(self, pid: int) -> Project:
-        try:
-            return self._projects[pid]
-        except KeyError:
-            raise ValidationError(f"unknown project id {pid}") from None
+        return len(self.ids)
 
     def cost(self, pid: int) -> int:
-        return self.project(pid).cost
+        try:
+            return self.costs[pid]
+        except KeyError:
+            raise ValidationError(f"unknown project id {pid}") from None
 
     def total_cost(self, pids: Iterable[int]) -> int:
         """Summed cost of a set of project ids; empty sets cost 0."""
@@ -172,11 +178,15 @@ class Instance:
 
     def restrict(self, pids: Iterable[int]) -> "Instance":
         """The sub-instance on ``pids``, keeping the same budget."""
-        return Instance((self.project(pid) for pid in set(pids)), self.budget)
+        pids = set(pids)
+        for pid in pids:
+            if pid not in self.costs:
+                raise ValidationError(f"unknown project id {pid}")
+        return Instance([p for p in self.projects if p.index in pids], self.budget)
 
     def check_subset(self, pids: Iterable[int], what: str = "set") -> frozenset[int]:
         pids = frozenset(pids)
-        unknown = [pid for pid in pids if pid not in self._projects]
+        unknown = [pid for pid in pids if pid not in self.costs]
         if unknown:
             raise ValidationError(f"{what} contains unknown project ids {sorted(unknown)}")
         return pids
@@ -184,10 +194,10 @@ class Instance:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
-        return self.budget == other.budget and self._projects == other._projects
+        return self.budget == other.budget and self.projects == other.projects
 
     def __repr__(self) -> str:
-        return f"Instance({len(self._projects)} projects, budget={self.budget})"
+        return f"Instance({len(self.ids)} projects, budget={self.budget})"
 
 
 NOT_AN_ORDER = "order must cover exactly the candidate set, no repeats"
@@ -225,7 +235,7 @@ def greedy_scan(instance: Instance, order: Iterable[int]) -> frozenset[int]:
     ``order`` must list distinct ids of ``instance``; callers that have
     not checked that go through :func:`greedy_select`.
     """
-    costs = instance._costs
+    costs = instance.costs
     budget = instance.budget
     selected = []
     spent = 0

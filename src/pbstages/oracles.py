@@ -384,10 +384,7 @@ def second_stage_sp_oracle(
     else:
         fixed = tuple(frozenset(ballot) for ballot in ballots)
         cases = ((agent, fixed, subsets_ascending(instance.ids)) for agent in pool)
-    payload = {
-        "budget": instance.budget,
-        "costs": {str(p.index): p.cost for p in instance.projects},
-    }
+    payload = {"budget": instance.budget, "costs": {str(i): c for i, c in instance.costs.items()}}
     coords = {str(p.index): list(p.coords) for p in instance.projects if p.coords is not None}
     if coords:
         payload["coords"] = coords

@@ -63,7 +63,7 @@ def truthful_ballots(
     outside it; each agent chooses among the projects she ranks that the
     instance holds.
     """
-    costs = instance._costs
+    costs = instance.costs
     ballots = []
     for ranking in rankings:
         # The filter keeps only ids of the instance; repeats are what is left to refuse.

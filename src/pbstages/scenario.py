@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from pbstages.core import Instance, Project, ValidationError
+from pbstages.core import Instance, Project, ValidationError, is_number
 from pbstages.allocation import PriorityTieBreak
 from pbstages.preferences import check_ranking
 from pbstages.shortlisting import Metric, euclidean_metric, table_metric
@@ -103,10 +103,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _id_list(values, where: str) -> list[int]:
     # One check per distinct element type, not per id: ints and their
     # subclasses pass, bool (an int subclass in Python) does not.
@@ -138,7 +134,7 @@ def _project(entry) -> Project:
     cost = _expect(entry, "cost", int, "")
     coords = entry.get("coords")
     if coords is not None and (
-        not isinstance(coords, list) or not all(map(_is_number, coords))
+        not isinstance(coords, list) or not all(map(is_number, coords))
     ):
         _fail("", "coords must be a list of numbers")
     return _checked("", Project, pid, cost, coords)
@@ -179,7 +175,7 @@ def _distance(entry) -> list:
         and len(entry) == 3
         and _is_int(entry[0])
         and _is_int(entry[1])
-        and _is_number(entry[2])
+        and is_number(entry[2])
     ):
         _fail("", "expected [id, id, distance]")
     return [int(entry[0]), int(entry[1]), float(entry[2])]

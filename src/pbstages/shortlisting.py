@@ -46,7 +46,7 @@ def check_proposals(
 ) -> tuple[frozenset[int], ...]:
     """Each proposal as a set of the instance's ids; a refusal names the first bad block."""
     blocks = tuple(map(frozenset, proposals))
-    if not all(map(instance._costs.keys().__ge__, blocks)):
+    if not all(map(instance.costs.keys().__ge__, blocks)):
         for i, block in enumerate(blocks):
             instance.check_subset(block, f"proposal of agent {i + 1}")
     return blocks
@@ -138,7 +138,7 @@ def equal_representation(
     union = sorted(proposal_union(proposals))
     check_cap(len(union), caps.subset_search, "equal-representation search", "proposed projects")
     limit = k * instance.budget
-    costs = [instance._costs[pid] for pid in union]
+    costs = [instance.costs[pid] for pid in union]
     if sum(costs) <= limit:
         return frozenset(union)
     base, weights = _level_weights(proposals)
@@ -196,6 +196,8 @@ def equal_representation(
         walk(first + 1, spent, score)
 
     walk(0, 0, base)
+    # Break the cycle through walk's own cell: the state is freed now, not by the collector.
+    del walk
     return frozenset(best)
 
 

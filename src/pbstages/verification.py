@@ -74,16 +74,10 @@ def aggregate(verdicts: Iterable[PropertyVerdict], params: dict | None = None) -
 
 
 def instance_payload(instance: Instance) -> dict:
-    data = {
-        "budget": instance.budget,
-        "costs": {str(p.index): p.cost for p in instance.projects},
-    }
-    if any(p.coords is not None for p in instance.projects):
-        data["coords"] = {
-            str(p.index): list(p.coords)
-            for p in instance.projects
-            if p.coords is not None
-        }
+    data = {"budget": instance.budget, "costs": {str(i): c for i, c in instance.costs.items()}}
+    coords = {str(p.index): list(p.coords) for p in instance.projects if p.coords is not None}
+    if coords:
+        data["coords"] = coords
     return data
 
 

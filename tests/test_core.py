@@ -78,10 +78,46 @@ class TestInstance:
         (lambda: Project(True, 1), r"^project index and cost must be integers, got True and 1$"),
         (lambda: Instance([Project(1, 1), Project(2, 2)], 2.5),
          r"^budget must be an integer, got 2\.5$"),
+        # Coordinates are type-checked as strictly as index and cost: a
+        # string, a bool, a non-sequence or a non-number is refused, never
+        # coerced to floats.
+        (lambda: Project(4, 1, "12"),
+         r"^project p4 coordinates must be a sequence of numbers, got '12'$"),
+        (lambda: Project(4, 1, ("1.5", True)),
+         r"^project p4 coordinates must be a sequence of numbers, got \('1\.5', True\)$"),
+        (lambda: Project(4, 1, (1.5, True)),
+         r"^project p4 coordinates must be a sequence of numbers, got \(1\.5, True\)$"),
+        (lambda: Project(4, 1, 5),
+         r"^project p4 coordinates must be a sequence of numbers, got 5$"),
+        (lambda: Project(4, 1, ["x"]),
+         r"^project p4 coordinates must be a sequence of numbers, got \['x'\]$"),
+        (lambda: Project(4, 1, b"12"),
+         r"^project p4 coordinates must be a sequence of numbers, got b'12'$"),
+        (lambda: Project(4, 1, [10**400, 0]),
+         r"^project p4 coordinates must be a sequence of numbers, got \[1000+, 0\]$"),
     ])
     def test_invalid_project_or_instance_refused(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
+
+    def test_ids_projects_and_costs_in_ascending_id_order(self):
+        projects = [Project(3, 2), Project(1, 1, (0.0, 1.0)), Project(2, 3)]
+        instance = Instance(projects, 3)
+        assert instance.ids == (1, 2, 3)
+        assert [p.index for p in instance.projects] == [1, 2, 3]
+        assert list(instance.costs) == [1, 2, 3]
+        assert instance.costs == {p.index: p.cost for p in projects}
+
+    def test_restrict_unknown_id_refused(self, ten_project_instance):
+        with pytest.raises(ValidationError, match=r"^unknown project id 99$"):
+            ten_project_instance.restrict([1, 99])
+
+    def test_restrict_equals_direct_build_and_keeps_coords(self):
+        projects = [Project(i, i, [i, 0.0]) for i in range(1, 5)]
+        restricted = Instance(projects, 4).restrict([4, 2])
+        assert restricted == Instance([projects[1], projects[3]], 4)
+        assert [p.coords for p in restricted.projects] == [(2.0, 0.0), (4.0, 0.0)]
+        assert restricted.costs == {2: 2, 4: 4}
 
 
 class TestGreedySelect:

@@ -187,6 +187,42 @@ def test_no_private_cross_module_imports():
     assert not private
 
 
+def private_stores(tree):
+    """Every ``_name`` a module stores on ``self`` (``self._name = ...``)."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr.startswith("_")
+    }
+
+
+def test_no_private_cross_module_attribute_reads():
+    # An underscore attribute belongs to the module whose objects store it:
+    # another module reads that object's state through public names.  A
+    # name the package never stores (argparse's ``_actions``) is not its own.
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))
+    }
+    owners = {}
+    for name, tree in trees.items():
+        for attr in private_stores(tree):
+            owners.setdefault(attr, set()).add(name)
+    foreign = [
+        (name, node.lineno, node.attr)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        and name not in owners.get(node.attr, {name})
+    ]
+    assert not foreign
+
+
 def test_one_grid_layout():
     # ``grid.py`` alone knows where a kernel puts each score vector's
     # outcome: no other module builds a kernel's arguments or the levels

@@ -198,6 +198,13 @@ class TestParsing:
                      id="version=True"),
         pytest.param(setting("version", value=1.0), r"^scenario: unsupported version 1\.0$",
                      id="version=1.0"),
+        # An integer no float can hold is not a number: refused, not an OverflowError.
+        pytest.param(setting("instance", "projects", 0, "coords", value=[10**400, 0]),
+                     r"^scenario\.instance\.projects\[0\]: coords must be a list of numbers$",
+                     id="coords=[10**400, 0]"),
+        pytest.param(setting("metric", value={"kind": "table", "entries": [[1, 2, 10**400]]}),
+                     r"^scenario\.metric\.entries\[0\]: expected \[id, id, distance\]$",
+                     id="distance=10**400"),
     ])
     def test_invalid_document_refused_at_its_location(self, edit, message):
         with pytest.raises(ScenarioError, match=message):

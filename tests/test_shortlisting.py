@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import time
@@ -17,6 +18,7 @@ from pbstages.oracles import (
 )
 from pbstages.preferences import ideal_set
 from pbstages.shortlisting import (
+    _METRIC_TOLERANCE,
     ClusteringOutcome,
     Metric,
     VoronoiPartition,
@@ -98,6 +100,20 @@ class TestEqualRepresentation:
     def test_single_agent_single_project(self):
         instance = unit_instance(3, 1)
         assert equal_representation(instance, (fs(2),), 1) == fs(2)
+
+    def test_search_leaves_no_reference_cycle(self):
+        # The branch and bound's state is freed when the call returns, not
+        # left for the cycle collector.
+        instance = make_instance([1 + i % 3 for i in range(1, 9)], 4)
+        proposals = (fs(1, 2, 3), fs(3, 4, 5), fs(6, 7), fs(8, 1))
+        assert instance.total_cost(fs(1, 2, 3, 4, 5, 6, 7, 8)) > instance.budget
+        gc.collect()
+        gc.disable()
+        try:
+            assert equal_representation(instance, proposals, 1) == fs(1, 3, 6)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_tie_resolved_by_family_tiebreak(self):
         instance = make_instance([1, 2, 1, 1], 2)
@@ -408,6 +424,17 @@ class TestMetric:
     def test_triangle_violation_rejected(self):
         with pytest.raises(ValidationError):
             table_metric([1, 2, 3], [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 9.0)])
+
+    def test_triangle_at_the_tolerance_accepted(self):
+        # (1.0 + 1.0) + tolerance is this very float, so the slack is inclusive.
+        far = 2.0 + _METRIC_TOLERANCE
+        metric = table_metric([1, 2, 3], [(1, 2, 1.0), (2, 3, 1.0), (1, 3, far)])
+        assert metric.distance(1, 3) == far
+
+    def test_triangle_past_the_tolerance_refused(self):
+        far = 2.0 + 2 * _METRIC_TOLERANCE
+        with pytest.raises(ValidationError, match=r"^triangle inequality violated on projects"):
+            table_metric([1, 2, 3], [(1, 2, 1.0), (2, 3, 1.0), (1, 3, far)])
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValidationError):
