@@ -19,7 +19,7 @@ from pathlib import Path
 
 from pbstages.core import Caps, ResourceLimitError, ValidationError
 from pbstages.allocation import ALLOCATION_RULES
-from pbstages.fixtures import fixture_names, load_fixture, run_bundled_suite
+from pbstages.fixtures import fixture_names, load_fixture
 from pbstages.operations import SHORTLIST_RULES, run
 from pbstages.preferences import MODELS
 from pbstages.scenario import (
@@ -34,7 +34,8 @@ from pbstages.strategy import MODES, VARIANTS
 REPORT_FORMAT = "pb-report"
 REPORT_VERSION = 1
 # Commands whose reports replay through :func:`pbstages.operations.run`.
-COMMANDS = ("shortlist", "allocate", "end-to-end", "check-axiom", "check-ssp", "check-fssp")
+COMMANDS = ("shortlist", "allocate", "end-to-end", "check-axiom", "check-ssp", "check-fssp",
+            "paper-suite")
 CAP_NAMES = tuple(cap.name for cap in dataclasses.fields(Caps))
 # Parsed flags that are not operation options, besides the --cap-* flags.
 NOT_OPTIONS = ("command", "scenario", "fixture", "output", "no_timing", "metric")
@@ -191,20 +192,6 @@ def _apply_metric_override(doc: ScenarioDocument, kind: str) -> ScenarioDocument
     return doc
 
 
-def _run_paper_suite(caps: Caps) -> dict:
-    suite = run_bundled_suite(caps)
-    tagged = [
-        (f"{name}/{r.check_id}", r.status) for name, results in suite.items() for r in results
-    ]
-    failures = [tag for tag, status in tagged if status == "fail"]
-    return {
-        "fixtures": {name: [r.to_jsonable() for r in results] for name, results in suite.items()},
-        "informational": [tag for tag, status in tagged if status == "informational"],
-        "failures": failures,
-        "ok": not failures,
-    }
-
-
 def _emit(report: dict, output: str | None) -> None:
     text = dump_json(report) + "\n"
     if output:
@@ -267,7 +254,7 @@ def _replay(args: argparse.Namespace) -> dict:
         if key not in stored:
             raise ValidationError(f"report is missing the {key!r} field")
     command, raw_caps = stored["command"], stored["caps"]
-    if command not in (*COMMANDS, "paper-suite"):
+    if command not in COMMANDS:
         raise ValidationError(f"cannot replay a report of command {command!r}")
     if not isinstance(stored["options"], dict):
         raise ValidationError("report options must be a JSON object")
@@ -278,11 +265,10 @@ def _replay(args: argparse.Namespace) -> dict:
         raise ValidationError(f"not a {REPORT_FORMAT} version {REPORT_VERSION} report: {header}")
     _check_option_types(command, stored["options"])
     caps = Caps(**raw_caps)
-    if command == "paper-suite":
-        fresh = _run_paper_suite(caps)
-    else:
-        doc = parse_scenario_dict(stored["document"], where="report.document")
-        fresh = run(command, doc, stored["options"], caps)
+    doc = stored["document"]
+    if doc is not None:
+        doc = parse_scenario_dict(doc, where="report.document")
+    fresh = run(command, doc, stored["options"], caps)
     matches = fresh == stored["results"]
     return {
         "replayed_command": command,
@@ -300,18 +286,16 @@ def main(argv: list[str] | None = None) -> int:
             report = {"source": {"report": args.report}, "results": _replay(args)}
         else:
             caps = _caps(args)
-            if args.command == "paper-suite":
-                report = {"options": {"seed": args.seed}, "document": None}
-                report["results"] = _run_paper_suite(caps)
-            else:
+            options = {
+                key: value
+                for key, value in vars(args).items()
+                if key not in NOT_OPTIONS and not key.startswith("cap_")
+            }
+            doc, report = None, {"options": options, "document": None}
+            if "scenario" in vars(args):
                 doc, source = _load_document(args)
-                options = {
-                    key: value
-                    for key, value in vars(args).items()
-                    if key not in NOT_OPTIONS and not key.startswith("cap_")
-                }
-                report = {"source": source, "options": options, "document": document_to_dict(doc)}
-                report["results"] = run(args.command, doc, options, caps)
+                report.update(source=source, document=document_to_dict(doc))
+            report["results"] = run(args.command, doc, options, caps)
             report["caps"] = caps.__dict__
         report.update(
             format=REPORT_FORMAT, version=REPORT_VERSION, command=args.command, status="completed"

@@ -1,15 +1,19 @@
 """Operations on a scenario: the one dispatcher behind the CLI and the checks.
 
 ``run(kind, doc, options, caps)`` maps an operation name and its options
-to a JSON-ready result.  The CLI commands and the bundled fixture checks
-both go through it, so a check computes exactly what the command it
-mirrors reports.  Results depend only on (kind, document, options, caps).
+to a JSON-ready result.  The CLI commands and the bundled fixture checks,
+which ``paper-suite`` runs, all go through it, so a check computes exactly
+what the command it mirrors reports.  Results depend only on (kind,
+document, options, caps); ``paper-suite`` alone takes no document.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from pbstages.core import Caps, ValidationError
 from pbstages.allocation import allocation_rule
+from pbstages.fixtures import FIXTURES, load_fixture
 from pbstages.preferences import truthful_ballots
 from pbstages.scenario import ScenarioDocument
 from pbstages.shortlisting import (
@@ -221,6 +225,20 @@ def _domination(doc: ScenarioDocument, options: Options, caps: Caps) -> dict:
     return result
 
 
+def _paper_suite(doc: None, options: Options, caps: Caps) -> dict:
+    suite = run_bundled_suite(caps)
+    tagged = [
+        (f"{name}/{r.check_id}", r.status) for name, results in suite.items() for r in results
+    ]
+    failures = [tag for tag, status in tagged if status == "fail"]
+    return {
+        "fixtures": {name: [r.to_jsonable() for r in results] for name, results in suite.items()},
+        "informational": [tag for tag, status in tagged if status == "informational"],
+        "failures": failures,
+        "ok": not failures,
+    }
+
+
 OPERATIONS = {
     "shortlist": _shortlist,
     "allocate": _allocate,
@@ -231,13 +249,136 @@ OPERATIONS = {
     "manipulation": _manipulation,
     "score": _score,
     "domination": _domination,
+    "paper-suite": _paper_suite,
 }
 
 
-def run(kind: str, doc: ScenarioDocument, options: dict, caps: Caps = Caps()) -> dict:
-    """Run one operation on a document; pure given (kind, options, caps)."""
+def run(kind: str, doc: ScenarioDocument | None, options: dict, caps: Caps = Caps()) -> dict:
+    """Run one operation on a document (None for paper-suite); pure given its arguments."""
     try:
         operation = OPERATIONS[kind]
     except KeyError:
         raise ValidationError(f"unknown operation {kind!r}") from None
+    if (doc is None) != (kind == "paper-suite"):
+        raise ValidationError(f"{kind} {'needs a' if doc is None else 'takes no'} document")
     return operation(doc, Options(options), caps)
+
+
+# ---------------------------------------------------------------------------
+# Check runner
+
+
+@dataclass
+class CheckResult:
+    check_id: str
+    kind: str
+    status: str  # "pass" | "fail" | "informational"
+    expected: dict
+    computed: dict
+    note: str | None = None
+
+    def to_jsonable(self) -> dict:
+        return {
+            "id": self.check_id,
+            "kind": self.kind,
+            "status": self.status,
+            "expected": self.expected,
+            "computed": self.computed,
+            "note": self.note,
+        }
+
+
+# Check kind -> the operation it runs.
+CHECK_OPERATIONS = {
+    "shortlist": "shortlist",
+    "clusters": "shortlist",
+    "allocation": "allocate",
+    "end-to-end": "end-to-end",
+    "score": "score",
+    "manipulation": "manipulation",
+    "fssp": "check-fssp",
+    "ssp": "check-ssp",
+    "domination": "domination",
+}
+
+# Witness fields that verdict checks copy into ``computed``.
+WITNESS_FIELDS = {
+    "manipulation": ("baseline_outcome", "deviation_outcome"),
+    "fssp": ("agent", "deviation"),
+    "ssp": ("agent", "truthful_outcome", "manipulated_outcome"),
+}
+
+
+def _check_options(doc: ScenarioDocument, check: dict) -> dict:
+    """Map a check's recorded fields onto the options of its operation."""
+    kind = check["kind"]
+    options = {
+        key: value
+        for key, value in check.items()
+        if key not in ("id", "kind", "expect", "required", "note")
+    }
+    if "shortlist_rule" in options:
+        options["rule"] = options.pop("shortlist_rule")
+    if kind == "clusters":
+        options["rule"] = "k-median"
+    elif kind == "allocation":
+        options.setdefault("ballots", "truthful")
+    elif kind in ("manipulation", "fssp"):
+        options.setdefault("model", doc.config.get("model", "overlap"))
+    return options
+
+
+def _computed(kind: str, result: dict) -> dict:
+    """The fields of an operation's result that a check of ``kind`` compares."""
+    if kind == "clusters":
+        return result
+    if kind not in WITNESS_FIELDS:
+        # Only clusters checks compare the clustering detail; none compares ballots.
+        return {k: v for k, v in result.items() if k not in ("radius", "partitions", "ballots")}
+    if kind == "manipulation":
+        computed, witness = {"verdict": result["verdict"]}, result["witness"]
+    else:
+        computed, witness = {"status": result["verdict"]["status"]}, result["verdict"]["witness"]
+    if witness:
+        computed.update((key, witness[key]) for key in WITNESS_FIELDS[kind])
+        if kind == "ssp":
+            computed["manipulator_ballot"] = witness["profile"][witness["agent"] - 1]
+    computed["witness"] = witness
+    return computed
+
+
+def run_check(doc: ScenarioDocument, check: dict, caps: Caps = Caps()) -> CheckResult:
+    """Execute one recorded expectation against the document."""
+    kind = check["kind"]
+    if kind not in CHECK_OPERATIONS:
+        raise ValidationError(f"unknown check kind {kind!r}")
+    result = run(CHECK_OPERATIONS[kind], doc, _check_options(doc, check), caps)
+    computed = _computed(kind, result)
+    expect = check.get("expect", {})
+    matches = all(computed.get(key) == value for key, value in expect.items())
+    required = check.get("required", True)
+    if matches:
+        status = "pass"
+    elif required:
+        status = "fail"
+    else:
+        status = "informational"
+    return CheckResult(
+        check_id=check.get("id", kind),
+        kind=kind,
+        status=status,
+        expected=expect,
+        computed=computed,
+        note=check.get("note"),
+    )
+
+
+def run_fixture(name: str, caps: Caps = Caps()) -> list[CheckResult]:
+    doc = load_fixture(name)
+    return [run_check(doc, check, caps) for check in doc.checks]
+
+
+def run_bundled_suite(caps: Caps = Caps()) -> dict[str, list[CheckResult]]:
+    """Run every bundled fixture's checks; the suite's exit contract is
+    zero failures and exactly the documented informational records."""
+    return {name: run_fixture(name, caps) for name in FIXTURES}

@@ -13,7 +13,8 @@ from random import Random
 import pytest
 
 from pbstages.allocation import allocation_rule
-from pbstages.fixtures import load_fixture, run_bundled_suite
+from pbstages.fixtures import load_fixture
+from pbstages.operations import run_bundled_suite
 from pbstages.oracles import (
     approval_maximising_oracle,
     equal_representation_oracle,

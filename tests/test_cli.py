@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -34,6 +38,10 @@ SHORTLIST_ARGV = ("shortlist", "--fixture", "example1", "--rule", "nomination")
 CHECK_SSP_ARGV = (
     "check-ssp", "--fixture", "greedy-overlap-gap", "--rule", "greedy-approval", "--search", "full",
 )
+CHECK_FSSP_ARGV = (
+    "check-fssp", "--fixture", "theorem-rfssp", "--rule", "nomination",
+    "--allocation-rule", "greedy-approval", "--variant", "restricted", "--mode", "anticipative",
+)
 
 
 def stored_report(tmp_path, edit, argv=SHORTLIST_ARGV):
@@ -48,6 +56,19 @@ def stored_report(tmp_path, edit, argv=SHORTLIST_ARGV):
 
 
 class TestCommands:
+    def test_module_entry_point_matches_main(self, capsys):
+        # `python -m pbstages.cli` runs the module's __main__ block.
+        argv = ["shortlist", "--fixture", "example1", "--rule", "nomination", "--no-timing"]
+        src = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "pbstages.cli", *argv],
+            capture_output=True, env=env, timeout=60, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert main(argv) == 0
+        assert done.stdout == capsys.readouterr().out.encode()
+
     def test_end_to_end_example(self, capsys):
         code, report = run_cli(
             capsys,
@@ -442,6 +463,22 @@ class TestReplayAndStability:
         code, replay = run_cli(capsys, "replay", str(path), "--no-timing")
         assert code == 0
         assert replay["results"]["reproduces"] is not tamper
+
+    @pytest.mark.parametrize("document", [
+        pytest.param({"anything": 1}, id="invalid"),
+        pytest.param(document_to_dict(load_fixture("example1")), id="valid"),
+    ])
+    def test_replay_paper_suite_with_a_document_is_2(self, capsys, tmp_path, document):
+        # paper-suite runs the bundled fixtures and takes no document, so a
+        # report that carries one was not written by it.
+        path = stored_report(tmp_path, lambda data: data.update(document=document), ["paper-suite"])
+        assert main(["replay", str(path)]) == 2
+        assert "validation error" in capsys.readouterr().err
+
+    def test_replay_without_a_document_is_2(self, capsys, tmp_path):
+        path = stored_report(tmp_path, lambda data: data.update(document=None), CHECK_FSSP_ARGV)
+        assert main(["replay", str(path)]) == 2
+        assert "validation error: check-fssp needs a document" in capsys.readouterr().err
 
     def test_replay_detects_tampering(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"

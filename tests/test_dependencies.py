@@ -61,6 +61,12 @@ def test_only_the_oracles_module_imports_the_oracles():
     assert importers <= {"oracles.py"}
 
 
+def test_fixtures_import_nothing_from_operations():
+    # The check runner in operations reads the bundled scenarios; an import
+    # back would be the cycle that once kept paper-suite out of operations.run.
+    assert "pbstages.operations" not in set(imported_modules(PACKAGE / "fixtures.py"))
+
+
 def test_only_the_case_generators_import_random():
     # Randomness draws cases; no search may claim a verdict from samples.
     importers = {

@@ -1,13 +1,8 @@
 import pytest
 
 from pbstages.core import ValidationError
-from pbstages.fixtures import (
-    fixture_names,
-    load_fixture,
-    run_bundled_suite,
-    run_check,
-    run_fixture,
-)
+from pbstages.fixtures import fixture_names, load_fixture
+from pbstages.operations import run_bundled_suite, run_check, run_fixture
 
 
 class TestRegistry:

@@ -39,6 +39,12 @@ def minimal_scenario(**overrides):
     return data
 
 
+# Messages that several cases share.  Strict parametrization refuses a
+# duplicate id, so each such case names its id, numbered in order.
+BAD_ENTRY = r"^scenario\.metric\.entries\[0\]: expected \[id, id, distance\]$"
+UNKNOWN_9 = r"^scenario\.metric: metric names unknown project ids \[9\]$"
+
+
 def setting(*path, value):
     """An edit of a scenario dict that sets the entry at ``path`` (keys and indices)."""
 
@@ -146,8 +152,8 @@ class TestParsing:
          r"^scenario\.proposals: expected one entry per agent \(2\)$"),
         (setting("metric", value={"kind": "manhattan"}),
          r"^scenario\.metric: unknown metric kind 'manhattan'$"),
-        (setting("metric", value={"kind": "table", "entries": [[1, 2]]}),
-         r"^scenario\.metric\.entries\[0\]: expected \[id, id, distance\]$"),
+        pytest.param(setting("metric", value={"kind": "table", "entries": [[1, 2]]}),
+                     BAD_ENTRY, id=f"edit-{BAD_ENTRY}0"),
         (setting("tiebreak", value={"kind": "priority", "allocations": [[1], [1]]}),
          r"^scenario\.tiebreak: priority list contains duplicate allocations$"),
         (setting("tiebreak", value={"kind": "random"}),
@@ -161,14 +167,14 @@ class TestParsing:
         (setting("tiebreak", value=3), r"^scenario\.tiebreak: expected a JSON object$"),
         (setting("metric", value=5), r"^scenario\.metric: expected a JSON object$"),
         # Table entries are [int, int, number]: no string, float id or bool.
-        (setting("metric", value={"kind": "table", "entries": [[1, 2, "x"]]}),
-         r"^scenario\.metric\.entries\[0\]: expected \[id, id, distance\]$"),
-        (setting("metric", value={"kind": "table", "entries": [[1.5, 1, 0]]}),
-         r"^scenario\.metric\.entries\[0\]: expected \[id, id, distance\]$"),
-        (setting("metric", value={"kind": "table", "entries": [[1, True, 1]]}),
-         r"^scenario\.metric\.entries\[0\]: expected \[id, id, distance\]$"),
-        (setting("metric", value={"kind": "table", "entries": [[1, 2, False]]}),
-         r"^scenario\.metric\.entries\[0\]: expected \[id, id, distance\]$"),
+        pytest.param(setting("metric", value={"kind": "table", "entries": [[1, 2, "x"]]}),
+                     BAD_ENTRY, id=f"edit-{BAD_ENTRY}1"),
+        pytest.param(setting("metric", value={"kind": "table", "entries": [[1.5, 1, 0]]}),
+                     BAD_ENTRY, id=f"edit-{BAD_ENTRY}2"),
+        pytest.param(setting("metric", value={"kind": "table", "entries": [[1, True, 1]]}),
+                     BAD_ENTRY, id=f"edit-{BAD_ENTRY}3"),
+        pytest.param(setting("metric", value={"kind": "table", "entries": [[1, 2, False]]}),
+                     BAD_ENTRY, id=f"edit-{BAD_ENTRY}4"),
         # json reads NaN and Infinity; geometry must be finite.
         (setting("instance", "projects", 0, "coords", value=[float("nan"), 0]),
          r"^scenario\.instance\.projects\[0\]: project p1 has non-finite coordinates "
@@ -177,11 +183,13 @@ class TestParsing:
             "kind": "table", "entries": [[1, 2, float("inf")], [1, 3, 1], [2, 3, 1]],
         }), r"^scenario\.metric: non-finite distance inf for pair \(1, 2\)$"),
         # Table entries, self-pairs included, name only the instance's projects.
-        (setting("metric", value={"kind": "table", "entries": [[1, 2, 1.0], [1, 9, 5.0]]}),
-         r"^scenario\.metric: metric names unknown project ids \[9\]$"),
-        (setting("metric", value={
+        pytest.param(
+            setting("metric", value={"kind": "table", "entries": [[1, 2, 1.0], [1, 9, 5.0]]}),
+            UNKNOWN_9, id=f"edit-{UNKNOWN_9}0",
+        ),
+        pytest.param(setting("metric", value={
             "kind": "table", "entries": [[1, 2, 1], [1, 3, 1], [2, 3, 1], [9, 9, 0]],
-        }), r"^scenario\.metric: metric names unknown project ids \[9\]$"),
+        }), UNKNOWN_9, id=f"edit-{UNKNOWN_9}1"),
         (setting("tiebreak", value={"kind": "priority", "allocations": [[1], [9]]}),
          r"^scenario\.tiebreak\.allocations\[1\]: priority allocation contains unknown "
          r"project ids \[9\]$"),
