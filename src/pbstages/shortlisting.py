@@ -161,6 +161,9 @@ def equal_representation(
         for c in proposers[pos]:
             bisect.insort(shares[c], costs[pos])
             class_totals[pos][c] = list(itertools.accumulate(shares[c]))
+    # live[pos]: the classes with projects left at pos, with their totals;
+    # a class with none left adds nothing to the bound
+    live = [[(c, cum[c], row) for c, row in enumerate(rows) if row] for rows in class_totals]
 
     best_score = -1
     best: list[int] = []
@@ -171,9 +174,9 @@ def equal_representation(
         nonlocal best_score, best
         room = limit - spent
         bound = score
-        for c, row in enumerate(class_totals[pos]):
+        for c, gains, row in live[pos]:
             level = counts[c]
-            bound += cum[c][level + bisect.bisect_right(row, room)] - cum[c][level]
+            bound += gains[level + bisect.bisect_right(row, room)] - gains[level]
         fit = bisect.bisect_right(ascending[pos], room)
         if not fit or totals[pos][fit - 1] <= room:
             # Every project that fits is taken, so the bound is the leaf's score.
@@ -252,6 +255,21 @@ class Metric:
             return self._dist[key]
         except KeyError:
             raise ValidationError(f"metric does not cover the pair {key}") from None
+
+    def table(self, pids: Sequence[int]) -> list[list[float]]:
+        """Row i holds the distances from ``pids[i]`` to each of ``pids``, 0.0 on the diagonal.
+
+        Read straight from the pair dict: the same numbers as
+        :meth:`distance`, and its refusal of a pair the metric does not cover.
+        """
+        dist = self._dist
+        try:
+            return [
+                [dist[(p, q) if p < q else (q, p)] if p != q else 0.0 for q in pids]
+                for p in pids
+            ]
+        except KeyError:
+            return [[self.distance(p, q) for q in pids] for p in pids]
 
 
 def euclidean_metric(instance: Instance) -> Metric:
@@ -348,14 +366,17 @@ def _radius_groups(
     the order of :func:`~pbstages.core.tiebreak_family`, and so does each
     group.  It holds, for each of its median sets, a lazy iterator over the
     set's valid clusterings: each project outside M joins one of its
-    nearest members of M, each median sits in its own cluster
-    (:func:`geometric_median` returns a member), and a clustering is valid
-    when every cluster's geometric median is its own median.
+    nearest members of M, each median sits in its own cluster (a
+    cluster's median is one of its members), and a clustering is valid
+    when every cluster's geometric median is its own median.  Medians are
+    read off the call's distance table (:meth:`Metric.table`) with
+    :func:`geometric_median`'s rule: each candidate's distances summed in
+    ascending order, ties to the lowest index.
     """
     pids = sorted(pids)
     check_cap(len(pids), caps.partitions, "median-set search", "projects")
     m = len(pids)
-    dist = [[metric.distance(p, q) for q in pids] for p in pids]
+    dist = metric.table(pids)
     limit = k * instance.budget
     bits = [1 << (m - 1 - j) for j in range(m)]
     full = (1 << m) - 1
@@ -364,7 +385,12 @@ def _radius_groups(
         c = instance.cost(pids[j])
         cost += [spent + c for spent in cost]
     pending = [mask for mask in reversed(range(1, 1 << m)) if cost[mask] <= limit]
+    # medians_of[cluster]: the median of a cluster of ascending indices
     medians_of: dict[tuple[int, ...], int] = {}
+
+    def median(cluster: tuple[int, ...]) -> int:
+        sums = [sum(sorted([row[j] for j in cluster])) for row in map(dist.__getitem__, cluster)]
+        return cluster[sums.index(min(sums))]
 
     def clusterings(mask: int) -> Iterator[VoronoiPartition]:
         medians = [j for j in range(m) if mask & bits[j]]
@@ -378,17 +404,17 @@ def _radius_groups(
         for assignment in itertools.product(*choices):
             clusters: dict[int, list[int]] = {j: [] for j in medians}
             for i, j in enumerate(assignment):
-                clusters[j].append(pids[i])
+                clusters[j].append(i)
             for j, members in clusters.items():
                 key = tuple(members)
                 if key not in medians_of:
-                    medians_of[key] = geometric_median(key, metric)
-                if medians_of[key] != pids[j]:
+                    medians_of[key] = median(key)
+                if medians_of[key] != j:
                     break
             else:
                 ordered = sorted(clusters.items(), key=lambda item: item[1][0])
                 yield VoronoiPartition(
-                    tuple(frozenset(members) for _, members in ordered),
+                    tuple(frozenset(map(pids.__getitem__, members)) for _, members in ordered),
                     tuple(pids[j] for j, _ in ordered),
                 )
 

@@ -200,6 +200,30 @@ class TestCommands:
         assert main([*shortlist, "--scenario", coordinates_only, "--metric", "table"]) == 2
         assert "--metric table" in capsys.readouterr().err
 
+    def test_kmedian_table_missing_a_union_project_refused(self, capsys, tmp_path):
+        # The table leaves out project 3 of the union: the scenario is
+        # refused as it is read, before the rule builds its distance table.
+        path = tmp_path / "scenario.json"
+        write_scenario(ScenarioDocument(
+            instance=Instance([Project(i, 1) for i in (1, 2, 3)], 1),
+            agents=(AgentSpec(1, (1, 2, 3)),),
+            proposals=(frozenset({1, 2, 3}),),
+            metric_spec={
+                "kind": "table", "entries": [[1, 2, 1.0], [1, 3, 1.0], [2, 3, 2.0]],
+            },
+        ), path)
+        data = json.loads(path.read_text())
+        data["metric"]["entries"] = [[1, 2, 1.0]]
+        path.write_text(json.dumps(data))
+        assert main([
+            "shortlist", "--rule", "k-median", "--k", "1", "--scenario", str(path), "--no-timing",
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"validation error: {path}.metric: metric is missing the distance for pair (1, 3)\n"
+        )
+
     @pytest.mark.parametrize("metric, coords, table, code, expected", [
         ("table", True, True, 0, [1]),
         ("table", True, False, 2, "--metric table needs a distance table in the scenario"),

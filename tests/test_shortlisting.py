@@ -1,12 +1,13 @@
 import gc
 import itertools
 import math
+import sys
 import time
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pbstages.core import Caps, ResourceLimitError, ValidationError
 from pbstages.oracles import (
@@ -380,6 +381,31 @@ def test_union_20_cases_pinned_within_budget():
     assert elapsed < 5.0, f"union-20 cases exceeded their 5s budget: {elapsed:.2f}s"
 
 
+def test_union_20_search_visits_the_pinned_nodes():
+    # The bounds prune the same nodes whichever way they are computed: a
+    # faster bound that visits more or fewer nodes is a different search.
+    walk = next(
+        const for const in equal_representation.__code__.co_consts
+        if getattr(const, "co_name", None) == "walk"
+    )
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is walk:
+            calls += 1
+
+    cases = union_20_cases()
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for instance, proposals in cases:
+            equal_representation(instance, proposals, 1)
+    finally:
+        sys.setprofile(previous)
+    assert calls == 33_364
+
+
 # The message of two metric cases.  Strict parametrization refuses a
 # duplicate id, so each names its id, numbered in order.
 UNKNOWN_9 = r"^metric names unknown project ids \[9\]$"
@@ -460,6 +486,24 @@ class TestMetric:
     def test_colocated_projects_allowed(self):
         metric = table_metric([1, 2], [(1, 2, 0.0)])
         assert metric.distance(1, 2) == 0.0
+
+    def test_table_rows_are_the_pairwise_distances(self):
+        # Projects 1 and 3 are co-located; the rows follow the order asked for.
+        metric = table_metric([1, 2, 3], [(1, 2, 2.0), (1, 3, 0.0), (2, 3, 2.0)])
+        order = [3, 1, 2]
+        rows = metric.table(order)
+        assert rows == [[0.0, 0.0, 2.0], [0.0, 0.0, 2.0], [2.0, 2.0, 0.0]]
+        for i, j in itertools.product(range(3), repeat=2):
+            assert rows[i][j] == rows[j][i] == metric.distance(order[i], order[j])
+
+    def test_table_refuses_a_pair_outside_the_metric(self):
+        metric = table_metric([1, 2], [(1, 2, 1.0)])
+        with pytest.raises(ValidationError, match=r"^metric does not cover the pair \(1, 3\)$"):
+            metric.table([1, 2, 3])
+        # The rule reads its distances from the table, with the same refusal.
+        instance = make_instance([1, 1, 1], 3)
+        with pytest.raises(ValidationError, match=r"^metric does not cover the pair \(1, 3\)$"):
+            k_median(instance, [fs(1, 2, 3)], 1, metric)
 
 
 class TestGeometricMedian:
@@ -663,9 +707,31 @@ def flat_minimal_partitions(instance, proposals, k, metric):
     return ell, sorted(found, key=lambda p: [sorted(c) for c in p.clusters])
 
 
+def single_median_case(coords):
+    """Unit costs and one budget on these coordinates: every cluster is the whole union."""
+    instance = make_instance([1] * len(coords), 1, coords)
+    return instance, (frozenset(instance.ids),), 1, euclidean_metric(instance)
+
+
+# Candidate medians whose distance sums are equal in the reals but not as
+# surds, so the float sums decide.  On (2,2), (0,0), (0,0), (3,3) both
+# sqrt(8) + sqrt(8) + sqrt(2) and 0 + sqrt(8) + sqrt(18) are 5 sqrt(2), the
+# ascending float sums are equal too, and the lowest index wins.  On the
+# six points of the second case, (2,2) and (1,1) both sum to
+# 1 + 3 sqrt(2) + sqrt(5), and which float sum is less depends on the
+# order of the terms: the ascending order elects (1,1); the order of the
+# ids, the descending order and math.fsum elect (2,2).
+SURD_TIE_CASES = [
+    single_median_case([(2, 2), (0, 0), (0, 0), (3, 3)]),
+    single_median_case([(2, 2), (1, 1), (2, 2), (0, 0), (0, 1), (3, 2)]),
+]
+
+
 class TestKMedianProperties:
     @settings(deadline=None, max_examples=80)
     @given(clustering_cases())
+    @example(SURD_TIE_CASES[0])
+    @example(SURD_TIE_CASES[1])
     def test_partitions_match_flat_scan(self, case):
         instance, proposals, k, metric = case
         outcome = k_median_outcome(instance, proposals, k, metric)
