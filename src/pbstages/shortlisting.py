@@ -221,6 +221,7 @@ class Metric:
 
     def __init__(self, ids: Iterable[int], pair_distances: dict[tuple[int, int], float]):
         self.ids = tuple(sorted(set(ids)))
+        self._covered = frozenset(self.ids)
         unknown = sorted({p for pair in pair_distances for p in pair}.difference(self.ids))
         if unknown:
             raise ValidationError(f"metric names unknown project ids {unknown}")
@@ -249,6 +250,8 @@ class Metric:
 
     def distance(self, a: int, b: int) -> float:
         if a == b:
+            if a not in self._covered:
+                raise ValidationError(f"metric does not cover project {a}")
             return 0.0
         key = (a, b) if a < b else (b, a)
         try:
@@ -260,16 +263,16 @@ class Metric:
         """Row i holds the distances from ``pids[i]`` to each of ``pids``, 0.0 on the diagonal.
 
         Read straight from the pair dict: the same numbers as
-        :meth:`distance`, and its refusal of a pair the metric does not cover.
+        :meth:`distance`.  Whether every project is in the metric is checked
+        once per call; if one is not, the refusal is :meth:`distance`'s for
+        the first pair in row order that names one.
         """
-        dist = self._dist
-        try:
-            return [
-                [dist[(p, q) if p < q else (q, p)] if p != q else 0.0 for q in pids]
-                for p in pids
-            ]
-        except KeyError:
+        if not self._covered.issuperset(pids):
             return [[self.distance(p, q) for q in pids] for p in pids]
+        dist = self._dist
+        return [
+            [dist[(p, q) if p < q else (q, p)] if p != q else 0.0 for q in pids] for p in pids
+        ]
 
 
 def euclidean_metric(instance: Instance) -> Metric:

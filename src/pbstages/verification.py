@@ -335,8 +335,13 @@ def check_second_stage_sp(
     - ``"fixed-others"``: other agents keep the scenario ballots (their
       truthful ideal sets unless ``ballots`` is given) while each agent
       tries every ballot, or each of ``deviations``, read by
-      :func:`~pbstages.grid.ballot_box`; the first to beat the bar is the witness.  This
-      covers one slice of the space.  Other modes refuse ``deviations``.
+      :func:`~pbstages.grid.ballot_box`; the first to beat the bar is the
+      witness.  Every ballot's outcome comes from one box per agent, whose
+      distinct outcomes are valued once each: a box whose best value
+      cannot beat the bar is skipped whole, and ballots are listed only to
+      name a witness.  Deviations are tried one point call at a time,
+      stopping at the first witness.  This covers one slice of the space.
+      Other modes refuse ``deviations``.
     - ``"auto"``: ``"full"`` when the profile space fits the cap,
       otherwise ``"fixed-others"``.
     """
@@ -388,27 +393,36 @@ def check_second_stage_sp(
     need = len(agent_pool) * (2 ** len(ids) if deviations is None else len(deviations))
     check_cap(need, caps.profiles, "fixed-others search", f"ballots over {len(agent_pool)} agents")
     scores = approval_scores(instance, base)
-    # A deviation list stands in for the 2^m ballots, which are then never listed.
-    tried = subsets_ascending(ids) if deviations is None else deviations
     checked = 0
     for agent in agent_pool:
         ideal = tops[agent]
+        value = valuation(model, ideal, instance)
         if deviations is None:
             outcomes = ballot_box(kernel, instance, scores, base[agent])
             truthful = outcomes[offset(ids, ideal, 2)]
+            bar = _bar(value, ideal, truthful, approximate)
+            beating = {outcome for outcome in set(outcomes) if value(outcome) > bar}
+            if not beating:
+                checked += 2**m
+                continue
+            mask = next(i for i, outcome in enumerate(outcomes) if outcome in beating)
+            checked += mask + 1
+            ballot, manipulated = subsets_ascending(ids)[mask], outcomes[mask]
         else:
             outcomes = ballot_box(kernel, instance, scores, base[agent], [ideal, *deviations])
             truthful = next(outcomes)
-        value = functools.cache(valuation(model, ideal, instance))  # once per outcome
-        bar = _bar(value, ideal, truthful, approximate)
-        for ballot, manipulated in zip(tried, outcomes):
-            checked += 1
-            if value(manipulated) > bar:
-                profile = [ballot if i == agent else b for i, b in enumerate(base)]
-                witness = _witness(
-                    instance, model, approximate, agent, ideal, profile, truthful, manipulated
-                )
-                return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
+            bar = _bar(value, ideal, truthful, approximate)
+            for ballot, manipulated in zip(deviations, outcomes):
+                checked += 1
+                if value(manipulated) > bar:
+                    break
+            else:
+                continue
+        profile = [ballot if i == agent else b for i, b in enumerate(base)]
+        witness = _witness(
+            instance, model, approximate, agent, ideal, profile, truthful, manipulated
+        )
+        return PropertyVerdict(COUNTEREXAMPLE, witness, True, checked, params)
     # Fixed-others searched one slice of the profile space: no proof.
     return PropertyVerdict(HOLDS, None, False, checked, params)
 

@@ -505,6 +505,15 @@ class TestMetric:
         with pytest.raises(ValidationError, match=r"^metric does not cover the pair \(1, 3\)$"):
             k_median(instance, [fs(1, 2, 3)], 1, metric)
 
+    @pytest.mark.parametrize("search", [k_median, k_median_outcome])
+    def test_one_project_outside_the_metric_refused(self, search):
+        # A one-project union has no pair, so only the project's own check can refuse it.
+        metric = table_metric([1, 2], [(1, 2, 1.0)])
+        with pytest.raises(ValidationError, match=r"^metric does not cover project 3$"):
+            metric.distance(3, 3)
+        with pytest.raises(ValidationError, match=r"^metric does not cover project 3$"):
+            search(make_instance([1, 1, 1], 3), [fs(3)], 1, metric)
+
 
 class TestGeometricMedian:
     def test_triangle_with_perimeter_point(self, triangle_coords):

@@ -303,6 +303,37 @@ class TestSecondStageSp:
         assert len(calls) == 2 * (3 + 1)
         assert all(len(level) == 1 for levels in calls for level in levels)
 
+    @pytest.mark.parametrize("rule", ["greedy-approval", "approval-maximising"])
+    def test_fixed_others_lists_ballots_only_for_a_witness(self, monkeypatch, rule):
+        # On 6 projects a holding check judges each agent's box whole, from
+        # one unit-box kernel call, and builds no ballot list; a refuting
+        # check names the oracle's first witness.
+        calls = counted_kernel(monkeypatch, allocation_rule(rule))
+
+        def refused(pids):
+            raise AssertionError("every ballot was listed")
+
+        monkeypatch.setattr("pbstages.verification.subsets_ascending", refused)
+        rankings = ((4, 6, 1, 5, 3, 2), (6, 5, 4, 3, 2, 1))
+        verdict = check_second_stage_sp(
+            allocation_rule(rule), make_instance([4, 3, 2, 3, 3, 3], 9), rankings, "overlap",
+            search="fixed-others",
+        )
+        assert verdict.holds and verdict.checked == 2 * 2**6
+        assert len(calls) == 2
+        assert all(len(level) == 2 for levels in calls for level in levels)
+        monkeypatch.undo()
+        instance = make_instance([4, 3, 3, 4, 1, 4], 6)
+        rankings = ((4, 5, 1, 3, 2, 6), (2, 3, 4, 1, 5, 6))
+        verdict = check_second_stage_sp(
+            allocation_rule(rule), instance, rankings, "overlap", search="fixed-others"
+        )
+        tops = truthful_ballots(instance, rankings)
+        witness, checked = second_stage_sp_oracle(
+            ORACLES[rule], instance, tops, "overlap", False, tops, None
+        )
+        assert witness is not None and (verdict.witness, verdict.checked) == (witness, checked)
+
     def test_deviation_list_stops_at_first_witness(self, monkeypatch):
         # The second pool agent's second deviation is the first to beat her
         # truthful value: the point calls stop there, after the first
@@ -741,9 +772,27 @@ class TestSecondStageSpAgainstOracles:
             scenario, model, approximate, search="full",
         )
 
+    # In the first two examples the second pool agent refutes, at a mask
+    # above 0 that comes after an earlier ballot giving her truthful
+    # outcome; in the third the empty ballot, mask 0, is the witness.
     @settings(deadline=None, max_examples=60)
     @given(sp_scenarios(5, 4), st.sampled_from(sorted(ORACLES)),
            st.sampled_from(["overlap", "cost"]), st.booleans())
+    @example(
+        (make_instance([4, 1, 3, 1, 1], 8), ((5, 3, 4, 2, 1), (5, 3, 2, 4, 1), (3, 4, 2, 1, 5)),
+         (fs(1, 5), fs(1, 4), fs(1, 3, 4)), None),
+        "approval-maximising", "cost", False,
+    )
+    @example(
+        (make_instance([2, 4, 1, 1], 6), ((3, 2, 1, 4), (4, 2, 3, 1)), (fs(2, 4), fs(1, 3, 4)),
+         [1, 0]),
+        "greedy-approval", "cost", False,
+    )
+    @example(
+        (make_instance([1, 1, 3, 4], 5), ((4, 3, 1, 2), (1, 4, 3, 2)), (fs(3), fs(2, 3, 4)),
+         [1, 0]),
+        "approval-maximising", "cost", False,
+    )
     def test_fixed_others(self, scenario, rule, model, approximate):
         self.agree(allocation_rule(rule), ORACLES[rule], scenario, model, approximate,
                    search="fixed-others", ballots=scenario[2])
