@@ -13,6 +13,7 @@ import functools
 import inspect
 import itertools
 import math
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -23,19 +24,24 @@ FEASIBLE = "feasible-not-exhaustive"
 EXHAUSTIVE = "exhaustive"
 
 
-def approval_scores(instance: Instance, ballots: Sequence[Iterable[int]]) -> dict[int, int]:
-    """Number of ballots approving each shortlisted project, in ascending id order."""
+def approval_scores(instance: Instance, ballots: Iterable[Iterable[int]]) -> dict[int, int]:
+    """Number of ballots approving each shortlisted project, in ascending id order.
+
+    Each ballot is read once, as a set, so a repeated id counts once.  The
+    approvals are counted in one pass; only when one names a project the
+    instance lacks are the ballots searched for the first agent to blame.
+    """
+    ballots = [frozenset(ballot) for ballot in ballots]
+    counts = Counter(itertools.chain.from_iterable(ballots))
     scores = dict.fromkeys(instance.ids, 0)
-    for i, ballot in enumerate(ballots):
-        ballot = frozenset(ballot)
-        try:
-            for pid in ballot:
-                scores[pid] += 1
-        except KeyError:
+    if not counts.keys() <= scores.keys():
+        for i, ballot in enumerate(ballots):
             unknown = sorted(pid for pid in ballot if pid not in scores)
-            raise ValidationError(
-                f"ballot of agent {i + 1} contains unknown project ids {unknown}"
-            ) from None
+            if unknown:
+                raise ValidationError(
+                    f"ballot of agent {i + 1} contains unknown project ids {unknown}"
+                )
+    scores.update(counts)
     return scores
 
 

@@ -230,20 +230,20 @@ def greedy_select(
 
 
 def greedy_scan(instance: Instance, order: Iterable[int]) -> frozenset[int]:
-    """The scan of :func:`greedy_select`, unchecked.
+    """The scan of :func:`greedy_select`, unchecked; the one greedy scan.
 
-    ``order`` must list distinct ids of ``instance``; callers that have
-    not checked that go through :func:`greedy_select`.
+    Ids in ``order`` that ``instance`` lacks are skipped.  The others must
+    be distinct; callers that have not checked that go through
+    :func:`greedy_select`.
     """
-    costs = instance.costs
-    budget = instance.budget
+    cost_of = instance.costs.get
+    left = instance.budget
     selected = []
-    spent = 0
     for pid in order:
-        cost = costs[pid]
-        if spent + cost <= budget:
+        cost = cost_of(pid)
+        if cost is not None and cost <= left:
             selected.append(pid)
-            spent += cost
+            left -= cost
     return frozenset(selected)
 
 

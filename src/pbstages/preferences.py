@@ -60,17 +60,19 @@ def truthful_ballots(
     """Each agent's ideal set on ``instance``: the truthful ballot profile.
 
     A ranking may leave projects of the instance out or name projects
-    outside it; each agent chooses among the projects she ranks that the
-    instance holds.
+    outside it, even more than once; each agent chooses among the projects
+    she ranks that the instance holds, which she may rank only once.  Each
+    ranking is scanned as it is, with no filtered copy.
     """
     costs = instance.costs
     ballots = []
     for ranking in rankings:
-        # The filter keeps only ids of the instance; repeats are what is left to refuse.
-        order = [pid for pid in ranking if pid in costs]
-        if len(set(order)) != len(order):
-            raise ValidationError(NOT_AN_ORDER)
-        ballots.append(greedy_scan(instance, order))
+        if len(set(ranking)) != len(ranking):
+            # Only a repeat of an id of the instance is refused.
+            order = [pid for pid in ranking if pid in costs]
+            if len(set(order)) != len(order):
+                raise ValidationError(NOT_AN_ORDER)
+        ballots.append(greedy_scan(instance, ranking))
     return tuple(ballots)
 
 

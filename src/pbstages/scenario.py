@@ -169,6 +169,38 @@ def _agent(position: int, entry, instance: Instance, ids: frozenset[int]) -> Age
     return AgentSpec(label, tuple(ranking), awareness)
 
 
+def _agents(
+    raw: list, where: str, instance: Instance, ids: frozenset[int]
+) -> tuple[AgentSpec, ...]:
+    """The agents of ``raw``, in the manner of :func:`_each` over :func:`_agent`.
+
+    An entry passes the accept test when its id is its position, it has no
+    awareness set and its ranking is a permutation of ``ids``, all plain
+    ints; :func:`_agent` reads every other entry and words its refusal.
+    Sets hold ``1.0`` and ``True`` equal to ``1``, so the types are tested
+    apart.
+    """
+    out = []
+    for position, entry in enumerate(raw, 1):
+        ranking = entry.get("ranking") if type(entry) is dict else None
+        if (
+            type(ranking) is list
+            and type(entry.get("id")) is int
+            and entry["id"] == position
+            and entry.get("awareness") is None
+            and len(ranking) == len(ids)
+            and set(ranking) == ids
+            and set(map(type, ranking)) == {int}
+        ):
+            out.append(AgentSpec(position, tuple(ranking)))
+            continue
+        try:
+            out.append(_agent(position, entry, instance, ids))
+        except ScenarioError as exc:
+            raise ScenarioError(f"{where}[{position - 1}]{exc}") from None
+    return tuple(out)
+
+
 def _distance(entry) -> list:
     if not (
         isinstance(entry, list)
@@ -199,9 +231,7 @@ def parse_scenario_dict(data: dict, where: str = "scenario") -> ScenarioDocument
     ids = frozenset(instance.ids)
 
     raw_agents = _expect(data, "agents", list, where)
-    agents = tuple(
-        _each(raw_agents, f"{where}.agents", lambda j, entry: _agent(j + 1, entry, instance, ids))
-    )
+    agents = _agents(raw_agents, f"{where}.agents", instance, ids)
 
     def profile(key: str) -> tuple[frozenset[int], ...] | None:
         if data.get(key) is None:

@@ -63,6 +63,30 @@ class TestApprovalScores:
         with pytest.raises(ValidationError, match=message):
             approval_scores(example_shortlist, (fs(1), [12, 3, 10, 12]))
 
+    def test_repeated_id_in_list_ballot_counts_once(self, example_shortlist):
+        scores = approval_scores(example_shortlist, ([2, 5, 2], fs(2)))
+        assert scores[2] == 2 and scores[5] == 1 and sum(scores.values()) == 3
+
+    def test_first_of_two_bad_ballots_named(self, example_shortlist):
+        message = r"^ballot of agent 2 contains unknown project ids \[11\]$"
+        with pytest.raises(ValidationError, match=message):
+            approval_scores(example_shortlist, (fs(1), fs(2, 11), fs(12)))
+
+    @pytest.mark.parametrize("ballots", [
+        pytest.param((fs(1, 2), [3, 3], fs(), fs(2)), id="valid"),
+        pytest.param((fs(1), fs(3), [12, 3], fs(10)), id="refused"),
+    ])
+    def test_one_shot_generator_reads_as_tuple(self, example_shortlist, ballots):
+        # The error path reads the ballots a second time, so a generator
+        # must be read into a list first.
+        def outcome(profile):
+            try:
+                return approval_scores(example_shortlist, profile)
+            except ValidationError as exc:
+                return str(exc)
+
+        assert outcome(ballot for ballot in ballots) == outcome(ballots)
+
 
 class TestClassify:
     def test_exhaustive(self, example_shortlist):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbstages.core import ValidationError, subsets_ascending
+from pbstages.core import NOT_AN_ORDER, ValidationError, subsets_ascending
 from pbstages.preferences import ideal_set, truthful_ballots, valuation
 
 from conftest import fs, make_instance, ranking_from, unit_instance
@@ -88,9 +88,15 @@ class TestTruthfulBallots:
             st.lists(st.sampled_from(range(1, len(costs) + 1)), min_size=1, unique=True)
         )
         instance = make_instance(costs, budget).restrict(shortlist)
-        # Rankings over the whole universe plus unknown ids, possibly partial.
+        # Rankings over the whole universe plus unknown ids, possibly partial,
+        # with ids outside the instance possibly repeated: those are skipped.
         names = st.sampled_from(range(1, len(costs) + 4))
-        rankings = data.draw(st.lists(st.lists(names, unique=True, max_size=10), max_size=5))
+        outside = st.sampled_from([pid for pid in range(1, len(costs) + 4) if pid not in shortlist])
+        unique = data.draw(st.lists(st.lists(names, unique=True, max_size=10), max_size=5))
+        rankings = [
+            data.draw(st.permutations(ranking + data.draw(st.lists(outside, max_size=4))))
+            for ranking in unique
+        ]
 
         def plain_ballot(ranking):
             chosen, spent = set(), 0
@@ -108,6 +114,14 @@ class TestTruthfulBallots:
             ValidationError, match="order must cover exactly the candidate set, no repeats"
         ):
             truthful_ballots(unit_instance(3, 2), [(1, 2, 1)])
+
+    def test_repeated_id_outside_instance_accepted(self):
+        # 4 is no project of the instance, so its repeat is skipped, not refused.
+        assert truthful_ballots(unit_instance(3, 2), [(4, 1, 4, 2)]) == (fs(1, 2),)
+
+    def test_repeat_inside_instance_refused_beside_outside_repeat(self):
+        with pytest.raises(ValidationError, match=f"^{NOT_AN_ORDER}$"):
+            truthful_ballots(unit_instance(3, 2), [(4, 1, 4, 2), (4, 2, 4, 2)])
 
 
 class TestValuation:

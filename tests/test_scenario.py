@@ -135,6 +135,27 @@ class TestParsing:
         ):
             parse_scenario_dict(data)
 
+    @pytest.mark.parametrize("position, key, value, message", [
+        pytest.param(1, "ranking", [True, 2, 3],
+                     r"^scenario\.agents\[1\]\.ranking: expected a list of project ids$",
+                     id="ranking-true"),
+        pytest.param(1, "ranking", [3, 2, 1.0],
+                     r"^scenario\.agents\[1\]\.ranking: expected a list of project ids$",
+                     id="ranking-float"),
+        pytest.param(0, "id", True, r"^scenario\.agents\[0\]\.id: expected an integer$",
+                     id="id-true"),
+        pytest.param(0, "id", 1.0, r"^scenario\.agents\[0\]\.id: expected int, got float$",
+                     id="id-float"),
+    ])
+    def test_values_equal_to_ints_rejected_with_location(self, position, key, value, message):
+        # 1.0 and True hash and compare equal to 1, so each entry would pass
+        # a test of set equality alone; none of these agents has an awareness set.
+        data = minimal_scenario()
+        del data["agents"][0]["awareness"]
+        data["agents"][position][key] = value
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario_dict(data)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda data: [], r"^scenario: expected a JSON object$"),
         (setting("format", value="pb-other"), r"^scenario: unknown format 'pb-other'$"),
